@@ -9,9 +9,9 @@ model hosted by the band edge.
 
 __version__ = "0.1.0"
 
-from .circuit import (CircuitSpec, NetworkMatrices, apply_disorder,
-                      build_matrices, design_from_impedance,
-                      lhtl_ladder_matrices, rhtl_from_impedance,
+from .circuit import (CircuitSpec, NetworkBands, NetworkMatrices,
+                      apply_disorder, build_matrices, design_from_impedance,
+                      lhtl_ladder_matrices, network_bands, rhtl_from_impedance,
                       rhtl_ladder_matrices)
 from .dispersion import (BandPoint, SpectralDensityCurve, dom_approx,
                          invert_lhtl, omega_lhtl, omega_rhtl,
@@ -21,23 +21,25 @@ from .dynamics import (EntropyReport, SingleExcitationState, binary_entropy,
                        build_rwa_hamiltonian, entropy_minus_mode,
                        entropy_qubit, entropy_scan, evolve)
 from .modes import (CouplingSpectrum, DomEstimate, IllConditionedCircuitError,
-                    ModeSet, QubitSpec, coupling_spectrum, current_average,
-                    dom_numeric, find_current_antinode, footprint_at_antinode,
-                    sign_changes, solve_modes, voltage_profile)
+                    ModeSet, QubitSpec, band_edges, coupling_spectrum,
+                    current_average, dom_numeric, find_current_antinode,
+                    footprint_at_antinode, sign_changes, solve_modes,
+                    sturm_count, voltage_profile)
 from .spinboson import (CouplingSweep, DetectedJump, Phase, PhaseDiagram,
                         RenormResult, phase_diagram, renormalize,
                         sweep_coupling)
 
 __all__ = [
     "__version__",
-    "CircuitSpec", "NetworkMatrices", "design_from_impedance",
-    "rhtl_from_impedance", "build_matrices", "apply_disorder",
+    "CircuitSpec", "NetworkBands", "NetworkMatrices", "design_from_impedance",
+    "rhtl_from_impedance", "network_bands", "build_matrices", "apply_disorder",
     "lhtl_ladder_matrices", "rhtl_ladder_matrices",
     "BandPoint", "SpectralDensityCurve", "omega_rhtl", "omega_lhtl",
     "invert_lhtl", "dom_approx", "rhtl_background_dom", "spectral_density",
     "sample_spectral_density",
     "ModeSet", "QubitSpec", "CouplingSpectrum", "DomEstimate",
-    "IllConditionedCircuitError", "solve_modes", "voltage_profile",
+    "IllConditionedCircuitError", "solve_modes", "sturm_count", "band_edges",
+    "voltage_profile",
     "current_average", "coupling_spectrum", "dom_numeric", "sign_changes",
     "find_current_antinode", "footprint_at_antinode",
     "SingleExcitationState", "EntropyReport", "binary_entropy",

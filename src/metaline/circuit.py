@@ -18,6 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
+# apply_disorder truncates eps at +-3 sigma; 1 + eps must stay positive
+MAX_SIGMA = 1.0 / 3.0
+
 
 @dataclass(frozen=True, eq=False)
 class CircuitSpec:
@@ -154,6 +157,62 @@ def rhtl_from_impedance(z0: float, velocity: float) -> tuple[float, float]:
     return 1.0 / (z0 * velocity), z0 / velocity
 
 
+@dataclass(frozen=True, eq=False)
+class NetworkBands:
+    """Tridiagonal bands of the inverse-inductance (K) and capacitance (C)
+    matrices.
+
+    ``k_diag`` and ``c_diag`` hold the n diagonal entries, ``k_off`` and
+    ``c_off`` the n-1 entries of the first super-diagonal (both matrices
+    are symmetric).  Leading axes, when present, index a stack of devices
+    of one size.
+    """
+
+    k_diag: np.ndarray
+    k_off: np.ndarray
+    c_diag: np.ndarray
+    c_off: np.ndarray
+
+    @classmethod
+    def stack(cls, items: list["NetworkBands"]) -> "NetworkBands":
+        """Stack same-size devices along a new leading axis."""
+        return cls(*(np.stack([getattr(b, name) for b in items])
+                     for name in ("k_diag", "k_off", "c_diag", "c_off")))
+
+    def dense(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (cap, inv_ind) of one device."""
+        return _tridiagonal(self.c_diag, self.c_off), _tridiagonal(self.k_diag, self.k_off)
+
+
+def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    out = np.diag(diag)
+    i = np.arange(len(off))
+    out[i, i + 1] = off
+    out[i + 1, i] = off
+    return out
+
+
+def _lhtl_bands(c_cells: np.ndarray, l_cells: np.ndarray) -> NetworkBands:
+    c_cells = np.asarray(c_cells, dtype=float)
+    c_diag = np.concatenate([c_cells[:1], c_cells[:-1] + c_cells[1:], c_cells[-1:]])
+    k_diag = np.concatenate([[0.0], 1.0 / np.asarray(l_cells, dtype=float)])
+    return NetworkBands(k_diag=k_diag, k_off=np.zeros(len(c_cells)),
+                        c_diag=c_diag, c_off=-c_cells)
+
+
+def _rhtl_bands(c_per_len: float, l_per_len: float, length: float,
+                n_cells: int) -> NetworkBands:
+    delta = length / n_cells
+    y = 1.0 / (l_per_len * delta)
+    k_diag = np.full(n_cells + 1, 2.0 * y)
+    k_diag[0] = k_diag[-1] = y
+    c_diag = np.full(n_cells + 1, c_per_len * delta)
+    c_diag[0] *= 0.5
+    c_diag[-1] *= 0.5
+    return NetworkBands(k_diag=k_diag, k_off=np.full(n_cells, -y),
+                        c_diag=c_diag, c_off=np.zeros(n_cells))
+
+
 def lhtl_ladder_matrices(c_cells: np.ndarray, l_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrices of a bare left-handed ladder with N cells and N+1 nodes.
 
@@ -162,18 +221,7 @@ def lhtl_ladder_matrices(c_cells: np.ndarray, l_cells: np.ndarray) -> tuple[np.n
     assembled network) carries an inductor while node 0 ends in a bare
     series capacitor.
     """
-    n_cells = len(c_cells)
-    dim = n_cells + 1
-    cap = np.zeros((dim, dim))
-    inv_ind = np.zeros((dim, dim))
-    for j in range(n_cells):
-        c = c_cells[j]
-        cap[j, j] += c
-        cap[j + 1, j + 1] += c
-        cap[j, j + 1] -= c
-        cap[j + 1, j] -= c
-        inv_ind[j + 1, j + 1] += 1.0 / l_cells[j]
-    return cap, inv_ind
+    return _lhtl_bands(c_cells, l_cells).dense()
 
 
 def rhtl_ladder_matrices(c_per_len: float, l_per_len: float, length: float,
@@ -184,50 +232,42 @@ def rhtl_ladder_matrices(c_per_len: float, l_per_len: float, length: float,
     capacitance is exactly c_per_len*length and the open-open eigenmodes
     land on the ladder dispersion at k_m = m*pi/length.
     """
-    delta = length / n_cells
-    dim = n_cells + 1
-    cap = np.zeros((dim, dim))
-    inv_ind = np.zeros((dim, dim))
-    y = 1.0 / (l_per_len * delta)
-    for j in range(n_cells):
-        inv_ind[j, j] += y
-        inv_ind[j + 1, j + 1] += y
-        inv_ind[j, j + 1] -= y
-        inv_ind[j + 1, j] -= y
-    weights = np.full(dim, c_per_len * delta)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    cap[np.diag_indices(dim)] += weights
-    return cap, inv_ind
+    return _rhtl_bands(c_per_len, l_per_len, length, n_cells).dense()
+
+
+def network_bands(spec: CircuitSpec) -> NetworkBands:
+    """Bands of the full network matrices of the coupled device.
+
+    The ladder and the strip are joined by identifying the ladder's last
+    node with the strip's node 0; terminating capacitors, when present,
+    add to the outermost diagonal entries.
+    """
+    left = _lhtl_bands(*spec.cell_values())
+    right = _rhtl_bands(spec.c_right_per_len, spec.l_right_per_len,
+                        spec.rhtl_length, spec.n_right)
+
+    def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([a[:-1], a[-1:] + b[:1], b[1:]])
+
+    c_diag = join(left.c_diag, right.c_diag)
+    if spec.c_end_left is not None:
+        c_diag[0] += spec.c_end_left
+    if spec.c_end_right is not None:
+        c_diag[-1] += spec.c_end_right
+    return NetworkBands(k_diag=join(left.k_diag, right.k_diag),
+                        k_off=np.concatenate([left.k_off, right.k_off]),
+                        c_diag=c_diag,
+                        c_off=np.concatenate([left.c_off, right.c_off]))
 
 
 def build_matrices(spec: CircuitSpec) -> NetworkMatrices:
-    """Assemble the full network matrices for the coupled device.
+    """Full dense network matrices for the coupled device.
 
-    The ladder block and the strip block are joined by identifying the
-    ladder's last node with the strip's node 0; terminating capacitors,
-    when present, add to the outermost diagonal entries.
+    The dense expansion of ``network_bands(spec)``, with node positions:
+    the ladder at x < 0 and the strip on [0, rhtl_length].
     """
-    c_cells, l_cells = spec.cell_values()
+    cap, inv_ind = network_bands(spec).dense()
     nl, nr = spec.n_left, spec.n_right
-    dim = nl + nr + 1
-    cap = np.zeros((dim, dim))
-    inv_ind = np.zeros((dim, dim))
-
-    cap_l, ind_l = lhtl_ladder_matrices(c_cells, l_cells)
-    cap[: nl + 1, : nl + 1] += cap_l
-    inv_ind[: nl + 1, : nl + 1] += ind_l
-
-    cap_r, ind_r = rhtl_ladder_matrices(
-        spec.c_right_per_len, spec.l_right_per_len, spec.rhtl_length, nr)
-    cap[nl:, nl:] += cap_r
-    inv_ind[nl:, nl:] += ind_r
-
-    if spec.c_end_left is not None:
-        cap[0, 0] += spec.c_end_left
-    if spec.c_end_right is not None:
-        cap[-1, -1] += spec.c_end_right
-
     positions = np.concatenate([
         (np.arange(nl) - nl) * spec.cell_pitch,
         np.arange(nr + 1) * spec.dx_right,
@@ -240,10 +280,12 @@ def apply_disorder(spec: CircuitSpec, relative_sigma: float, seed: int) -> Circu
     """Scatter every ladder C and L independently by (1 + eps).
 
     eps is zero-mean normal with standard deviation ``relative_sigma``,
-    truncated at +-3 sigma.  Deterministic for a fixed seed.
+    truncated at +-3 sigma, so sigma must stay below 1/3 for every
+    element to remain positive.  Deterministic for a fixed seed.
     """
-    if not 0 <= relative_sigma < 0.5:
-        raise ValueError(f"relative_sigma must lie in [0, 0.5), got {relative_sigma}")
+    if not 0 <= relative_sigma < MAX_SIGMA:
+        raise ValueError(
+            f"relative_sigma must lie in [0, 1/3), got {relative_sigma}")
     c_cells, l_cells = spec.cell_values()
     if relative_sigma == 0:
         return replace(spec, c_left_cells=c_cells, l_left_cells=l_cells)

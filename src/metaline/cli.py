@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import apply_disorder, build_matrices
+from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
 from .config import GHZ, ConfigError, RunConfig, parse_config
 from .dispersion import dom_approx, rhtl_background_dom
 from .dynamics import build_rwa_hamiltonian, entropy_scan
 from .modes import (CouplingSpectrum, IllConditionedCircuitError, ModeSet,
-                    QubitSpec, coupling_spectrum, dom_numeric,
+                    QubitSpec, band_edges, coupling_spectrum, dom_numeric,
                     footprint_at_antinode, solve_modes)
 from .spinboson import Phase, phase_diagram, sweep_coupling
 
@@ -227,32 +227,24 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
 
 
 def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
+    """Band edge and band mode count of every disordered device, from one
+    batched Sturm-count solve (no eigenvectors; ``threads`` is unused)."""
     spec = config.circuit_spec()
-    window = config.freq_window()
     sigma = config["disorder.sigma"]
     seeds = list(range(config["disorder.seed0"],
                        config["disorder.seed0"] + config["disorder.seeds"]))
-    lo = config["disorder.band_ghz_lo"] * GHZ
-    hi = config["disorder.band_ghz_hi"] * GHZ
+    band = (config["disorder.band_ghz_lo"] * GHZ, config["disorder.band_ghz_hi"] * GHZ)
+    bands = NetworkBands.stack([network_bands(apply_disorder(spec, sigma, seed))
+                                for seed in seeds])
+    edges, counts = band_edges(bands, config.freq_window(), band)
+    empty = [seed for seed, edge in zip(seeds, edges) if np.isnan(edge)]
+    if empty:
+        raise ValueError(
+            f"no mode in the window [{config['modes.window_ghz_lo']}, "
+            f"{config['modes.window_ghz_hi']}] GHz for disorder "
+            f"seed{'s' if len(empty) > 1 else ''} {', '.join(map(str, empty))}")
 
-    def sample(seed: int):
-        noisy = apply_disorder(spec, sigma, seed)
-        modeset = solve_modes(build_matrices(noisy), window)
-        if len(modeset) == 0:
-            return seed, float("nan"), 0
-        edge = modeset.frequencies[0] / GHZ
-        count = int(np.sum((modeset.frequencies >= lo)
-                           & (modeset.frequencies <= hi)))
-        return seed, edge, count
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(sample, seeds))
-    else:
-        rows = [sample(s) for s in seeds]
-
-    edges = np.array([r[1] for r in rows])
-    counts = np.array([r[2] for r in rows], dtype=float)
+    edges = edges / GHZ
     comments = _comments(config, "disorder")
     comments.append(f"sigma={_fmt(sigma)} seeds={len(seeds)}")
     comments.append(
@@ -262,7 +254,7 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
     stem = config["output.stem"]
     pre = f"{stem}_" if stem else ""
     _write_csv(out / f"{pre}disorder.csv", ["seed", "edge_ghz", "band_count"],
-               rows, comments)
+               list(zip(seeds, edges, counts)), comments)
 
 
 _COMMANDS = {

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import CircuitSpec, design_from_impedance, rhtl_from_impedance
+from .circuit import MAX_SIGMA, CircuitSpec, design_from_impedance, rhtl_from_impedance
 
 GHZ = 2.0 * np.pi * 1e9
 
@@ -68,19 +68,26 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 def _parse_value(kind: str, text: str, where: str):
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "str":
             return text
         if kind == "grid":
             parts = [p.strip() for p in text.split(",")]
             if len(parts) != 3:
                 raise ValueError("expected 'lo, hi, n'")
-            return (float(parts[0]), float(parts[1]), int(parts[2]))
+            return (_finite(parts[0]), _finite(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {kind} value {text!r} ({exc})") from None
     raise ConfigError(f"{where}: unknown value kind {kind}")
@@ -187,7 +194,7 @@ def parse_config(source: str | Path, is_text: bool = False) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         seen.add(key)
         kind, _ = _SCHEMA[key]
-        values[key] = _parse_value(kind, val, f"{path}:{lineno}")
+        values[key] = _parse_value(kind, val, f"{path}:{lineno}: {key}")
 
     _validate(values, path)
     return RunConfig(values=values, text=text, path=path)
@@ -221,5 +228,7 @@ def _validate(values: dict, path: str) -> None:
     if (values["qubit.tune_g_ghz"] is None) != (values["qubit.tune_mode_ghz"] is None):
         raise ConfigError(
             f"{path}: qubit.tune_g_ghz and qubit.tune_mode_ghz go together")
-    if values["disorder.sigma"] < 0 or values["disorder.sigma"] >= 0.5:
-        raise ConfigError(f"{path}: disorder.sigma must lie in [0, 0.5)")
+    if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
+        raise ConfigError(
+            f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "
+            f"scattered by up to 3 sigma, got {values['disorder.sigma']}")

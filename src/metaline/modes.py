@@ -9,6 +9,11 @@ solved here by Cholesky reduction of the capacitance matrix and a dense
 symmetric eigensolver (LAPACK sygvd via scipy).  Eigenvectors are
 normalized in the capacitance metric, v^T cap v = 1, which makes them the
 flux profiles of independent harmonic oscillators.
+
+Both matrices are tridiagonal, so where only frequencies and counts are
+needed (the disorder study) ``band_edges`` works on the bands instead:
+Sturm counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law
+of inertia) and multisection, O(n) per shift and no eigenvectors.
 """
 
 from __future__ import annotations
@@ -18,8 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .circuit import CircuitSpec, NetworkMatrices
+from .circuit import CircuitSpec, NetworkBands, NetworkMatrices
 from .dispersion import dom_approx, rhtl_background_dom
+
+# gauge rule: modes at or below this fraction of the largest frequency
+# are the inductive null space, not physical modes
+GAUGE = 1e-6
+# shifts per multisection round; each round shrinks a bracket 32-fold
+_SHIFTS = 31
+_EPS = np.finfo(float).eps
+_SAFMIN = np.finfo(float).tiny
 
 
 class IllConditionedCircuitError(RuntimeError):
@@ -126,16 +139,16 @@ def solve_modes(mat: NetworkMatrices,
     """
     cap, inv_ind = mat.cap, mat.inv_ind
     try:
-        sla.cholesky(cap, lower=True)
+        w2, vecs = sla.eigh(inv_ind, cap)
     except sla.LinAlgError as exc:
         pivot = float(np.min(np.linalg.eigvalsh(0.5 * (cap + cap.T))))
+        if pivot > 0:       # cap is definite: the eigensolver itself failed
+            raise
         raise IllConditionedCircuitError(
             f"capacitance matrix is not positive definite "
             f"(smallest pivot {pivot:.3e} F)") from exc
-
-    w2, vecs = sla.eigh(inv_ind, cap)
     omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = omega > 1e-6 * omega.max()
+    keep = omega > GAUGE * omega.max()
     omega, vecs = omega[keep], vecs[:, keep]
 
     # reproducible sign: non-negative flux at the interface node, falling
@@ -161,6 +174,137 @@ def solve_modes(mat: NetworkMatrices,
     return ModeSet(frequencies=omega, profiles=vecs,
                    node_positions=mat.node_positions,
                    interface_index=mat.interface_index)
+
+
+def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
+    """Number of generalized eigenvalues of (K, C) below each shift ``lam``.
+
+    By Sylvester's law of inertia this is the number of negative pivots of
+    the LDL^T factorization of K - lam C, whose tridiagonal recurrence
+    d_i = a_i - b_{i-1}^2 / d_{i-1} costs O(n) per shift.  As in LAPACK
+    dstebz, pivots smaller in magnitude than pivmin, zero included, are
+    replaced by -pivmin: an eigenvalue equal to a shift counts as below
+    it, and one within rounding of a shift may count on either side.
+    ``lam`` has shape (..., m), with the leading axes of the bands; the
+    result has the shape of ``lam``.
+    """
+    lam = np.asarray(lam, dtype=float)
+
+    def nodes_first(x) -> np.ndarray:
+        """(..., n) -> (n, ..., 1): one contiguous row per node."""
+        return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0)[..., None])
+
+    kd, ko, cd, co = map(nodes_first, (bands.k_diag, bands.k_off,
+                                       bands.c_diag, bands.c_off))
+    # dstebz scales pivmin by the largest b_i^2 so that b^2/pivmin stays
+    # finite; this bound on it costs no pass over the nodes
+    bmax = (np.abs(ko).max(axis=0, initial=0.0)
+            + np.abs(lam) * np.abs(co).max(axis=0, initial=0.0))
+    pivmin = _SAFMIN * np.maximum(1.0, bmax ** 2)
+    negpiv = -pivmin
+    d, b2, mag = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
+    tiny = np.empty(lam.shape, dtype=bool)
+    negative = np.empty((len(kd),) + lam.shape, dtype=bool)
+    for i in range(len(kd)):
+        if i:
+            np.multiply(lam, co[i - 1], out=b2)
+            np.subtract(ko[i - 1], b2, out=b2)
+            np.square(b2, out=b2)
+            np.divide(b2, d, out=b2)
+        np.multiply(lam, cd[i], out=d)
+        np.subtract(kd[i], d, out=d)
+        if i:
+            np.subtract(d, b2, out=d)
+        np.abs(d, out=mag)
+        np.less(mag, pivmin, out=tiny)
+        np.copyto(d, negpiv, where=tiny)
+        np.signbit(d, out=negative[i])
+    return np.count_nonzero(negative, axis=0)
+
+
+def _narrow(bands: NetworkBands, index: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One multisection round on the bracket [lo, hi] of eigenvalue number
+    ``index`` (0-based, ascending) of each device in a stack."""
+    fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    shifts = lo[:, None] + (hi - lo)[:, None] * fractions
+    k = np.count_nonzero(sturm_count(bands, shifts) <= index[:, None], axis=1)
+    rows = np.arange(len(lo))
+    lo = np.where(k > 0, shifts[rows, k - 1], lo)
+    hi = np.where(k < _SHIFTS, shifts[rows, np.minimum(k, _SHIFTS - 1)], hi)
+    return lo, hi
+
+
+def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Brackets wider than the rounding of their upper end (NaN is closed)."""
+    return hi - lo > 2.0 * _EPS * np.abs(hi)
+
+
+def _top_bracket(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= lam_max <= hi and hi <= 4 lo, for each device."""
+    n = bands.k_diag.shape[-1]
+    growth = 4.0 ** np.arange(1, _SHIFTS + 1)
+    # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
+    lo = np.max(bands.k_diag / bands.c_diag, axis=-1)
+    while True:
+        shifts = lo[:, None] * growth
+        full = sturm_count(bands, shifts) >= n
+        if full[:, -1].all():
+            break
+        lo = np.where(full[:, -1], lo, shifts[:, -1])
+    k = np.argmax(full, axis=1)
+    rows = np.arange(len(lo))
+    return np.where(k > 0, shifts[rows, k - 1], lo), shifts[rows, k]
+
+
+def _gauge_floor(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
+    """(count, floor) per device: the number of modes the gauge rule drops,
+    omega <= GAUGE * omega_max, and a shift with at most that many
+    eigenvalues below it.
+
+    The bracket on lam_max is narrowed only until no eigenvalue lies
+    between the thresholds of its two ends.
+    """
+    lo, hi = _top_bracket(bands)
+    top = np.full(len(lo), bands.k_diag.shape[-1] - 1)
+    while True:
+        counts = sturm_count(bands, GAUGE ** 2 * np.stack([lo, hi], axis=1))
+        pending = (counts[:, 0] != counts[:, 1]) & _open(lo, hi)
+        if not pending.any():
+            return counts[:, 1], GAUGE ** 2 * lo
+        lo, hi = np.where(pending, _narrow(bands, top, lo, hi), (lo, hi))
+
+
+def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
+               band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest window mode and band mode count of each device in a stack.
+
+    ``bands`` carries one leading device axis.  The modes are those of
+    ``solve_modes``: gauge modes are dropped by the same rule, and the
+    window (lo, hi) and the band (lo, hi), both in rad/s, are inclusive.
+    The count covers the part of the band inside the window.  Returns
+    (edge in rad/s, NaN where the window holds no mode; count).  Only
+    Sturm counts are used: no matrix is formed and no eigenvector found.
+    """
+    bounds = np.array([*freq_window, *band], dtype=float)
+    if not all(np.isfinite(x).all() for x in (bounds, bands.k_diag, bands.k_off,
+                                              bands.c_diag, bands.c_off)):
+        raise ValueError("band_edges needs finite bands, window and band")
+    bounds = np.sign(bounds) * bounds ** 2
+    counts = sturm_count(bands, np.broadcast_to(bounds, (len(bands.k_diag), 4)))
+    win_lo, win_hi, band_lo, band_hi = counts.T
+    gauge, floor = _gauge_floor(bands)
+    first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
+    band_count = np.maximum(0, np.minimum(band_hi, win_hi)
+                            - np.maximum(band_lo, first))
+
+    found = first < win_hi
+    # N(lo) <= first < N(hi) on every bracket that holds a mode
+    lo = np.maximum(floor, bounds[0])
+    hi = np.full_like(lo, bounds[1])
+    while (active := found & _open(lo, hi)).any():
+        lo, hi = np.where(active, _narrow(bands, first, lo, hi), (lo, hi))
+    return np.where(found, np.sqrt(0.5 * (lo + hi)), np.nan), band_count
 
 
 def voltage_profile(modes: ModeSet, n: int) -> np.ndarray:

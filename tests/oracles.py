@@ -2,8 +2,10 @@
 
 These deliberately avoid the closed forms and iteration schemes used by
 the package: entropies come from explicit density matrices and partial
-traces in the full qubit x modes tensor space, and the renormalization
-fixed point from a dense scan over candidate splittings.
+traces in the full qubit x modes tensor space, the renormalization
+fixed point from a dense scan over candidate splittings, the network
+matrices from per-element stamping loops, and mode counts from a dense
+eigenvalue solve of the symmetrically reduced pencil.
 """
 
 import numpy as np
@@ -63,3 +65,58 @@ def grid_search_fixed_point(omega: np.ndarray, g: np.ndarray, delta0: float,
     feasible = mapped >= grid
     i = int(np.max(np.nonzero(feasible)[0]))
     return float(mapped[i])
+
+
+def stamped_matrices(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (cap, inv_ind) of a CircuitSpec, stamped element by element.
+
+    Every ladder cell adds its series capacitor to the 2x2 block of its
+    two nodes and its shunt inductor to the diagonal of its right node;
+    every strip segment adds 1/(l dx) to the 2x2 block of its two nodes
+    and half a cell of capacitance to each node; the terminating
+    capacitors add to the outermost diagonal entries.
+    """
+    c_cells, l_cells = spec.cell_values()
+    nl, nr = spec.n_left, spec.n_right
+    dim = nl + nr + 1
+    cap = np.zeros((dim, dim))
+    inv_ind = np.zeros((dim, dim))
+    for j in range(nl):
+        c = c_cells[j]
+        cap[j, j] += c
+        cap[j + 1, j + 1] += c
+        cap[j, j + 1] -= c
+        cap[j + 1, j] -= c
+        inv_ind[j + 1, j + 1] += 1.0 / l_cells[j]
+    delta = spec.rhtl_length / nr
+    y = 1.0 / (spec.l_right_per_len * delta)
+    for j in range(nl, nl + nr):
+        inv_ind[j, j] += y
+        inv_ind[j + 1, j + 1] += y
+        inv_ind[j, j + 1] -= y
+        inv_ind[j + 1, j] -= y
+        cap[j, j] += 0.5 * spec.c_right_per_len * delta
+        cap[j + 1, j + 1] += 0.5 * spec.c_right_per_len * delta
+    if spec.c_end_left is not None:
+        cap[0, 0] += spec.c_end_left
+    if spec.c_end_right is not None:
+        cap[-1, -1] += spec.c_end_right
+    return cap, inv_ind
+
+
+def pencil_eigenvalues(cap: np.ndarray, inv_ind: np.ndarray) -> np.ndarray:
+    """Ascending generalized eigenvalues of (inv_ind, cap).
+
+    Reduces the pencil with the symmetric inverse square root of cap, from
+    its own eigendecomposition, and diagonalizes the reduced symmetric
+    matrix C^{-1/2} K C^{-1/2}.
+    """
+    s, u = np.linalg.eigh(cap)
+    root = (u / np.sqrt(s)) @ u.T
+    return np.linalg.eigvalsh(root @ inv_ind @ root)
+
+
+def dense_count(cap: np.ndarray, inv_ind: np.ndarray, lam) -> np.ndarray:
+    """Number of generalized eigenvalues of (inv_ind, cap) below each lam."""
+    return np.searchsorted(pencil_eigenvalues(cap, inv_ind),
+                           np.asarray(lam, dtype=float), side="left")

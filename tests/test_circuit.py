@@ -2,10 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from metaline import (CircuitSpec, apply_disorder, build_matrices,
-                      design_from_impedance, lhtl_ladder_matrices,
-                      rhtl_from_impedance, rhtl_ladder_matrices)
+from metaline import (CircuitSpec, NetworkBands, apply_disorder,
+                      build_matrices, design_from_impedance,
+                      lhtl_ladder_matrices, network_bands, rhtl_from_impedance,
+                      rhtl_ladder_matrices)
 from conftest import OMEGA_IR, make_band_edge_spec
+from oracles import stamped_matrices
 
 
 class TestDesignFromImpedance:
@@ -106,6 +108,35 @@ class TestBuildMatrices:
         npt.assert_allclose(np.diag(ki), [0, 1e9, 1e9, 1e9, 1e9])
         assert np.count_nonzero(ki - np.diag(np.diag(ki))) == 0
 
+    def test_equals_stamped_reference(self, band_spec):
+        import dataclasses
+        rng = np.random.default_rng(3)
+        specs = [band_spec, apply_disorder(band_spec, 0.1, seed=2),
+                 dataclasses.replace(band_spec, c_end_left=5e-15, c_end_right=7e-15),
+                 make_band_edge_spec(n_left=1, n_right=2)]
+        for k in range(6):
+            spec = apply_disorder(make_band_edge_spec(int(rng.integers(1, 40)),
+                                                      int(rng.integers(2, 60))), 0.2, k)
+            if k % 2:
+                spec = dataclasses.replace(spec, c_end_left=3e-15, c_end_right=2e-14)
+            specs.append(spec)
+        for spec in specs:
+            mat = build_matrices(spec)
+            cap, inv_ind = stamped_matrices(spec)
+            npt.assert_array_equal(mat.cap, cap)
+            npt.assert_array_equal(mat.inv_ind, inv_ind)
+
+    def test_bands_stack_and_expand(self, band_spec):
+        one = network_bands(band_spec)
+        dim = band_spec.n_left + band_spec.n_right + 1
+        assert one.k_diag.shape == one.c_diag.shape == (dim,)
+        assert one.k_off.shape == one.c_off.shape == (dim - 1,)
+        two = NetworkBands.stack([one, network_bands(apply_disorder(band_spec, 0.1, 1))])
+        assert two.k_diag.shape == (2, dim) and two.c_off.shape == (2, dim - 1)
+        cap, inv_ind = one.dense()
+        npt.assert_array_equal(np.diag(cap, 1), one.c_off)
+        npt.assert_array_equal(np.diag(inv_ind), one.k_diag)
+
     def test_random_specs_property(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -154,7 +185,8 @@ class TestApplyDisorder:
         mean = np.mean(samples)
         assert abs(mean / band_spec.c_left - 1) < 0.01
 
-    @pytest.mark.parametrize("sigma", [-0.01, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [-0.01, 1 / 3, 0.4, 0.5, 0.9])
     def test_sigma_out_of_range(self, band_spec, sigma):
+        # eps is truncated at 3 sigma, so sigma >= 1/3 could zero an element
         with pytest.raises(ValueError):
             apply_disorder(band_spec, sigma, seed=0)

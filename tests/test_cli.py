@@ -66,6 +66,23 @@ class TestConfigParsing:
             parse_config("circuit.cell_pitch_m = -1e-4\nqubit.g_ghz = 0.2",
                          is_text=True)
 
+    @pytest.mark.parametrize("key,value", [
+        ("modes.window_ghz_lo", "nan"), ("qubit.freq_ghz", "inf"),
+        ("circuit.rhtl_length_m", "-inf"), ("renorm.g_grid", "0.1, nan, 5"),
+    ])
+    def test_nonfinite_value_names_key(self, tmp_path, capsys, key, value):
+        text = "\n".join(l for l in SMALL.splitlines() if not l.startswith(key))
+        cfg = _write(tmp_path, text + f"\n{key} = {value}\n")
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "not finite" in err
+
+    @pytest.mark.parametrize("sigma", ["0.3333333333333333", "0.34", "0.49"])
+    def test_sigma_tied_to_truncation(self, tmp_path, capsys, sigma):
+        cfg = _write(tmp_path, SMALL + f"\ndisorder.sigma = {sigma}\n")
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "disorder.sigma" in capsys.readouterr().err
+
     def test_needs_some_coupling_scale(self):
         text = SMALL.replace("qubit.g_ghz = 0.2", "")
         with pytest.raises(ConfigError, match="g_ghz"):
@@ -209,6 +226,34 @@ class TestCmdDisorder:
         mean = float(edge_summary.split("mean=")[1].split()[0])
         row = [l for l in lines if l and not l.startswith("#")][1]
         assert abs(float(row.split(",")[1]) - mean) < 1e-15
+
+
+    def test_thread_independence(self, tmp_path):
+        cfg = _write(tmp_path, SMALL + "\ndisorder.seeds = 4\n")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["disorder", "--config", cfg, "--out", str(out1),
+                     "--threads", "1"]) == 0
+        assert main(["disorder", "--config", cfg, "--out", str(out2),
+                     "--threads", "3"]) == 0
+        assert _read_all(out1) == _read_all(out2)
+
+    def test_empty_window_for_some_seeds_exits_3(self, tmp_path, capsys):
+        from metaline import apply_disorder, build_matrices, solve_modes
+        spec = parse_config(SMALL, is_text=True).circuit_spec()
+        edges = {seed: solve_modes(build_matrices(apply_disorder(spec, 0.02, seed)),
+                                   (3.8 * GHZ, 13.0 * GHZ)).frequencies[0] / GHZ
+                 for seed in (1, 2, 3)}
+        lowest = min(edges, key=edges.get)
+        # only the seed with the lowest edge keeps a mode in the window
+        text = SMALL.replace("modes.window_ghz_hi = 13.0",
+                             f"modes.window_ghz_hi = {float(edges[lowest]) * (1 + 1e-9)!r}")
+        cfg = _write(tmp_path, text + "\ndisorder.sigma = 0.02\n"
+                     "disorder.seeds = 3\ndisorder.seed0 = 1\n")
+        out = tmp_path / "o"
+        assert main(["disorder", "--config", cfg, "--out", str(out)]) == 3
+        others = ", ".join(str(s) for s in sorted(edges) if s != lowest)
+        assert f"seeds {others}\n" in capsys.readouterr().err
+        assert not (out / "disorder.csv").exists()
 
 
 class TestExitCodes:

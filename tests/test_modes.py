@@ -5,12 +5,16 @@ import numpy.testing as npt
 import pytest
 
 from metaline import (CouplingSpectrum, IllConditionedCircuitError,
-                      ModeSet, NetworkMatrices, QubitSpec, build_matrices,
+                      ModeSet, NetworkBands, NetworkMatrices, QubitSpec,
+                      apply_disorder, band_edges, build_matrices,
                       coupling_spectrum, current_average, dom_approx,
                       dom_numeric, find_current_antinode, lhtl_ladder_matrices,
-                      omega_lhtl, omega_rhtl, rhtl_ladder_matrices, sign_changes,
-                      solve_modes, voltage_profile)
-from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec
+                      network_bands, omega_lhtl, omega_rhtl,
+                      rhtl_ladder_matrices, sign_changes, solve_modes,
+                      sturm_count, voltage_profile)
+from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
+                      make_band_edge_spec)
+from oracles import dense_count, pencil_eigenvalues, stamped_matrices
 
 
 def _wrap(cap, inv_ind, length=None, interface=0):
@@ -87,6 +91,97 @@ class TestSolveModes:
         ki = np.eye(2) * 1e9
         with pytest.raises(IllConditionedCircuitError, match="pivot"):
             solve_modes(_wrap(cap, ki))
+
+
+class TestSturmCount:
+    @pytest.mark.parametrize("end_caps", [False, True])
+    def test_matches_dense_count_oracle(self, end_caps):
+        rng = np.random.default_rng(5 if end_caps else 4)
+        for _ in range(6):
+            spec = make_band_edge_spec(int(rng.integers(1, 60)),
+                                       int(rng.integers(2, 80)))
+            spec = apply_disorder(spec, 0.25, int(rng.integers(1000)))
+            if end_caps:
+                spec = dataclasses.replace(
+                    spec, c_end_left=spec.c_left * 10 ** rng.uniform(-2, 1),
+                    c_end_right=spec.c_left * 10 ** rng.uniform(-2, 1))
+            cap, inv_ind = stamped_matrices(spec)
+            evals = pencil_eigenvalues(cap, inv_ind)
+            # every count from 0 to n, at shifts well clear of the eigenvalues
+            mids = 0.5 * (evals[1:] + evals[:-1])
+            clear = np.diff(evals) > 1e-9 * evals[-1]
+            random = evals[-1] * 10 ** rng.uniform(-8, 0.5, 40)
+            random = random[np.min(np.abs(random[:, None] - evals), axis=1)
+                            > 1e-9 * evals[-1]]
+            lam = np.concatenate([[-evals[-1]], mids[clear], random,
+                                  [2 * evals[-1]]])
+            npt.assert_array_equal(sturm_count(network_bands(spec), lam),
+                                   dense_count(cap, inv_ind, lam))
+
+    def test_zero_pivot_counts_as_negative(self):
+        # K - lam C = diag(-1, 0, 1) at lam = 1: the zero pivot is replaced
+        # by -pivmin as in dstebz, so an eigenvalue equal to the shift counts
+        bands = NetworkBands(k_diag=np.array([0.0, 1.0, 2.0]), k_off=np.zeros(2),
+                             c_diag=np.ones(3), c_off=np.zeros(2))
+        npt.assert_array_equal(sturm_count(bands, [0.5, 1.0, 1.5]), [1, 2, 2])
+
+    def test_leading_axes_broadcast(self, band_spec):
+        stack = NetworkBands.stack([network_bands(apply_disorder(band_spec, 0.05, s))
+                                    for s in range(3)])
+        lam = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]) * OMEGA_IR ** 2
+        counts = sturm_count(stack, lam)
+        assert counts.shape == (3, 2)
+        for s in range(3):
+            one = NetworkBands(stack.k_diag[s], stack.k_off[s], stack.c_diag[s],
+                               stack.c_off[s])
+            npt.assert_array_equal(counts[s], sturm_count(one, lam[s]))
+
+
+def _dense_edge_and_count(spec, window, band):
+    ms = solve_modes(build_matrices(spec), window)
+    f = ms.frequencies
+    edge = f[0] if len(f) else np.nan
+    return edge, int(np.sum((f >= band[0]) & (f <= band[1])))
+
+
+class TestBandEdges:
+    @pytest.mark.parametrize("window,band", [
+        (WINDOW, ULTRASTRONG_BAND),
+        ((0.0, TWO_PI * 13e9), (0.0, TWO_PI * 5.039e9)),        # gauge rule
+        ((TWO_PI * 4.5e9, TWO_PI * 4.8e9), ULTRASTRONG_BAND),   # band cut by window
+    ])
+    def test_matches_dense_over_50_seeds(self, window, band):
+        base = make_band_edge_spec(n_left=80, n_right=120)
+        specs = [apply_disorder(base, 0.05, seed) for seed in range(1, 51)]
+        edges, counts = band_edges(
+            NetworkBands.stack([network_bands(s) for s in specs]), window, band)
+        dense = np.array([_dense_edge_and_count(s, window, band) for s in specs])
+        npt.assert_array_equal(counts, dense[:, 1])
+        npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
+
+    def test_empty_window_is_nan(self, band_spec):
+        bands = NetworkBands.stack([network_bands(band_spec)])
+        far = (TWO_PI * 1000e9, TWO_PI * 1001e9)
+        edges, counts = band_edges(bands, far, far)
+        assert np.isnan(edges[0]) and counts[0] == 0
+
+    @pytest.mark.parametrize("factor", [1 - 1e-4, 1 + 1e-4])
+    def test_gauge_threshold_edge_case(self, factor):
+        # one mode on either side of 1e-6 of the largest frequency
+        k = np.array([0.0, 1e-12 * factor, 1.0])
+        bands = NetworkBands(k_diag=k, k_off=np.zeros(2), c_diag=np.ones(3),
+                             c_off=np.zeros(2))
+        cap, inv_ind = bands.dense()
+        window = (0.0, 10.0)
+        edges, counts = band_edges(NetworkBands.stack([bands]), window, window)
+        dense = solve_modes(_wrap(cap, inv_ind), window).frequencies
+        assert counts[0] == len(dense) == (2 if factor > 1 else 1)
+        npt.assert_allclose(edges[0], dense[0], rtol=1e-12)
+
+    def test_rejects_nonfinite_input(self, band_spec):
+        bands = NetworkBands.stack([network_bands(band_spec)])
+        with pytest.raises(ValueError):
+            band_edges(bands, (np.nan, 1e11), ULTRASTRONG_BAND)
 
 
 class TestVoltageProfile:
