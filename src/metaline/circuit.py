@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 # apply_disorder truncates eps at +-3 sigma; 1 + eps must stay positive
 MAX_SIGMA = 1.0 / 3.0
@@ -289,6 +288,8 @@ def apply_disorder(spec: CircuitSpec, relative_sigma: float, seed: int) -> Circu
     c_cells, l_cells = spec.cell_values()
     if relative_sigma == 0:
         return replace(spec, c_left_cells=c_cells, l_left_cells=l_cells)
+    from scipy import stats     # slow to import, and only disorder needs it
+
     rng = np.random.default_rng(seed)
     eps = stats.truncnorm.rvs(-3.0, 3.0, scale=relative_sigma,
                               size=2 * spec.n_left, random_state=rng)

@@ -61,6 +61,12 @@ def _comments(config: RunConfig, command: str) -> list[str]:
     ]
 
 
+def _output(config: RunConfig, out: Path, name: str) -> Path:
+    """Path of output file ``name`` in ``out``, behind the ``output.stem`` prefix."""
+    stem = config["output.stem"]
+    return out / (f"{stem}_{name}" if stem else name)
+
+
 def _build_modes(config: RunConfig) -> tuple:
     spec = config.circuit_spec()
     modeset = solve_modes(build_matrices(spec), config.freq_window())
@@ -99,8 +105,6 @@ def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
 def cmd_modes(config: RunConfig, out: Path, threads: int,
               profiles: bool = False) -> None:
     spec, modeset = _build_modes(config)
-    stem = config["output.stem"]
-    pre = f"{stem}_" if stem else ""
     comments = _comments(config, "modes")
 
     cols = ["n", "f_ghz"]
@@ -112,7 +116,7 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
         if profiles:
             row += list(modeset.profiles[:, n])
         rows.append(row)
-    _write_csv(out / f"{pre}modes.csv", cols, rows, comments)
+    _write_csv(_output(config, out, "modes.csv"), cols, rows, comments)
 
     dom_rows = []
     if len(modeset) >= 2:
@@ -126,7 +130,7 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
             (modeset.frequencies[n] / GHZ, est.spacing_density[n], approx[n])
             for n in range(len(modeset))
         ]
-    _write_csv(out / f"{pre}dom.csv", ["f_ghz", "d_numeric", "d_approx"],
+    _write_csv(_output(config, out, "dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
                dom_rows, comments)
 
     coup_rows = []
@@ -137,7 +141,7 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
              couplings.g[n] / GHZ)
             for n in range(len(couplings))
         ]
-    _write_csv(out / f"{pre}couplings.csv",
+    _write_csv(_output(config, out, "couplings.csv"),
                ["n", "f_ghz", "relative_profile", "g_ghz"], coup_rows, comments)
 
 
@@ -146,8 +150,6 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
     h = build_rwa_hamiltonian(couplings, qubit.delta0)
     tg_grid = config.grid("dynamics.tg")
-    stem = config["output.stem"]
-    pre = f"{stem}_" if stem else ""
 
     def scan(tg: float):
         t = tg / qubit.g_global if qubit.g_global > 0 else 0.0
@@ -165,7 +167,7 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
         for n in range(len(rep.e_per_mode)):
             rows.append((rep.time, n, couplings.frequencies[n] / GHZ,
                          rep.e_per_mode[n]))
-    _write_csv(out / f"{pre}entropy.csv", ["tg", "n", "f_ghz", "e_n"],
+    _write_csv(_output(config, out, "entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
                rows, _comments(config, "dynamics"), blocks)
 
 
@@ -188,14 +190,13 @@ def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
          sweep.delta_eff_flat[i] / qubit.delta0)
         for i, g in enumerate(sweep.g_grid)
     ]
-    stem = config["output.stem"]
-    pre = f"{stem}_" if stem else ""
-    _write_csv(out / f"{pre}renorm.csv",
+    _write_csv(_output(config, out, "renorm.csv"),
                ["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
                 "delta_eff_flat_over_delta0"], rows, comments)
 
 
 def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
+    """Phase diagram over the (Delta_0, g) grid (``threads`` is unused)."""
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
     g_grid = config.grid("phase.g") * spec.omega_ir
@@ -205,7 +206,6 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
         freq_window=config.freq_window(),
         normalization=config["coupling.normalization"],
         variant=config["renorm.variant"],
-        threads=threads,
     )
     comments = _comments(config, "phase")
     rows = []
@@ -215,14 +215,12 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
             label = (Phase.LOCALIZED if deff / d0 < diagram.localization_threshold
                      else Phase.DELOCALIZED).value
             rows.append((d0 / spec.omega_ir, g / spec.omega_ir, deff / d0, label))
-    stem = config["output.stem"]
-    pre = f"{stem}_" if stem else ""
-    _write_csv(out / f"{pre}phase.csv",
+    _write_csv(_output(config, out, "phase.csv"),
                ["delta0_over_omega_ir", "g_over_omega_ir",
                 "delta_eff_over_delta0", "phase"], rows, comments)
     brows = [(g / spec.omega_ir, d0 / spec.omega_ir)
              for g, d0 in diagram.boundary]
-    _write_csv(out / f"{pre}boundary.csv",
+    _write_csv(_output(config, out, "boundary.csv"),
                ["g_star_over_omega_ir", "delta0_over_omega_ir"], brows, comments)
 
 
@@ -251,9 +249,7 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
         f"summary edge_ghz mean={_fmt(edges.mean())} std={_fmt(edges.std())}")
     comments.append(
         f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}")
-    stem = config["output.stem"]
-    pre = f"{stem}_" if stem else ""
-    _write_csv(out / f"{pre}disorder.csv", ["seed", "edge_ghz", "band_count"],
+    _write_csv(_output(config, out, "disorder.csv"), ["seed", "edge_ghz", "band_count"],
                list(zip(seeds, edges, counts)), comments)
 
 
@@ -286,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a .cfg file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: METALINE_THREADS or CPU count)")
+                        help="dynamics worker pool size "
+                             "(default: METALINE_THREADS or CPU count)")
     parser.add_argument("--profiles", action="store_true",
                         help="include per-node mode profiles in modes.csv")
     args = parser.parse_args(argv)

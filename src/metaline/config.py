@@ -228,6 +228,15 @@ def _validate(values: dict, path: str) -> None:
     if (values["qubit.tune_g_ghz"] is None) != (values["qubit.tune_mode_ghz"] is None):
         raise ConfigError(
             f"{path}: qubit.tune_g_ghz and qubit.tune_mode_ghz go together")
+    for key in ("renorm.g_grid", "phase.g_grid"):
+        lo, hi, n = values[key]
+        if n < 2 or not lo < hi:
+            raise ConfigError(
+                f"{path}: {key} needs lo < hi and n >= 2, got {lo}, {hi}, {n}")
+    lo, hi, _ = values["phase.delta0_grid"]
+    if not (lo > 0 and hi > 0):
+        raise ConfigError(
+            f"{path}: phase.delta0_grid must be positive, got {lo}, {hi}")
     if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
         raise ConfigError(
             f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "

@@ -7,17 +7,20 @@ coherent displacements lambda_n of every mode fast enough to follow it
 
     Delta_eff = Delta_0 exp(-2 sum_n lambda_n^2),
 
-a self-consistency condition solved by the monotone fixed-point iteration
-from Delta_0 downward.  Because the active mode set can only grow along
-the iteration, the fixed point is reached exactly after at most N+1
-steps.  The drop of Delta_eff with the global coupling becomes
+a self-consistency condition solved in closed form.  With the modes
+sorted by frequency, the dressing sum is constant on each interval
+[omega_k, omega_k+1) of the splitting: for lambda_n = g p_n / omega_n it
+is g^q T_k, where T_k is the suffix sum of (p_n / omega_n)^q over the
+modes above omega_k (q = 2, or 4 for the printed variant).  The largest
+fixed point is the largest candidate Delta_0 exp(-2 g^q T_k) that falls
+inside its own interval, which one array expression finds for a whole
+coupling grid.  The drop of Delta_eff with the global coupling becomes
 discontinuous once the fixed point falls through the dense band-edge
 cluster; at finite size it lands at a small but nonzero value.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +31,6 @@ from .modes import CouplingSpectrum, QubitSpec, coupling_spectrum, solve_modes
 
 LOCALIZATION_THRESHOLD = 1e-3
 JUMP_FACTOR = 10.0
-MAX_ITERATIONS = 10_000
 
 
 class Phase(str, Enum):
@@ -38,15 +40,12 @@ class Phase(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class RenormResult:
-    """Converged splitting, per-mode displacements and the iteration trace."""
+    """Self-consistent splitting, per-mode displacements and the dressing sum."""
 
     delta_eff: float
     lambdas: np.ndarray
-    iterations: int
-    converged: bool
     phase: Phase
     cat_size: float
-    trace: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,23 +81,50 @@ class PhaseDiagram:
     localization_threshold: float
 
 
-def _lambda_squared(g: np.ndarray, omega: np.ndarray, variant: str) -> np.ndarray:
-    """Squared displacement per mode, before the adiabatic cut."""
+def _power(variant: str) -> int:
+    """Exponent q of the dressing sum: lambda_n^2 = (g_n / omega_n)^q."""
     if variant == "standard":
-        return (g / omega) ** 2
+        return 2
     if variant == "literal":
-        return (g / omega) ** 4
+        return 4
     raise ValueError(f"unknown variant {variant!r}; use 'standard' or 'literal'")
+
+
+def _cat_sizes(omega: np.ndarray, profile: np.ndarray, delta0: float, g,
+               variant: str) -> np.ndarray:
+    """Dressing sum at the largest fixed point, for each coupling in ``g``.
+
+    Mode n carries lambda_n^2 = (g p_n / omega_n)^q.  On the interval
+    [omega_k, omega_k+1) of sorted frequencies the active modes
+    (omega_n > Delta, strictly) are those above omega_k, so the sum is
+    g^q T_k and the fixed-point candidate is Delta_0 exp(-2 g^q T_k).  The
+    candidates grow with k, so the largest one that reaches its own
+    interval's lower end also stays below the upper end; tied frequencies
+    give empty intervals that never qualify.  Returns an array of the shape
+    of ``g``.
+    """
+    q = _power(variant)
+    order = np.argsort(omega, kind="stable")
+    w = omega[order]
+    t = (profile[order] / w) ** q
+    # tail[k] = T_k: sum over the modes above the k lowest; tail[N] = 0
+    tail = np.append(np.cumsum(t[::-1])[::-1], 0.0)
+    lower = np.append(-np.inf, w)
+    g = np.asarray(g, dtype=float)
+    sums = g[..., None] ** q * tail
+    inside = delta0 * np.exp(-2.0 * sums) >= lower
+    k = tail.size - 1 - np.argmax(inside[..., ::-1], axis=-1)
+    return np.take_along_axis(sums, k[..., None], axis=-1)[..., 0]
 
 
 def renormalize(couplings: CouplingSpectrum, delta0: float,
                 variant: str = "standard") -> RenormResult:
-    """Run the adiabatic-renormalization fixed point for one bath.
+    """Largest self-consistent splitting of one bath, in closed form.
 
-    Starting at Delta_0, each step re-evaluates the dressing sum over the
-    currently-fast modes; the iterate is non-increasing and terminates at
-    the largest self-consistent fixed point (or collapses below every
-    mode).  ``variant`` selects lambda_n = g_n/omega_n ("standard") or the
+    The fixed point is the one the monotone iteration from Delta_0
+    downward would reach: the largest Delta with Delta = Delta_0
+    exp(-2 sum_{omega_n > Delta} lambda_n^2) (see ``_cat_sizes``).
+    ``variant`` selects lambda_n = g_n/omega_n ("standard") or the
     printed g_n^2/omega_n^2 ("literal").
     """
     if len(couplings) == 0:
@@ -106,53 +132,19 @@ def renormalize(couplings: CouplingSpectrum, delta0: float,
     if not delta0 > 0:
         raise ValueError("delta0 must be positive")
     omega = couplings.frequencies
-    lam2 = _lambda_squared(couplings.g, omega, variant)
-
-    delta = float(delta0)
-    trace = [delta]
-    converged = False
-    for _ in range(MAX_ITERATIONS):
-        s = float(lam2[omega > delta].sum())
-        new = delta0 * np.exp(-2.0 * s)
-        trace.append(new)
-        if new == delta or abs(new - delta) <= 1e-10 * abs(delta):
-            converged = True
-            delta = new
-            break
-        delta = new
-
-    active = omega > delta
-    lam = np.sqrt(lam2) * active
-    cat = float(lam2[active].sum())
+    cat = float(_cat_sizes(omega, couplings.g, delta0, 1.0, variant))
+    delta = delta0 * np.exp(-2.0 * cat)
+    lam = np.abs(couplings.g / omega) ** (_power(variant) // 2) * (omega > delta)
     phase = Phase.LOCALIZED if delta / delta0 < LOCALIZATION_THRESHOLD \
         else Phase.DELOCALIZED
-    return RenormResult(delta_eff=float(delta), lambdas=lam,
-                        iterations=len(trace) - 1, converged=converged,
-                        phase=phase, cat_size=cat, trace=np.array(trace))
-
-
-def _cat_size_at(omega: np.ndarray, delta0: float, g_scale: float,
-                 base_profile: np.ndarray, variant: str) -> float:
-    """Converged dressing sum for one coupling value (log-domain safe)."""
-    g = g_scale * base_profile
-    lam2 = _lambda_squared(g, omega, variant) if g_scale > 0 else np.zeros_like(omega)
-    delta = float(delta0)
-    s = 0.0
-    for _ in range(MAX_ITERATIONS):
-        s = float(lam2[omega > delta].sum())
-        new = delta0 * np.exp(-2.0 * s)
-        if new == delta or abs(new - delta) <= 1e-10 * abs(delta):
-            return s
-        delta = new
-    return s
+    return RenormResult(delta_eff=float(delta), lambdas=lam, phase=phase,
+                        cat_size=cat)
 
 
 def _curve(omega: np.ndarray, profile: np.ndarray, delta0: float,
            g_grid: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """(Delta_eff, cat_size) along a coupling grid for a fixed profile."""
-    cats = np.array([
-        _cat_size_at(omega, delta0, g, profile, variant) for g in g_grid
-    ])
+    cats = _cat_sizes(omega, profile, delta0, g_grid, variant)
     return delta0 * np.exp(-2.0 * cats), cats
 
 
@@ -161,7 +153,7 @@ def _refine_jump(omega, profile, delta0, variant, g_lo, g_hi, cat_lo, cat_hi,
     """Shrink a candidate bracket onto the largest drop inside it."""
     while (g_hi - g_lo) > rel_tol * g_hi:
         g_mid = 0.5 * (g_lo + g_hi)
-        cat_mid = _cat_size_at(omega, delta0, g_mid, profile, variant)
+        cat_mid = float(_cat_sizes(omega, profile, delta0, g_mid, variant))
         # keep the half with the larger drop of Delta_eff, i.e. rise of cat
         if (cat_mid - cat_lo) >= (cat_hi - cat_mid):
             g_hi, cat_hi = g_mid, cat_mid
@@ -222,7 +214,7 @@ def _row_boundary(omega, profile, delta0, g_grid, cats, variant, threshold,
     g_lo, g_hi = g_grid[i - 1], g_grid[i]
     while (g_hi - g_lo) > rel_tol * g_hi:
         g_mid = 0.5 * (g_lo + g_hi)
-        if _cat_size_at(omega, delta0, g_mid, profile, variant) > log_thr:
+        if _cat_sizes(omega, profile, delta0, g_mid, variant) > log_thr:
             g_hi = g_mid
         else:
             g_lo = g_mid
@@ -233,15 +225,14 @@ def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
                   freq_window: tuple[float, float] | None = None,
                   normalization: str = "dom",
                   variant: str = "standard",
-                  threads: int | None = None,
                   localization_threshold: float = LOCALIZATION_THRESHOLD) -> PhaseDiagram:
     """Delta_eff over a (g, Delta_0) grid for the circuit's computed bath.
 
     Each row reuses the same mode set and coupling profile (the bath does
-    not depend on the qubit splitting) and is an independent sweep; rows
-    may be evaluated by a small thread pool, assembled in grid order.  The
-    boundary lists, per row, the bisection-refined coupling where the
-    phase label flips to localized; rows that never localize are omitted.
+    not depend on the qubit splitting) and takes the closed-form fixed
+    point for its whole coupling grid at once.  The boundary lists, per
+    row, the bisection-refined coupling where the phase label flips to
+    localized; rows that never localize are omitted.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     delta0_grid = np.asarray(delta0_grid, dtype=float)
@@ -249,26 +240,21 @@ def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
         raise ValueError("g_grid must be ascending with at least two points")
     if len(delta0_grid) == 0 or np.any(np.diff(delta0_grid) < 0):
         raise ValueError("delta0_grid must be non-empty and ascending")
+    if not delta0_grid[0] > 0:
+        raise ValueError("delta0_grid must be positive")
 
     modeset = solve_modes(build_matrices(spec), freq_window)
     couplings = coupling_spectrum(modeset, spec, qubit, normalization)
     omega, profile = couplings.frequencies, couplings.relative_profile
 
-    def row(delta0: float):
+    rows, boundary = [], []
+    for delta0 in delta0_grid:
         delta_eff, cats = _curve(omega, profile, delta0, g_grid, variant)
+        rows.append(delta_eff)
         g_star = _row_boundary(omega, profile, delta0, g_grid, cats, variant,
                                localization_threshold)
-        return delta_eff, g_star
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(row, delta0_grid))
-    else:
-        results = [row(d0) for d0 in delta0_grid]
-
-    grid = np.vstack([r[0] for r in results])
-    boundary = [(r[1], float(d0)) for r, d0 in zip(results, delta0_grid)
-                if r[1] is not None]
+        if g_star is not None:
+            boundary.append((g_star, float(delta0)))
     return PhaseDiagram(g_axis=g_grid, delta0_axis=delta0_grid,
-                        delta_eff_grid=grid, boundary=boundary,
+                        delta_eff_grid=np.vstack(rows), boundary=boundary,
                         localization_threshold=localization_threshold)

@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms and iteration schemes used by
 the package: entropies come from explicit density matrices and partial
 traces in the full qubit x modes tensor space, the renormalization
-fixed point from a dense scan over candidate splittings, the network
+fixed point from a dense scan over candidate splittings and from the
+plain monotone iteration, the network
 matrices from per-element stamping loops, and mode counts from a dense
 eigenvalue solve of the symmetrically reduced pencil.
 """
@@ -65,6 +66,27 @@ def grid_search_fixed_point(omega: np.ndarray, g: np.ndarray, delta0: float,
     feasible = mapped >= grid
     i = int(np.max(np.nonzero(feasible)[0]))
     return float(mapped[i])
+
+
+def iterate_fixed_point(omega: np.ndarray, g: np.ndarray, delta0: float,
+                        variant: str = "standard",
+                        max_iterations: int = 10_000) -> float:
+    """Dressing sum at the largest fixed point, by the monotone iteration.
+
+    Starts at Delta_0 and re-evaluates the sum over the modes faster than
+    the current iterate until the splitting stops moving; the iterate is
+    non-increasing, so it stops at the largest fixed point.
+    """
+    lam2 = (g / omega) ** 2 if variant == "standard" else (g / omega) ** 4
+    delta = float(delta0)
+    s = 0.0
+    for _ in range(max_iterations):
+        s = float(lam2[omega > delta].sum())
+        new = delta0 * np.exp(-2.0 * s)
+        if new == delta or abs(new - delta) <= 1e-10 * abs(delta):
+            return s
+        delta = new
+    raise RuntimeError("fixed-point iteration did not settle")
 
 
 def stamped_matrices(spec) -> tuple[np.ndarray, np.ndarray]:

@@ -66,16 +66,33 @@ class TestConfigParsing:
             parse_config("circuit.cell_pitch_m = -1e-4\nqubit.g_ghz = 0.2",
                          is_text=True)
 
-    @pytest.mark.parametrize("key,value", [
-        ("modes.window_ghz_lo", "nan"), ("qubit.freq_ghz", "inf"),
-        ("circuit.rhtl_length_m", "-inf"), ("renorm.g_grid", "0.1, nan, 5"),
-    ])
-    def test_nonfinite_value_names_key(self, tmp_path, capsys, key, value):
+    # (key, bad value, what the message says); keys are checked when the
+    # config is parsed, so every command stops on them
+    BAD_VALUES = [
+        ("modes.window_ghz_lo", "nan", "not finite"),
+        ("qubit.freq_ghz", "inf", "not finite"),
+        ("circuit.rhtl_length_m", "-inf", "not finite"),
+        ("renorm.g_grid", "0.1, nan, 5", "not finite"),
+        ("phase.delta0_grid", "0.0, 1.0, 3", "must be positive"),
+        ("phase.delta0_grid", "-1.0, 1.2, 3", "must be positive"),
+        ("renorm.g_grid", "0.5, 2.0, 1", "lo < hi and n >= 2"),
+        ("renorm.g_grid", "0.5, 0.5, 3", "lo < hi and n >= 2"),
+        ("phase.g_grid", "0.5, 2.0, 1", "lo < hi and n >= 2"),
+        ("phase.g_grid", "0.5, 0.5, 3", "lo < hi and n >= 2"),
+    ]
+
+    @pytest.mark.parametrize("key,value,message", BAD_VALUES,
+                             ids=[f"{k}-{v}" for k, v, _ in BAD_VALUES])
+    def test_nonfinite_value_names_key(self, tmp_path, capsys, key, value,
+                                       message):
         text = "\n".join(l for l in SMALL.splitlines() if not l.startswith(key))
         cfg = _write(tmp_path, text + f"\n{key} = {value}\n")
-        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 2
+        command = {"renorm": "renorm", "phase": "phase"}.get(key.split(".")[0],
+                                                            "modes")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert key in err and "not finite" in err
+        assert key in err and message in err
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("sigma", ["0.3333333333333333", "0.34", "0.49"])
     def test_sigma_tied_to_truncation(self, tmp_path, capsys, sigma):
