@@ -17,9 +17,9 @@ from .dispersion import (BandPoint, SpectralDensityCurve, dom_approx,
                          invert_lhtl, omega_lhtl, omega_rhtl,
                          rhtl_background_dom, sample_spectral_density,
                          spectral_density)
-from .dynamics import (EntropyReport, SingleExcitationState, binary_entropy,
-                       build_rwa_hamiltonian, entropy_minus_mode,
-                       entropy_qubit, entropy_scan, evolve)
+from .dynamics import (Eigensystem, EntropyReport, SingleExcitationState,
+                       binary_entropy, build_rwa_hamiltonian, diagonalize,
+                       entropy_minus_mode, entropy_qubit, entropy_scan, evolve)
 from .modes import (CouplingSpectrum, DomEstimate, IllConditionedCircuitError,
                     ModeSet, QubitSpec, band_edges, coupling_spectrum,
                     current_average, dom_numeric, find_current_antinode,
@@ -43,8 +43,8 @@ __all__ = [
     "current_average", "coupling_spectrum", "dom_numeric", "sign_changes",
     "find_current_antinode", "footprint_at_antinode",
     "SingleExcitationState", "EntropyReport", "binary_entropy",
-    "build_rwa_hamiltonian", "evolve", "entropy_qubit", "entropy_minus_mode",
-    "entropy_scan",
+    "build_rwa_hamiltonian", "Eigensystem", "diagonalize", "evolve",
+    "entropy_qubit", "entropy_minus_mode", "entropy_scan",
     "RenormResult", "PhaseDiagram", "CouplingSweep", "DetectedJump", "Phase",
     "renormalize", "sweep_coupling", "phase_diagram",
 ]

@@ -22,28 +22,39 @@ from . import __version__
 from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
 from .config import GHZ, ConfigError, RunConfig, parse_config
 from .dispersion import dom_approx, rhtl_background_dom
-from .dynamics import build_rwa_hamiltonian, entropy_scan
+from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
 from .modes import (CouplingSpectrum, IllConditionedCircuitError, ModeSet,
                     QubitSpec, band_edges, coupling_spectrum, dom_numeric,
                     footprint_at_antinode, solve_modes)
 from .spinboson import Phase, phase_diagram, sweep_coupling
 
 
+def _conversion(kind: type) -> str:
+    """printf conversion of a CSV value of type ``kind``: labels verbatim,
+    integers in full, anything else as a float with 12 significant digits
+    (``"%.11e" % x`` is ``format(float(x), ".11e")``)."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.11e"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".11e")
+    return _conversion(type(value)) % (value,)
 
 
 def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
     """Write rows with deterministic formatting; 12 significant digits.
 
-    ``block_comments`` maps a row index to a comment line emitted just
-    before that row (used for the per-block entropy headers).
+    Each row is formatted by one ``%`` template, built once per file for
+    each sequence of value types met; labels must be plain ``str`` ("%s"
+    would print an Enum member by its name).  ``block_comments`` maps a
+    row index to a comment line emitted just before that row (used for
+    the per-block entropy headers).
     """
+    templates: dict[tuple[type, ...], str] = {}
     with open(path, "w", newline="\n") as f:
         for c in comments:
             f.write(f"# {c}\n")
@@ -51,7 +62,12 @@ def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
         for i, row in enumerate(rows):
             if block_comments and i in block_comments:
                 f.write(f"# {block_comments[i]}\n")
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = ",".join(map(_conversion, kinds)) + "\n"
+            f.write(template % row)
 
 
 def _comments(config: RunConfig, command: str) -> list[str]:
@@ -107,66 +123,66 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
     spec, modeset = _build_modes(config)
     comments = _comments(config, "modes")
 
+    freqs_ghz = (modeset.frequencies / GHZ).tolist()
     cols = ["n", "f_ghz"]
     if profiles and len(modeset):
         cols += [f"phi_{j}" for j in range(modeset.profiles.shape[0])]
-    rows = []
-    for n in range(len(modeset)):
-        row = [n, modeset.frequencies[n] / GHZ]
-        if profiles:
-            row += list(modeset.profiles[:, n])
-        rows.append(row)
+    if profiles:
+        rows = [[n, f] + phi for n, (f, phi)
+                in enumerate(zip(freqs_ghz, modeset.profiles.T.tolist()))]
+    else:
+        rows = list(enumerate(freqs_ghz))
     _write_csv(_output(config, out, "modes.csv"), cols, rows, comments)
 
     dom_rows = []
     if len(modeset) >= 2:
         est = dom_numeric(modeset, config["modes.dom_bin_ghz"] * GHZ)
-        approx = np.array([
-            dom_approx(w, spec, include_rhtl_background=True)
-            if w > spec.omega_ir else rhtl_background_dom(spec)
-            for w in modeset.frequencies
-        ])
-        dom_rows = [
-            (modeset.frequencies[n] / GHZ, est.spacing_density[n], approx[n])
-            for n in range(len(modeset))
-        ]
+        # the formula diverges at the cutoff; below it only the strip counts
+        approx = np.full(len(modeset), rhtl_background_dom(spec))
+        above = modeset.frequencies > spec.omega_ir
+        approx[above] = dom_approx(modeset.frequencies[above], spec,
+                                   include_rhtl_background=True)
+        dom_rows = list(zip(freqs_ghz, est.spacing_density.tolist(), approx.tolist()))
     _write_csv(_output(config, out, "dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
                dom_rows, comments)
 
     coup_rows = []
     if len(modeset):
         _, couplings = _qubit_and_couplings(config, spec, modeset)
-        coup_rows = [
-            (n, couplings.frequencies[n] / GHZ, couplings.relative_profile[n],
-             couplings.g[n] / GHZ)
-            for n in range(len(couplings))
-        ]
+        coup_rows = list(zip(range(len(couplings)),
+                             (couplings.frequencies / GHZ).tolist(),
+                             couplings.relative_profile.tolist(),
+                             (couplings.g / GHZ).tolist()))
     _write_csv(_output(config, out, "couplings.csv"),
                ["n", "f_ghz", "relative_profile", "g_ghz"], coup_rows, comments)
 
 
 def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
+    """Entropies at every tg, all propagated from one eigendecomposition
+    of the RWA Hamiltonian; ``threads`` workers share the time grid."""
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
-    h = build_rwa_hamiltonian(couplings, qubit.delta0)
+    eig = diagonalize(build_rwa_hamiltonian(couplings, qubit.delta0))
     tg_grid = config.grid("dynamics.tg")
 
     def scan(tg: float):
         t = tg / qubit.g_global if qubit.g_global > 0 else 0.0
-        return entropy_scan(h, t, time_label=tg)
+        return entropy_scan(eig, t, time_label=tg)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tg_grid))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(scan, tg_grid))
     else:
         reports = [scan(tg) for tg in tg_grid]
 
+    modes = range(len(couplings))
+    freqs_ghz = (couplings.frequencies / GHZ).tolist()
     rows, blocks = [], {}
     for rep in reports:
         blocks[len(rows)] = f"tg={_fmt(rep.time)} e_q={_fmt(rep.e_qubit)}"
-        for n in range(len(rep.e_per_mode)):
-            rows.append((rep.time, n, couplings.frequencies[n] / GHZ,
-                         rep.e_per_mode[n]))
+        rows += zip([rep.time] * len(modes), modes, freqs_ghz,
+                    rep.e_per_mode.tolist())
     _write_csv(_output(config, out, "entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
                rows, _comments(config, "dynamics"), blocks)
 

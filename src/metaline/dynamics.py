@@ -78,25 +78,55 @@ def build_rwa_hamiltonian(couplings: CouplingSpectrum, delta0: float) -> np.ndar
     return h
 
 
-def evolve(h: np.ndarray, psi0: SingleExcitationState,
-           times) -> list[SingleExcitationState]:
-    """States exp(-i h t) psi0 at the requested times (one eigendecomposition)."""
+@dataclass(frozen=True, eq=False)
+class Eigensystem:
+    """Eigendecomposition h = evecs diag(evals) evecs^T of a sector Hamiltonian.
+
+    One decomposition propagates the sector to any number of times, each
+    for one matrix-vector product.
+    """
+
+    evals: np.ndarray
+    evecs: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.evals)
+
+
+def diagonalize(h: np.ndarray) -> Eigensystem:
+    """Check that ``h`` is symmetric and diagonalize it once."""
     h = np.asarray(h, dtype=float)
     if not np.allclose(h, h.T, rtol=1e-10, atol=0.0):
         raise ValueError("hamiltonian must be symmetric")
-    vec = psi0.as_vector()
-    if h.shape[0] != len(vec):
-        raise ValueError(
-            f"hamiltonian dimension {h.shape[0]} does not match state "
-            f"dimension {len(vec)}")
     evals, evecs = np.linalg.eigh(h)
-    coeffs = evecs.T @ vec
+    return Eigensystem(evals=evals, evecs=evecs)
+
+
+def _eigensystem(h: np.ndarray | Eigensystem) -> Eigensystem:
+    return h if isinstance(h, Eigensystem) else diagonalize(h)
+
+
+def evolve(h: np.ndarray | Eigensystem, psi0: SingleExcitationState,
+           times) -> list[SingleExcitationState]:
+    """States exp(-i h t) psi0 at the requested times.
+
+    ``h`` is the Hamiltonian or its ``diagonalize`` result; a matrix is
+    diagonalized here, once for all the times.
+    """
+    eig = _eigensystem(h)
+    vec = psi0.as_vector()
+    if eig.dim != len(vec):
+        raise ValueError(
+            f"hamiltonian dimension {eig.dim} does not match state "
+            f"dimension {len(vec)}")
+    coeffs = eig.evecs.T @ vec
     out = []
     for t in np.atleast_1d(times):
         if t == 0.0:
             out.append(psi0)        # identity propagator, exactly
             continue
-        psi = evecs @ (np.exp(-1j * evals * t) * coeffs)
+        psi = eig.evecs @ (np.exp(-1j * eig.evals * t) * coeffs)
         out.append(SingleExcitationState(c0=complex(psi[0]), c=psi[1:]))
     return out
 
@@ -119,15 +149,17 @@ def entropy_minus_mode(psi: SingleExcitationState, n: int) -> float:
     return binary_entropy(q)
 
 
-def entropy_scan(h: np.ndarray, t: float, time_label: float | None = None) -> EntropyReport:
+def entropy_scan(h: np.ndarray | Eigensystem, t: float,
+                 time_label: float | None = None) -> EntropyReport:
     """Evolve |1;0> to time ``t`` and report E_q plus E_n for every mode.
 
-    ``time_label`` lets callers record the dimensionless time t*g instead
-    of the raw seconds.
+    ``h`` is the Hamiltonian or, to scan many times from one
+    decomposition, its ``diagonalize`` result.  ``time_label`` lets
+    callers record the dimensionless time t*g instead of the raw seconds.
     """
-    dim = h.shape[0]
-    psi0 = SingleExcitationState(c0=1.0, c=np.zeros(dim - 1, dtype=complex))
-    (psi,) = evolve(h, psi0, [t])
+    eig = _eigensystem(h)
+    psi0 = SingleExcitationState(c0=1.0, c=np.zeros(eig.dim - 1, dtype=complex))
+    (psi,) = evolve(eig, psi0, [t])
     p = psi.p_qubit
     q = p + np.abs(psi.c) ** 2
     return EntropyReport(

@@ -127,6 +127,23 @@ def sign_changes(values: np.ndarray) -> int:
     return int(np.sum(s[1:] != s[:-1]))
 
 
+def _column_sign_changes(vecs: np.ndarray) -> np.ndarray:
+    """``sign_changes`` of every column of a finite 2-D array at once.
+
+    Each exact zero takes the sign of the last nonzero entry above it (a
+    leading run of zeros stays zero), so only steps between two nonzero
+    signs count.
+    """
+    s = (vecs > 0).astype(np.int8) - (vecs < 0)
+    gaps = ~s.all(axis=0)
+    if gaps.any():          # forward-fill only the columns that hold zeros
+        sub = s[:, gaps]
+        rows = np.arange(len(s), dtype=np.int32)[:, None]
+        last = np.maximum.accumulate(np.where(sub != 0, rows, np.int32(0)), axis=0)
+        s[:, gaps] = np.take_along_axis(sub, last, axis=0)
+    return np.count_nonzero((s[1:] != s[:-1]) & (s[:-1] != 0), axis=0)
+
+
 def solve_modes(mat: NetworkMatrices,
                 freq_window: tuple[float, float] | None = None) -> ModeSet:
     """All positive-frequency normal modes of the network, ascending.
@@ -162,7 +179,7 @@ def solve_modes(mat: NetworkMatrices,
         ref[small] = strip[picks[small], np.where(small)[0]]
     vecs = vecs * np.where(ref < 0, -1.0, 1.0)
 
-    changes = np.array([sign_changes(vecs[:, i]) for i in range(vecs.shape[1])])
+    changes = _column_sign_changes(vecs)
     order = np.lexsort((changes, omega))
     omega, vecs = omega[order], vecs[:, order]
 

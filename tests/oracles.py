@@ -5,8 +5,9 @@ the package: entropies come from explicit density matrices and partial
 traces in the full qubit x modes tensor space, the renormalization
 fixed point from a dense scan over candidate splittings and from the
 plain monotone iteration, the network
-matrices from per-element stamping loops, and mode counts from a dense
-eigenvalue solve of the symmetrically reduced pencil.
+matrices from per-element stamping loops, mode counts from a dense
+eigenvalue solve of the symmetrically reduced pencil, and CSV bytes from
+a writer that formats every value with its own call.
 """
 
 import numpy as np
@@ -142,3 +143,27 @@ def dense_count(cap: np.ndarray, inv_ind: np.ndarray, lam) -> np.ndarray:
     """Number of generalized eigenvalues of (inv_ind, cap) below each lam."""
     return np.searchsorted(pencil_eigenvalues(cap, inv_ind),
                            np.asarray(lam, dtype=float), side="left")
+
+
+def csv_value(value) -> str:
+    """One CSV value on its own: labels verbatim, integers in full, and
+    anything else as a float with 12 significant digits."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".11e")
+
+
+def write_csv(path, columns, rows, comments, block_comments=None) -> None:
+    """The CLI's CSV layout, written one value at a time: '# ' comment
+    lines, the header, then the rows with ``block_comments[i]`` as a
+    comment line before row i."""
+    with open(path, "w", newline="\n") as f:
+        for c in comments:
+            f.write(f"# {c}\n")
+        f.write(",".join(columns) + "\n")
+        for i, row in enumerate(rows):
+            if block_comments and i in block_comments:
+                f.write(f"# {block_comments[i]}\n")
+            f.write(",".join(csv_value(v) for v in row) + "\n")

@@ -1,9 +1,12 @@
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from metaline.cli import _resolve_threads, main
+import oracles
+from metaline import cli
+from metaline.cli import _resolve_threads, _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
 
 SMALL = """
@@ -194,6 +197,114 @@ class TestCmdDynamics:
         rows = [l for l in (out / "entropy.csv").read_text().splitlines()
                 if l and not l.startswith("#")]
         assert len(rows) == 1 + 11     # header + one mode per tg
+
+
+    def test_thread_independence(self, tmp_path):
+        cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 4.0, 9\n")
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(["dynamics", "--config", cfg, "--out", str(out1),
+                     "--threads", "1"]) == 0
+        assert main(["dynamics", "--config", cfg, "--out", str(out2),
+                     "--threads", "3"]) == 0
+        assert _read_all(out1) == _read_all(out2)
+
+    def test_one_eigendecomposition(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 4.0, 9\n")
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", "3"]) == 0
+        (h,) = calls
+        modes = h[1:, 1:]       # the arrowhead's mode block is diagonal
+        assert np.count_nonzero(modes - np.diag(np.diag(modes))) == 0
+
+    @pytest.mark.parametrize("threads, n_tg, workers", [
+        (1000, 5, [5]), (2, 9, [2]), (4, 1, []), (1, 9, [])])
+    def test_pool_sized_by_time_grid(self, tmp_path, monkeypatch, threads,
+                                     n_tg, workers):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        cfg = _write(tmp_path, SMALL + f"\ndynamics.tg_grid = 0.0, 4.0, {n_tg}\n")
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", str(threads)]) == 0
+        assert sizes == workers
+
+
+class TestWriteCsv:
+    """The row-template writer against the one-value-at-a-time oracle."""
+
+    COLUMNS = ["a", "b", "c", "d"]
+    COMMENTS = ["metaline test", "two comment lines"]
+
+    def _both(self, tmp_path, rows, block_comments=None):
+        _write_csv(tmp_path / "new.csv", self.COLUMNS, rows, self.COMMENTS,
+                   block_comments)
+        oracles.write_csv(tmp_path / "ref.csv", self.COLUMNS, rows, self.COMMENTS,
+                          block_comments)
+        return (tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+
+    def test_mixed_rows(self, tmp_path):
+        rows = [
+            (0, 1.5, "delocalized", np.int64(7)),
+            (np.int32(-3), np.float64(-0.0), "localized", 2),
+            [1, float("nan"), "x", 5e-324],
+            (2, float("inf"), "", 1e300),
+            # every column changes kind against the rows above
+            (3.25, 7, 0.5, "label"),
+            (np.uint64(2 ** 63), np.float32(0.1), -float("inf"), -1e-300),
+            (True, np.float64(123456789.123456789), "z", np.int8(-128)),
+        ]
+        new, ref = self._both(tmp_path, rows)
+        assert new == ref
+        assert b"\n3.25000000000e+00,7,5.00000000000e-01,label\n" in new
+
+    def test_block_comments_and_zero_rows(self, tmp_path):
+        rows = [(n, n / 3, "x", -n) for n in range(5)]
+        new, ref = self._both(tmp_path, rows, {0: "first block", 3: "tg=1"})
+        assert new == ref and b"# tg=1\n3," in new
+        new, ref = self._both(tmp_path, [], {0: "never written"})
+        assert new == ref and new.endswith(b"a,b,c,d\n")
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
+        written = []
+
+        def both(path, columns, rows, comments, block_comments=None):
+            _write_csv(path, columns, rows, comments, block_comments)
+            ref = path.with_suffix(".ref")
+            oracles.write_csv(ref, columns, rows, comments, block_comments)
+            written.append((path, ref))
+
+        monkeypatch.setattr(cli, "_write_csv", both)
+        ref = resources.files("metaline") / "configs" / f"{name}.cfg"
+        with resources.as_file(ref) as cfg:
+            for argv in (["modes", "--profiles"], ["dynamics"], ["renorm"],
+                         ["phase"]):
+                assert main(argv + ["--config", str(cfg), "--out",
+                                    str(tmp_path)]) == 0
+        assert len(written) == 7
+        for path, ref in written:
+            assert path.read_bytes() == ref.read_bytes(), path.name
 
 
 class TestCmdRenorm:

@@ -2,9 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from metaline import (CouplingSpectrum, SingleExcitationState, binary_entropy,
-                      build_rwa_hamiltonian, entropy_minus_mode, entropy_qubit,
-                      entropy_scan, evolve)
+from metaline import (CouplingSpectrum, Eigensystem, SingleExcitationState,
+                      binary_entropy, build_rwa_hamiltonian, diagonalize,
+                      entropy_minus_mode, entropy_qubit, entropy_scan, evolve)
 from oracles import entropy_after_tracing
 
 LN2 = np.log(2.0)
@@ -111,6 +111,44 @@ class TestEvolve:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
             SingleExcitationState(c0=1.0, c=np.array([0.5]))
+
+
+class TestDiagonalize:
+    def _h(self):
+        return build_rwa_hamiltonian(
+            _couplings([1.0, 1.3, 2.0, 2.2], [0.1, 0.3, 0.2, 0.05]), 1.5)
+
+    def test_returns_eigensystem(self):
+        h = self._h()
+        eig = diagonalize(h)
+        assert isinstance(eig, Eigensystem) and eig.dim == 5
+        npt.assert_allclose(eig.evecs @ np.diag(eig.evals) @ eig.evecs.T, h,
+                            atol=1e-14)
+
+    def test_evolve_same_bytes_as_matrix(self):
+        h = self._h()
+        eig = diagonalize(h)
+        psi0 = _random_state(np.random.default_rng(4), 4)
+        times = [0.0, 0.7, 3.1, 40.0]
+        for a, b in zip(evolve(h, psi0, times), evolve(eig, psi0, times)):
+            assert a.as_vector().tobytes() == b.as_vector().tobytes()
+
+    def test_entropy_scan_same_bytes_as_matrix(self):
+        h = self._h()
+        eig = diagonalize(h)
+        for t in (0.0, 0.9, 12.5):
+            a, b = entropy_scan(h, t, time_label=t), entropy_scan(eig, t, time_label=t)
+            assert (a.time, a.e_qubit) == (b.time, b.e_qubit)
+            assert a.e_per_mode.tobytes() == b.e_per_mode.tobytes()
+
+    def test_rejects_nonsymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            diagonalize(np.array([[1.0, 0.5], [0.1, 2.0]]))
+
+    def test_dimension_mismatch(self):
+        psi0 = SingleExcitationState(c0=1.0, c=np.zeros(2))
+        with pytest.raises(ValueError, match="dimension"):
+            evolve(diagonalize(self._h()), psi0, [1.0])
 
 
 class TestEntropies:

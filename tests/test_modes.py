@@ -12,6 +12,7 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       network_bands, omega_lhtl, omega_rhtl,
                       rhtl_ladder_matrices, sign_changes, solve_modes,
                       sturm_count, voltage_profile)
+from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec)
 from oracles import dense_count, pencil_eigenvalues, stamped_matrices
@@ -91,6 +92,39 @@ class TestSolveModes:
         ki = np.eye(2) * 1e9
         with pytest.raises(IllConditionedCircuitError, match="pivot"):
             solve_modes(_wrap(cap, ki))
+
+
+class TestColumnSignChanges:
+    """The all-columns count against the 1-D ``sign_changes``."""
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.05, 0.6])
+    def test_matches_per_column_count(self, zeros):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            m, k = rng.integers(0, 12), rng.integers(0, 8)
+            a = rng.normal(size=(m, k))
+            a[rng.random((m, k)) < zeros] = 0.0
+            if k and m > 2:
+                a[:2, 0] = 0.0                  # leading zeros
+                a[-2:, -1] = 0.0                # trailing zeros
+            got = _column_sign_changes(a)
+            assert got.shape == (k,)
+            assert np.issubdtype(got.dtype, np.integer)
+            assert got.tolist() == [sign_changes(a[:, i]) for i in range(k)]
+
+    def test_zero_runs_and_empty_columns(self):
+        a = np.array([[0.0, 0.0, 1.0],
+                      [2.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0],
+                      [-1.0, 0.0, -5e-324],
+                      [0.0, 0.0, 3.0]])
+        assert _column_sign_changes(a).tolist() == [1, 0, 2]
+
+    def test_band_device_profiles(self, band_matrices):
+        ms = solve_modes(band_matrices)
+        v = ms.profiles
+        assert _column_sign_changes(v).tolist() == [
+            sign_changes(v[:, i]) for i in range(v.shape[1])]
 
 
 class TestSturmCount:
