@@ -190,7 +190,8 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
 def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
-    g_grid = config.grid("renorm.g") * spec.omega_ir
+    omega_ir = spec.omega_ir
+    g_grid = config.grid("renorm.g") * omega_ir
     sweep = sweep_coupling(couplings, qubit.delta0, g_grid,
                            config["renorm.variant"])
     comments = _comments(config, "renorm")
@@ -198,14 +199,12 @@ def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
                     f"variant={config['renorm.variant']}")
     for j in sweep.jumps:
         comments.append(
-            f"jump g_star_over_omega_ir={_fmt(j.g_star / spec.omega_ir)} "
+            f"jump g_star_over_omega_ir={_fmt(j.g_star / omega_ir)} "
             f"drop_factor={_fmt(j.drop_factor)}")
-    rows = [
-        (g / spec.omega_ir, g / GHZ,
-         sweep.delta_eff[i] / qubit.delta0,
-         sweep.delta_eff_flat[i] / qubit.delta0)
-        for i, g in enumerate(sweep.g_grid)
-    ]
+    rows = list(zip((sweep.g_grid / omega_ir).tolist(),
+                    (sweep.g_grid / GHZ).tolist(),
+                    (sweep.delta_eff / qubit.delta0).tolist(),
+                    (sweep.delta_eff_flat / qubit.delta0).tolist()))
     _write_csv(_output(config, out, "renorm.csv"),
                ["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
                 "delta_eff_flat_over_delta0"], rows, comments)
@@ -215,8 +214,9 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
     """Phase diagram over the (Delta_0, g) grid (``threads`` is unused)."""
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
-    g_grid = config.grid("phase.g") * spec.omega_ir
-    delta0_grid = config.grid("phase.delta0") * spec.omega_ir
+    omega_ir = spec.omega_ir
+    g_grid = config.grid("phase.g") * omega_ir
+    delta0_grid = config.grid("phase.delta0") * omega_ir
     diagram = phase_diagram(
         spec, qubit, g_grid, delta0_grid,
         freq_window=config.freq_window(),
@@ -224,18 +224,17 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
         variant=config["renorm.variant"],
     )
     comments = _comments(config, "phase")
-    rows = []
-    for i, d0 in enumerate(diagram.delta0_axis):
-        for j, g in enumerate(diagram.g_axis):
-            deff = diagram.delta_eff_grid[i, j]
-            label = (Phase.LOCALIZED if deff / d0 < diagram.localization_threshold
-                     else Phase.DELOCALIZED).value
-            rows.append((d0 / spec.omega_ir, g / spec.omega_ir, deff / d0, label))
+    ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
+    labels = np.where(ratio < diagram.localization_threshold,
+                      Phase.LOCALIZED.value, Phase.DELOCALIZED.value)
+    n_g = len(diagram.g_axis)
+    rows = list(zip(np.repeat(diagram.delta0_axis / omega_ir, n_g).tolist(),
+                    np.tile(diagram.g_axis / omega_ir, len(ratio)).tolist(),
+                    ratio.ravel().tolist(), labels.ravel().tolist()))
     _write_csv(_output(config, out, "phase.csv"),
                ["delta0_over_omega_ir", "g_over_omega_ir",
                 "delta_eff_over_delta0", "phase"], rows, comments)
-    brows = [(g / spec.omega_ir, d0 / spec.omega_ir)
-             for g, d0 in diagram.boundary]
+    brows = [(g / omega_ir, d0 / omega_ir) for g, d0 in diagram.boundary]
     _write_csv(_output(config, out, "boundary.csv"),
                ["g_star_over_omega_ir", "delta0_over_omega_ir"], brows, comments)
 

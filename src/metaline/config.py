@@ -18,6 +18,7 @@ import numpy as np
 from .circuit import MAX_SIGMA, CircuitSpec, design_from_impedance, rhtl_from_impedance
 
 GHZ = 2.0 * np.pi * 1e9
+MAX_DOM_BINS = 10**6        # histogram bins of the modes window
 
 
 class ConfigError(ValueError):
@@ -219,6 +220,19 @@ def _validate(values: dict, path: str) -> None:
         val = values[key]
         if val is not None and not val > 0:
             raise ConfigError(f"{path}: {key} must be positive, got {val}")
+    for key, val in values.items():
+        if "_ghz" in key and val is not None and not np.isfinite(val * GHZ):
+            raise ConfigError(f"{path}: {key} = {val} overflows in rad/s")
+    omega_ir = values["circuit.f_ir_ghz"] * GHZ
+    for key in ("renorm.g_grid", "phase.g_grid", "phase.delta0_grid"):
+        if not np.isfinite(max(map(abs, values[key][:2])) * omega_ir):
+            raise ConfigError(f"{path}: {key} overflows in rad/s "
+                              f"(its values are in units of the cutoff)")
+    span = values["modes.window_ghz_hi"] - values["modes.window_ghz_lo"]
+    if span / values["modes.dom_bin_ghz"] > MAX_DOM_BINS:
+        raise ConfigError(
+            f"{path}: modes.dom_bin_ghz = {values['modes.dom_bin_ghz']} splits "
+            f"the modes window into more than {MAX_DOM_BINS} histogram bins")
     if values["coupling.normalization"] not in ("dom", "spatial"):
         raise ConfigError(f"{path}: coupling.normalization must be 'dom' or 'spatial'")
     if values["renorm.variant"] not in ("standard", "literal"):

@@ -158,12 +158,17 @@ def entropy_scan(h: np.ndarray | Eigensystem, t: float,
     callers record the dimensionless time t*g instead of the raw seconds.
     """
     eig = _eigensystem(h)
-    psi0 = SingleExcitationState(c0=1.0, c=np.zeros(eig.dim - 1, dtype=complex))
-    (psi,) = evolve(eig, psi0, [t])
-    p = psi.p_qubit
-    q = p + np.abs(psi.c) ** 2
+    if t == 0.0:
+        pop = np.zeros(eig.dim)         # identity propagator, exactly
+        pop[0] = 1.0
+    else:
+        # |1;0> has eigen-coefficients evecs[0]; |psi|^2 = Re^2 + Im^2
+        coeffs, et = eig.evecs[0], eig.evals * t
+        pop = ((eig.evecs @ (np.cos(et) * coeffs)) ** 2
+               + (eig.evecs @ (np.sin(et) * coeffs)) ** 2)
+    p = pop[0]
     return EntropyReport(
         time=float(t if time_label is None else time_label),
         e_qubit=binary_entropy(p),
-        e_per_mode=binary_entropy(q),
+        e_per_mode=binary_entropy(p + pop[1:]),
     )

@@ -90,31 +90,55 @@ def _power(variant: str) -> int:
     raise ValueError(f"unknown variant {variant!r}; use 'standard' or 'literal'")
 
 
+def _suffix_sums(omega: np.ndarray, profile: np.ndarray,
+                 q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted frequencies w and T_k, the sum of (p_n / omega_n)^q over the
+    modes above the k lowest (T_N = 0): the dressing sum is g^q T_k for a
+    splitting in the k-th interval [w_k-1, w_k) (w_-1 = -inf, w_N = inf)."""
+    order = np.argsort(omega, kind="stable")
+    w = omega[order]
+    t = (profile[order] / w) ** q
+    return w, np.append(np.cumsum(t[::-1])[::-1], 0.0)
+
+
 def _cat_sizes(omega: np.ndarray, profile: np.ndarray, delta0: float, g,
                variant: str) -> np.ndarray:
     """Dressing sum at the largest fixed point, for each coupling in ``g``.
 
-    Mode n carries lambda_n^2 = (g p_n / omega_n)^q.  On the interval
-    [omega_k, omega_k+1) of sorted frequencies the active modes
-    (omega_n > Delta, strictly) are those above omega_k, so the sum is
-    g^q T_k and the fixed-point candidate is Delta_0 exp(-2 g^q T_k).  The
-    candidates grow with k, so the largest one that reaches its own
-    interval's lower end also stays below the upper end; tied frequencies
-    give empty intervals that never qualify.  Returns an array of the shape
-    of ``g``.
+    The candidates Delta_0 exp(-2 g^q T_k) grow with k, so the largest one
+    that reaches its own interval's lower end also stays below the upper
+    end; tied frequencies give empty intervals that never qualify.
+    Returns an array of the shape of ``g``.
     """
     q = _power(variant)
-    order = np.argsort(omega, kind="stable")
-    w = omega[order]
-    t = (profile[order] / w) ** q
-    # tail[k] = T_k: sum over the modes above the k lowest; tail[N] = 0
-    tail = np.append(np.cumsum(t[::-1])[::-1], 0.0)
+    w, tail = _suffix_sums(omega, profile, q)
     lower = np.append(-np.inf, w)
     g = np.asarray(g, dtype=float)
     sums = g[..., None] ** q * tail
     inside = delta0 * np.exp(-2.0 * sums) >= lower
     k = tail.size - 1 - np.argmax(inside[..., ::-1], axis=-1)
     return np.take_along_axis(sums, k[..., None], axis=-1)[..., 0]
+
+
+def _boundary_couplings(omega: np.ndarray, profile: np.ndarray, delta0,
+                        variant: str, threshold: float) -> np.ndarray:
+    """Coupling above which Delta_eff / Delta_0 < ``threshold``, per Delta_0.
+
+    F(x) = Delta_0 exp(-2 g^q S(x)) is non-decreasing in x, so the largest
+    fixed point stays at or above D = threshold Delta_0 exactly when
+    g^q <= ln(Delta_0/x) / (2 S(x)) for some x in [D, Delta_0].  S = T_k
+    on the k-th interval, so the ratio peaks at its left end, clipped up
+    to D, and is +inf where T_k = 0.  The boundary is the q-th root of the
+    largest ratio (+inf: never localizes), of the shape of ``delta0``.
+    """
+    q = _power(variant)
+    w, tail = _suffix_sums(omega, profile, q)
+    delta0 = np.asarray(delta0, dtype=float)[..., None]
+    left = np.maximum(np.append(-np.inf, w), threshold * delta0)
+    reached = (left <= delta0) & (left < np.append(w, np.inf))
+    ratio = np.divide(np.log(delta0 / left), 2.0 * tail,
+                      out=np.full(left.shape, np.inf), where=tail > 0)
+    return np.where(reached, ratio, 0.0).max(axis=-1) ** (1.0 / q)
 
 
 def renormalize(couplings: CouplingSpectrum, delta0: float,
@@ -139,13 +163,6 @@ def renormalize(couplings: CouplingSpectrum, delta0: float,
         else Phase.DELOCALIZED
     return RenormResult(delta_eff=float(delta), lambdas=lam, phase=phase,
                         cat_size=cat)
-
-
-def _curve(omega: np.ndarray, profile: np.ndarray, delta0: float,
-           g_grid: np.ndarray, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """(Delta_eff, cat_size) along a coupling grid for a fixed profile."""
-    cats = _cat_sizes(omega, profile, delta0, g_grid, variant)
-    return delta0 * np.exp(-2.0 * cats), cats
 
 
 def _refine_jump(omega, profile, delta0, variant, g_lo, g_hi, cat_lo, cat_hi,
@@ -178,9 +195,8 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
         raise ValueError("g_grid must be ascending with at least two points")
     omega = couplings.frequencies
     profile = couplings.relative_profile
-    delta_eff, cats = _curve(omega, profile, delta0, g_grid, variant)
-    flat = np.ones_like(profile)
-    delta_flat, cats_flat = _curve(omega, flat, delta0, g_grid, variant)
+    cats = _cat_sizes(omega, profile, delta0, g_grid, variant)
+    cats_flat = _cat_sizes(omega, np.ones_like(profile), delta0, g_grid, variant)
 
     jumps = []
     for i in range(len(g_grid) - 1):
@@ -196,29 +212,10 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
                     delta_before=float(delta0 * np.exp(-2.0 * cat_lo)),
                     delta_after=float(delta0 * np.exp(-2.0 * cat_hi)),
                 ))
-    return CouplingSweep(g_grid=g_grid, delta_eff=delta_eff, cat_size=cats,
-                         delta_eff_flat=delta_flat, cat_size_flat=cats_flat,
+    return CouplingSweep(g_grid=g_grid, delta_eff=delta0 * np.exp(-2.0 * cats),
+                         cat_size=cats, cat_size_flat=cats_flat,
+                         delta_eff_flat=delta0 * np.exp(-2.0 * cats_flat),
                          jumps=jumps)
-
-
-def _row_boundary(omega, profile, delta0, g_grid, cats, variant, threshold,
-                  rel_tol=1e-4):
-    """Smallest coupling with Delta_eff/Delta_0 below threshold, bisected."""
-    log_thr = -0.5 * np.log(threshold)          # localized iff cat_size > log_thr
-    localized = cats > log_thr
-    if not np.any(localized):
-        return None
-    i = int(np.argmax(localized))
-    if i == 0:
-        return float(g_grid[0])
-    g_lo, g_hi = g_grid[i - 1], g_grid[i]
-    while (g_hi - g_lo) > rel_tol * g_hi:
-        g_mid = 0.5 * (g_lo + g_hi)
-        if _cat_sizes(omega, profile, delta0, g_mid, variant) > log_thr:
-            g_hi = g_mid
-        else:
-            g_lo = g_mid
-    return float(0.5 * (g_lo + g_hi))
 
 
 def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
@@ -228,11 +225,10 @@ def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
                   localization_threshold: float = LOCALIZATION_THRESHOLD) -> PhaseDiagram:
     """Delta_eff over a (g, Delta_0) grid for the circuit's computed bath.
 
-    Each row reuses the same mode set and coupling profile (the bath does
-    not depend on the qubit splitting) and takes the closed-form fixed
-    point for its whole coupling grid at once.  The boundary lists, per
-    row, the bisection-refined coupling where the phase label flips to
-    localized; rows that never localize are omitted.
+    Every row takes the closed-form fixed point over the same bath.  The
+    boundary lists, for each row that localizes on the grid, the exact
+    coupling where it localizes (``_boundary_couplings``), kept inside the
+    grid step where its phase label flips.
     """
     g_grid = np.asarray(g_grid, dtype=float)
     delta0_grid = np.asarray(delta0_grid, dtype=float)
@@ -247,14 +243,17 @@ def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
     couplings = coupling_spectrum(modeset, spec, qubit, normalization)
     omega, profile = couplings.frequencies, couplings.relative_profile
 
-    rows, boundary = [], []
-    for delta0 in delta0_grid:
-        delta_eff, cats = _curve(omega, profile, delta0, g_grid, variant)
-        rows.append(delta_eff)
-        g_star = _row_boundary(omega, profile, delta0, g_grid, cats, variant,
-                               localization_threshold)
-        if g_star is not None:
-            boundary.append((g_star, float(delta0)))
+    cats = np.vstack([_cat_sizes(omega, profile, delta0, g_grid, variant)
+                      for delta0 in delta0_grid])
+    # the step before each row's first localized point, or g_grid[0]
+    localized = cats > -0.5 * np.log(localization_threshold)
+    first = np.argmax(localized, axis=1)
+    g_star = np.clip(_boundary_couplings(omega, profile, delta0_grid, variant,
+                                         localization_threshold),
+                     g_grid[np.maximum(first - 1, 0)], g_grid[first])
+    some = localized.any(axis=1)
+    boundary = list(zip(g_star[some].tolist(), delta0_grid[some].tolist()))
     return PhaseDiagram(g_axis=g_grid, delta0_axis=delta0_grid,
-                        delta_eff_grid=np.vstack(rows), boundary=boundary,
+                        delta_eff_grid=delta0_grid[:, None] * np.exp(-2.0 * cats),
+                        boundary=boundary,
                         localization_threshold=localization_threshold)

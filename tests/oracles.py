@@ -4,7 +4,8 @@ These deliberately avoid the closed forms and iteration schemes used by
 the package: entropies come from explicit density matrices and partial
 traces in the full qubit x modes tensor space, the renormalization
 fixed point from a dense scan over candidate splittings and from the
-plain monotone iteration, the network
+plain monotone iteration, the localization boundary by bisection on
+labels from that iteration, the network
 matrices from per-element stamping loops, mode counts from a dense
 eigenvalue solve of the symmetrically reduced pencil, and CSV bytes from
 a writer that formats every value with its own call.
@@ -88,6 +89,38 @@ def iterate_fixed_point(omega: np.ndarray, g: np.ndarray, delta0: float,
             return s
         delta = new
     raise RuntimeError("fixed-point iteration did not settle")
+
+
+def boundary_bracket(omega: np.ndarray, profile: np.ndarray, delta0: float,
+                     g_grid: np.ndarray, variant: str = "standard",
+                     threshold: float = 1e-3, rel_tol: float = 1e-4):
+    """Bracket (g_lo, g_hi) of the coupling where Delta_eff/Delta_0 first
+    falls below ``threshold``, bisected to ``rel_tol`` relative in g.
+
+    Labels come from ``iterate_fixed_point`` with couplings g * profile.
+    The bracket starts at the grid step where the label flips; it is
+    (g_grid[0], g_grid[0]) for a row localized from the first point and
+    None for a row that never localizes on the grid.
+    """
+    log_thr = -0.5 * np.log(threshold)
+
+    def localized(g):
+        return iterate_fixed_point(omega, g * profile, delta0, variant) > log_thr
+
+    flips = [i for i, g in enumerate(g_grid) if localized(g)]
+    if not flips:
+        return None
+    i = flips[0]
+    if i == 0:
+        return float(g_grid[0]), float(g_grid[0])
+    g_lo, g_hi = g_grid[i - 1], g_grid[i]
+    while (g_hi - g_lo) > rel_tol * g_hi:
+        g_mid = 0.5 * (g_lo + g_hi)
+        if localized(g_mid):
+            g_hi = g_mid
+        else:
+            g_lo = g_mid
+    return float(g_lo), float(g_hi)
 
 
 def stamped_matrices(spec) -> tuple[np.ndarray, np.ndarray]:

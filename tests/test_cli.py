@@ -82,6 +82,9 @@ class TestConfigParsing:
         ("renorm.g_grid", "0.5, 0.5, 3", "lo < hi and n >= 2"),
         ("phase.g_grid", "0.5, 2.0, 1", "lo < hi and n >= 2"),
         ("phase.g_grid", "0.5, 0.5, 3", "lo < hi and n >= 2"),
+        ("modes.dom_bin_ghz", "1e-15", "more than 1000000 histogram bins"),
+        ("qubit.freq_ghz", "1e300", "overflows in rad/s"),
+        ("phase.delta0_grid", "1.0, 1e300, 3", "overflows in rad/s"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,

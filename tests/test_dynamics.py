@@ -200,6 +200,25 @@ class TestEntropies:
 
 
 class TestEntropyScan:
+    def test_matches_entropies_of_evolved_state(self):
+        # real-product populations against the complex state from evolve
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            h = build_rwa_hamiltonian(
+                _couplings(np.sort(rng.uniform(1.0, 2.0, n)),
+                           rng.uniform(0.0, 0.1, n)), rng.uniform(1.0, 2.0))
+            psi0 = SingleExcitationState(c0=1.0, c=np.zeros(n))
+            for t in (0.0, *rng.uniform(0.0, 500.0, 3)):
+                rep = entropy_scan(h, t)
+                (psi,) = evolve(h, psi0, [t])
+                npt.assert_allclose(rep.e_qubit, entropy_qubit(psi),
+                                    rtol=0, atol=1e-12)
+                npt.assert_allclose(
+                    rep.e_per_mode,
+                    [entropy_minus_mode(psi, m) for m in range(n)],
+                    rtol=0, atol=1e-12)
+
     def test_time_zero_all_zero(self):
         h = build_rwa_hamiltonian(_couplings([1.0, 2.0], [0.1, 0.2]), 1.5)
         rep = entropy_scan(h, 0.0)

@@ -4,8 +4,10 @@ import pytest
 
 from metaline import (CouplingSpectrum, Phase, QubitSpec, phase_diagram,
                       renormalize, sweep_coupling)
+from metaline.spinboson import _boundary_couplings, _cat_sizes
 from conftest import TWO_PI, make_band_edge_spec
-from oracles import grid_search_fixed_point, iterate_fixed_point
+from oracles import (boundary_bracket, grid_search_fixed_point,
+                     iterate_fixed_point)
 
 
 def _couplings(freqs, gs):
@@ -164,6 +166,110 @@ class TestClosedFormAgainstOracles:
                             rtol=1e-6)
 
 
+def _boundary_bath(rng, k):
+    """Shuffled random bath with a tied pair of frequencies.  Delta_0 sits
+    exactly on a mode in every other bath (on the top mode in every sixth),
+    above every mode in every fifth; every third zeroes some profile
+    entries, the top mode's among them."""
+    n = int(rng.integers(2, 8))
+    freqs = rng.uniform(0.5, 3.0, size=n)
+    freqs[1] = freqs[0]
+    profile = rng.uniform(0.05, 1.0, size=n)
+    if k % 3 == 0:
+        profile[rng.random(n) < 0.4] = 0.0
+        profile[np.argmax(freqs)] = 0.0
+    if k % 6 == 3:
+        delta0 = freqs.max()
+    elif k % 2:
+        delta0 = freqs[rng.integers(0, n)]
+    elif k % 5 == 0:
+        delta0 = freqs.max() * rng.uniform(1.0, 1.5)
+    else:
+        delta0 = rng.uniform(0.2, 2.5)
+    order = rng.permutation(n)
+    return freqs[order], profile[order], float(delta0)
+
+
+BOUNDARY_CASES = [(variant, threshold) for variant in ("standard", "literal")
+                  for threshold in (1e-3, 0.3)]
+
+
+class TestBoundaryClosedForm:
+    """The closed-form localization boundary against the fixed point itself
+    and against the oracle bisection."""
+
+    @pytest.mark.parametrize("variant,threshold", BOUNDARY_CASES)
+    def test_label_flips_at_boundary(self, variant, threshold):
+        rng = np.random.default_rng(21)
+        log_thr = -0.5 * np.log(threshold)
+        finite = 0
+        for k in range(150):
+            freqs, profile, delta0 = _boundary_bath(rng, k)
+            g_b = float(_boundary_couplings(freqs, profile, delta0, variant,
+                                            threshold))
+            if np.isinf(g_b):
+                # delocalized at any coupling
+                assert _cat_sizes(freqs, profile, delta0, 1e30, variant) <= log_thr
+                continue
+            finite += 1
+            below, above = _cat_sizes(freqs, profile, delta0,
+                                      [g_b * (1 - 1e-9), g_b * (1 + 1e-9)],
+                                      variant)
+            assert below <= log_thr < above, (k, freqs, profile, delta0)
+        assert 40 < finite < 150
+
+    @pytest.mark.parametrize("variant,threshold", BOUNDARY_CASES)
+    def test_inside_oracle_bracket(self, variant, threshold):
+        rng = np.random.default_rng(22)
+        g_grid = np.geomspace(0.05, 20.0, 12)
+        for k in range(40):
+            freqs, profile, delta0 = _boundary_bath(rng, k)
+            g_b = float(_boundary_couplings(freqs, profile, delta0, variant,
+                                            threshold))
+            bracket = boundary_bracket(freqs, profile, delta0, g_grid,
+                                       variant, threshold)
+            if bracket is None:
+                assert g_b > g_grid[-1]
+            elif bracket[0] == bracket[1]:
+                assert g_b <= g_grid[0]
+            else:
+                lo, hi = bracket
+                assert lo * (1 - 1e-12) <= g_b <= hi * (1 + 1e-12)
+                npt.assert_allclose(g_b, 0.5 * (lo + hi), rtol=1e-4)
+
+    @pytest.mark.parametrize("variant,q", [("standard", 2), ("literal", 4)])
+    def test_single_fast_mode(self, variant, q):
+        # one mode above Delta_0: Delta_eff = Delta_0 exp(-2 g^q (p/w)^q)
+        # reaches threshold * Delta_0 at g^q = ln(1/threshold) / (2 (p/w)^q)
+        for threshold in (1e-3, 0.3):
+            g_b = _boundary_couplings(np.array([2.0]), np.array([0.5]), 1.0,
+                                      variant, threshold)
+            npt.assert_allclose(g_b, 4.0 * (-np.log(threshold) / 2) ** (1 / q),
+                                rtol=1e-14)
+
+    @pytest.mark.parametrize("variant", ["standard", "literal"])
+    def test_rows_that_never_localize(self, variant):
+        freqs = np.array([1.0, 1.5, 1.5, 2.0])
+        profile = np.array([0.3, 1.0, 0.7, 0.6])
+        # above every mode, on the top mode, and with every faster mode
+        # uncoupled (profile zero above Delta_0)
+        assert np.all(np.isinf(_boundary_couplings(
+            freqs, profile, np.array([2.5, 2.0]), variant, 1e-3)))
+        assert np.isinf(_boundary_couplings(
+            freqs, np.array([0.3, 1.0, 0.7, 0.0]), 1.5, variant, 1e-3))
+        assert np.isinf(_boundary_couplings(freqs, np.zeros(4), 1.2, variant,
+                                            1e-3))
+
+    def test_rows_match_scalar_calls(self):
+        freqs = np.array([1.1, 1.3, 1.3, 1.7, 2.4])
+        profile = np.array([0.2, 0.9, 0.4, 1.0, 0.0])
+        delta0 = np.array([0.5, 1.1, 1.25, 1.7, 3.0])
+        rows = _boundary_couplings(freqs, profile, delta0, "literal", 0.3)
+        assert rows.shape == (5,)
+        for d0, g_b in zip(delta0, rows):
+            assert g_b == _boundary_couplings(freqs, profile, d0, "literal", 0.3)
+
+
 class TestSweepCoupling:
     def _band(self):
         freqs = 1.0 + 0.02 * np.arange(40)
@@ -249,6 +355,31 @@ class TestPhaseDiagram:
                                 freq_window=(TWO_PI * 3.8e9, TWO_PI * 13e9))
         npt.assert_allclose(diagram.delta_eff_grid[:, 0],
                             delta0_grid, rtol=1e-12)
+
+    @pytest.mark.parametrize("variant,threshold", BOUNDARY_CASES)
+    def test_boundary_inside_oracle_bracket(self, small_spec, small_qubit,
+                                            variant, threshold):
+        from metaline import build_matrices, coupling_spectrum, solve_modes
+        window = (TWO_PI * 3.8e9, TWO_PI * 13e9)
+        omega_ir = small_spec.omega_ir
+        g_grid = np.geomspace(0.02, 1.5, 15) * omega_ir
+        delta0_grid = np.linspace(0.9, 1.6, 8) * omega_ir
+        diagram = phase_diagram(small_spec, small_qubit, g_grid, delta0_grid,
+                                freq_window=window, variant=variant,
+                                localization_threshold=threshold)
+        couplings = coupling_spectrum(
+            solve_modes(build_matrices(small_spec), window), small_spec,
+            small_qubit)
+        brackets = [(boundary_bracket(couplings.frequencies,
+                                      couplings.relative_profile, d0, g_grid,
+                                      variant, threshold), d0)
+                    for d0 in delta0_grid]
+        brackets = [(b, d0) for b, d0 in brackets if b is not None]
+        assert len(diagram.boundary) == len(brackets) > 0
+        for (g_star, d0), ((lo, hi), d0_oracle) in zip(diagram.boundary,
+                                                       brackets):
+            assert d0 == d0_oracle
+            assert lo <= g_star <= hi
 
     @pytest.mark.parametrize("delta0", [0.0, -1.0])
     def test_nonpositive_delta0_rejected(self, small_spec, small_qubit, delta0):
