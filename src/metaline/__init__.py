@@ -23,8 +23,8 @@ from .dynamics import (Eigensystem, EntropyReport, SingleExcitationState,
 from .modes import (CouplingSpectrum, DomEstimate, IllConditionedCircuitError,
                     ModeSet, QubitSpec, band_edges, coupling_spectrum,
                     current_average, dom_numeric, find_current_antinode,
-                    footprint_at_antinode, sign_changes, solve_modes,
-                    sturm_count, voltage_profile)
+                    footprint_at_antinode, footprint_weights, sign_changes,
+                    solve_modes, sturm_count, voltage_profile)
 from .spinboson import (CouplingSweep, DetectedJump, Phase, PhaseDiagram,
                         RenormResult, phase_diagram, renormalize,
                         sweep_coupling)
@@ -41,7 +41,7 @@ __all__ = [
     "IllConditionedCircuitError", "solve_modes", "sturm_count", "band_edges",
     "voltage_profile",
     "current_average", "coupling_spectrum", "dom_numeric", "sign_changes",
-    "find_current_antinode", "footprint_at_antinode",
+    "find_current_antinode", "footprint_at_antinode", "footprint_weights",
     "SingleExcitationState", "EntropyReport", "binary_entropy",
     "build_rwa_hamiltonian", "Eigensystem", "diagonalize", "evolve",
     "entropy_qubit", "entropy_minus_mode", "entropy_scan",

@@ -62,29 +62,31 @@ class CircuitSpec:
     l_left_cells: np.ndarray | None = None
 
     def __post_init__(self):
-        bad = []
+        bad = {}        # field -> the range it must lie in
         if self.n_left < 1:
-            bad.append("n_left")
+            bad["n_left"] = "n_left >= 1"
         if self.n_right < 2:
-            bad.append("n_right")
+            bad["n_right"] = "n_right >= 2"
         for name in ("c_left", "l_left", "cell_pitch", "rhtl_length",
                      "c_right_per_len", "l_right_per_len"):
-            if not getattr(self, name) > 0:
-                bad.append(name)
+            if not 0 < getattr(self, name) < np.inf:
+                bad[name] = "positive and finite"
         for name in ("c_end_left", "c_end_right"):
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                bad.append(name)
+            if val is not None and not 0 < val < np.inf:
+                bad[name] = "positive and finite, or None"
         for name in ("c_left_cells", "l_left_cells"):
             val = getattr(self, name)
             if val is not None:
                 arr = np.asarray(val, dtype=float)
-                if arr.shape != (self.n_left,) or not np.all(arr > 0):
-                    bad.append(name)
+                if arr.shape != (self.n_left,) \
+                        or not np.all((0 < arr) & (arr < np.inf)):
+                    bad[name] = f"{self.n_left} positive finite values"
                 else:
                     object.__setattr__(self, name, arr)
         if bad:
-            raise ValueError(f"invalid CircuitSpec fields: {', '.join(bad)}")
+            raise ValueError("invalid CircuitSpec fields: " + ", ".join(
+                f"{name} ({bound})" for name, bound in bad.items()))
 
     @property
     def omega_ir(self) -> float:

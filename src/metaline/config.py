@@ -129,27 +129,37 @@ class RunConfig:
         omega_ir = v["circuit.f_ir_ghz"] * GHZ
         if v["circuit.c_left_f"] is not None and v["circuit.l_left_h"] is not None:
             c_left, l_left = v["circuit.c_left_f"], v["circuit.l_left_h"]
+            left_keys = "circuit.c_left_f, circuit.l_left_h"
         else:
             c_left, l_left = design_from_impedance(v["circuit.z0_ohm"], omega_ir)
+            left_keys = "circuit.z0_ohm, circuit.f_ir_ghz"
         if v["circuit.c_right_f_per_m"] is not None and v["circuit.l_right_h_per_m"] is not None:
             c_r, l_r = v["circuit.c_right_f_per_m"], v["circuit.l_right_h_per_m"]
+            right_keys = "circuit.c_right_f_per_m, circuit.l_right_h_per_m"
         else:
             # strip supports one full wavelength at the cutoff frequency
             velocity = v["circuit.rhtl_length_m"] * v["circuit.f_ir_ghz"] * 1e9
             c_r, l_r = rhtl_from_impedance(v["circuit.rhtl_z0_ohm"], velocity)
-        try:
-            return CircuitSpec(
-                n_left=v["circuit.n_left"],
-                c_left=c_left, l_left=l_left,
-                cell_pitch=v["circuit.cell_pitch_m"],
-                rhtl_length=v["circuit.rhtl_length_m"],
-                c_right_per_len=c_r, l_right_per_len=l_r,
-                n_right=v["circuit.n_right"],
-                c_end_left=v["circuit.c_end_left_f"],
-                c_end_right=v["circuit.c_end_right_f"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            right_keys = ("circuit.rhtl_z0_ohm, circuit.rhtl_length_m, "
+                          "circuit.f_ir_ghz")
+        # every other field is checked when the config is parsed
+        for keys, name, value in ((left_keys, "C_l", c_left),
+                                  (left_keys, "L_l", l_left),
+                                  (right_keys, "c_r", c_r),
+                                  (right_keys, "l_r", l_r)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{self.path}: {keys} give {name} = {value}, "
+                                  f"which must be positive and finite")
+        return CircuitSpec(
+            n_left=v["circuit.n_left"],
+            c_left=c_left, l_left=l_left,
+            cell_pitch=v["circuit.cell_pitch_m"],
+            rhtl_length=v["circuit.rhtl_length_m"],
+            c_right_per_len=c_r, l_right_per_len=l_r,
+            n_right=v["circuit.n_right"],
+            c_end_left=v["circuit.c_end_left_f"],
+            c_end_right=v["circuit.c_end_right_f"],
+        )
 
     def freq_window(self) -> tuple[float, float]:
         lo = self.values["modes.window_ghz_lo"] * GHZ
@@ -213,6 +223,20 @@ def _validate(values: dict, path: str) -> None:
     for key in _POSITIVE:
         if not values[key] > 0:
             raise ConfigError(f"{path}: {key} must be positive, got {values[key]}")
+    if values["circuit.n_right"] < 2:
+        raise ConfigError(f"{path}: circuit.n_right must satisfy n_right >= 2 "
+                          f"(two strip cells), got {values['circuit.n_right']}")
+    # the qubit footprint lies on the strip, as current_average requires
+    length, extent = values["circuit.rhtl_length_m"], values["qubit.extent_m"]
+    position = values["qubit.position_m"]
+    if extent > length:
+        raise ConfigError(f"{path}: qubit.extent_m = {extent} is longer than the "
+                          f"strip, circuit.rhtl_length_m = {length}")
+    if position is not None and (position < 0 or position + extent > length):
+        raise ConfigError(
+            f"{path}: qubit.position_m = {position} with qubit.extent_m = {extent} "
+            f"puts the footprint outside the strip [0, {length}] m "
+            f"(circuit.rhtl_length_m)")
     for key in ("circuit.c_left_f", "circuit.l_left_h", "circuit.c_right_f_per_m",
                 "circuit.l_right_h_per_m", "circuit.c_end_left_f",
                 "circuit.c_end_right_f", "qubit.g_ghz", "qubit.tune_mode_ghz",

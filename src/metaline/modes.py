@@ -5,15 +5,37 @@ generalized symmetric-definite eigenproblem
 
     inv_ind . v = omega^2 . cap . v,
 
-solved here by Cholesky reduction of the capacitance matrix and a dense
-symmetric eigensolver (LAPACK sygvd via scipy).  Eigenvectors are
-normalized in the capacitance metric, v^T cap v = 1, which makes them the
-flux profiles of independent harmonic oscillators.
+whose eigenvectors are normalized in the capacitance metric, v^T cap v = 1,
+which makes them the flux profiles of independent harmonic oscillators.
 
-Both matrices are tridiagonal, so where only frequencies and counts are
-needed (the disorder study) ``band_edges`` works on the bands instead:
-Sturm counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law
-of inertia) and multisection, O(n) per shift and no eigenvectors.
+Both matrices are tridiagonal, and ``solve_modes`` takes one of two paths
+by network size:
+
+- below ``_BAND_MIN_DIM`` nodes, dense ``eigh`` (Cholesky reduction and
+  LAPACK sygvd via scipy, imported only there), O(n^3) for all n modes;
+- from ``_BAND_MIN_DIM`` up, the band solver ``_band_modes``: Sturm counts
+  isolate the window's eigenvalues, and shifted inverse iteration with
+  Rayleigh-quotient shifts, one LDL^T solve per step on the bands with
+  numpy across the window modes, finds their vectors; O(n m) per step for
+  m window modes, O(n k^2) per step for each cluster of k close modes,
+  and one O(n m^2) matrix product that C-orthonormalizes the window.
+
+The crossover was measured with ``solve_modes`` on the benchmark's ladder
+devices (n_right = 1.5 n_left, 3.8-13 GHz window), as the median of five
+warm solves per path in a fresh process on a 2-vCPU VM (numpy 2.4, scipy
+1.17, OpenBLAS with 2 threads): dense takes 0.052, 0.125 and 0.239 s at
+dims 501, 751 and 1001, the band solver 0.058, 0.133 and 0.204 s; at dim
+2001 it is 1.59 s against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak)
+against 7.0 s (0.89 GB).  Across repeated runs dense always wins at dim
+501 and the band solver from dim 876 up, while runs disagree at dims 626
+and 751, so ``_BAND_MIN_DIM`` sits at 800.  Both paths
+apply the same gauge rule (``_gauge_floor`` is its count-only form),
+sign rule and tie-break.
+
+Where only frequencies and counts are needed (the disorder study)
+``band_edges`` works on the bands of a whole stack of devices: Sturm
+counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law of
+inertia) and multisection, O(n) per shift and no eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .circuit import CircuitSpec, NetworkBands, NetworkMatrices
 from .dispersion import dom_approx, rhtl_background_dom
@@ -33,6 +54,22 @@ GAUGE = 1e-6
 _SHIFTS = 31
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
+# networks of this dimension and up take the band solver (the measured
+# crossover, see the module docstring)
+_BAND_MIN_DIM = 800
+# relative gap of inverse-iteration shifts below which their vectors are
+# C-orthonormalized together
+_CLUSTER_GAP = 1e-3
+# Sturm shifts per refined cell in _isolate; each round shrinks a cell 8-fold
+_CELL_SHIFTS = 7
+# window ends widen by this relative amount in lam = omega^2, so that a
+# mode within rounding of an end is solved, then kept or dropped by its
+# own frequency as on the dense path
+_WINDOW_SLACK = 1e-9
+# a mode has converged when its Rayleigh quotient moved this little
+# (relative) from the shift of the solve that produced it
+_CONVERGED = 1e-13
+_MAX_STEPS = 40
 
 
 class IllConditionedCircuitError(RuntimeError):
@@ -149,24 +186,17 @@ def solve_modes(mat: NetworkMatrices,
     """All positive-frequency normal modes of the network, ascending.
 
     Near-zero gauge modes (the inductive null space left by purely
-    capacitive ends) are discarded below 1e-6 of the largest computed
+    capacitive ends) are discarded at or below 1e-6 of the largest
     frequency.  Ties in frequency are broken by the ascending number of
     sign changes of the profile.  ``freq_window`` = (lo, hi) in rad/s
-    restricts the returned modes.
+    restricts the returned modes.  Networks of dimension ``_BAND_MIN_DIM``
+    and up are solved on their tridiagonal bands (``_band_modes``),
+    smaller ones by dense ``eigh``.
     """
-    cap, inv_ind = mat.cap, mat.inv_ind
-    try:
-        w2, vecs = sla.eigh(inv_ind, cap)
-    except sla.LinAlgError as exc:
-        pivot = float(np.min(np.linalg.eigvalsh(0.5 * (cap + cap.T))))
-        if pivot > 0:       # cap is definite: the eigensolver itself failed
-            raise
-        raise IllConditionedCircuitError(
-            f"capacitance matrix is not positive definite "
-            f"(smallest pivot {pivot:.3e} F)") from exc
-    omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = omega > GAUGE * omega.max()
-    omega, vecs = omega[keep], vecs[:, keep]
+    if mat.dim >= _BAND_MIN_DIM:
+        omega, vecs = _band_modes(mat, freq_window)
+    else:
+        omega, vecs = _dense_modes(mat)
 
     # reproducible sign: non-negative flux at the interface node, falling
     # back to the largest strip entry when the interface sits on a node
@@ -191,6 +221,292 @@ def solve_modes(mat: NetworkMatrices,
     return ModeSet(frequencies=omega, profiles=vecs,
                    node_positions=mat.node_positions,
                    interface_index=mat.interface_index)
+
+
+def _dense_modes(mat: NetworkMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-gauge mode by dense ``eigh`` (LAPACK sygvd)."""
+    import scipy.linalg as sla  # slow to import, and only small networks need it
+
+    cap, inv_ind = mat.cap, mat.inv_ind
+    try:
+        w2, vecs = sla.eigh(inv_ind, cap)
+    except sla.LinAlgError as exc:
+        pivot = float(np.min(np.linalg.eigvalsh(0.5 * (cap + cap.T))))
+        if pivot > 0:       # cap is definite: the eigensolver itself failed
+            raise
+        raise IllConditionedCircuitError(
+            f"capacitance matrix is not positive definite "
+            f"(smallest pivot {pivot:.3e} F)") from exc
+    omega = np.sqrt(np.clip(w2, 0.0, None))
+    keep = omega > GAUGE * omega.max()
+    return omega[keep], vecs[:, keep]
+
+
+def _tridiagonal_bands(mat: NetworkMatrices) -> NetworkBands:
+    """The bands of ``mat``; ValueError unless both matrices are finite,
+    symmetric and tridiagonal."""
+    bands = []
+    for name, m in (("inv_ind", mat.inv_ind), ("cap", mat.cap)):
+        diag, upper = np.diagonal(m).copy(), np.diagonal(m, 1).copy()
+        stored = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
+        if (not np.array_equal(upper, np.diagonal(m, -1))
+                or np.count_nonzero(m) != stored
+                or not np.isfinite(diag).all() or not np.isfinite(upper).all()):
+            raise ValueError(f"{name} is not a finite symmetric tridiagonal matrix")
+        bands += [diag, upper]
+    return NetworkBands(*bands)
+
+
+def _check_capacitance(bands: NetworkBands) -> None:
+    """IllConditionedCircuitError unless every LDL^T pivot of C is positive."""
+    pivot = float(bands.c_diag[0])
+    for diag, off in zip(bands.c_diag[1:].tolist(), bands.c_off.tolist()):
+        if not pivot > 0:
+            break
+        pivot = diag - off * off / pivot
+    if not pivot > 0:
+        raise IllConditionedCircuitError(
+            f"capacitance matrix is not positive definite "
+            f"(pivot {pivot:.3e} F)")
+
+
+def _ldl(bands: NetworkBands, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots d (n, m) and multipliers l (n-1, m) of K - lam C = L D L^T,
+    one column per shift; the recurrence of ``sturm_count`` without its
+    pivmin guard."""
+    d = bands.k_diag[:, None] - bands.c_diag[:, None] * lam
+    l = bands.k_off[:, None] - bands.c_off[:, None] * lam
+    rows, b2 = list(d), list(l * l)
+    t = np.empty(lam.shape)
+    for i in range(len(rows) - 1):
+        np.divide(b2[i], rows[i], out=t)
+        np.subtract(rows[i + 1], t, out=rows[i + 1])
+    np.divide(l, d[:-1], out=l)
+    return d, l
+
+
+def _negative_pivots(bands: NetworkBands, lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift, as ``sturm_count`` but without its
+    pivmin guard: quick for a few shifts, and exact away from ties."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.count_nonzero(_ldl(bands, lam)[0] < 0, axis=0)
+
+
+def _spectrum_bound(bands: NetworkBands) -> float:
+    """A shift above every eigenvalue, within a factor 4 of the largest."""
+    n = len(bands.k_diag)
+    # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
+    bound = max(float(np.max(bands.k_diag / bands.c_diag)), _SAFMIN)
+    while True:
+        shifts = bound * 4.0 ** np.arange(1, _SHIFTS + 1)
+        full = _negative_pivots(bands, shifts) == n
+        if full.any():
+            return float(shifts[np.argmax(full)])
+        bound = float(shifts[-1])
+
+
+def _inverse_step(bands: NetworkBands, lam: np.ndarray,
+                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = (K - lam C)^-1 rhs column by column, and the number of
+    eigenvalues below each shift (its negative pivots).
+
+    A zero last pivot (the shift is an eigenvalue to the last bit) is
+    replaced by its rounding level; a column that still overflows gets
+    NaN counts, which its caller must not use.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d, l = _ldl(bands, lam)
+        last = d[-1]
+        zero = last == 0
+        last[zero] = _EPS * (np.abs(bands.k_diag[-1])
+                             + np.abs(bands.c_diag[-1]) * np.abs(lam[zero]))
+        x = rhs.copy()
+        rows, mult = list(x), list(l)
+        t = np.empty(lam.shape)
+        for i in range(len(rows) - 1):
+            np.multiply(mult[i], rows[i], out=t)
+            np.subtract(rows[i + 1], t, out=rows[i + 1])
+        np.divide(x, d, out=x)
+        for i in range(len(rows) - 2, -1, -1):
+            np.multiply(mult[i], rows[i + 1], out=t)
+            np.subtract(rows[i], t, out=rows[i])
+    below = np.count_nonzero(d < 0, axis=0).astype(float)
+    below[~np.isfinite(x).all(axis=0)] = np.nan
+    return x, below
+
+
+def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix (diag, off) times the columns of x."""
+    out = x * diag[:, None]
+    out[:-1] += x[1:] * off[:, None]
+    out[1:] += x[:-1] * off[:, None]
+    return out
+
+
+def _merge(points: np.ndarray, counts: np.ndarray, new_points: np.ndarray,
+           new_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted union of two sets of Sturm samples.
+
+    Counts are made non-decreasing, which only moves a count whose shift
+    lies within rounding of an eigenvalue.
+    """
+    keep = np.isfinite(new_counts)
+    p = np.concatenate([points, new_points[keep]])
+    c = np.concatenate([counts, new_counts[keep].astype(int)])
+    order = np.argsort(p, kind="stable")
+    return p[order], np.maximum.accumulate(c[order])
+
+
+def _isolate(bands: NetworkBands, points: np.ndarray, counts: np.ndarray,
+             lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the samples until every eigenvalue in [lo, hi] has a cell
+    (an interval between consecutive samples) of its own, no wider than
+    the empty space on either side of it.
+
+    The midpoint of such a cell is then at least three times closer to
+    its eigenvalue than to any other.  Cells narrower than 1e-13 of
+    their upper end are left as they are: their eigenvalues are treated
+    as one cluster.
+    """
+    fractions = np.arange(1, _CELL_SHIFTS + 1) / (_CELL_SHIFTS + 1)
+    while True:
+        occupied = np.flatnonzero(np.diff(counts))
+        width = points[occupied + 1] - points[occupied]
+        space = np.empty(len(occupied) + 1)
+        space[0] = points[occupied[0]] - points[0]
+        space[1:-1] = points[occupied[1:]] - points[occupied[:-1] + 1]
+        space[-1] = points[-1] - points[occupied[-1] + 1]
+        refine = (((np.diff(counts)[occupied] > 1)
+                   | (width > np.minimum(space[:-1], space[1:])))
+                  & (width > 1e-13 * points[occupied + 1])
+                  & (points[occupied + 1] > lo) & (points[occupied] < hi))
+        cells = occupied[refine]
+        if not len(cells):
+            return points, counts
+        shifts = (points[cells, None] + width[refine, None] * fractions).ravel()
+        points, counts = _merge(points, counts, shifts, sturm_count(bands, shifts))
+
+
+def _band_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The non-gauge modes in ``freq_window`` from the tridiagonal bands.
+
+    Sturm counts on one geometric grid over the window give each window
+    eigenvalue's index, ``_isolate`` gives each one a cell of its own, and
+    ``_inverse_iteration`` finds the vectors and Rayleigh quotients.
+    """
+    bands = _tridiagonal_bands(mat)
+    _check_capacitance(bands)
+    n = mat.dim
+    lo, hi = (0.0, np.inf) if freq_window is None else map(float, freq_window)
+    lam_lo = np.sign(lo) * lo * lo * (1.0 - _WINDOW_SLACK)
+    lam_hi = hi * hi * (1.0 + _WINDOW_SLACK)
+    top = _spectrum_bound(bands)
+    first = 0
+    if not GAUGE ** 2 * top < lam_lo:     # the window may reach gauge modes
+        gauge, floor = _gauge_floor(NetworkBands.stack([bands]))
+        first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
+    lam_hi = min(lam_hi, top)
+    empty = np.empty(0), np.empty((n, 0))
+    if not lam_lo < lam_hi:
+        return empty
+
+    # about two shifts per window mode, and a point beyond each end
+    ends = _negative_pivots(bands, np.array([lam_lo, lam_hi]))
+    size = max(2, 2 * int(ends[1] - ends[0]))
+    ratio = (lam_hi / lam_lo) ** (1.0 / size)
+    grid = lam_lo * ratio ** np.arange(-1, size + 2)
+    grid[[1, -2]] = lam_lo, lam_hi
+    points, counts = _merge(np.empty(0), np.empty(0, dtype=int), grid,
+                            sturm_count(bands, grid))
+    start, stop = max(int(counts[1]), first), int(counts[-2])
+    if start >= stop:
+        return empty
+    points, counts = _isolate(bands, points, counts, lam_lo, lam_hi)
+    lam, vecs = _inverse_iteration(bands, points, counts, np.arange(start, stop))
+    return np.sqrt(lam), vecs
+
+
+def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
+                       counts: np.ndarray, index: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs number ``index`` of (K, C), each isolated in a cell of the
+    Sturm samples (points, counts).
+
+    Shifted inverse iteration, one LDL^T solve per step with numpy across
+    the modes, from fixed pseudo-random start vectors.  The shift of each
+    mode is its last Rayleigh quotient while that stays in the mode's
+    cell, else the cell midpoint, and every solve's pivot counts narrow
+    the cells further.  Vectors whose shifts lie within a relative
+    ``_CLUSTER_GAP`` are C-orthonormalized together (Cholesky QR) at each
+    step, and a last first-order Loewdin step, V <- V (I - E/2) with
+    E = V^T C V - I, C-orthonormalizes them all.  Returns the Rayleigh
+    quotients and the vectors.
+    """
+    def cells() -> tuple[np.ndarray, np.ndarray]:
+        j = np.searchsorted(counts, index, side="right")
+        return points[j - 1], points[j]
+
+    cell_lo, cell_hi = cells()
+    shift = 0.5 * (cell_lo + cell_hi)
+    k_rows, c_rows = (np.abs(diag) + np.pad(np.abs(off), (1, 0))
+                      + np.pad(np.abs(off), (0, 1))     # absolute row sums
+                      for diag, off in ((bands.k_diag, bands.k_off),
+                                        (bands.c_diag, bands.c_off)))
+    rhs = np.random.default_rng(0).uniform(-1.0, 1.0, (len(bands.k_diag), len(index)))
+    for _ in range(_MAX_STEPS):
+        x, below = _inverse_step(bands, shift, rhs)
+        nudge = 16.0 * _EPS
+        while (retry := np.isnan(below)).any():     # an exactly zero inner pivot
+            if nudge > 1e-6:
+                raise ArithmeticError("band eigensolver: singular shifted pencil")
+            shift[retry] *= 1.0 + nudge
+            nudge *= 16.0
+            x[:, retry], below[retry] = _inverse_step(bands, shift[retry],
+                                                      rhs[:, retry])
+        points, counts = _merge(points, counts, shift, below)
+        cell_lo, cell_hi = cells()
+        cx = _tri_mul(bands.c_diag, bands.c_off, x)
+        norm2 = np.einsum("ij,ij->j", x, cx)
+        # (K - shift C) x = rhs gives x^T K x = x^T rhs + shift x^T C x
+        rq = shift + np.einsum("ij,ij->j", x, rhs) / norm2
+        scale = 1.0 / np.sqrt(norm2)
+        x *= scale
+        cx *= scale
+        for s, e in _clusters(shift):
+            r = np.linalg.inv(np.linalg.cholesky(x[:, s:e].T @ cx[:, s:e])).T
+            x[:, s:e] = x[:, s:e] @ r
+            cx[:, s:e] = cx[:, s:e] @ r
+            kx = _tri_mul(bands.k_diag, bands.k_off, x[:, s:e])
+            rq[s:e] = np.einsum("ij,ij->j", x[:, s:e], kx)
+        # rounding level of each quotient, eps x^T (|K| + |shift| |C|) x with
+        # the absolute values bounded by their row sums
+        x2 = x * x
+        noise = _EPS * (k_rows @ x2 + np.abs(shift) * (c_rows @ x2))
+        tol = _CONVERGED * np.abs(rq) + noise
+        inside = (rq >= cell_lo - 10.0 * tol) & (rq <= cell_hi + 10.0 * tol)
+        # converged: the quotient lies in its cell, and the shift of the last
+        # solve was already the quotient or the counts alone pin the mode down
+        if np.all(inside & ((np.abs(rq - shift) <= tol) | (cell_hi - cell_lo <= tol))):
+            break
+        shift = np.where(inside, np.clip(rq, cell_lo, cell_hi),
+                         0.5 * (cell_lo + cell_hi))
+        rhs = cx
+    else:
+        raise ArithmeticError(
+            f"band eigensolver did not converge in {_MAX_STEPS} steps")
+    err = x.T @ cx
+    err[np.diag_indices_from(err)] -= 1.0
+    x -= 0.5 * (x @ err)
+    return rq, x
+
+
+def _clusters(lam: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of two or more ascending shifts whose
+    consecutive relative gaps are below ``_CLUSTER_GAP``."""
+    cuts = np.flatnonzero(np.diff(lam) > _CLUSTER_GAP * np.abs(lam[1:])) + 1
+    edges = np.concatenate([[0], cuts, [len(lam)]]).tolist()
+    return [(s, e) for s, e in zip(edges[:-1], edges[1:]) if e - s > 1]
 
 
 def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
@@ -341,6 +657,15 @@ def _branch_currents(modes: ModeSet, spec: CircuitSpec, n: int) -> tuple[np.ndar
     return midpoints, currents
 
 
+def _check_footprint(spec: CircuitSpec, x0: float, extent: float) -> None:
+    if extent < 0:
+        raise ValueError("extent must be non-negative")
+    if x0 < 0 or x0 + extent > spec.rhtl_length:
+        raise ValueError(
+            f"footprint [{x0}, {x0 + extent}] m falls outside the strip "
+            f"[0, {spec.rhtl_length}] m")
+
+
 def current_average(modes: ModeSet, spec: CircuitSpec, n: int,
                     x0: float, extent: float) -> float:
     """Magnitude of the mode-n strip current averaged over a qubit footprint.
@@ -348,16 +673,12 @@ def current_average(modes: ModeSet, spec: CircuitSpec, n: int,
     Branch currents live at segment midpoints and are interpolated
     linearly in between; the average is the exact integral mean of that
     piecewise-linear shape over [x0, x0+extent].  ``extent`` = 0 returns
-    the pointwise magnitude at x0.
+    the pointwise magnitude at x0.  ``coupling_spectrum`` computes the
+    same average for every mode at once with ``footprint_weights``.
     """
     if not 0 <= n < len(modes):
         raise IndexError(f"mode index {n} out of range for {len(modes)} modes")
-    if extent < 0:
-        raise ValueError("extent must be non-negative")
-    if x0 < 0 or x0 + extent > spec.rhtl_length:
-        raise ValueError(
-            f"footprint [{x0}, {x0 + extent}] m falls outside the strip "
-            f"[0, {spec.rhtl_length}] m")
+    _check_footprint(spec, x0, extent)
     mids, currents = _branch_currents(modes, spec, n)
     if extent == 0:
         return float(abs(np.interp(x0, mids, currents)))
@@ -365,6 +686,35 @@ def current_average(modes: ModeSet, spec: CircuitSpec, n: int,
     knots = np.concatenate([[x0], inner, [x0 + extent]])
     vals = np.interp(knots, mids, currents)
     return float(abs(np.trapezoid(vals, knots) / extent))
+
+
+def footprint_weights(spec: CircuitSpec, x0: float, extent: float) -> np.ndarray:
+    """Weights w over the strip nodes such that |w . flux| is the
+    footprint-averaged current of ``current_average``.
+
+    The average is linear in the node fluxes: branch currents are flux
+    differences, linear interpolation and the trapezoid rule are linear
+    in the currents.  ``extent`` must be positive.
+    """
+    _check_footprint(spec, x0, extent)
+    if not extent > 0:
+        raise ValueError("extent must be positive")
+    mids = (np.arange(spec.n_right) + 0.5) * spec.dx_right
+    inner = mids[(mids > x0) & (mids < x0 + extent)]
+    knots = np.concatenate([[x0], inner, [x0 + extent]])
+    # trapezoid weight of each knot, and its interpolation between midpoints
+    steps = np.diff(knots)
+    trapezoid = 0.5 * (np.append(steps, 0.0) + np.insert(steps, 0, 0.0))
+    j = np.clip(np.searchsorted(mids, knots, side="right") - 1, 0, spec.n_right - 2)
+    frac = np.clip((knots - mids[j]) / (mids[j + 1] - mids[j]), 0.0, 1.0)
+    per_current = np.zeros(spec.n_right)
+    np.add.at(per_current, j, trapezoid * (1.0 - frac))
+    np.add.at(per_current, j + 1, trapezoid * frac)
+    per_current /= extent * spec.l_right_per_len * spec.dx_right
+    weights = np.zeros(spec.n_right + 1)
+    weights[:-1] += per_current
+    weights[1:] -= per_current
+    return weights
 
 
 def find_current_antinode(modes: ModeSet, spec: CircuitSpec, n: int) -> float:
@@ -397,21 +747,20 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
     """Qubit-mode coupling spectrum over the given mode set.
 
     The spatial factor is the footprint-averaged current magnitude of each
-    mode.  With the default ``normalization="dom"`` it is weighted by the
-    density of modes at the mode frequency, which flattens the couplings
-    of the quasi-degenerate band-edge modes (they share one strip profile
-    but carry vanishing strip weight individually); ``"spatial"`` uses the
-    bare average instead.  Either way the largest entry defines
+    mode, one product |w^T V| of the ``footprint_weights`` with the strip
+    rows of the profiles.  With the default ``normalization="dom"`` it is
+    weighted by the density of modes at the mode frequency, which flattens
+    the couplings of the quasi-degenerate band-edge modes (they share one
+    strip profile but carry vanishing strip weight individually);
+    ``"spatial"`` uses the bare average instead.  Either way the largest entry defines
     relative_profile = 1 and g_n = g_global * relative_profile_n.
     """
     if len(modes) == 0:
         raise ValueError("empty mode set")
     if normalization not in ("dom", "spatial"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    avg = np.array([
-        current_average(modes, spec, n, qubit.position, qubit.extent)
-        for n in range(len(modes))
-    ])
+    weights = footprint_weights(spec, qubit.position, qubit.extent)
+    avg = np.abs(weights @ modes.profiles[modes.interface_index:, :])
     raw = avg * _dom_weight(modes.frequencies, spec) if normalization == "dom" else avg
     peak = raw.max()
     if peak == 0:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metaline.modes
 from metaline import (CircuitSpec, QubitSpec, build_matrices, coupling_spectrum,
                       design_from_impedance, footprint_at_antinode,
                       rhtl_from_impedance, solve_modes)
@@ -53,3 +54,9 @@ def band_qubit(band_spec, band_modes):
 @pytest.fixture(scope="session")
 def band_couplings(band_spec, band_modes, band_qubit):
     return coupling_spectrum(band_modes, band_spec, band_qubit)
+
+
+@pytest.fixture
+def band_path(monkeypatch):
+    """Every ``solve_modes`` call takes the band solver, whatever the size."""
+    monkeypatch.setattr(metaline.modes, "_BAND_MIN_DIM", 0)

@@ -7,10 +7,12 @@ fixed point from a dense scan over candidate splittings and from the
 plain monotone iteration, the localization boundary by bisection on
 labels from that iteration, the network
 matrices from per-element stamping loops, mode counts from a dense
-eigenvalue solve of the symmetrically reduced pencil, and CSV bytes from
-a writer that formats every value with its own call.
+eigenvalue solve of the symmetrically reduced pencil, single eigenvalues
+from a 40-digit bisection, and CSV bytes from a writer that formats
+every value with its own call.
 """
 
+import mpmath
 import numpy as np
 
 
@@ -176,6 +178,37 @@ def dense_count(cap: np.ndarray, inv_ind: np.ndarray, lam) -> np.ndarray:
     """Number of generalized eigenvalues of (inv_ind, cap) below each lam."""
     return np.searchsorted(pencil_eigenvalues(cap, inv_ind),
                            np.asarray(lam, dtype=float), side="left")
+
+
+def mp_pencil_eigenvalue(bands, index: int, digits: int = 40):
+    """Eigenvalue number ``index`` (0-based, ascending) of the pencil
+    (K, C) given by tridiagonal bands, as an mpmath number.
+
+    Bisection to 30 significant digits on the number of negative pivots
+    of K - lam C, every pivot carried in ``digits``-digit arithmetic.
+    """
+    with mpmath.workdps(digits):
+        kd, ko, cd, co = ([mpmath.mpf(float(v)) for v in arr] for arr in
+                          (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off))
+        n = len(kd)
+
+        def below(lam):
+            count, d = 0, None
+            for i in range(n):
+                d = kd[i] - lam * cd[i] - (0 if i == 0 else
+                                           (ko[i - 1] - lam * co[i - 1]) ** 2 / d)
+                if d == 0:
+                    d = -mpmath.mpf(10) ** (-2 * digits)
+                count += d < 0
+            return count
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        while below(hi) <= index:
+            lo, hi = hi, 4 * hi
+        while hi - lo > mpmath.mpf(10) ** -30 * hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) > index else (mid, hi)
+        return (lo + hi) / 2
 
 
 def csv_value(value) -> str:

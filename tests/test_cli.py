@@ -85,6 +85,11 @@ class TestConfigParsing:
         ("modes.dom_bin_ghz", "1e-15", "more than 1000000 histogram bins"),
         ("qubit.freq_ghz", "1e300", "overflows in rad/s"),
         ("phase.delta0_grid", "1.0, 1e300, 3", "overflows in rad/s"),
+        ("circuit.n_right", "1", "n_right >= 2"),
+        ("qubit.position_m", "0.0299", "outside the strip [0, 0.03] m"),
+        ("qubit.position_m", "-1e-4", "outside the strip [0, 0.03] m"),
+        ("qubit.extent_m", "0.031", "circuit.rhtl_length_m = 0.03"),
+        ("circuit.z0_ohm", "1e-320", "must be positive and finite"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,
@@ -397,9 +402,11 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path):
-        # footprint placed beyond the end of the strip
-        cfg = _write(tmp_path, SMALL + "\nqubit.position_m = 0.0299\n")
-        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
+        # a window that holds no mode leaves the qubit nothing to couple to
+        text = SMALL.replace("modes.window_ghz_lo = 3.8", "modes.window_ghz_lo = 900")
+        cfg = _write(tmp_path, text.replace("modes.window_ghz_hi = 13.0",
+                                            "modes.window_ghz_hi = 901"))
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 3
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("METALINE_THREADS", "7")

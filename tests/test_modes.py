@@ -1,4 +1,5 @@
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import numpy.testing as npt
@@ -8,10 +9,11 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       ModeSet, NetworkBands, NetworkMatrices, QubitSpec,
                       apply_disorder, band_edges, build_matrices,
                       coupling_spectrum, current_average, dom_approx,
-                      dom_numeric, find_current_antinode, lhtl_ladder_matrices,
-                      network_bands, omega_lhtl, omega_rhtl,
-                      rhtl_ladder_matrices, sign_changes, solve_modes,
-                      sturm_count, voltage_profile)
+                      dom_numeric, find_current_antinode, footprint_at_antinode,
+                      footprint_weights, lhtl_ladder_matrices, network_bands,
+                      omega_lhtl, omega_rhtl, rhtl_ladder_matrices,
+                      sign_changes, solve_modes, sturm_count, voltage_profile)
+from metaline.config import GHZ, parse_config
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec)
@@ -286,6 +288,27 @@ class TestCurrentAverage:
             current_average(band_modes, band_spec, 0, 0.0299, 0.5e-3)
         with pytest.raises(ValueError, match="outside"):
             current_average(band_modes, band_spec, 0, -1e-4, 0.5e-3)
+        with pytest.raises(ValueError, match="outside"):
+            footprint_weights(band_spec, 0.0299, 0.5e-3)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_weights_product_matches_loop(self, name):
+        """|w . flux| over all modes equals the per-mode average on every
+        bundled config."""
+        with resources.as_file(resources.files("metaline") / "configs"
+                               / f"{name}.cfg") as path:
+            cfg = parse_config(path)
+        spec = cfg.circuit_spec()
+        ms = solve_modes(build_matrices(spec), cfg.freq_window())
+        extent = cfg["qubit.extent_m"]
+        x0 = cfg["qubit.position_m"]
+        if x0 is None:
+            x0 = footprint_at_antinode(ms, spec, cfg["qubit.target_mode_ghz"] * GHZ,
+                                       extent)
+        product = np.abs(footprint_weights(spec, x0, extent)
+                         @ ms.profiles[ms.interface_index:, :])
+        loop = [current_average(ms, spec, n, x0, extent) for n in range(len(ms))]
+        npt.assert_allclose(product, loop, rtol=1e-13, atol=0)
 
 
 class TestCouplingSpectrum:

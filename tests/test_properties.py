@@ -1,9 +1,10 @@
 """Property test of the command line over random small configs.
 
 All five commands run on each config.  Every run either succeeds with
-finite CSVs or stops with exit code 2 (config error) or 3 (numerical
-failure) and a message; it never raises.  Values are drawn inside their
-valid ranges, with up to two keys out of range.
+finite CSVs or stops with exit code 2 (config error, the message naming
+a config key) or 3 (numerical failure) and a message; it never raises.
+Values are drawn inside their valid ranges, with up to two keys out of
+range.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from metaline.cli import main
+from metaline.config import _SCHEMA
 
 BAD_FLOATS = st.sampled_from(
     ["0", "-1.5", "1e-300", "1e300", "nan", "inf", "-inf"])
@@ -124,3 +126,5 @@ def test_cli_exits_cleanly_on_random_configs(values, profiles):
                 assert code in (2, 3), (command, code)
                 message = err.getvalue()
                 assert message.startswith("metaline: ") and message[10:].strip()
+                if code == 2:
+                    assert any(key in message for key in _SCHEMA), message
