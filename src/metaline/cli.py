@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -44,30 +46,160 @@ def _fmt(value) -> str:
     return _conversion(type(value)) % (value,)
 
 
+# "%.11e" fields from tables of 4-byte ASCII words, five words a field:
+# [sign, d0, ".", d1], [d2-d5], [d6-d9], [d10, d11, "e", exponent sign],
+# [exponent digits, separator, pad]; a NUL byte is an empty slot (the
+# sign of a non-negative value, the pad) and is dropped from the output
+def _words(texts) -> np.ndarray:
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
+
+
+_LEAD = _words(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100))
+# "0000" to "9999", from digit arithmetic (10^4 f-strings cost ms at import)
+_QUAD = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+         + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TAIL = _words(f"{i:02d}e{sign}" for sign in "+-" for i in range(100))
+_EXPONENT = _words(f"{i:02d}{end}\0" for end in ",\n" for i in range(100))
+_POW10 = 10.0 ** np.arange(-120, 121)                   # 10^k at k + 120
+# values formatted per numpy pass: few enough to stay in cache
+_CHUNK_VALUES = 1 << 12
+
+
+def _float_rows(block: np.ndarray) -> list[str] | None:
+    """Each row of a 2-D float array as its values in ``"%.11e"`` joined by
+    commas: the bytes of the ``%`` operator, built with numpy.
+
+    None when a value is not finite or needs a three-digit exponent (the
+    caller then formats with ``%``).
+    """
+    flat = block.ravel()
+    if not np.isfinite(flat).all():
+        return None
+    a = np.abs(flat)
+    nonzero = a > 0
+    # decimal exponent e, so that the 12 digits are a * 10^(11 - e) rounded;
+    # log10 may land one off next to a power of ten
+    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.intp)
+    if np.abs(e).max(initial=0) > 99:
+        return None
+    s = a * _POW10[131 - e]
+    e += nonzero & (s >= 1e12)
+    e -= nonzero & (s < 1e11)
+    s = a * _POW10[131 - e]
+    m = np.rint(s)
+    # s is rounded twice (10^k and the product), so its digits are certain
+    # except next to half-way; those values and zeros are left to "%"
+    doubtful = ~nonzero | (np.abs(np.abs(s - m) - 0.5) < 1e-3)
+    carry = m >= 1e12                   # 9.99999999999|5 -> 1.00000000000e+01
+    m[carry] = 1e11
+    e[carry] += 1
+    if np.abs(e).max(initial=0) > 99:
+        return None
+    # digits by exact float division: m < 1e12 < 2^53
+    lead = np.floor(m / 1e10)
+    rest = m - lead * 1e10
+    mid = np.floor(rest / 1e6)
+    rest -= mid * 1e6
+    low = np.floor(rest / 1e2)
+    rest -= low * 1e2
+    words = np.empty(block.shape + (5,), dtype=np.uint32)
+    w = words.reshape(-1, 5)
+    # the second hundred of each table: negative, negative exponent, row end
+    w[:, 0] = _LEAD[lead.astype(np.intp) + 100 * np.signbit(flat)]
+    w[:, 1] = _QUAD[mid.astype(np.intp)]
+    w[:, 2] = _QUAD[low.astype(np.intp)]
+    w[:, 3] = _TAIL[rest.astype(np.intp) + 100 * (e < 0)]
+    exponent = np.abs(e).reshape(block.shape)
+    exponent[:, -1] += 100
+    words[..., 4] = _EXPONENT[exponent]
+    fields = w.view(np.uint8)
+    for i in np.flatnonzero(doubtful).tolist():
+        text = ("%.11e" % flat[i]).rjust(18, "\0")
+        if len(text) != 18:
+            return None
+        fields[i, :18] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return words.tobytes().replace(b"\0", b"").decode("ascii").split("\n")[:-1]
+
+
+def _format_rows(rows: list, kinds: tuple[type, ...]):
+    """Lines of rows whose values have the types ``kinds``, made a chunk of
+    rows at a time by one ``%`` template, with each run of float columns
+    formatted by ``_float_rows``."""
+    conversions = [_conversion(kind) for kind in kinds]
+    runs, c = [], 0
+    for is_float, run in itertools.groupby(conversions, key="%.11e".__eq__):
+        runs.append((c, c + len(list(run)), is_float))
+        c = runs[-1][1]
+    step = max(1, _CHUNK_VALUES // max(1, len(kinds)))
+    for first in range(0, len(rows), step):
+        chunk = rows[first:first + step]
+        pieces, columns = [], []
+        for c, end, is_float in runs:
+            if is_float:
+                text = _float_rows(np.array([row[c:end] for row in chunk], dtype=float))
+                if text is not None:
+                    pieces.append("%s")
+                    columns.append(text)
+                    continue
+            pieces += conversions[c:end]
+            columns += [[row[k] for row in chunk] for k in range(c, end)]
+        template = ",".join(pieces) + "\n"
+        for values in zip(*columns) if columns else [()] * len(chunk):
+            yield template % values
+
+
+class _IndexedRows(Sequence):
+    """Row n is (n, *block[n]): a row-number column beside a 2-D float
+    array, which ``_write_csv`` formats without a Python float per value."""
+
+    def __init__(self, block: np.ndarray):
+        self.block = block
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, n: int) -> tuple:
+        return (n, *self.block[n].tolist())
+
+
+def _indexed_lines(block: np.ndarray):
+    """Lines of ``_IndexedRows(block)``, a chunk of rows at a time."""
+    step = max(1, _CHUNK_VALUES // max(1, block.shape[1]))
+    for first in range(0, len(block), step):
+        chunk = block[first:first + step]
+        text = _float_rows(chunk) if chunk.shape[1] else None
+        if text is None:
+            rows = [(first + k, *row) for k, row in enumerate(chunk.tolist())]
+            yield from _format_rows(rows, (int,) + (float,) * chunk.shape[1])
+        else:
+            yield from (f"{first + k},{line}\n" for k, line in enumerate(text))
+
+
 def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
     """Write rows with deterministic formatting; 12 significant digits.
 
-    Each row is formatted by one ``%`` template, built once per file for
-    each sequence of value types met; labels must be plain ``str`` ("%s"
-    would print an Enum member by its name).  ``block_comments`` maps a
-    row index to a comment line emitted just before that row (used for
-    the per-block entropy headers).
+    ``rows`` is a sequence of value sequences, or ``_IndexedRows``.  Each
+    stretch of rows with the same sequence of value types is formatted by
+    ``_format_rows``; labels must be plain ``str`` ("%s" would print an
+    Enum member by its name).  ``block_comments`` maps a row index to a
+    comment line emitted just before that row (used for the per-block
+    entropy headers).
     """
-    templates: dict[tuple[type, ...], str] = {}
+    if isinstance(rows, _IndexedRows):
+        lines = _indexed_lines(rows.block)
+    else:
+        lines = (line for kinds, stretch in itertools.groupby(
+                     rows, key=lambda row: tuple(map(type, row)))
+                 for line in _format_rows(list(stretch), kinds))
     with open(path, "w", newline="\n") as f:
         for c in comments:
             f.write(f"# {c}\n")
         f.write(",".join(columns) + "\n")
-        for i, row in enumerate(rows):
+        for i, line in enumerate(lines):
             if block_comments and i in block_comments:
                 f.write(f"# {block_comments[i]}\n")
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = ",".join(map(_conversion, kinds)) + "\n"
-            f.write(template % row)
+            f.write(line)
 
 
 def _comments(config: RunConfig, command: str) -> list[str]:
@@ -92,6 +224,11 @@ def _build_modes(config: RunConfig) -> tuple:
 def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
     """Resolve footprint placement and the coupling scale from the config."""
     v = config.values
+    if not len(modeset):
+        raise ConfigError(
+            f"modes.window_ghz_lo = {v['modes.window_ghz_lo']!r} and "
+            f"modes.window_ghz_hi = {v['modes.window_ghz_hi']!r} enclose no "
+            f"mode: the qubit has nothing to couple to")
     extent = v["qubit.extent_m"]
     if v["qubit.position_m"] is not None:
         position = v["qubit.position_m"]
@@ -127,12 +264,11 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
     cols = ["n", "f_ghz"]
     if profiles and len(modeset):
         cols += [f"phi_{j}" for j in range(modeset.profiles.shape[0])]
+    values = modeset.frequencies[:, None] / GHZ
     if profiles:
-        rows = [[n, f] + phi for n, (f, phi)
-                in enumerate(zip(freqs_ghz, modeset.profiles.T.tolist()))]
-    else:
-        rows = list(enumerate(freqs_ghz))
-    _write_csv(_output(config, out, "modes.csv"), cols, rows, comments)
+        values = np.column_stack([values, modeset.profiles.T])
+    _write_csv(_output(config, out, "modes.csv"), cols, _IndexedRows(values),
+               comments)
 
     dom_rows = []
     if len(modeset) >= 2:

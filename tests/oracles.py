@@ -12,7 +12,6 @@ from a 40-digit bisection, and CSV bytes from a writer that formats
 every value with its own call.
 """
 
-import mpmath
 import numpy as np
 
 
@@ -187,6 +186,8 @@ def mp_pencil_eigenvalue(bands, index: int, digits: int = 40):
     Bisection to 30 significant digits on the number of negative pivots
     of K - lam C, every pivot carried in ``digits``-digit arithmetic.
     """
+    import mpmath   # only this oracle needs it
+
     with mpmath.workdps(digits):
         kd, ko, cd, co = ([mpmath.mpf(float(v)) for v in arr] for arr in
                           (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off))

@@ -177,9 +177,9 @@ class TestInputChecks:
 
 
 def test_default_size_selection(band_matrices):
-    """The bath device (dim 501) takes dense eigh and the spectrum device
-    (dim 2001) the band solver."""
-    assert band_matrices.dim < modes._BAND_MIN_DIM <= 2001
+    """The bath device (dim 501) and the spectrum device (dim 2001) take
+    dense eigh, the size ladder's dim-5001 rung the band solver."""
+    assert band_matrices.dim < 2001 < modes._BAND_MIN_DIM <= 5001
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -1,11 +1,14 @@
+import dataclasses
 import os
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from metaline import cli
+from metaline import build_matrices, cli
 from metaline.cli import _resolve_threads, _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
 
@@ -293,6 +296,15 @@ class TestWriteCsv:
         new, ref = self._both(tmp_path, [], {0: "never written"})
         assert new == ref and new.endswith(b"a,b,c,d\n")
 
+    def test_indexed_rows(self, tmp_path):
+        # a non-finite value sends its chunk of rows to the "%" templates
+        block = np.array([[1.5, -2.0], [np.nan, 1e300], [0.0, 3.0], [-1e-7, 4.25]])
+        for values in (block, block[[0, 2, 3]], block[:, :0]):
+            rows = cli._IndexedRows(values)
+            new, ref = self._both(tmp_path, rows, {1: "second row"})
+            assert new == ref
+            assert len(rows) == len(values) and rows[0][0] == 0
+
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
         written = []
@@ -313,6 +325,48 @@ class TestWriteCsv:
         assert len(written) == 7
         for path, ref in written:
             assert path.read_bytes() == ref.read_bytes(), path.name
+
+
+class TestFloatRows:
+    """The numpy "%.11e" formatter against the one-value-at-a-time oracle."""
+
+    # next to powers of ten, half-way between 12-digit decimals, zeros,
+    # subnormals and the two-digit exponent limit
+    EDGES = [0.0, -0.0, 5e-324, 1e-300, 9.99999999999e-100, 1e-99, 1e-5, 0.5,
+             9.9999999999949, 9.99999999999951, 9.999999999995, 123456789012.5,
+             2.5e-7, 1e22, 1e23, 9.99999999999e99, 9.999999999995e99, 1e100]
+
+    def test_float_edge_values(self, tmp_path):
+        edges = np.array(self.EDGES)
+        near = np.nextafter(edges[:, None], [-np.inf, np.inf]).ravel()
+        # without the subnormal and three-digit values numpy formats the row
+        assert cli._float_rows(np.delete(edges, [2, 3, 4, 16, 17])[None]) is not None
+        for values in (edges, -edges, near, np.delete(edges, [2, 3, 4, 16, 17])):
+            rows = [(0, *values.tolist())] * 3
+            _write_csv(tmp_path / "new.csv", ["n"], rows, [])
+            oracles.write_csv(tmp_path / "ref.csv", ["n"], rows, [])
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_float_rows_match_percent(self):
+        rng = np.random.default_rng(3)
+        digits = rng.integers(10 ** 11, 10 ** 12, (60, 250)).astype(float)
+        blocks = [rng.standard_normal((60, 250)) * 10.0 ** rng.integers(-95, 95, (60, 250)),
+                  (digits + 0.5) * 10.0 ** rng.integers(-90, 80, (60, 250)),
+                  rng.uniform(-1.0, 1.0, (60, 250)).round(6)]
+        for block in blocks:
+            assert cli._float_rows(block) == [
+                ",".join(oracles.csv_value(v) for v in row) for row in block.tolist()]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=30))
+    def test_float_rows_any_double(self, values):
+        lines = cli._float_rows(np.array([values, values[::-1]]))
+        if lines is None:       # left to "%": non-finite or beyond 1e+-99
+            big = [abs(v) for v in values if v != 0]
+            assert not all(map(np.isfinite, values)) or max(big) >= 9.9e98 \
+                or min(big) < 1.1e-99
+        else:
+            assert lines[0] == ",".join(oracles.csv_value(v) for v in values)
 
 
 class TestCmdRenorm:
@@ -401,12 +455,25 @@ class TestExitCodes:
         assert main(["modes", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_numerical_failure_exits_3(self, tmp_path):
-        # a window that holds no mode leaves the qubit nothing to couple to
+    def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
+        # a capacitance matrix that is not positive definite fails the solve
+        def negated(spec):
+            mat = build_matrices(spec)
+            return dataclasses.replace(mat, cap=-mat.cap)
+
+        monkeypatch.setattr(cli, "build_matrices", negated)
+        cfg = _write(tmp_path, SMALL)
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("command", ["dynamics", "renorm", "phase"])
+    def test_empty_window_exits_2(self, tmp_path, capsys, command):
         text = SMALL.replace("modes.window_ghz_lo = 3.8", "modes.window_ghz_lo = 900")
         cfg = _write(tmp_path, text.replace("modes.window_ghz_hi = 13.0",
                                             "modes.window_ghz_hi = 901"))
-        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "modes.window_ghz_lo = 900.0" in err
+        assert "modes.window_ghz_hi = 901.0" in err
 
     def test_threads_env_fallback(self, monkeypatch):
         monkeypatch.setenv("METALINE_THREADS", "7")
