@@ -275,6 +275,9 @@ def _validate(values: dict, path: str) -> None:
     if not (lo > 0 and hi > 0):
         raise ConfigError(
             f"{path}: phase.delta0_grid must be positive, got {lo}, {hi}")
+    if values["disorder.seed0"] < 0:
+        raise ConfigError(f"{path}: disorder.seed0 must be >= 0 (seeds seed the "
+                          f"random generator), got {values['disorder.seed0']}")
     if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
         raise ConfigError(
             f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "

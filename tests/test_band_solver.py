@@ -191,6 +191,19 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert out.stdout.strip() == "False"
 
 
+def test_disorder_run_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(test_cli.SMALL + "disorder.seeds = 3\n")
+    argv = ["disorder", "--config", str(cfg), "--out", str(tmp_path)]
+    code = ("import sys; from metaline.cli import main; "
+            f"rc = main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "disorder.csv").exists()
+
+
 ACCEPTANCE = [getattr(test_acceptance, name) for name in dir(test_acceptance)
               if name.startswith("test_criterion_")]
 

@@ -1,11 +1,15 @@
+import statistics
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import stats
 
 from metaline import (CircuitSpec, NetworkBands, apply_disorder,
                       build_matrices, design_from_impedance,
                       lhtl_ladder_matrices, network_bands, rhtl_from_impedance,
                       rhtl_ladder_matrices)
+from metaline.circuit import _PHI_HI, _PHI_LO, _normal_ppf
 from conftest import OMEGA_IR, make_band_edge_spec
 from oracles import stamped_matrices
 
@@ -184,6 +188,32 @@ class TestApplyDisorder:
                    for s in range(100)]
         mean = np.mean(samples)
         assert abs(mean / band_spec.c_left - 1) < 0.01
+
+    @pytest.mark.parametrize("n_left", [1, 200])
+    @pytest.mark.parametrize("sigma", [0.001, 0.02, 0.3])
+    def test_draws_match_scipy_truncnorm(self, sigma, n_left):
+        # scipy maps the same uniforms through its log-space truncnorm ppf.
+        # Near eps = 0 both draws sit ~1e-16 absolute from the exact one, so
+        # a per-draw relative error is ill-conditioned there; the scattered
+        # element values are compared instead, relative to themselves.
+        spec = make_band_edge_spec(n_left=n_left, n_right=2)
+        for seed in range(6):
+            noisy = apply_disorder(spec, sigma, seed)
+            eps = stats.truncnorm.rvs(-3.0, 3.0, scale=sigma, size=2 * n_left,
+                                      random_state=np.random.default_rng(seed))
+            npt.assert_allclose(noisy.c_left_cells, spec.c_left * (1 + eps[:n_left]),
+                                rtol=1e-13, atol=0)
+            npt.assert_allclose(noisy.l_left_cells, spec.l_left * (1 + eps[n_left:]),
+                                rtol=1e-13, atol=0)
+
+    def test_normal_ppf_matches_stdlib(self):
+        # both ends of the truncation, both AS241 branch switches (|p - 1/2|
+        # = 0.425) and a fine grid between them
+        p = np.concatenate([np.linspace(_PHI_LO, _PHI_HI, 4001),
+                            [0.075, np.nextafter(0.075, 1), 0.925, 0.5]])
+        ref = np.array([statistics.NormalDist().inv_cdf(x) for x in p])
+        npt.assert_allclose(_normal_ppf(p), ref, rtol=1e-14, atol=0)
+        npt.assert_allclose(_normal_ppf(p[[0, 4000]]), [-3.0, 3.0], rtol=1e-14)
 
     @pytest.mark.parametrize("sigma", [-0.01, 1 / 3, 0.4, 0.5, 0.9])
     def test_sigma_out_of_range(self, band_spec, sigma):

@@ -93,6 +93,7 @@ class TestConfigParsing:
         ("qubit.position_m", "-1e-4", "outside the strip [0, 0.03] m"),
         ("qubit.extent_m", "0.031", "circuit.rhtl_length_m = 0.03"),
         ("circuit.z0_ohm", "1e-320", "must be positive and finite"),
+        ("disorder.seed0", "-5", "disorder.seed0 must be >= 0"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,
@@ -101,8 +102,8 @@ class TestConfigParsing:
                                        message):
         text = "\n".join(l for l in SMALL.splitlines() if not l.startswith(key))
         cfg = _write(tmp_path, text + f"\n{key} = {value}\n")
-        command = {"renorm": "renorm", "phase": "phase"}.get(key.split(".")[0],
-                                                            "modes")
+        command = {"renorm": "renorm", "phase": "phase",
+                   "disorder": "disorder"}.get(key.split(".")[0], "modes")
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and message in err

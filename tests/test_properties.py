@@ -85,6 +85,7 @@ BAD = {
     "phase.delta0_grid": st.sampled_from(["0, 1, 3", "-1, 1.2, 2", "1, 1e300, 2"]),
     "disorder.sigma": st.sampled_from(["-0.01", "0.34", "nan"]),
     "disorder.seeds": st.sampled_from(["0", "-3"]),
+    "disorder.seed0": st.sampled_from(["-1", "-50"]),
 }
 
 
