@@ -1,11 +1,13 @@
 """Command-line driver emitting deterministic, plot-ready CSV files.
 
 Every subcommand reads one flat config file, runs the corresponding
-pipeline and writes CSVs with '#' provenance comments (tool version and
-config hash).  Output bytes are identical across reruns of the same
-config and independent of the worker-pool size.
+pipeline and hands its results to ``_write_csv`` as numpy columns, which
+writes them with '#' provenance comments (tool version and config hash).
+Output bytes are identical across reruns of the same config and
+independent of the worker-pool size.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error, 3 numerical failure, also for a
+NaN or infinity in a CSV column, which is never written.
 """
 
 from __future__ import annotations
@@ -31,19 +33,9 @@ from .modes import (CouplingSpectrum, IllConditionedCircuitError, ModeSet,
 from .spinboson import Phase, phase_diagram, sweep_coupling
 
 
-def _conversion(kind: type) -> str:
-    """printf conversion of a CSV value of type ``kind``: labels verbatim,
-    integers in full, anything else as a float with 12 significant digits
-    (``"%.11e" % x`` is ``format(float(x), ".11e")``)."""
-    if issubclass(kind, str):
-        return "%s"
-    if issubclass(kind, (int, np.integer)):
-        return "%d"
-    return "%.11e"
-
-
 def _fmt(value) -> str:
-    return _conversion(type(value)) % (value,)
+    """A number of a comment line, as the CSV writes its columns."""
+    return ("%d" if isinstance(value, (int, np.integer)) else "%.11e") % (value,)
 
 
 # "%.11e" fields from tables of 4-byte ASCII words, five words a field:
@@ -62,39 +54,41 @@ _TAIL = _words(f"{i:02d}e{sign}" for sign in "+-" for i in range(100))
 _EXPONENT = _words(f"{i:02d}{end}\0" for end in ",\n" for i in range(100))
 _POW10 = 10.0 ** np.arange(-120, 121)                   # 10^k at k + 120
 # values formatted per numpy pass: few enough to stay in cache
-_CHUNK_VALUES = 1 << 12
+_CHUNK_VALUES = 1 << 14
 
 
-def _float_rows(block: np.ndarray) -> list[str] | None:
-    """Each row of a 2-D float array as its values in ``"%.11e"`` joined by
-    commas: the bytes of the ``%`` operator, built with numpy.
-
-    None when a value is not finite or needs a three-digit exponent (the
-    caller then formats with ``%``).
+def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray | None:
+    """The values of a 2-D float array in ``"%.11e"``, the bytes of the ``%``
+    operator built with numpy: a uint8 array with one row per block row,
+    each value followed by "," but the last of a row, which is followed by
+    "\\n" when ``newline``, and NUL bytes to drop.  The ``%`` operator itself
+    formats the few values numpy cannot: subnormals, three-digit exponents
+    and values next to a half-way tie.  None when a value is not finite.
     """
     flat = block.ravel()
     if not np.isfinite(flat).all():
         return None
     a = np.abs(flat)
-    nonzero = a > 0
     # decimal exponent e, so that the 12 digits are a * 10^(11 - e) rounded;
     # log10 may land one off next to a power of ten
-    e = np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.intp)
-    if np.abs(e).max(initial=0) > 99:
-        return None
+    e = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.intp)
+    # three-digit exponents (subnormals too) are left to "%", with a margin
+    # for the two steps e may still move by
+    wide = np.abs(e) > 97
+    a[wide] = 1.0
+    e[wide] = 0
+    nonzero = a > 0
     s = a * _POW10[131 - e]
     e += nonzero & (s >= 1e12)
     e -= nonzero & (s < 1e11)
     s = a * _POW10[131 - e]
     m = np.rint(s)
     # s is rounded twice (10^k and the product), so its digits are certain
-    # except next to half-way; those values and zeros are left to "%"
-    doubtful = ~nonzero | (np.abs(np.abs(s - m) - 0.5) < 1e-3)
+    # except next to half-way; those values are left to "%" as well
+    doubtful = wide | (np.abs(np.abs(s - m) - 0.5) < 1e-3)
     carry = m >= 1e12                   # 9.99999999999|5 -> 1.00000000000e+01
     m[carry] = 1e11
     e[carry] += 1
-    if np.abs(e).max(initial=0) > 99:
-        return None
     # digits by exact float division: m < 1e12 < 2^53
     lead = np.floor(m / 1e10)
     rest = m - lead * 1e10
@@ -110,103 +104,116 @@ def _float_rows(block: np.ndarray) -> list[str] | None:
     w[:, 2] = _QUAD[low.astype(np.intp)]
     w[:, 3] = _TAIL[rest.astype(np.intp) + 100 * (e < 0)]
     exponent = np.abs(e).reshape(block.shape)
-    exponent[:, -1] += 100
+    if newline:
+        exponent[:, -1] += 100
     words[..., 4] = _EXPONENT[exponent]
     fields = w.view(np.uint8)
-    for i in np.flatnonzero(doubtful).tolist():
-        text = ("%.11e" % flat[i]).rjust(18, "\0")
-        if len(text) != 18:
-            return None
-        fields[i, :18] = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return words.tobytes().replace(b"\0", b"").decode("ascii").split("\n")[:-1]
+    i = np.flatnonzero(doubtful)
+    if len(i):
+        # "%" text and the separator in the 20 bytes of the field (19 with
+        # a sign and a three-digit exponent)
+        text = "".join([("%.11e" % v + chr(end)).rjust(20, "\0") for v, end in
+                        zip(flat[i].tolist(), fields[i, 18].tolist())])
+        fields[i] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 20)
+    return words.view(np.uint8).reshape(len(block), -1)
 
 
-def _format_rows(rows: list, kinds: tuple[type, ...]):
-    """Lines of rows whose values have the types ``kinds``, made a chunk of
-    rows at a time by one ``%`` template, with each run of float columns
-    formatted by ``_float_rows``."""
-    conversions = [_conversion(kind) for kind in kinds]
-    runs, c = [], 0
-    for is_float, run in itertools.groupby(conversions, key="%.11e".__eq__):
-        runs.append((c, c + len(list(run)), is_float))
-        c = runs[-1][1]
-    step = max(1, _CHUNK_VALUES // max(1, len(kinds)))
-    for first in range(0, len(rows), step):
-        chunk = rows[first:first + step]
-        pieces, columns = [], []
-        for c, end, is_float in runs:
-            if is_float:
-                text = _float_rows(np.array([row[c:end] for row in chunk], dtype=float))
-                if text is not None:
-                    pieces.append("%s")
-                    columns.append(text)
-                    continue
-            pieces += conversions[c:end]
-            columns += [[row[k] for row in chunk] for k in range(c, end)]
-        template = ",".join(pieces) + "\n"
-        for values in zip(*columns) if columns else [()] * len(chunk):
-            yield template % values
+def _float_rows(block: np.ndarray) -> list[str] | None:
+    """The lines of ``_float_fields(block)`` as text, or None."""
+    fields = _float_fields(block)
+    return None if fields is None else fields.tobytes().replace(
+        b"\0", b"").decode("ascii").split("\n")[:-1]
 
 
-class _IndexedRows(Sequence):
-    """Row n is (n, *block[n]): a row-number column beside a 2-D float
-    array, which ``_write_csv`` formats without a Python float per value."""
+def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
+    """An int or label column as CSV fields, like ``_float_fields``."""
+    n = len(column)
+    if column.dtype.kind == "U":
+        # ASCII labels by UCS-4 code point, any others encoded as UTF-8
+        text = np.ascontiguousarray(column).view(np.uint32).reshape(n, -1)
+        text = text.astype(np.uint8) if text.max() < 128 else np.strings.encode(column)
+    elif 0 <= column.min() and column.max() < 10 ** 8:
+        # row numbers, mode indices, seeds and counts from the digit table,
+        # zeros ahead of the first digit made NUL
+        text = _QUAD[np.stack([column // 10000, column % 10000], axis=1)].view(np.uint8)
+        text = text[:, 8 - len(str(column.max())):]
+        text[:, :-1][np.logical_and.accumulate(text[:, :-1] == ord("0"), axis=1)] = 0
+    else:
+        text = column.astype("S")
+    end = np.full(n, ord("\n" if newline else ","), dtype=np.uint8)
+    return np.column_stack([text.view(np.uint8).reshape(n, -1), end])
 
-    def __init__(self, block: np.ndarray):
-        self.block = block
+
+class _Table(Sequence):
+    """The columns of a CSV, all of one length: 1-D int, float or str
+    (label) arrays, and 2-D float arrays that give a CSV column per column.
+    Row ``i`` reads as the tuple of its values, as Python scalars."""
+
+    def __init__(self, *columns):
+        self.columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
+                        for c in map(np.asarray, columns)]
+        if any(c.dtype.kind not in "fiuU" or len(c) != len(self)
+               or not (c.ndim == 1 or c.ndim == 2 and c.dtype.kind == "f")
+               for c in self.columns):
+            raise TypeError("CSV columns are 1-D int, float or str arrays and "
+                            "2-D float arrays, all of one length")
 
     def __len__(self) -> int:
-        return len(self.block)
+        return len(self.columns[0]) if self.columns else 0
 
-    def __getitem__(self, n: int) -> tuple:
-        return (n, *self.block[n].tolist())
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(v for c in self.columns for v in np.atleast_1d(c[i]).tolist())
 
-
-def _indexed_lines(block: np.ndarray):
-    """Lines of ``_IndexedRows(block)``, a chunk of rows at a time."""
-    step = max(1, _CHUNK_VALUES // max(1, block.shape[1]))
-    for first in range(0, len(block), step):
-        chunk = block[first:first + step]
-        text = _float_rows(chunk) if chunk.shape[1] else None
-        if text is None:
-            rows = [(first + k, *row) for k, row in enumerate(chunk.tolist())]
-            yield from _format_rows(rows, (int,) + (float,) * chunk.shape[1])
-        else:
-            yield from (f"{first + k},{line}\n" for k, line in enumerate(text))
+    def __iter__(self):
+        return zip(*[values for c in self.columns for values in np.atleast_2d(c.T).tolist()])
 
 
 def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
-    """Write rows with deterministic formatting; 12 significant digits.
+    """Write a table: labels verbatim, integers in full, floats in
+    ``"%.11e"`` (12 significant digits), each column in one kind.
 
-    ``rows`` is a sequence of value sequences, or ``_IndexedRows``.  Each
-    stretch of rows with the same sequence of value types is formatted by
-    ``_format_rows``; labels must be plain ``str`` ("%s" would print an
-    Enum member by its name).  ``block_comments`` maps a row index to a
-    comment line emitted just before that row (used for the per-block
-    entropy headers).
+    ``rows`` is a ``_Table`` of numpy columns, or a sequence of rows made
+    into one.  Chunks of about ``_CHUNK_VALUES`` values are formatted with
+    numpy, each run of adjacent float columns by ``_float_fields``, and
+    written as one string each.  A non-finite float raises ArithmeticError
+    naming the file and the column before the file is opened.
+    ``block_comments`` maps a row index to a comment line written just
+    before that row (the per-block entropy headers).
     """
-    if isinstance(rows, _IndexedRows):
-        lines = _indexed_lines(rows.block)
-    else:
-        lines = (line for kinds, stretch in itertools.groupby(
-                     rows, key=lambda row: tuple(map(type, row)))
-                 for line in _format_rows(list(stretch), kinds))
-    with open(path, "w", newline="\n") as f:
-        for c in comments:
-            f.write(f"# {c}\n")
-        f.write(",".join(columns) + "\n")
-        for i, line in enumerate(lines):
-            if block_comments and i in block_comments:
-                f.write(f"# {block_comments[i]}\n")
-            f.write(line)
+    table = rows if isinstance(rows, _Table) else _Table(*map(np.array, zip(*rows)))
+    width = 0
+    for c in table.columns:
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            values = c.reshape(len(c), -1)
+            row, j = np.argwhere(~np.isfinite(values))[0]
+            name = columns[width + j] if width + j < len(columns) else width + j + 1
+            raise ArithmeticError(f"{path.name}: column {name} holds "
+                                  f"{values[row, j]} at row {row}")
+        width += c.shape[1] if c.ndim == 2 else 1
+    # adjacent float columns are formatted together, any other column alone
+    runs = [list(run) for _, run in itertools.groupby(
+        table.columns, key=lambda c: c.dtype.kind == "f" or object())]
+    marks = sorted(i for i in block_comments or () if i < len(table))
+    step = max(1, _CHUNK_VALUES // max(1, width))
+    with open(path, "wb") as f:
+        f.write("".join([f"# {c}\n" for c in comments]
+                        + [",".join(columns) + "\n"]).encode())
+        for first in range(0, len(table), step):
+            fields = np.concatenate([
+                _float_fields(np.column_stack([c[first:first + step] for c in run]),
+                              run is runs[-1]) if run[0].dtype.kind == "f"
+                else _column_fields(run[0][first:first + step], run is runs[-1])
+                for run in runs], axis=1)
+            cuts = [i - first for i in marks if first <= i < first + step]
+            parts = np.split(fields, cuts)
+            f.write(b"".join([parts[0].tobytes()] + [
+                f"# {block_comments[first + i]}\n".encode() + part.tobytes()
+                for i, part in zip(cuts, parts[1:])]).replace(b"\0", b""))
 
 
 def _comments(config: RunConfig, command: str) -> list[str]:
-    return [
-        f"metaline {__version__} {command}",
-        f"config sha256={config.sha256}",
-    ]
+    return [f"metaline {__version__} {command}", f"config sha256={config.sha256}"]
 
 
 def _output(config: RunConfig, out: Path, name: str) -> Path:
@@ -260,17 +267,13 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
     spec, modeset = _build_modes(config)
     comments = _comments(config, "modes")
 
-    freqs_ghz = (modeset.frequencies / GHZ).tolist()
-    cols = ["n", "f_ghz"]
-    if profiles and len(modeset):
-        cols += [f"phi_{j}" for j in range(modeset.profiles.shape[0])]
-    values = modeset.frequencies[:, None] / GHZ
-    if profiles:
-        values = np.column_stack([values, modeset.profiles.T])
-    _write_csv(_output(config, out, "modes.csv"), cols, _IndexedRows(values),
-               comments)
+    freqs_ghz = modeset.frequencies / GHZ
+    blocks = [modeset.profiles.T] if profiles and len(modeset) else []
+    cols = ["n", "f_ghz"] + [f"phi_{j}" for b in blocks for j in range(b.shape[1])]
+    _write_csv(_output(config, out, "modes.csv"), cols,
+               _Table(np.arange(len(modeset)), freqs_ghz, *blocks), comments)
 
-    dom_rows = []
+    dom = _Table()
     if len(modeset) >= 2:
         est = dom_numeric(modeset, config["modes.dom_bin_ghz"] * GHZ)
         # the formula diverges at the cutoff; below it only the strip counts
@@ -278,19 +281,17 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
         above = modeset.frequencies > spec.omega_ir
         approx[above] = dom_approx(modeset.frequencies[above], spec,
                                    include_rhtl_background=True)
-        dom_rows = list(zip(freqs_ghz, est.spacing_density.tolist(), approx.tolist()))
+        dom = _Table(freqs_ghz, est.spacing_density, approx)
     _write_csv(_output(config, out, "dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
-               dom_rows, comments)
+               dom, comments)
 
-    coup_rows = []
+    coupling_table = _Table()
     if len(modeset):
         _, couplings = _qubit_and_couplings(config, spec, modeset)
-        coup_rows = list(zip(range(len(couplings)),
-                             (couplings.frequencies / GHZ).tolist(),
-                             couplings.relative_profile.tolist(),
-                             (couplings.g / GHZ).tolist()))
+        coupling_table = _Table(np.arange(len(couplings)), couplings.frequencies / GHZ,
+                                couplings.relative_profile, couplings.g / GHZ)
     _write_csv(_output(config, out, "couplings.csv"),
-               ["n", "f_ghz", "relative_profile", "g_ghz"], coup_rows, comments)
+               ["n", "f_ghz", "relative_profile", "g_ghz"], coupling_table, comments)
 
 
 def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
@@ -312,15 +313,15 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
     else:
         reports = [scan(tg) for tg in tg_grid]
 
-    modes = range(len(couplings))
-    freqs_ghz = (couplings.frequencies / GHZ).tolist()
-    rows, blocks = [], {}
-    for rep in reports:
-        blocks[len(rows)] = f"tg={_fmt(rep.time)} e_q={_fmt(rep.e_qubit)}"
-        rows += zip([rep.time] * len(modes), modes, freqs_ghz,
-                    rep.e_per_mode.tolist())
+    n_modes = len(couplings)
+    blocks = {k * n_modes: f"tg={_fmt(rep.time)} e_q={_fmt(rep.e_qubit)}"
+              for k, rep in enumerate(reports)}
+    table = _Table(np.repeat([rep.time for rep in reports], n_modes),
+                   np.tile(np.arange(n_modes), len(reports)),
+                   np.tile(couplings.frequencies / GHZ, len(reports)),
+                   np.concatenate([rep.e_per_mode for rep in reports]))
     _write_csv(_output(config, out, "entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
-               rows, _comments(config, "dynamics"), blocks)
+               table, _comments(config, "dynamics"), blocks)
 
 
 def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
@@ -337,13 +338,11 @@ def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
         comments.append(
             f"jump g_star_over_omega_ir={_fmt(j.g_star / omega_ir)} "
             f"drop_factor={_fmt(j.drop_factor)}")
-    rows = list(zip((sweep.g_grid / omega_ir).tolist(),
-                    (sweep.g_grid / GHZ).tolist(),
-                    (sweep.delta_eff / qubit.delta0).tolist(),
-                    (sweep.delta_eff_flat / qubit.delta0).tolist()))
+    table = _Table(sweep.g_grid / omega_ir, sweep.g_grid / GHZ,
+                   sweep.delta_eff / qubit.delta0, sweep.delta_eff_flat / qubit.delta0)
     _write_csv(_output(config, out, "renorm.csv"),
                ["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
-                "delta_eff_flat_over_delta0"], rows, comments)
+                "delta_eff_flat_over_delta0"], table, comments)
 
 
 def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
@@ -363,16 +362,16 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
     ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
     labels = np.where(ratio < diagram.localization_threshold,
                       Phase.LOCALIZED.value, Phase.DELOCALIZED.value)
-    n_g = len(diagram.g_axis)
-    rows = list(zip(np.repeat(diagram.delta0_axis / omega_ir, n_g).tolist(),
-                    np.tile(diagram.g_axis / omega_ir, len(ratio)).tolist(),
-                    ratio.ravel().tolist(), labels.ravel().tolist()))
+    table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
+                   np.tile(diagram.g_axis / omega_ir, len(ratio)),
+                   ratio.ravel(), labels.ravel())
     _write_csv(_output(config, out, "phase.csv"),
                ["delta0_over_omega_ir", "g_over_omega_ir",
-                "delta_eff_over_delta0", "phase"], rows, comments)
-    brows = [(g / omega_ir, d0 / omega_ir) for g, d0 in diagram.boundary]
+                "delta_eff_over_delta0", "phase"], table, comments)
+    boundary = np.reshape(diagram.boundary, (-1, 2)) / omega_ir
     _write_csv(_output(config, out, "boundary.csv"),
-               ["g_star_over_omega_ir", "delta0_over_omega_ir"], brows, comments)
+               ["g_star_over_omega_ir", "delta0_over_omega_ir"], _Table(boundary),
+               comments)
 
 
 def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
@@ -401,7 +400,7 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
     comments.append(
         f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}")
     _write_csv(_output(config, out, "disorder.csv"), ["seed", "edge_ghz", "band_count"],
-               list(zip(seeds, edges, counts)), comments)
+               _Table(seeds, edges, counts), comments)
 
 
 _COMMANDS = {

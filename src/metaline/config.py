@@ -278,6 +278,11 @@ def _validate(values: dict, path: str) -> None:
     if values["disorder.seed0"] < 0:
         raise ConfigError(f"{path}: disorder.seed0 must be >= 0 (seeds seed the "
                           f"random generator), got {values['disorder.seed0']}")
+    if values["disorder.band_ghz_lo"] > values["disorder.band_ghz_hi"]:
+        raise ConfigError(
+            f"{path}: disorder.band_ghz_hi must be >= disorder.band_ghz_lo, got "
+            f"disorder.band_ghz_lo = {values['disorder.band_ghz_lo']} and "
+            f"disorder.band_ghz_hi = {values['disorder.band_ghz_hi']}")
     if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
         raise ConfigError(
             f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "

@@ -94,6 +94,7 @@ class TestConfigParsing:
         ("qubit.extent_m", "0.031", "circuit.rhtl_length_m = 0.03"),
         ("circuit.z0_ohm", "1e-320", "must be positive and finite"),
         ("disorder.seed0", "-5", "disorder.seed0 must be >= 0"),
+        ("disorder.band_ghz_lo", "6.0", "disorder.band_ghz_hi = 5.039"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,
@@ -108,6 +109,20 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert key in err and message in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_disorder_band_order(self, tmp_path, capsys):
+        band = "\ndisorder.band_ghz_lo = {}\ndisorder.band_ghz_hi = {}\n"
+        cfg = _write(tmp_path, SMALL + band.format(6.0, 5.0))
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "disorder.band_ghz_lo = 6.0" in err
+        assert "disorder.band_ghz_hi = 5.0" in err
+        assert not list(tmp_path.glob("*.csv"))
+        # an empty band is allowed: every seed counts no mode in it
+        cfg = _write(tmp_path, SMALL + band.format(5.0, 5.0) + "disorder.seeds = 2\n")
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "disorder.csv").read_text().splitlines()[-2:]
+        assert [row.split(",")[-1] for row in rows] == ["0", "0"]
 
     @pytest.mark.parametrize("sigma", ["0.3333333333333333", "0.34", "0.49"])
     def test_sigma_tied_to_truncation(self, tmp_path, capsys, sigma):
@@ -263,32 +278,64 @@ class TestCmdDynamics:
 
 
 class TestWriteCsv:
-    """The row-template writer against the one-value-at-a-time oracle."""
+    """The columnar writer against the one-value-at-a-time oracle."""
 
     COLUMNS = ["a", "b", "c", "d"]
     COMMENTS = ["metaline test", "two comment lines"]
+    # "%" formats these: a subnormal, three-digit exponents, half-way ties
+    PERCENT = [5e-324, 1e-300, 1e100, -9.999999999995e99, 9.999999999995,
+               123456789012.5, 2.5e-7, 0.0, -0.0]
 
-    def _both(self, tmp_path, rows, block_comments=None):
-        _write_csv(tmp_path / "new.csv", self.COLUMNS, rows, self.COMMENTS,
+    def _both(self, tmp_path, rows, block_comments=None, columns=COLUMNS):
+        _write_csv(tmp_path / "new.csv", columns, rows, self.COMMENTS,
                    block_comments)
-        oracles.write_csv(tmp_path / "ref.csv", self.COLUMNS, rows, self.COMMENTS,
+        oracles.write_csv(tmp_path / "ref.csv", columns, rows, self.COMMENTS,
                           block_comments)
         return (tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
 
     def test_mixed_rows(self, tmp_path):
-        rows = [
-            (0, 1.5, "delocalized", np.int64(7)),
-            (np.int32(-3), np.float64(-0.0), "localized", 2),
-            [1, float("nan"), "x", 5e-324],
-            (2, float("inf"), "", 1e300),
-            # every column changes kind against the rows above
-            (3.25, 7, 0.5, "label"),
-            (np.uint64(2 ** 63), np.float32(0.1), -float("inf"), -1e-300),
-            (True, np.float64(123456789.123456789), "z", np.int8(-128)),
-        ]
-        new, ref = self._both(tmp_path, rows)
+        # every int and float dtype, labels, and "%" values beside numpy ones
+        table = cli._Table(
+            np.array([0, -3, 2 ** 63 - 1, -2 ** 63]),
+            np.array([1.5, -0.0, 1e300, -1e-300]),
+            np.array(["delocalized", "localized", "", "z"]),
+            np.array([7, 2, -128, 127], dtype=np.int8),
+            np.array([2 ** 63, 0, 1, 2 ** 64 - 1], dtype=np.uint64),
+            np.array([0.1, -2.5, 3e38, 1e-38], dtype=np.float32),
+            np.array([5e-324, 123456789.123456789, 9.999999999995, 1.0]),
+            np.array(["x", "y", "étoile", "z"]),
+            np.array([99999999, 0, 10, 10000]))
+        new, ref = self._both(tmp_path, table, columns=list("abcdefghi"))
         assert new == ref
-        assert b"\n3.25000000000e+00,7,5.00000000000e-01,label\n" in new
+        assert (b"\n0,1.50000000000e+00,delocalized,7,9223372036854775808,"
+                b"1.00000001490e-01,4.94065645841e-324,x,99999999\n") in new
+        # a sequence of rows with one kind per column is made a table
+        rows = [(n, n / 3, "x", -n) for n in range(5)]
+        assert cli._Table(*map(np.array, zip(*rows)))[4] == (4, 4 / 3, "x", -4)
+        new, ref = self._both(tmp_path, rows)
+        assert new == ref and b"\n4,1.33333333333e+00,x,-4\n" in new
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_refused(self, tmp_path, bad):
+        path = tmp_path / "out.csv"
+        block = np.ones((3, 2))
+        block[2, 1] = bad
+        with pytest.raises(ArithmeticError, match=rf"out.csv: column d holds {bad} at row 2"):
+            _write_csv(path, self.COLUMNS, cli._Table(np.arange(3), np.ones(3), block),
+                       self.COMMENTS)
+        with pytest.raises(ArithmeticError, match=r"out.csv: column b holds"):
+            _write_csv(path, self.COLUMNS, [(0, bad, "x", 1.0)], self.COMMENTS)
+        assert not path.exists()
+
+    def test_nonfinite_exits_3(self, tmp_path, capsys, monkeypatch):
+        def nan_dom(omega, spec, include_rhtl_background):
+            return np.full(len(omega), np.nan)
+
+        monkeypatch.setattr(cli, "dom_approx", nan_dom)
+        cfg = _write(tmp_path, SMALL)
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "dom.csv: column d_approx holds nan" in capsys.readouterr().err
+        assert not (tmp_path / "dom.csv").exists()
 
     def test_block_comments_and_zero_rows(self, tmp_path):
         rows = [(n, n / 3, "x", -n) for n in range(5)]
@@ -296,15 +343,53 @@ class TestWriteCsv:
         assert new == ref and b"# tg=1\n3," in new
         new, ref = self._both(tmp_path, [], {0: "never written"})
         assert new == ref and new.endswith(b"a,b,c,d\n")
+        table = cli._Table(np.arange(0), np.zeros((0, 2)), np.array([], dtype=str))
+        new, ref = self._both(tmp_path, table, {0: "never written"})
+        assert new == ref and new.endswith(b"a,b,c,d\n")
 
     def test_indexed_rows(self, tmp_path):
-        # a non-finite value sends its chunk of rows to the "%" templates
-        block = np.array([[1.5, -2.0], [np.nan, 1e300], [0.0, 3.0], [-1e-7, 4.25]])
-        for values in (block, block[[0, 2, 3]], block[:, :0]):
-            rows = cli._IndexedRows(values)
-            new, ref = self._both(tmp_path, rows, {1: "second row"})
+        # a row-number column beside a 2-D float block, the modes.csv layout
+        block = np.array([[1.5, -2.0, 0.25], [7.0, 1e300, -1e-7], [0.0, 3.0, 1e-5],
+                          [-1e-7, 4.25, 2.0]])
+        for values in (block, block[[0, 2, 3], :2], block.T[:2]):
+            table = cli._Table(np.arange(len(values)), values)
+            assert len(table) == len(values) and table[1][0] == 1
+            assert list(table) == [table[n] for n in range(len(table))]
+            new, ref = self._both(tmp_path, table, {1: "second row"})
             assert new == ref
-            assert len(rows) == len(values) and rows[0][0] == 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries(self, tmp_path, offset):
+        step = cli._CHUNK_VALUES // 6
+        rows = 2 * step + offset
+        rng = np.random.default_rng(offset + 1)
+        table = cli._Table(rng.standard_normal(rows), np.arange(rows),
+                           rng.uniform(-1e3, 1e3, (rows, 3)),
+                           np.where(rng.random(rows) < 0.5, "localized", "delocalized"))
+        comments = {0: "row 0", step // 2: "mid chunk", step - 1: "last of chunk",
+                    step: "chunk start", 2 * step: "third chunk", rows: "never"}
+        new, ref = self._both(tmp_path, table, comments, columns=list("abcdef"))
+        assert new == ref
+        assert b"# chunk start\n" in new and b"# never" not in new
+
+    def test_percent_fallback(self, tmp_path):
+        values = np.array(self.PERCENT)
+        rows = 3 * cli._CHUNK_VALUES // 4
+        spread = np.resize(values, rows)
+        block = np.column_stack([spread, np.roll(spread, 1), -spread])
+        table = cli._Table(spread, np.arange(rows), block,
+                           np.resize(np.array(["a", "b"]), rows))
+        new, ref = self._both(tmp_path, table, {5: "tie"}, columns=list("abcdef"))
+        assert new == ref
+        assert b"\n4.94065645841e-324,0,4.94065645841e-324," in new
+
+    def test_table_columns(self):
+        with pytest.raises(TypeError):
+            cli._Table(np.array([1, "x"], dtype=object))
+        with pytest.raises(TypeError):
+            cli._Table(np.ones((2, 2), dtype=int))
+        with pytest.raises(TypeError, match="all of one length"):
+            cli._Table(np.arange(3), np.ones(2))
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
