@@ -18,6 +18,7 @@ import os
 import sys
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,8 @@ from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
 from .config import GHZ, ConfigError, RunConfig, parse_config
 from .dispersion import dom_approx, rhtl_background_dom
 from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
-from .modes import (CouplingSpectrum, IllConditionedCircuitError, ModeSet,
-                    QubitSpec, band_edges, coupling_spectrum, dom_numeric,
-                    footprint_at_antinode, solve_modes)
+from .modes import (IllConditionedCircuitError, ModeSet, QubitSpec, band_edges,
+                    coupling_spectrum, dom_numeric, footprint_at_antinode, solve_modes)
 from .spinboson import Phase, phase_diagram, sweep_coupling
 
 
@@ -57,17 +57,15 @@ _POW10 = 10.0 ** np.arange(-120, 121)                   # 10^k at k + 120
 _CHUNK_VALUES = 1 << 14
 
 
-def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray | None:
-    """The values of a 2-D float array in ``"%.11e"``, the bytes of the ``%``
-    operator built with numpy: a uint8 array with one row per block row,
+def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray:
+    """The finite values of a 2-D float array in ``"%.11e"``, the bytes of
+    the ``%`` operator built with numpy: a uint8 array with one row per block row,
     each value followed by "," but the last of a row, which is followed by
     "\\n" when ``newline``, and NUL bytes to drop.  The ``%`` operator itself
     formats the few values numpy cannot: subnormals, three-digit exponents
-    and values next to a half-way tie.  None when a value is not finite.
+    and values next to a half-way tie.
     """
     flat = block.ravel()
-    if not np.isfinite(flat).all():
-        return None
     a = np.abs(flat)
     # decimal exponent e, so that the 12 digits are a * 10^(11 - e) rounded;
     # log10 may land one off next to a power of ten
@@ -119,10 +117,9 @@ def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray | None:
 
 
 def _float_rows(block: np.ndarray) -> list[str] | None:
-    """The lines of ``_float_fields(block)`` as text, or None."""
-    fields = _float_fields(block)
-    return None if fields is None else fields.tobytes().replace(
-        b"\0", b"").decode("ascii").split("\n")[:-1]
+    """The lines of ``_float_fields(block)`` as text; None if one is not finite."""
+    return _float_fields(block).tobytes().replace(b"\0", b"").decode(
+        "ascii").split("\n")[:-1] if np.isfinite(block).all() else None
 
 
 def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
@@ -134,7 +131,8 @@ def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
         text = text.astype(np.uint8) if text.max() < 128 else np.strings.encode(column)
     elif 0 <= column.min() and column.max() < 10 ** 8:
         # row numbers, mode indices, seeds and counts from the digit table,
-        # zeros ahead of the first digit made NUL
+        # zeros ahead of the first digit made NUL (int64 holds 10^4)
+        column = column.astype(np.int64)
         text = _QUAD[np.stack([column // 10000, column % 10000], axis=1)].view(np.uint8)
         text = text[:, 8 - len(str(column.max())):]
         text[:, :-1][np.logical_and.accumulate(text[:, :-1] == ord("0"), axis=1)] = 0
@@ -145,21 +143,36 @@ def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
 
 
 class _Table(Sequence):
-    """The columns of a CSV, all of one length: 1-D int, float or str
-    (label) arrays, and 2-D float arrays that give a CSV column per column.
-    Row ``i`` reads as the tuple of its values, as Python scalars."""
+    """CSV columns of one length: 1-D int, float or str (label) arrays and 2-D
+    float arrays, a CSV column per column (none if zero-wide).  Row ``i``
+    reads as the tuple of its values, as Python scalars."""
 
     def __init__(self, *columns):
-        self.columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
-                        for c in map(np.asarray, columns)]
-        if any(c.dtype.kind not in "fiuU" or len(c) != len(self)
-               or not (c.ndim == 1 or c.ndim == 2 and c.dtype.kind == "f")
-               for c in self.columns):
-            raise TypeError("CSV columns are 1-D int, float or str arrays and "
-                            "2-D float arrays, all of one length")
+        columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
+                   for c in map(np.asarray, columns)]
+        self.rows = len(columns[0]) if columns else 0
+        self.columns = [c for c in columns if c.ndim != 2 or c.shape[1]]
+        if self.rows and not self.columns or any(
+                c.ndim not in (1, 2) or c.dtype.kind not in ("fiuU" if c.ndim == 1 else "f")
+                or len(c) != self.rows for c in columns):
+            raise TypeError("CSV columns are 1-D int, float or str arrays and 2-D "
+                            "float arrays, all of one length, and a row holds a value")
+
+    @classmethod
+    def of_rows(cls, rows) -> _Table:
+        """Rows as columns, each all int, float or str (numpy scalars as Python's)."""
+        columns = [[v.item() if isinstance(v, np.generic) else v for v in c]
+                   for c in zip(*rows)]
+        arrays = [np.array(c) for c in columns]
+        if len(set(map(len, rows))) > 1 or any(
+                len(set(map(type, c))) > 1 or a.dtype.kind not in
+                {int: "iu", float: "f", str: "U"}.get(type(c[0]), "")
+                for c, a in zip(columns, arrays)):
+            raise TypeError("CSV rows differ in length or a column in kind of value")
+        return cls(*arrays)
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return self.rows
 
     def __getitem__(self, i: int) -> tuple:
         return tuple(v for c in self.columns for v in np.atleast_1d(c[i]).tolist())
@@ -170,18 +183,13 @@ class _Table(Sequence):
 
 def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
-    """Write a table: labels verbatim, integers in full, floats in
-    ``"%.11e"`` (12 significant digits), each column in one kind.
-
-    ``rows`` is a ``_Table`` of numpy columns, or a sequence of rows made
-    into one.  Chunks of about ``_CHUNK_VALUES`` values are formatted with
-    numpy, each run of adjacent float columns by ``_float_fields``, and
-    written as one string each.  A non-finite float raises ArithmeticError
-    naming the file and the column before the file is opened.
-    ``block_comments`` maps a row index to a comment line written just
-    before that row (the per-block entropy headers).
-    """
-    table = rows if isinstance(rows, _Table) else _Table(*map(np.array, zip(*rows)))
+    """Write ``rows``, a ``_Table`` or a sequence of rows for ``_Table.of_rows``:
+    labels verbatim, integers in full, floats in ``"%.11e"`` (12 significant
+    digits), formatted by numpy ``_CHUNK_VALUES`` values at a time and written
+    a chunk per string.  A non-finite float raises ArithmeticError naming the
+    file and the column before the file is opened.  ``block_comments`` maps a
+    row index to a comment line written just before that row."""
+    table = rows if isinstance(rows, _Table) else _Table.of_rows(rows)
     width = 0
     for c in table.columns:
         if c.dtype.kind == "f" and not np.isfinite(c).all():
@@ -255,10 +263,7 @@ def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
         g_global = v["qubit.tune_g_ghz"] * GHZ / rel
     qubit = QubitSpec(delta0=probe.delta0, position=position,
                       extent=extent, g_global=g_global)
-    couplings = CouplingSpectrum(frequencies=shape.frequencies,
-                                 relative_profile=shape.relative_profile,
-                                 g=g_global * shape.relative_profile,
-                                 g_global=g_global)
+    couplings = replace(shape, g=g_global * shape.relative_profile, g_global=g_global)
     return qubit, couplings
 
 
@@ -403,13 +408,8 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
                _Table(seeds, edges, counts), comments)
 
 
-_COMMANDS = {
-    "modes": cmd_modes,
-    "dynamics": cmd_dynamics,
-    "renorm": cmd_renorm,
-    "phase": cmd_phase,
-    "disorder": cmd_disorder,
-}
+_COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in
+             (cmd_modes, cmd_dynamics, cmd_renorm, cmd_phase, cmd_disorder)}
 
 
 def _resolve_threads(arg: int | None) -> int:

@@ -304,16 +304,41 @@ class TestWriteCsv:
             np.array([0.1, -2.5, 3e38, 1e-38], dtype=np.float32),
             np.array([5e-324, 123456789.123456789, 9.999999999995, 1.0]),
             np.array(["x", "y", "étoile", "z"]),
-            np.array([99999999, 0, 10, 10000]))
-        new, ref = self._both(tmp_path, table, columns=list("abcdefghi"))
+            np.array([99999999, 0, 10, 10000]),
+            # narrow dtypes through the digit table
+            np.array([0, 9, 200, 255], dtype=np.uint8),
+            np.array([127, 1, 100, 0], dtype=np.int8))
+        new, ref = self._both(tmp_path, table, columns=list("abcdefghijk"))
         assert new == ref
         assert (b"\n0,1.50000000000e+00,delocalized,7,9223372036854775808,"
-                b"1.00000001490e-01,4.94065645841e-324,x,99999999\n") in new
-        # a sequence of rows with one kind per column is made a table
+                b"1.00000001490e-01,4.94065645841e-324,x,99999999,0,127\n") in new
+        assert b",10000,255,0\n" in new
+        # a sequence of rows with one kind per column is made a table; numpy
+        # scalars count as the Python ones, float32 values are not rounded
         rows = [(n, n / 3, "x", -n) for n in range(5)]
-        assert cli._Table(*map(np.array, zip(*rows)))[4] == (4, 4 / 3, "x", -4)
-        new, ref = self._both(tmp_path, rows)
+        rows += [(np.int8(5), np.float32(0.1), np.str_("y"), np.uint64(2 ** 63)),
+                 (7, 0.1, "z", 2 ** 64 - 1)]
+        assert cli._Table.of_rows(rows[:5])[4] == (4, 4 / 3, "x", -4)
+        new, ref = self._both(tmp_path, rows[:5])
         assert new == ref and b"\n4,1.33333333333e+00,x,-4\n" in new
+        new, ref = self._both(tmp_path, rows[5:])
+        assert new == ref and b"\n5,1.00000001490e-01,y,9223372036854775808\n" in new
+        assert b"\n7,1.00000000000e-01,z,18446744073709551615\n" in new
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 1.5), (2.5, 2.0)],                       # int, then float
+        [(0, 1.5), (np.float64(2.5), 2.0)],
+        [(0, "x"), (1, 2.5)],                         # label, then float
+        [(0, 1.5), (1, 2)],                           # float, then int
+        [(True, 1.0), (False, 2.0)],                  # bool
+        [(2 ** 64 - 1, 1.0), (0, 2.0)],               # ints of no one dtype
+        [(0, 1.5), (1,)],                             # rows of two lengths
+    ])
+    def test_rows_of_mixed_kind_refused(self, tmp_path, rows):
+        # the oracle writes each value as its own type; a column is one kind
+        with pytest.raises(TypeError, match="kind of value"):
+            _write_csv(tmp_path / "out.csv", ["a", "b"], rows, self.COMMENTS)
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_refused(self, tmp_path, bad):
@@ -351,12 +376,17 @@ class TestWriteCsv:
         # a row-number column beside a 2-D float block, the modes.csv layout
         block = np.array([[1.5, -2.0, 0.25], [7.0, 1e300, -1e-7], [0.0, 3.0, 1e-5],
                           [-1e-7, 4.25, 2.0]])
-        for values in (block, block[[0, 2, 3], :2], block.T[:2]):
+        for values in (block, block[[0, 2, 3], :2], block.T[:2], block[:, :0]):
             table = cli._Table(np.arange(len(values)), values)
             assert len(table) == len(values) and table[1][0] == 1
             assert list(table) == [table[n] for n in range(len(table))]
             new, ref = self._both(tmp_path, table, {1: "second row"})
             assert new == ref
+        # a zero-wide block is no column, wherever it stands
+        table = cli._Table(block[:, :0], np.arange(4), block[:, :0], block[:, 0])
+        assert table[3] == (3, -1e-7)
+        new, ref = self._both(tmp_path, table, {1: "second row"})
+        assert new == ref and new.endswith(b"\n3,-1.00000000000e-07\n")
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_boundaries(self, tmp_path, offset):
@@ -390,6 +420,12 @@ class TestWriteCsv:
             cli._Table(np.ones((2, 2), dtype=int))
         with pytest.raises(TypeError, match="all of one length"):
             cli._Table(np.arange(3), np.ones(2))
+        with pytest.raises(TypeError, match="a row holds a value"):
+            cli._Table(np.ones((3, 0)))
+        for bad in (np.ones((3, 2, 1)), np.array(1.0), np.array([True, False, True])):
+            with pytest.raises(TypeError, match="CSV columns are"):
+                cli._Table(np.arange(3), bad)
+        assert len(cli._Table(np.ones((0, 0)))) == 0
 
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
