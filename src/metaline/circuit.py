@@ -142,27 +142,6 @@ class CircuitSpec:
         return c, l
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkMatrices:
-    """Charging and inductive energy matrices over the node fluxes.
-
-    ``cap`` (F) is symmetric positive definite; ``inv_ind`` (1/H) is
-    symmetric positive semidefinite.  ``node_positions`` holds one
-    coordinate per node, the ladder occupying x < 0 and the strip
-    x in [0, rhtl_length] with the shared interface node at x = 0,
-    whose index is ``interface_index``.
-    """
-
-    cap: np.ndarray
-    inv_ind: np.ndarray
-    node_positions: np.ndarray
-    interface_index: int
-
-    @property
-    def dim(self) -> int:
-        return self.cap.shape[0]
-
-
 def design_from_impedance(z0: float, omega_ir: float) -> tuple[float, float]:
     """Ladder cell values giving impedance ``z0`` and IR cutoff ``omega_ir``.
 
@@ -216,6 +195,48 @@ def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     out[i, i + 1] = off
     out[i + 1, i] = off
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkMatrices:
+    """Charging and inductive energy matrices over the node fluxes, held as
+    their tridiagonal ``bands``.
+
+    The capacitance matrix C (F) must be positive definite, which
+    ``solve_modes`` checks; the inverse inductance K (1/H) is positive
+    semidefinite.  ``node_positions`` holds one coordinate per node, the
+    ladder occupying x < 0 and the strip x in [0, rhtl_length] with the
+    shared interface node at x = 0, whose index is ``interface_index``.
+    ValueError unless the bands are finite and, for n nodes, n (diagonals)
+    and n - 1 (off-diagonals) long.
+    """
+
+    bands: NetworkBands
+    node_positions: np.ndarray
+    interface_index: int
+
+    def __post_init__(self):
+        n = len(self.node_positions)
+        for name, size in (("k_diag", n), ("k_off", n - 1),
+                           ("c_diag", n), ("c_off", n - 1)):
+            band = getattr(self.bands, name)
+            if np.shape(band) != (size,) or not np.isfinite(band).all():
+                raise ValueError(f"bands.{name} must hold {size} finite values "
+                                 f"for {n} nodes")
+
+    @property
+    def dim(self) -> int:
+        return len(self.node_positions)
+
+    @property
+    def cap(self) -> np.ndarray:
+        """Dense C, formed on each access."""
+        return _tridiagonal(self.bands.c_diag, self.bands.c_off)
+
+    @property
+    def inv_ind(self) -> np.ndarray:
+        """Dense K, formed on each access."""
+        return _tridiagonal(self.bands.k_diag, self.bands.k_off)
 
 
 def _lhtl_bands(c_cells: np.ndarray, l_cells: np.ndarray) -> NetworkBands:
@@ -287,19 +308,18 @@ def network_bands(spec: CircuitSpec) -> NetworkBands:
 
 
 def build_matrices(spec: CircuitSpec) -> NetworkMatrices:
-    """Full dense network matrices for the coupled device.
+    """Network matrices of the coupled device: ``network_bands(spec)``, with
+    node positions, the ladder at x < 0 and the strip on [0, rhtl_length].
 
-    The dense expansion of ``network_bands(spec)``, with node positions:
-    the ladder at x < 0 and the strip on [0, rhtl_length].
+    O(n) memory; only the dense eigensolver forms the n x n matrices.
     """
-    cap, inv_ind = network_bands(spec).dense()
     nl, nr = spec.n_left, spec.n_right
     positions = np.concatenate([
         (np.arange(nl) - nl) * spec.cell_pitch,
         np.arange(nr + 1) * spec.dx_right,
     ])
-    return NetworkMatrices(cap=cap, inv_ind=inv_ind,
-                           node_positions=positions, interface_index=nl)
+    return NetworkMatrices(bands=network_bands(spec), node_positions=positions,
+                           interface_index=nl)
 
 
 def _normal_ppf(p: np.ndarray) -> np.ndarray:

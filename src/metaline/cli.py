@@ -415,12 +415,6 @@ _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in
 def _resolve_threads(arg: int | None) -> int:
     if arg is not None:
         return max(1, arg)
-    env = os.environ.get("METALINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"METALINE_THREADS={env!r} is not an integer") from None
     return os.cpu_count() or 1
 
 
@@ -432,8 +426,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to a .cfg file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="dynamics worker pool size "
-                             "(default: METALINE_THREADS or CPU count)")
+                        help="dynamics worker pool size (default: CPU count)")
     parser.add_argument("--profiles", action="store_true",
                         help="include per-node mode profiles in modes.csv")
     args = parser.parse_args(argv)

@@ -1,8 +1,10 @@
 """Flat key-value run configuration.
 
 One ``section.key = value`` assignment per line, ``#`` comments, no
-nesting.  Frequencies are written in GHz in the file and converted to
-angular rad/s exactly once, here at the parsing boundary (x 2 pi 1e9).
+nesting.  Frequencies are written in GHz in the file and kept in GHz in
+``RunConfig.values``; each becomes angular rad/s (x ``GHZ`` = 2 pi 1e9)
+where it is used: in ``RunConfig.circuit_spec``, ``RunConfig.freq_window``
+and the commands in ``cli``.
 Grids are written as ``lo, hi, n`` triples with the spacing named by the
 ``*_spacing`` key next to them.
 """

@@ -8,11 +8,13 @@ generalized symmetric-definite eigenproblem
 whose eigenvectors are normalized in the capacitance metric, v^T cap v = 1,
 which makes them the flux profiles of independent harmonic oscillators.
 
-Both matrices are tridiagonal, and ``solve_modes`` takes one of two paths
-by network size:
+Both matrices are tridiagonal, and ``NetworkMatrices`` holds only their
+bands.  ``solve_modes`` checks that every LDL^T pivot of cap is positive,
+then takes one of two paths by network size:
 
 - below ``_BAND_MIN_DIM`` nodes, dense ``eigh`` (Cholesky reduction and
   LAPACK sygvd via scipy, imported only there), O(n^3) for all n modes;
+  the only path that forms the n x n matrices;
 - from ``_BAND_MIN_DIM`` up, the band solver ``_band_modes``: Sturm counts
   isolate the window's eigenvalues, and shifted inverse iteration with
   Rayleigh-quotient shifts, one LDL^T solve per step on the bands with
@@ -27,12 +29,13 @@ fresh process on a 2-vCPU VM (numpy 2.4, scipy 1.17, OpenBLAS with 2
 threads), dense takes 0.052, 0.125 and 0.239 s at dims 501, 751 and
 1001, the band solver 0.058, 0.133 and 0.204 s; at dim 2001 it is 1.59 s
 against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak) against 7.0 s
-(0.89 GB).  ``_BAND_MIN_DIM`` nevertheless sits just above dim 2001, the
-benchmark's spectrum device: the reference profiles recorded for it
-carry dense eigh's own rounding, which turns the close modes at the
-band edge by angles of up to 2e-7.  The band solver's vectors (residuals
-1e-13 against 4e-11) differ from them by that much, and the reference
-check, 1e-6 relative per entry, rejects that next to profile nodes.
+(0.51 GB for one build and solve).  ``_BAND_MIN_DIM`` nevertheless sits
+just above dim 2001, the benchmark's spectrum device: the reference
+profiles recorded for it carry dense eigh's own rounding, which turns
+the close modes at the band edge by angles of up to 2e-7.  The band
+solver's vectors (residuals 1e-13 against 4e-11) differ from them by
+that much, and the reference check, 1e-6 relative per entry, rejects
+that next to profile nodes.
 Both paths apply the same gauge rule (``_gauge_floor`` is its
 count-only form), sign rule and tie-break.
 
@@ -78,7 +81,8 @@ _MAX_STEPS = 40
 
 
 class IllConditionedCircuitError(RuntimeError):
-    """Capacitance matrix failed its Cholesky factorization."""
+    """Capacitance matrix is not positive definite: an LDL^T pivot is not
+    positive."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +200,13 @@ def solve_modes(mat: NetworkMatrices,
     sign changes of the profile.  ``freq_window`` = (lo, hi) in rad/s
     restricts the returned modes.  Networks of dimension ``_BAND_MIN_DIM``
     and up are solved on their tridiagonal bands (``_band_modes``),
-    smaller ones by dense ``eigh``.
+    smaller ones by dense ``eigh``.  IllConditionedCircuitError, on either
+    path, names the first LDL^T pivot of the capacitance that is not
+    positive.
     """
+    _check_capacitance(mat.bands)
     if mat.dim >= _BAND_MIN_DIM:
-        omega, vecs = _band_modes(mat, freq_window)
+        omega, vecs = _band_modes(mat.bands, freq_window)
     else:
         omega, vecs = _dense_modes(mat)
 
@@ -232,34 +239,10 @@ def _dense_modes(mat: NetworkMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Every non-gauge mode by dense ``eigh`` (LAPACK sygvd)."""
     import scipy.linalg as sla  # slow to import, and only small networks need it
 
-    cap, inv_ind = mat.cap, mat.inv_ind
-    try:
-        w2, vecs = sla.eigh(inv_ind, cap)
-    except sla.LinAlgError as exc:
-        pivot = float(np.min(np.linalg.eigvalsh(0.5 * (cap + cap.T))))
-        if pivot > 0:       # cap is definite: the eigensolver itself failed
-            raise
-        raise IllConditionedCircuitError(
-            f"capacitance matrix is not positive definite "
-            f"(smallest pivot {pivot:.3e} F)") from exc
+    w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
     omega = np.sqrt(np.clip(w2, 0.0, None))
     keep = omega > GAUGE * omega.max()
     return omega[keep], vecs[:, keep]
-
-
-def _tridiagonal_bands(mat: NetworkMatrices) -> NetworkBands:
-    """The bands of ``mat``; ValueError unless both matrices are finite,
-    symmetric and tridiagonal."""
-    bands = []
-    for name, m in (("inv_ind", mat.inv_ind), ("cap", mat.cap)):
-        diag, upper = np.diagonal(m).copy(), np.diagonal(m, 1).copy()
-        stored = np.count_nonzero(diag) + 2 * np.count_nonzero(upper)
-        if (not np.array_equal(upper, np.diagonal(m, -1))
-                or np.count_nonzero(m) != stored
-                or not np.isfinite(diag).all() or not np.isfinite(upper).all()):
-            raise ValueError(f"{name} is not a finite symmetric tridiagonal matrix")
-        bands += [diag, upper]
-    return NetworkBands(*bands)
 
 
 def _check_capacitance(bands: NetworkBands) -> None:
@@ -372,7 +355,7 @@ def _isolate(bands: NetworkBands, points: np.ndarray, counts: np.ndarray,
         points, counts = _merge(points, counts, shifts, sturm_count(bands, shifts))
 
 
-def _band_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
+def _band_modes(bands: NetworkBands, freq_window: tuple[float, float] | None
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The non-gauge modes in ``freq_window`` from the tridiagonal bands.
 
@@ -380,9 +363,7 @@ def _band_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
     eigenvalue's index, ``_isolate`` gives each one a cell of its own, and
     ``_inverse_iteration`` finds the vectors and Rayleigh quotients.
     """
-    bands = _tridiagonal_bands(mat)
-    _check_capacitance(bands)
-    n = mat.dim
+    n = len(bands.k_diag)
     lo, hi = (0.0, np.inf) if freq_window is None else map(float, freq_window)
     lam_lo = np.sign(lo) * lo * lo * (1.0 - _WINDOW_SLACK)
     lam_hi = hi * hi * (1.0 + _WINDOW_SLACK)

@@ -199,19 +199,18 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
     cats_flat = _cat_sizes(omega, np.ones_like(profile), delta0, g_grid, variant)
 
     jumps = []
-    for i in range(len(g_grid) - 1):
-        if 2.0 * (cats[i + 1] - cats[i]) > np.log(JUMP_FACTOR):
-            g_lo, g_hi, cat_lo, cat_hi = _refine_jump(
-                omega, profile, delta0, variant,
-                g_grid[i], g_grid[i + 1], cats[i], cats[i + 1])
-            log_drop = 2.0 * (cat_hi - cat_lo)
-            if log_drop > np.log(JUMP_FACTOR):
-                jumps.append(DetectedJump(
-                    g_star=0.5 * (g_lo + g_hi),
-                    drop_factor=float(np.exp(min(log_drop, 700.0))),
-                    delta_before=float(delta0 * np.exp(-2.0 * cat_lo)),
-                    delta_after=float(delta0 * np.exp(-2.0 * cat_hi)),
-                ))
+    for i in np.flatnonzero(2.0 * np.diff(cats) > np.log(JUMP_FACTOR)):
+        g_lo, g_hi, cat_lo, cat_hi = _refine_jump(
+            omega, profile, delta0, variant,
+            g_grid[i], g_grid[i + 1], cats[i], cats[i + 1])
+        log_drop = 2.0 * (cat_hi - cat_lo)
+        if log_drop > np.log(JUMP_FACTOR):
+            jumps.append(DetectedJump(
+                g_star=0.5 * (g_lo + g_hi),
+                drop_factor=float(np.exp(min(log_drop, 700.0))),
+                delta_before=float(delta0 * np.exp(-2.0 * cat_lo)),
+                delta_after=float(delta0 * np.exp(-2.0 * cat_hi)),
+            ))
     return CouplingSweep(g_grid=g_grid, delta_eff=delta0 * np.exp(-2.0 * cats),
                          cat_size=cats, cat_size_flat=cats_flat,
                          delta_eff_flat=delta0 * np.exp(-2.0 * cats_flat),

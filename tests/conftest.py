@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import metaline.modes
-from metaline import (CircuitSpec, QubitSpec, build_matrices, coupling_spectrum,
-                      design_from_impedance, footprint_at_antinode,
-                      rhtl_from_impedance, solve_modes)
+from metaline import (CircuitSpec, NetworkBands, NetworkMatrices, QubitSpec,
+                      build_matrices, coupling_spectrum, design_from_impedance,
+                      footprint_at_antinode, rhtl_from_impedance, solve_modes)
 
 TWO_PI = 2.0 * np.pi
 OMEGA_IR = TWO_PI * 4e9
@@ -20,6 +20,14 @@ def make_band_edge_spec(n_left=200, n_right=300) -> CircuitSpec:
                        cell_pitch=100e-6, rhtl_length=0.03,
                        c_right_per_len=c_r, l_right_per_len=l_r,
                        n_right=n_right)
+
+
+def wrap_dense(cap, inv_ind, node_positions, interface_index=0) -> NetworkMatrices:
+    """The network of dense tridiagonal (cap, inv_ind), kept as their bands."""
+    return NetworkMatrices(
+        bands=NetworkBands(k_diag=np.diag(inv_ind), k_off=np.diag(inv_ind, 1),
+                           c_diag=np.diag(cap), c_off=np.diag(cap, 1)),
+        node_positions=node_positions, interface_index=interface_index)
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,7 @@ from metaline import (QubitSpec, SingleExcitationState, build_matrices,
                       rhtl_ladder_matrices, sign_changes, solve_modes,
                       sweep_coupling, voltage_profile, phase_diagram)
 from metaline.config import GHZ, parse_config
-from metaline.modes import NetworkMatrices
-from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec
+from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec, wrap_dense
 from oracles import entropy_after_tracing, grid_search_fixed_point
 
 
@@ -90,9 +89,7 @@ def test_criterion_5_dispersion_oracles(band_spec):
     freqs = {}
     for n_right in (300, 600):
         cap, ki = rhtl_ladder_matrices(c_r, l_r, ell, n_right)
-        ms = solve_modes(NetworkMatrices(cap=cap, inv_ind=ki,
-                                         node_positions=np.linspace(0, ell, n_right + 1),
-                                         interface_index=0))
+        ms = solve_modes(wrap_dense(cap, ki, np.linspace(0, ell, n_right + 1)))
         delta = ell / n_right
         k = np.arange(1, 11) * np.pi / ell
         exact = omega_rhtl(k, c_r * delta, l_r * delta, delta)
@@ -103,9 +100,7 @@ def test_criterion_5_dispersion_oracles(band_spec):
     n = band_spec.n_left
     cap, ki = lhtl_ladder_matrices(*band_spec.cell_values())
     cap = cap + np.eye(n + 1) * band_spec.c_left * 1e-9
-    ms = solve_modes(NetworkMatrices(cap=cap, inv_ind=ki,
-                                     node_positions=np.linspace(0, 1, n + 1),
-                                     interface_index=0))
+    ms = solve_modes(wrap_dense(cap, ki, np.linspace(0, 1, n + 1)))
     k = np.arange(n - 1, n - 11, -1) * np.pi / (n * band_spec.cell_pitch)
     exact = np.sort(omega_lhtl(k, band_spec.c_left, band_spec.l_left,
                                band_spec.cell_pitch))

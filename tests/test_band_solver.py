@@ -58,10 +58,8 @@ def _check(mat, window):
 
 
 def _wrap(bands):
-    cap, inv_ind = bands.dense()
-    n = len(bands.k_diag)
-    return NetworkMatrices(cap=cap, inv_ind=inv_ind,
-                           node_positions=np.linspace(0.0, 1.0, n),
+    return NetworkMatrices(bands=bands,
+                           node_positions=np.linspace(0.0, 1.0, len(bands.k_diag)),
                            interface_index=0)
 
 
@@ -154,26 +152,58 @@ def test_no_farther_from_exact_than_dense():
         assert err_band <= max(err_dense, 4 * np.finfo(float).eps), k
 
 
-@pytest.mark.usefixtures("band_path")
+def _bad_bands(mat, name, kind):
+    """The bands of ``mat`` with band ``name`` spoiled in one way."""
+    band = getattr(mat.bands, name)
+    spoiled = {"nan": np.where(np.arange(len(band)) == 3, np.nan, band),
+               "inf": np.where(np.arange(len(band)) == 3, -np.inf, band),
+               "short": band[:-1],
+               "long": np.append(band, band[-1])}[kind]
+    return dataclasses.replace(mat.bands, **{name: spoiled})
+
+
+@pytest.fixture(params=["dense", "band"])
+def solver_path(request, monkeypatch):
+    """Run a test once on dense eigh and once on the band solver."""
+    if request.param == "band":
+        monkeypatch.setattr(modes, "_BAND_MIN_DIM", 0)
+    return request.param
+
+
 class TestInputChecks:
-    def test_rejects_non_tridiagonal(self, band_matrices):
-        cap = band_matrices.cap.copy()
-        cap[0, 2] = cap[2, 0] = 1e-16
-        with pytest.raises(ValueError, match="tridiagonal"):
-            solve_modes(dataclasses.replace(band_matrices, cap=cap), WINDOW)
+    """The same bad networks through both solver paths."""
 
-    def test_rejects_asymmetric(self, band_matrices):
-        cap = band_matrices.cap.copy()
-        cap[5, 6] *= 1.5
-        with pytest.raises(ValueError, match="symmetric"):
-            solve_modes(dataclasses.replace(band_matrices, cap=cap), WINDOW)
+    @pytest.mark.parametrize("kind", ["nan", "inf", "short", "long"])
+    @pytest.mark.parametrize("name", ["k_diag", "k_off", "c_diag", "c_off"])
+    def test_rejects_bad_bands(self, solver_path, band_matrices, name, kind):
+        # refused at construction, before either path could see them
+        with pytest.raises(ValueError, match=f"bands.{name}"):
+            solve_modes(dataclasses.replace(
+                band_matrices, bands=_bad_bands(band_matrices, name, kind)), WINDOW)
 
-    def test_nonpositive_capacitance_pivot(self):
+    @pytest.mark.parametrize("c_diag, c_off", [
+        ([1e-13, 1e-13, 1e-13], [2e-13, 0.0]),
+        ([1e-13, 1e-13, 1e-13], [0.0, 1e-13]),
+        ([-1e-13, 1e-13, 1e-13], [0.0, 0.0])],
+        ids=["second-negative", "last-zero", "first-negative"])
+    def test_nonpositive_capacitance_pivot(self, solver_path, c_diag, c_off):
         bands = NetworkBands(k_diag=np.ones(3) * 1e9, k_off=np.zeros(2),
-                             c_diag=np.array([1e-13, 1e-13, 1e-13]),
-                             c_off=np.array([2e-13, 0.0]))
+                             c_diag=np.array(c_diag), c_off=np.array(c_off))
         with pytest.raises(IllConditionedCircuitError, match="pivot"):
             solve_modes(_wrap(bands))
+
+
+def test_band_path_forms_no_dense_matrix(monkeypatch, band_matrices, band_modes):
+    def refuse(mat):
+        raise AssertionError("a dense network matrix was formed")
+
+    monkeypatch.setattr(NetworkMatrices, "cap", property(refuse))
+    monkeypatch.setattr(NetworkMatrices, "inv_ind", property(refuse))
+    with pytest.raises(AssertionError, match="dense"):      # dense eigh needs them
+        solve_modes(band_matrices, WINDOW)
+    monkeypatch.setattr(modes, "_BAND_MIN_DIM", 0)
+    np.testing.assert_allclose(solve_modes(band_matrices, WINDOW).frequencies,
+                               band_modes.frequencies, rtol=1e-10, atol=0)
 
 
 def test_default_size_selection(band_matrices):

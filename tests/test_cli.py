@@ -581,7 +581,8 @@ class TestExitCodes:
         # a capacitance matrix that is not positive definite fails the solve
         def negated(spec):
             mat = build_matrices(spec)
-            return dataclasses.replace(mat, cap=-mat.cap)
+            return dataclasses.replace(mat, bands=dataclasses.replace(
+                mat.bands, c_diag=-mat.bands.c_diag, c_off=-mat.bands.c_off))
 
         monkeypatch.setattr(cli, "build_matrices", negated)
         cfg = _write(tmp_path, SMALL)
@@ -597,13 +598,18 @@ class TestExitCodes:
         assert "modes.window_ghz_lo = 900.0" in err
         assert "modes.window_ghz_hi = 901.0" in err
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("METALINE_THREADS", "7")
-        assert _resolve_threads(None) == 7
+    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+        # there is none: an explicit value wins, the default is the CPU count,
+        # and METALINE_THREADS, even one that is no integer, is ignored
+        monkeypatch.setenv("METALINE_THREADS", "abc")
+        cfg = _write(tmp_path, SMALL)
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         assert _resolve_threads(2) == 2
-        monkeypatch.setenv("METALINE_THREADS", "x")
-        with pytest.raises(ConfigError):
-            _resolve_threads(None)
+        assert _resolve_threads(0) == 1
+        assert _resolve_threads(None) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_threads(None) == 1
 
     def test_bundled_configs_parse(self):
         from importlib import resources

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from metaline import (CouplingSpectrum, IllConditionedCircuitError,
-                      ModeSet, NetworkBands, NetworkMatrices, QubitSpec,
+                      ModeSet, NetworkBands, QubitSpec,
                       apply_disorder, band_edges, build_matrices,
                       coupling_spectrum, current_average, dom_approx,
                       dom_numeric, find_current_antinode, footprint_at_antinode,
@@ -16,15 +16,14 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
 from metaline.config import GHZ, parse_config
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
-                      make_band_edge_spec)
+                      make_band_edge_spec, wrap_dense)
 from oracles import dense_count, pencil_eigenvalues, stamped_matrices
 
 
 def _wrap(cap, inv_ind, length=None, interface=0):
     n = cap.shape[0]
     pos = np.linspace(0.0, length if length else 1.0, n)
-    return NetworkMatrices(cap=cap, inv_ind=inv_ind, node_positions=pos,
-                           interface_index=interface)
+    return wrap_dense(cap, inv_ind, pos, interface)
 
 
 class TestSolveModes:
