@@ -12,15 +12,16 @@ Both matrices are tridiagonal, and ``NetworkMatrices`` holds only their
 bands.  ``solve_modes`` checks that every LDL^T pivot of cap is positive,
 then takes one of two paths by network size:
 
-- below ``_BAND_MIN_DIM`` nodes, dense ``eigh`` (Cholesky reduction and
-  LAPACK sygvd via scipy, imported only there), O(n^3) for all n modes;
-  the only path that forms the n x n matrices;
-- from ``_BAND_MIN_DIM`` up, the band solver ``_band_modes``: Sturm counts
-  isolate the window's eigenvalues, and shifted inverse iteration with
-  Rayleigh-quotient shifts, one LDL^T solve per step on the bands with
-  numpy across the window modes, finds their vectors; O(n m) per step for
-  m window modes, O(n k^2) per step for each cluster of k close modes,
-  and one O(n m^2) matrix product that C-orthonormalizes the window.
+- the band solver ``_band_modes`` for every size outside ``_DENSE_DIMS``:
+  Sturm counts isolate the window's eigenvalues, and shifted inverse
+  iteration with Rayleigh-quotient shifts, one LDL^T solve per step on
+  the bands with numpy across the window modes, finds their vectors;
+  O(n m) per step for m window modes, O(n k^2) per step for each cluster
+  of k close modes, and one O(n m^2) matrix product that
+  C-orthonormalizes the window;
+- dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
+  only there) for dims 1001-2001, O(n^3) for all n modes; the only path
+  that forms the n x n matrices.
 
 The band solver is the faster path from about dim 800: measured with
 ``solve_modes`` on the benchmark's ladder devices (n_right = 1.5 n_left,
@@ -29,13 +30,16 @@ fresh process on a 2-vCPU VM (numpy 2.4, scipy 1.17, OpenBLAS with 2
 threads), dense takes 0.052, 0.125 and 0.239 s at dims 501, 751 and
 1001, the band solver 0.058, 0.133 and 0.204 s; at dim 2001 it is 1.59 s
 against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak) against 7.0 s
-(0.51 GB for one build and solve).  ``_BAND_MIN_DIM`` nevertheless sits
-just above dim 2001, the benchmark's spectrum device: the reference
-profiles recorded for it carry dense eigh's own rounding, which turns
-the close modes at the band edge by angles of up to 2e-7.  The band
-solver's vectors (residuals 1e-13 against 4e-11) differ from them by
-that much, and the reference check, 1e-6 relative per entry, rejects
-that next to profile nodes.
+(0.51 GB for one build and solve).  Below the crossover dense saves at
+most 10-20 ms per warm solve at dim 501, far less than the 0.21-0.26 s
+a fresh process spends importing ``scipy.linalg``, which the band path
+never loads, so the bundled fig2-fig5 devices (dim 501) take the band
+solver too.  ``_DENSE_DIMS`` is the size class of the benchmark's
+spectrum device (dim 2001): the reference profiles recorded for it carry
+dense eigh's own rounding, which turns the close modes at the band edge
+by angles of up to 2e-7.  The band solver's vectors (residuals 1e-13
+against 4e-11) differ from them by that much, and the reference check,
+1e-6 relative per entry, rejects that next to profile nodes.
 Both paths apply the same gauge rule (``_gauge_floor`` is its
 count-only form), sign rule and tie-break.
 
@@ -61,10 +65,10 @@ GAUGE = 1e-6
 _SHIFTS = 31
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
-# networks of this dimension and up take the band solver: one above the
-# spectrum benchmark device, whose reference pins dense rounding (see the
-# module docstring); the measured speed crossover is about 800
-_BAND_MIN_DIM = 2002
+# the only network dimensions that take dense eigh: the size class of the
+# spectrum benchmark device (dim 2001), whose reference pins dense rounding
+# (see the module docstring); every other size takes the band solver
+_DENSE_DIMS = range(1001, 2002)
 # relative gap of inverse-iteration shifts below which their vectors are
 # C-orthonormalized together
 _CLUSTER_GAP = 1e-3
@@ -198,17 +202,17 @@ def solve_modes(mat: NetworkMatrices,
     capacitive ends) are discarded at or below 1e-6 of the largest
     frequency.  Ties in frequency are broken by the ascending number of
     sign changes of the profile.  ``freq_window`` = (lo, hi) in rad/s
-    restricts the returned modes.  Networks of dimension ``_BAND_MIN_DIM``
-    and up are solved on their tridiagonal bands (``_band_modes``),
-    smaller ones by dense ``eigh``.  IllConditionedCircuitError, on either
-    path, names the first LDL^T pivot of the capacitance that is not
-    positive.
+    restricts the returned modes.  Networks are solved on their
+    tridiagonal bands (``_band_modes``), except those whose dimension lies
+    in ``_DENSE_DIMS``, which go to dense ``eigh``.
+    IllConditionedCircuitError, on either path, names the first LDL^T
+    pivot of the capacitance that is not positive.
     """
     _check_capacitance(mat.bands)
-    if mat.dim >= _BAND_MIN_DIM:
-        omega, vecs = _band_modes(mat.bands, freq_window)
-    else:
+    if mat.dim in _DENSE_DIMS:
         omega, vecs = _dense_modes(mat)
+    else:
+        omega, vecs = _band_modes(mat.bands, freq_window)
 
     # reproducible sign: non-negative flux at the interface node, falling
     # back to the largest strip entry when the interface sits on a node
@@ -237,7 +241,7 @@ def solve_modes(mat: NetworkMatrices,
 
 def _dense_modes(mat: NetworkMatrices) -> tuple[np.ndarray, np.ndarray]:
     """Every non-gauge mode by dense ``eigh`` (LAPACK sygvd)."""
-    import scipy.linalg as sla  # slow to import, and only small networks need it
+    import scipy.linalg as sla  # slow to import; only the _DENSE_DIMS sizes need it
 
     w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
     omega = np.sqrt(np.clip(w2, 0.0, None))

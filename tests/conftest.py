@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,4 +69,10 @@ def band_couplings(band_spec, band_modes, band_qubit):
 @pytest.fixture
 def band_path(monkeypatch):
     """Every ``solve_modes`` call takes the band solver, whatever the size."""
-    monkeypatch.setattr(metaline.modes, "_BAND_MIN_DIM", 0)
+    monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(0))
+
+
+@pytest.fixture
+def dense_path(monkeypatch):
+    """Every ``solve_modes`` call takes dense eigh, whatever the size."""
+    monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(sys.maxsize))

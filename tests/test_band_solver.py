@@ -1,9 +1,12 @@
 """The band eigensolver of ``solve_modes`` against independent oracles.
 
 scipy's dense ``eigh`` is called directly here, not through the library;
-single eigenvalues also come from a 40-digit Sturm bisection.  The
-acceptance criteria and the CLI tests that solve modes are rerun with the
-``band_path`` fixture, which sends every network to the band solver.
+single eigenvalues also come from a 40-digit Sturm bisection, and the
+fig2 window modes from a long-double refinement of the dense ones.  The
+acceptance criteria and the CLI tests that solve modes run on the default
+path (the band solver, for their devices) and are rerun with the
+``band_path`` fixture, which pins the band solver whatever the size, and
+the ``dense_path`` fixture, which sends every network to dense ``eigh``.
 """
 
 import dataclasses
@@ -18,9 +21,10 @@ import metaline.modes as modes
 import test_acceptance
 import test_cli
 from metaline import (IllConditionedCircuitError, NetworkBands, NetworkMatrices,
-                      apply_disorder, build_matrices, network_bands, solve_modes)
+                      apply_disorder, build_matrices, footprint_weights,
+                      network_bands, solve_modes)
 from conftest import TWO_PI, WINDOW, make_band_edge_spec
-from oracles import mp_pencil_eigenvalue
+from oracles import mp_pencil_eigenvalue, refined_pencil_modes
 
 
 def _dense(mat, window):
@@ -163,10 +167,9 @@ def _bad_bands(mat, name, kind):
 
 
 @pytest.fixture(params=["dense", "band"])
-def solver_path(request, monkeypatch):
+def solver_path(request):
     """Run a test once on dense eigh and once on the band solver."""
-    if request.param == "band":
-        monkeypatch.setattr(modes, "_BAND_MIN_DIM", 0)
+    request.getfixturevalue(f"{request.param}_path")
     return request.param
 
 
@@ -193,23 +196,58 @@ class TestInputChecks:
             solve_modes(_wrap(bands))
 
 
-def test_band_path_forms_no_dense_matrix(monkeypatch, band_matrices, band_modes):
+def test_band_path_forms_no_dense_matrix(request, monkeypatch, band_matrices,
+                                        band_modes):
     def refuse(mat):
         raise AssertionError("a dense network matrix was formed")
 
     monkeypatch.setattr(NetworkMatrices, "cap", property(refuse))
     monkeypatch.setattr(NetworkMatrices, "inv_ind", property(refuse))
-    with pytest.raises(AssertionError, match="dense"):      # dense eigh needs them
-        solve_modes(band_matrices, WINDOW)
-    monkeypatch.setattr(modes, "_BAND_MIN_DIM", 0)
     np.testing.assert_allclose(solve_modes(band_matrices, WINDOW).frequencies,
                                band_modes.frequencies, rtol=1e-10, atol=0)
+    request.getfixturevalue("dense_path")
+    with pytest.raises(AssertionError, match="dense"):      # dense eigh needs them
+        solve_modes(band_matrices, WINDOW)
 
 
-def test_default_size_selection(band_matrices):
-    """The bath device (dim 501) and the spectrum device (dim 2001) take
-    dense eigh, the size ladder's dim-5001 rung the band solver."""
-    assert band_matrices.dim < 2001 < modes._BAND_MIN_DIM <= 5001
+def test_default_size_selection(monkeypatch):
+    """The bath device (dim 501) and the size ladder's dim-5001 rung take
+    the band solver, the spectrum device (dim 2001) dense eigh."""
+    class Taken(Exception):
+        pass
+
+    def path(name):
+        def take(*args):
+            raise Taken(name)
+        return take
+
+    monkeypatch.setattr(modes, "_dense_modes", path("dense"))
+    monkeypatch.setattr(modes, "_band_modes", path("band"))
+    taken = {}
+    for n_left in (200, 800, 2000):
+        mat = build_matrices(make_band_edge_spec(n_left, 3 * n_left // 2))
+        with pytest.raises(Taken) as info:
+            solve_modes(mat, WINDOW)
+        taken[mat.dim] = info.value.args[0]
+    assert taken == {501: "band", 2001: "dense", 5001: "band"}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the refinement needs an extended-precision long double")
+def test_footprint_averages_match_refined_modes(band_spec, band_matrices, band_qubit):
+    """The default solve of the fig2 device against its window modes refined
+    in long double from dense eigh's.  Dense eigh's own footprint averages
+    are up to 4.6e-9 off, so a return of this size to dense fails here."""
+    ms = solve_modes(band_matrices, WINDOW)
+    _, start = _dense(band_matrices, WINDOW)
+    lam, refined = refined_pencil_modes(band_matrices.bands, start)
+    np.testing.assert_allclose(ms.frequencies, np.sqrt(lam.astype(float)),
+                               rtol=1e-12, atol=0)
+    weights = footprint_weights(band_spec, band_qubit.position, band_qubit.extent)
+    strip = slice(band_matrices.interface_index, None)
+    expected = np.abs(weights.astype(np.longdouble) @ refined[strip]).astype(float)
+    np.testing.assert_allclose(np.abs(weights @ ms.profiles[strip]), expected,
+                               rtol=1e-10, atol=0)
 
 
 def test_cli_import_leaves_scipy_linalg_out():
@@ -221,41 +259,64 @@ def test_cli_import_leaves_scipy_linalg_out():
     assert out.stdout.strip() == "False"
 
 
-def test_disorder_run_loads_no_scipy(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(test_cli.SMALL + "disorder.seeds = 3\n")
-    argv = ["disorder", "--config", str(cfg), "--out", str(tmp_path)]
+def _scipy_modules_loaded(argv):
+    """"<exit code> <scipy modules loaded>" of ``main(argv)`` in a fresh
+    process."""
     code = ("import sys; from metaline.cli import main; "
             f"rc = main({argv!r}); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "0 []"
+    return out.stdout.strip()
+
+
+def test_disorder_run_loads_no_scipy(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(test_cli.SMALL + "disorder.seeds = 3\n")
+    argv = ["disorder", "--config", str(cfg), "--out", str(tmp_path)]
+    assert _scipy_modules_loaded(argv) == "0 []"
     assert (tmp_path / "disorder.csv").exists()
+
+
+@pytest.mark.parametrize("command, csv", [("dynamics", "entropy.csv"),
+                                          ("renorm", "renorm.csv"),
+                                          ("phase", "phase.csv")])
+def test_bath_run_loads_no_scipy(tmp_path, command, csv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(test_cli.SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\n"
+                   "phase.delta0_grid = 1.1, 1.2, 2\nphase.g_grid = 0.05, 1.5, 10\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    assert _scipy_modules_loaded(argv) == "0 []"
+    assert (tmp_path / csv).exists()
 
 
 ACCEPTANCE = [getattr(test_acceptance, name) for name in dir(test_acceptance)
               if name.startswith("test_criterion_")]
 
 
-@pytest.mark.usefixtures("band_path")
-@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
-def test_acceptance_on_band_path(criterion, band_spec):
+def _run_criterion(criterion, band_spec):
+    """An acceptance criterion with its modes solved on the patched path."""
     fixtures = {"band_spec": band_spec,
                 "band_modes": solve_modes(build_matrices(band_spec), WINDOW)}
     names = criterion.__code__.co_varnames[:criterion.__code__.co_argcount]
     criterion(*(fixtures[name] for name in names))
 
 
-def _on_band_path(cls):
-    """A subclass of a CLI test class whose tests run on the band path."""
-    return type(f"{cls.__name__}OnBandPath", (cls,), {
-        "pytestmark": [pytest.mark.usefixtures("band_path")]})
+@pytest.mark.usefixtures("band_path")
+@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
+def test_acceptance_on_band_path(criterion, band_spec):
+    _run_criterion(criterion, band_spec)
 
 
-TestCmdModesOnBandPath = _on_band_path(test_cli.TestCmdModes)
-TestCmdDynamicsOnBandPath = _on_band_path(test_cli.TestCmdDynamics)
-TestWriteCsvOnBandPath = _on_band_path(test_cli.TestWriteCsv)
-TestCmdRenormOnBandPath = _on_band_path(test_cli.TestCmdRenorm)
-TestCmdPhaseOnBandPath = _on_band_path(test_cli.TestCmdPhase)
-TestExitCodesOnBandPath = _on_band_path(test_cli.TestExitCodes)
+@pytest.mark.usefixtures("dense_path")
+@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
+def test_acceptance_on_dense_path(criterion, band_spec):
+    _run_criterion(criterion, band_spec)
+
+
+# each CLI test class that solves modes, once per pinned solver path
+for _cls in (test_cli.TestCmdModes, test_cli.TestCmdDynamics, test_cli.TestWriteCsv,
+             test_cli.TestCmdRenorm, test_cli.TestCmdPhase, test_cli.TestExitCodes):
+    for _path, _suffix in (("band_path", "OnBandPath"), ("dense_path", "OnDensePath")):
+        globals()[_cls.__name__ + _suffix] = type(_cls.__name__ + _suffix, (_cls,), {
+            "pytestmark": [pytest.mark.usefixtures(_path)]})
