@@ -184,10 +184,6 @@ class NetworkBands:
         return cls(*(np.stack([getattr(b, name) for b in items])
                      for name in ("k_diag", "k_off", "c_diag", "c_off")))
 
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (cap, inv_ind) of one device."""
-        return _tridiagonal(self.c_diag, self.c_off), _tridiagonal(self.k_diag, self.k_off)
-
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     out = np.diag(diag)
@@ -240,6 +236,9 @@ class NetworkMatrices:
 
 
 def _lhtl_bands(c_cells: np.ndarray, l_cells: np.ndarray) -> NetworkBands:
+    """Bands of a bare left-handed ladder, N cells and N+1 nodes: cell j puts
+    its series capacitor between nodes j and j+1 and its shunt inductor on
+    node j+1, so node 0 ends in a bare series capacitor."""
     c_cells = np.asarray(c_cells, dtype=float)
     c_diag = np.concatenate([c_cells[:1], c_cells[:-1] + c_cells[1:], c_cells[-1:]])
     k_diag = np.concatenate([[0.0], 1.0 / np.asarray(l_cells, dtype=float)])
@@ -249,6 +248,8 @@ def _lhtl_bands(c_cells: np.ndarray, l_cells: np.ndarray) -> NetworkBands:
 
 def _rhtl_bands(c_per_len: float, l_per_len: float, length: float,
                 n_cells: int) -> NetworkBands:
+    """Bands of a bare strip of n_cells cells with open ends; each end node
+    takes half a cell of shunt capacitance, so the total is c_per_len*length."""
     delta = length / n_cells
     y = 1.0 / (l_per_len * delta)
     k_diag = np.full(n_cells + 1, 2.0 * y)
@@ -258,28 +259,6 @@ def _rhtl_bands(c_per_len: float, l_per_len: float, length: float,
     c_diag[-1] *= 0.5
     return NetworkBands(k_diag=k_diag, k_off=np.full(n_cells, -y),
                         c_diag=c_diag, c_off=np.zeros(n_cells))
-
-
-def lhtl_ladder_matrices(c_cells: np.ndarray, l_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of a bare left-handed ladder with N cells and N+1 nodes.
-
-    Cell j places its series capacitor between nodes j and j+1 and its
-    shunt inductor on node j+1, so the last node (the interface in the
-    assembled network) carries an inductor while node 0 ends in a bare
-    series capacitor.
-    """
-    return _lhtl_bands(c_cells, l_cells).dense()
-
-
-def rhtl_ladder_matrices(c_per_len: float, l_per_len: float, length: float,
-                         n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of a bare discretized strip with n_cells cells, open ends.
-
-    The two end nodes take half a cell of shunt capacitance so the summed
-    capacitance is exactly c_per_len*length and the open-open eigenmodes
-    land on the ladder dispersion at k_m = m*pi/length.
-    """
-    return _rhtl_bands(c_per_len, l_per_len, length, n_cells).dense()
 
 
 def network_bands(spec: CircuitSpec) -> NetworkBands:

@@ -16,7 +16,6 @@ import argparse
 import itertools
 import os
 import sys
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -116,12 +115,6 @@ def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray:
     return words.view(np.uint8).reshape(len(block), -1)
 
 
-def _float_rows(block: np.ndarray) -> list[str] | None:
-    """The lines of ``_float_fields(block)`` as text; None if one is not finite."""
-    return _float_fields(block).tobytes().replace(b"\0", b"").decode(
-        "ascii").split("\n")[:-1] if np.isfinite(block).all() else None
-
-
 def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
     """An int or label column as CSV fields, like ``_float_fields``."""
     n = len(column)
@@ -142,10 +135,10 @@ def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
     return np.column_stack([text.view(np.uint8).reshape(n, -1), end])
 
 
-class _Table(Sequence):
+class _Table:
     """CSV columns of one length: 1-D int, float or str (label) arrays and 2-D
-    float arrays, a CSV column per column (none if zero-wide).  Row ``i``
-    reads as the tuple of its values, as Python scalars."""
+    float arrays, a CSV column per column (none if zero-wide).  Iteration
+    yields each row as the tuple of its values, as Python scalars."""
 
     def __init__(self, *columns):
         columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
@@ -158,38 +151,21 @@ class _Table(Sequence):
             raise TypeError("CSV columns are 1-D int, float or str arrays and 2-D "
                             "float arrays, all of one length, and a row holds a value")
 
-    @classmethod
-    def of_rows(cls, rows) -> _Table:
-        """Rows as columns, each all int, float or str (numpy scalars as Python's)."""
-        columns = [[v.item() if isinstance(v, np.generic) else v for v in c]
-                   for c in zip(*rows)]
-        arrays = [np.array(c) for c in columns]
-        if len(set(map(len, rows))) > 1 or any(
-                len(set(map(type, c))) > 1 or a.dtype.kind not in
-                {int: "iu", float: "f", str: "U"}.get(type(c[0]), "")
-                for c, a in zip(columns, arrays)):
-            raise TypeError("CSV rows differ in length or a column in kind of value")
-        return cls(*arrays)
-
     def __len__(self) -> int:
         return self.rows
-
-    def __getitem__(self, i: int) -> tuple:
-        return tuple(v for c in self.columns for v in np.atleast_1d(c[i]).tolist())
 
     def __iter__(self):
         return zip(*[values for c in self.columns for values in np.atleast_2d(c.T).tolist()])
 
 
-def _write_csv(path: Path, columns: list[str], rows, comments: list[str],
+def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
-    """Write ``rows``, a ``_Table`` or a sequence of rows for ``_Table.of_rows``:
-    labels verbatim, integers in full, floats in ``"%.11e"`` (12 significant
-    digits), formatted by numpy ``_CHUNK_VALUES`` values at a time and written
-    a chunk per string.  A non-finite float raises ArithmeticError naming the
-    file and the column before the file is opened.  ``block_comments`` maps a
-    row index to a comment line written just before that row."""
-    table = rows if isinstance(rows, _Table) else _Table.of_rows(rows)
+    """Write ``table``: labels verbatim, integers in full, floats in
+    ``"%.11e"`` (12 significant digits), formatted by numpy ``_CHUNK_VALUES``
+    values at a time and written a chunk per string.  A non-finite float
+    raises ArithmeticError naming the file and the column before the file is
+    opened.  ``block_comments`` maps a row index to a comment line written
+    just before that row."""
     width = 0
     for c in table.columns:
         if c.dtype.kind == "f" and not np.isfinite(c).all():
@@ -280,13 +256,12 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
 
     dom = _Table()
     if len(modeset) >= 2:
-        est = dom_numeric(modeset, config["modes.dom_bin_ghz"] * GHZ)
         # the formula diverges at the cutoff; below it only the strip counts
         approx = np.full(len(modeset), rhtl_background_dom(spec))
         above = modeset.frequencies > spec.omega_ir
         approx[above] = dom_approx(modeset.frequencies[above], spec,
                                    include_rhtl_background=True)
-        dom = _Table(freqs_ghz, est.spacing_density, approx)
+        dom = _Table(freqs_ghz, dom_numeric(modeset), approx)
     _write_csv(_output(config, out, "dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
                dom, comments)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .circuit import MAX_SIGMA, CircuitSpec, design_from_impedance, rhtl_from_impedance
 
 GHZ = 2.0 * np.pi * 1e9
-MAX_DOM_BINS = 10**6        # histogram bins of the modes window
 
 
 class ConfigError(ValueError):
@@ -51,7 +50,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "qubit.target_mode_ghz": ("float", 4.579),
     "modes.window_ghz_lo": ("float", 3.8),
     "modes.window_ghz_hi": ("float", 13.0),
-    "modes.dom_bin_ghz": ("float", 0.1),
     "coupling.normalization": ("str", "dom"),
     "dynamics.tg_grid": ("grid", (0.0, 10.0, 11)),
     "dynamics.tg_spacing": ("str", "linear"),
@@ -216,8 +214,7 @@ def parse_config(source: str | Path, is_text: bool = False) -> RunConfig:
 _POSITIVE = [
     "circuit.n_left", "circuit.cell_pitch_m", "circuit.z0_ohm",
     "circuit.f_ir_ghz", "circuit.rhtl_length_m", "circuit.rhtl_z0_ohm",
-    "circuit.n_right", "qubit.freq_ghz", "qubit.extent_m",
-    "modes.dom_bin_ghz", "disorder.seeds",
+    "circuit.n_right", "qubit.freq_ghz", "qubit.extent_m", "disorder.seeds",
 ]
 
 
@@ -228,7 +225,7 @@ def _validate(values: dict, path: str) -> None:
     if values["circuit.n_right"] < 2:
         raise ConfigError(f"{path}: circuit.n_right must satisfy n_right >= 2 "
                           f"(two strip cells), got {values['circuit.n_right']}")
-    # the qubit footprint lies on the strip, as current_average requires
+    # the qubit footprint lies on the strip, as footprint_weights requires
     length, extent = values["circuit.rhtl_length_m"], values["qubit.extent_m"]
     position = values["qubit.position_m"]
     if extent > length:
@@ -254,11 +251,6 @@ def _validate(values: dict, path: str) -> None:
         if not np.isfinite(max(map(abs, values[key][:2])) * omega_ir):
             raise ConfigError(f"{path}: {key} overflows in rad/s "
                               f"(its values are in units of the cutoff)")
-    span = values["modes.window_ghz_hi"] - values["modes.window_ghz_lo"]
-    if span / values["modes.dom_bin_ghz"] > MAX_DOM_BINS:
-        raise ConfigError(
-            f"{path}: modes.dom_bin_ghz = {values['modes.dom_bin_ghz']} splits "
-            f"the modes window into more than {MAX_DOM_BINS} histogram bins")
     if values["coupling.normalization"] not in ("dom", "spatial"):
         raise ConfigError(f"{path}: coupling.normalization must be 'dom' or 'spatial'")
     if values["renorm.variant"] not in ("standard", "literal"):

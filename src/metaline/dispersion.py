@@ -1,4 +1,4 @@
-"""Closed-form band physics of the two uncoupled ladder lines.
+"""Closed-form mode density of the two uncoupled ladder lines.
 
 For any L-C ladder with cell pitch dx the propagating plane waves obey
 sin(k dx / 2) = +- (i/2) sqrt(Z_series / Z_shunt).  Substituting the
@@ -9,74 +9,15 @@ inductors and capacitors (the left-handed ladder) gives the falling band
 
 which is bounded below by the infrared cutoff omega_ir where the mode
 density diverges (a one-dimensional van Hove singularity at the zone
-boundary).  Wavenumbers are restricted to the positive branch of the
-first Brillouin zone, phi = k dx / 2 in [0, pi/2].
+boundary).  On the positive branch of the first Brillouin zone the
+half-phase is phi = k dx / 2 = arcsin(omega_ir / omega) in [0, pi/2].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import CircuitSpec
-
-
-@dataclass(frozen=True)
-class BandPoint:
-    """One point on a ladder band: wavenumber, frequency, half-phase phi = k dx/2."""
-
-    k: float
-    omega: float
-    phi: float
-
-
-@dataclass(frozen=True)
-class SpectralDensityCurve:
-    """Sampled spin-boson spectral density J(omega) of the band edge."""
-
-    omega_grid: np.ndarray
-    j_values: np.ndarray
-    omega_ir: float
-    n_left: int
-
-
-def omega_rhtl(k, c_right: float, l_right: float, dx: float):
-    """Right-handed ladder dispersion (2/sqrt(C L)) sin(k dx / 2).
-
-    ``c_right`` and ``l_right`` are the lumped per-cell values; for a
-    discretized strip use C = c_r*dx, L = l_r*dx, which recovers the
-    continuum k/sqrt(c_r l_r) for k dx << 1.
-    """
-    k = np.asarray(k, dtype=float)
-    kdx = k * dx
-    if np.any(kdx < 0) or np.any(kdx > np.pi + 1e-12):
-        raise ValueError("k dx must lie in [0, pi] (first Brillouin zone)")
-    out = (2.0 / np.sqrt(c_right * l_right)) * np.sin(kdx / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def omega_lhtl(k, c_left: float, l_left: float, dx: float):
-    """Left-handed ladder dispersion omega_ir / sin(k dx / 2), falling in k."""
-    k = np.asarray(k, dtype=float)
-    kdx = k * dx
-    if np.any(kdx <= 0):
-        raise ValueError("frequency diverges as k -> 0; k dx must be positive")
-    if np.any(kdx > np.pi + 1e-12):
-        raise ValueError("k dx must lie in (0, pi] (first Brillouin zone)")
-    omega_ir = 1.0 / (2.0 * np.sqrt(c_left * l_left))
-    out = omega_ir / np.sin(kdx / 2.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def invert_lhtl(omega: float, omega_ir: float, dx: float) -> BandPoint:
-    """Wavenumber of the left-handed band at ``omega``: phi = arcsin(omega_ir/omega)."""
-    if omega < omega_ir:
-        raise ValueError(
-            f"omega = {omega:.6e} rad/s is below the cutoff {omega_ir:.6e} rad/s; "
-            "the mode is evanescent")
-    phi = float(np.arcsin(omega_ir / omega))
-    return BandPoint(k=2.0 * phi / dx, omega=float(omega), phi=phi)
 
 
 def rhtl_background_dom(spec: CircuitSpec) -> float:
@@ -105,31 +46,3 @@ def dom_approx(omega, spec: CircuitSpec, include_rhtl_background: bool = False):
     if include_rhtl_background:
         out = out + rhtl_background_dom(spec)
     return float(out) if out.ndim == 0 else out
-
-
-def spectral_density(omega, n_left: int, omega_ir: float):
-    """Spin-boson spectral density of the band edge (zero at and below cutoff).
-
-    J(omega) = (N_l / (pi sqrt(2 omega_ir))) / sqrt(omega - omega_ir) above
-    the cutoff; the step is half-open so J(omega_ir) = 0 exactly.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("omega must be positive")
-    above = omega > omega_ir
-    out = np.zeros_like(omega)
-    if np.any(above):
-        pref = n_left / (np.pi * np.sqrt(2.0 * omega_ir))
-        out[above] = pref / np.sqrt(omega[above] - omega_ir)
-    return float(out) if out.ndim == 0 else out
-
-
-def sample_spectral_density(omega_grid, n_left: int, omega_ir: float) -> SpectralDensityCurve:
-    """Evaluate J(omega) on a grid and package it with its parameters."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    return SpectralDensityCurve(
-        omega_grid=omega_grid,
-        j_values=np.atleast_1d(spectral_density(omega_grid, n_left, omega_ir)),
-        omega_ir=omega_ir,
-        n_left=n_left,
-    )

@@ -16,30 +16,6 @@ import numpy as np
 
 from .modes import CouplingSpectrum
 
-LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True, eq=False)
-class SingleExcitationState:
-    """Amplitudes (c0; c_1..c_N) over the one-excitation basis."""
-
-    c0: complex
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=complex))
-        norm = abs(self.c0) ** 2 + float(np.sum(np.abs(self.c) ** 2))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm:.9f}")
-
-    @property
-    def p_qubit(self) -> float:
-        """Excited-qubit population |c0|^2."""
-        return abs(self.c0) ** 2
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.c0], self.c])
-
 
 @dataclass(frozen=True, eq=False)
 class EntropyReport:
@@ -103,61 +79,17 @@ def diagonalize(h: np.ndarray) -> Eigensystem:
     return Eigensystem(evals=evals, evecs=evecs)
 
 
-def _eigensystem(h: np.ndarray | Eigensystem) -> Eigensystem:
-    return h if isinstance(h, Eigensystem) else diagonalize(h)
-
-
-def evolve(h: np.ndarray | Eigensystem, psi0: SingleExcitationState,
-           times) -> list[SingleExcitationState]:
-    """States exp(-i h t) psi0 at the requested times.
-
-    ``h`` is the Hamiltonian or its ``diagonalize`` result; a matrix is
-    diagonalized here, once for all the times.
-    """
-    eig = _eigensystem(h)
-    vec = psi0.as_vector()
-    if eig.dim != len(vec):
-        raise ValueError(
-            f"hamiltonian dimension {eig.dim} does not match state "
-            f"dimension {len(vec)}")
-    coeffs = eig.evecs.T @ vec
-    out = []
-    for t in np.atleast_1d(times):
-        if t == 0.0:
-            out.append(psi0)        # identity propagator, exactly
-            continue
-        psi = eig.evecs @ (np.exp(-1j * eig.evals * t) * coeffs)
-        out.append(SingleExcitationState(c0=complex(psi[0]), c=psi[1:]))
-    return out
-
-
-def entropy_qubit(psi: SingleExcitationState) -> float:
-    """Von Neumann entropy (nats) of the qubit/all-modes bipartition."""
-    return binary_entropy(psi.p_qubit)
-
-
-def entropy_minus_mode(psi: SingleExcitationState, n: int) -> float:
-    """Entropy (nats) of the remaining modes after tracing qubit and mode n.
-
-    The reduced state of the rest is diagonal with weights
-    q = |c0|^2 + |c_n|^2 (vacuum) and 1-q (one shared photon), so the
-    entropy is H2(q).
-    """
-    if not 0 <= n < len(psi.c):
-        raise IndexError(f"mode index {n} out of range for {len(psi.c)} modes")
-    q = psi.p_qubit + abs(psi.c[n]) ** 2
-    return binary_entropy(q)
-
-
-def entropy_scan(h: np.ndarray | Eigensystem, t: float,
+def entropy_scan(eig: Eigensystem, t: float,
                  time_label: float | None = None) -> EntropyReport:
-    """Evolve |1;0> to time ``t`` and report E_q plus E_n for every mode.
+    """Evolve |1;0> to time ``t`` under the ``diagonalize``d Hamiltonian
+    ``eig`` and report the entropies E_q and E_n of every mode.
 
-    ``h`` is the Hamiltonian or, to scan many times from one
-    decomposition, its ``diagonalize`` result.  ``time_label`` lets
-    callers record the dimensionless time t*g instead of the raw seconds.
+    E_q = H2(p) traces out the qubit (p the excited-qubit population);
+    tracing the qubit and mode n leaves the other modes diagonal, with
+    weight p + |c_n|^2 on the vacuum, so E_n = H2(p + |c_n|^2).
+    ``time_label`` lets callers record the dimensionless time t*g instead
+    of the raw seconds.
     """
-    eig = _eigensystem(h)
     if t == 0.0:
         pop = np.zeros(eig.dim)         # identity propagator, exactly
         pop[0] = 1.0

@@ -146,43 +146,12 @@ class CouplingSpectrum:
     def __len__(self) -> int:
         return len(self.frequencies)
 
-    def truncated(self, min_relative_profile: float) -> "CouplingSpectrum":
-        """Drop modes coupled below the given relative profile.
-
-        Useful to shrink the dynamics sector; the default pipelines keep
-        every mode.
-        """
-        keep = self.relative_profile >= min_relative_profile
-        return CouplingSpectrum(frequencies=self.frequencies[keep],
-                                relative_profile=self.relative_profile[keep],
-                                g=self.g[keep], g_global=self.g_global)
-
-
-@dataclass(frozen=True, eq=False)
-class DomEstimate:
-    """Numerical density of modes: binned histogram plus per-mode spacing dots."""
-
-    bin_edges: np.ndarray
-    bin_density: np.ndarray
-    mode_frequencies: np.ndarray
-    spacing_density: np.ndarray
-
-
-def sign_changes(values: np.ndarray) -> int:
-    """Number of sign alternations along a vector, ignoring exact zeros."""
-    s = np.sign(values)
-    s = s[s != 0]
-    if len(s) < 2:
-        return 0
-    return int(np.sum(s[1:] != s[:-1]))
-
-
 def _column_sign_changes(vecs: np.ndarray) -> np.ndarray:
-    """``sign_changes`` of every column of a finite 2-D array at once.
+    """Number of sign alternations down every column of a finite 2-D array.
 
-    Each exact zero takes the sign of the last nonzero entry above it (a
-    leading run of zeros stays zero), so only steps between two nonzero
-    signs count.
+    Exact zeros are ignored: each takes the sign of the last nonzero entry
+    above it (a leading run of zeros stays zero), so only steps between two
+    nonzero signs count.
     """
     s = (vecs > 0).astype(np.int8) - (vecs < 0)
     gaps = ~s.all(axis=0)
@@ -612,65 +581,23 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     return np.where(found, np.sqrt(0.5 * (lo + hi)), np.nan), band_count
 
 
-def voltage_profile(modes: ModeSet, n: int) -> np.ndarray:
-    """Node-voltage shape of mode n, proportional to omega_n times the flux profile."""
-    if not 0 <= n < len(modes):
-        raise IndexError(f"mode index {n} out of range for {len(modes)} modes")
-    return modes.frequencies[n] * modes.profiles[:, n]
+def footprint_weights(spec: CircuitSpec, x0: float, extent: float) -> np.ndarray:
+    """Weights w over the strip nodes such that |w . flux| is the magnitude
+    of a mode's strip current averaged over the footprint [x0, x0+extent].
 
-
-def _branch_currents(modes: ModeSet, spec: CircuitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strip branch-current shape of mode n at the segment midpoints."""
-    iface = modes.interface_index
-    flux = modes.profiles[iface:, n]
-    delta = spec.dx_right
-    currents = (flux[:-1] - flux[1:]) / (spec.l_right_per_len * delta)
-    midpoints = (np.arange(spec.n_right) + 0.5) * delta
-    return midpoints, currents
-
-
-def _check_footprint(spec: CircuitSpec, x0: float, extent: float) -> None:
-    if extent < 0:
-        raise ValueError("extent must be non-negative")
+    Branch currents live at the segment midpoints and are interpolated
+    linearly in between; the average is the exact integral mean of that
+    piecewise-linear shape.  It is linear in the node fluxes: branch
+    currents are flux differences, and linear interpolation and the
+    trapezoid rule are linear in the currents.  ``extent`` must be
+    positive and the footprint must lie on the strip.
+    """
+    if not extent > 0:
+        raise ValueError("extent must be positive")
     if x0 < 0 or x0 + extent > spec.rhtl_length:
         raise ValueError(
             f"footprint [{x0}, {x0 + extent}] m falls outside the strip "
             f"[0, {spec.rhtl_length}] m")
-
-
-def current_average(modes: ModeSet, spec: CircuitSpec, n: int,
-                    x0: float, extent: float) -> float:
-    """Magnitude of the mode-n strip current averaged over a qubit footprint.
-
-    Branch currents live at segment midpoints and are interpolated
-    linearly in between; the average is the exact integral mean of that
-    piecewise-linear shape over [x0, x0+extent].  ``extent`` = 0 returns
-    the pointwise magnitude at x0.  ``coupling_spectrum`` computes the
-    same average for every mode at once with ``footprint_weights``.
-    """
-    if not 0 <= n < len(modes):
-        raise IndexError(f"mode index {n} out of range for {len(modes)} modes")
-    _check_footprint(spec, x0, extent)
-    mids, currents = _branch_currents(modes, spec, n)
-    if extent == 0:
-        return float(abs(np.interp(x0, mids, currents)))
-    inner = mids[(mids > x0) & (mids < x0 + extent)]
-    knots = np.concatenate([[x0], inner, [x0 + extent]])
-    vals = np.interp(knots, mids, currents)
-    return float(abs(np.trapezoid(vals, knots) / extent))
-
-
-def footprint_weights(spec: CircuitSpec, x0: float, extent: float) -> np.ndarray:
-    """Weights w over the strip nodes such that |w . flux| is the
-    footprint-averaged current of ``current_average``.
-
-    The average is linear in the node fluxes: branch currents are flux
-    differences, linear interpolation and the trapezoid rule are linear
-    in the currents.  ``extent`` must be positive.
-    """
-    _check_footprint(spec, x0, extent)
-    if not extent > 0:
-        raise ValueError("extent must be positive")
     mids = (np.arange(spec.n_right) + 0.5) * spec.dx_right
     inner = mids[(mids > x0) & (mids < x0 + extent)]
     knots = np.concatenate([[x0], inner, [x0 + extent]])
@@ -690,9 +617,11 @@ def footprint_weights(spec: CircuitSpec, x0: float, extent: float) -> np.ndarray
 
 
 def find_current_antinode(modes: ModeSet, spec: CircuitSpec, n: int) -> float:
-    """Position of the largest strip current magnitude of mode n (m)."""
-    mids, currents = _branch_currents(modes, spec, n)
-    return float(mids[np.argmax(np.abs(currents))])
+    """Position of the largest strip current magnitude of mode n (m), at
+    the midpoint of its strip segment."""
+    flux = modes.profiles[modes.interface_index:, n]
+    currents = (flux[:-1] - flux[1:]) / (spec.l_right_per_len * spec.dx_right)
+    return float((np.argmax(np.abs(currents)) + 0.5) * spec.dx_right)
 
 
 def footprint_at_antinode(modes: ModeSet, spec: CircuitSpec,
@@ -718,14 +647,15 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
                       normalization: str = "dom") -> CouplingSpectrum:
     """Qubit-mode coupling spectrum over the given mode set.
 
-    The spatial factor is the footprint-averaged current magnitude of each
-    mode, one product |w^T V| of the ``footprint_weights`` with the strip
-    rows of the profiles.  With the default ``normalization="dom"`` it is
-    weighted by the density of modes at the mode frequency, which flattens
-    the couplings of the quasi-degenerate band-edge modes (they share one
-    strip profile but carry vanishing strip weight individually);
-    ``"spatial"`` uses the bare average instead.  Either way the largest entry defines
-    relative_profile = 1 and g_n = g_global * relative_profile_n.
+    The spatial factor is each mode's strip current magnitude averaged over
+    the qubit footprint: one product |w^T V| of the ``footprint_weights``
+    with the strip rows of the profiles.  With the default
+    ``normalization="dom"`` it is weighted by the density of modes at the
+    mode frequency, which flattens the couplings of the quasi-degenerate
+    band-edge modes (they share one strip profile but carry vanishing strip
+    weight individually); ``"spatial"`` uses the bare average instead.
+    Either way the largest entry defines relative_profile = 1 and
+    g_n = g_global * relative_profile_n.
     """
     if len(modes) == 0:
         raise ValueError("empty mode set")
@@ -745,24 +675,18 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
                             g_global=qubit.g_global)
 
 
-def dom_numeric(modes: ModeSet, bin_width: float) -> DomEstimate:
-    """Numerical density of modes from the computed spectrum.
+def dom_numeric(modes: ModeSet) -> np.ndarray:
+    """Numerical density of modes at each mode, from the computed spectrum.
 
-    Returns a histogram (counts per bin divided by the bin width) plus a
-    per-mode nearest-neighbor spacing estimate, 2/(omega_{n+1}-omega_{n-1})
-    at interior modes and the one-sided 1/spacing at the two ends, for
+    The nearest-neighbor spacing estimate 2/(omega_{n+1}-omega_{n-1}) at
+    interior modes and the one-sided 1/spacing at the two ends, for
     dot-level comparison against the closed-form density.
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
     w = modes.frequencies
     if len(w) < 2:
         raise ValueError("need at least 2 modes to estimate a density")
-    edges = np.arange(w[0], w[-1] + bin_width, bin_width)
-    counts, edges = np.histogram(w, bins=edges)
     spacing = np.empty_like(w)
     spacing[1:-1] = 2.0 / (w[2:] - w[:-2])
     spacing[0] = 1.0 / (w[1] - w[0])
     spacing[-1] = 1.0 / (w[-1] - w[-2])
-    return DomEstimate(bin_edges=edges, bin_density=counts / bin_width,
-                       mode_frequencies=w.copy(), spacing_density=spacing)
+    return spacing

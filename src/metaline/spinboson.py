@@ -190,6 +190,10 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
     so they stay finite in log-domain even when Delta_eff underflows.  The
     companion curve repeats the sweep with the spatial profile forced to 1.
     """
+    if len(couplings) == 0:
+        raise ValueError("empty coupling spectrum")
+    if not delta0 > 0:
+        raise ValueError("delta0 must be positive")
     g_grid = np.asarray(g_grid, dtype=float)
     if len(g_grid) < 2 or np.any(np.diff(g_grid) <= 0):
         raise ValueError("g_grid must be ascending with at least two points")

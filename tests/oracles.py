@@ -1,16 +1,19 @@
 """Independent brute-force oracles the library code must agree with.
 
 These deliberately avoid the closed forms and iteration schemes used by
-the package: entropies come from explicit density matrices and partial
-traces in the full qubit x modes tensor space, the renormalization
-fixed point from a dense scan over candidate splittings and from the
-plain monotone iteration, the localization boundary by bisection on
-labels from that iteration, the network
-matrices from per-element stamping loops, mode counts from a dense
-eigenvalue solve of the symmetrically reduced pencil, single eigenvalues
-from a 40-digit bisection, eigenvectors refined by long-double inverse
-iteration with pivoted Gaussian elimination, and CSV bytes from a writer
-that formats every value with its own call.
+the package: states are propagated by complex products on an
+eigendecomposition of their own, entropies come from explicit density
+matrices and partial traces in the full qubit x modes tensor space, the
+renormalization fixed point from a dense scan over candidate splittings
+and from the plain monotone iteration, the localization boundary by
+bisection on labels from that iteration, the network matrices from
+per-element stamping loops, bare-line frequencies from the closed-form
+ladder dispersions, footprint-averaged currents and sign changes one
+mode at a time, mode counts from a dense eigenvalue solve of the
+symmetrically reduced pencil, single eigenvalues from a 40-digit
+bisection, eigenvectors refined by long-double inverse iteration with
+pivoted Gaussian elimination, and CSV bytes from a writer that formats
+every value with its own call.
 """
 
 import numpy as np
@@ -125,41 +128,127 @@ def boundary_bracket(omega: np.ndarray, profile: np.ndarray, delta0: float,
     return float(g_lo), float(g_hi)
 
 
-def stamped_matrices(spec) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (cap, inv_ind) of a CircuitSpec, stamped element by element.
-
-    Every ladder cell adds its series capacitor to the 2x2 block of its
-    two nodes and its shunt inductor to the diagonal of its right node;
-    every strip segment adds 1/(l dx) to the 2x2 block of its two nodes
-    and half a cell of capacitance to each node; the terminating
-    capacitors add to the outermost diagonal entries.
-    """
-    c_cells, l_cells = spec.cell_values()
-    nl, nr = spec.n_left, spec.n_right
-    dim = nl + nr + 1
-    cap = np.zeros((dim, dim))
-    inv_ind = np.zeros((dim, dim))
-    for j in range(nl):
+def stamped_lhtl(c_cells, l_cells) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (cap, inv_ind) of a bare left-handed ladder, N cells and N+1
+    nodes: cell j adds its series capacitor to the 2x2 block of nodes j and
+    j+1 and its shunt inductor to the diagonal of node j+1."""
+    n = len(c_cells)
+    cap = np.zeros((n + 1, n + 1))
+    inv_ind = np.zeros((n + 1, n + 1))
+    for j in range(n):
         c = c_cells[j]
         cap[j, j] += c
         cap[j + 1, j + 1] += c
         cap[j, j + 1] -= c
         cap[j + 1, j] -= c
         inv_ind[j + 1, j + 1] += 1.0 / l_cells[j]
-    delta = spec.rhtl_length / nr
-    y = 1.0 / (spec.l_right_per_len * delta)
-    for j in range(nl, nl + nr):
+    return cap, inv_ind
+
+
+def stamped_rhtl(c_per_len, l_per_len, length, n_cells) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (cap, inv_ind) of a bare strip of ``n_cells`` segments with open
+    ends: every segment adds 1/(l dx) to the 2x2 block of its two nodes and
+    half a cell of capacitance to each node."""
+    cap = np.zeros((n_cells + 1, n_cells + 1))
+    inv_ind = np.zeros((n_cells + 1, n_cells + 1))
+    delta = length / n_cells
+    y = 1.0 / (l_per_len * delta)
+    for j in range(n_cells):
         inv_ind[j, j] += y
         inv_ind[j + 1, j + 1] += y
         inv_ind[j, j + 1] -= y
         inv_ind[j + 1, j] -= y
-        cap[j, j] += 0.5 * spec.c_right_per_len * delta
-        cap[j + 1, j + 1] += 0.5 * spec.c_right_per_len * delta
+        cap[j, j] += 0.5 * c_per_len * delta
+        cap[j + 1, j + 1] += 0.5 * c_per_len * delta
+    return cap, inv_ind
+
+
+def stamped_matrices(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (cap, inv_ind) of a CircuitSpec, stamped element by element.
+
+    The ladder (``stamped_lhtl``) and the strip (``stamped_rhtl``) add
+    their matrices to the blocks of their nodes, sharing the interface
+    node; the terminating capacitors add to the outermost diagonal entries.
+    """
+    nl, nr = spec.n_left, spec.n_right
+    dim = nl + nr + 1
+    cap = np.zeros((dim, dim))
+    inv_ind = np.zeros((dim, dim))
+    for nodes, (c, k) in (
+            (slice(0, nl + 1), stamped_lhtl(*spec.cell_values())),
+            (slice(nl, dim), stamped_rhtl(spec.c_right_per_len, spec.l_right_per_len,
+                                          spec.rhtl_length, nr))):
+        cap[nodes, nodes] += c
+        inv_ind[nodes, nodes] += k
     if spec.c_end_left is not None:
         cap[0, 0] += spec.c_end_left
     if spec.c_end_right is not None:
         cap[-1, -1] += spec.c_end_right
     return cap, inv_ind
+
+
+def omega_rhtl(k, c_right: float, l_right: float, dx: float):
+    """Right-handed ladder dispersion (2/sqrt(C L)) sin(k dx / 2).
+
+    ``c_right`` and ``l_right`` are the lumped per-cell values; for a
+    discretized strip use C = c_r*dx, L = l_r*dx, which recovers the
+    continuum k/sqrt(c_r l_r) for k dx << 1.
+    """
+    k = np.asarray(k, dtype=float)
+    kdx = k * dx
+    if np.any(kdx < 0) or np.any(kdx > np.pi + 1e-12):
+        raise ValueError("k dx must lie in [0, pi] (first Brillouin zone)")
+    out = (2.0 / np.sqrt(c_right * l_right)) * np.sin(kdx / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def omega_lhtl(k, c_left: float, l_left: float, dx: float):
+    """Left-handed ladder dispersion omega_ir / sin(k dx / 2), falling in k."""
+    k = np.asarray(k, dtype=float)
+    kdx = k * dx
+    if np.any(kdx <= 0):
+        raise ValueError("frequency diverges as k -> 0; k dx must be positive")
+    if np.any(kdx > np.pi + 1e-12):
+        raise ValueError("k dx must lie in (0, pi] (first Brillouin zone)")
+    omega_ir = 1.0 / (2.0 * np.sqrt(c_left * l_left))
+    out = omega_ir / np.sin(kdx / 2.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def sign_changes(values: np.ndarray) -> int:
+    """Number of sign alternations along a vector, ignoring exact zeros."""
+    s = np.sign(values)
+    s = s[s != 0]
+    if len(s) < 2:
+        return 0
+    return int(np.sum(s[1:] != s[:-1]))
+
+
+def current_average(modes, spec, n: int, x0: float, extent: float) -> float:
+    """Magnitude of the mode-n strip current averaged over [x0, x0+extent].
+
+    Branch currents, flux differences over l dx, live at the segment
+    midpoints and are interpolated linearly in between; the average is the
+    integral mean of that piecewise-linear shape by the trapezoid rule on
+    its knots.  ``extent`` = 0 returns the pointwise magnitude at x0.
+    """
+    flux = modes.profiles[modes.interface_index:, n]
+    currents = (flux[:-1] - flux[1:]) / (spec.l_right_per_len * spec.dx_right)
+    mids = (np.arange(spec.n_right) + 0.5) * spec.dx_right
+    if extent == 0:
+        return float(abs(np.interp(x0, mids, currents)))
+    inner = mids[(mids > x0) & (mids < x0 + extent)]
+    knots = np.concatenate([[x0], inner, [x0 + extent]])
+    vals = np.interp(knots, mids, currents)
+    return float(abs(np.trapezoid(vals, knots) / extent))
+
+
+def evolve(h: np.ndarray, psi0: np.ndarray, times) -> list[np.ndarray]:
+    """States exp(-i h t) psi0 of a real symmetric ``h`` at each of ``times``,
+    by complex products on numpy's eigendecomposition of ``h``."""
+    evals, evecs = np.linalg.eigh(h)
+    coeffs = evecs.T @ np.asarray(psi0, dtype=complex)
+    return [evecs @ (np.exp(-1j * evals * t) * coeffs) for t in times]
 
 
 def pencil_eigenvalues(cap: np.ndarray, inv_ind: np.ndarray) -> np.ndarray:

@@ -10,15 +10,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from metaline import (QubitSpec, SingleExcitationState, build_matrices,
-                      build_rwa_hamiltonian, coupling_spectrum, dom_approx,
-                      dom_numeric, entropy_scan, evolve, footprint_at_antinode,
-                      lhtl_ladder_matrices, omega_lhtl, omega_rhtl, renormalize,
-                      rhtl_ladder_matrices, sign_changes, solve_modes,
-                      sweep_coupling, voltage_profile, phase_diagram)
+from metaline import (CouplingSpectrum, QubitSpec, binary_entropy,
+                      build_matrices, build_rwa_hamiltonian, coupling_spectrum,
+                      diagonalize, dom_approx, dom_numeric, entropy_scan,
+                      footprint_at_antinode, renormalize, solve_modes,
+                      sweep_coupling, phase_diagram)
 from metaline.config import GHZ, parse_config
 from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec, wrap_dense
-from oracles import entropy_after_tracing, grid_search_fixed_point
+from oracles import (entropy_after_tracing, evolve, grid_search_fixed_point,
+                     omega_lhtl, omega_rhtl, sign_changes, stamped_lhtl,
+                     stamped_rhtl)
 
 
 def _config(name):
@@ -46,13 +47,12 @@ def test_criterion_1_band_edge():
 
 
 def test_criterion_2_dom_agreement(band_spec, band_modes):
-    est = dom_numeric(band_modes, TWO_PI * 0.1e9)
-    w = est.mode_frequencies
+    w = band_modes.frequencies
     nearest_edge = np.argsort(np.abs(w - OMEGA_IR))[:3]
     sel = (w > 1.05 * OMEGA_IR) & (w < 3.0 * OMEGA_IR)
     sel[nearest_edge] = False
     closed = dom_approx(w[sel], band_spec, include_rhtl_background=True)
-    dev = np.abs(est.spacing_density[sel] / closed - 1)
+    dev = np.abs(dom_numeric(band_modes)[sel] / closed - 1)
     assert dev.max() <= 0.05
     _report(2, "DoM agreement",
             f"{sel.sum()} modes, max deviation {dev.max():.3%} <= 5%")
@@ -68,7 +68,8 @@ def test_criterion_3_band_count(band_modes):
 
 def test_criterion_4_mode_profiles(band_modes):
     iface = band_modes.interface_index
-    strip = [voltage_profile(band_modes, n)[iface:] for n in range(3)]
+    # voltages are omega_n times the flux profiles: the same cosines
+    strip = [band_modes.profiles[iface:, n] for n in range(3)]
     sims = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -88,7 +89,7 @@ def test_criterion_5_dispersion_oracles(band_spec):
     worst = 0.0
     freqs = {}
     for n_right in (300, 600):
-        cap, ki = rhtl_ladder_matrices(c_r, l_r, ell, n_right)
+        cap, ki = stamped_rhtl(c_r, l_r, ell, n_right)
         ms = solve_modes(wrap_dense(cap, ki, np.linspace(0, ell, n_right + 1)))
         delta = ell / n_right
         k = np.arange(1, 11) * np.pi / ell
@@ -98,7 +99,7 @@ def test_criterion_5_dispersion_oracles(band_spec):
     stability_r = np.abs(freqs[600] / freqs[300] - 1).max()
 
     n = band_spec.n_left
-    cap, ki = lhtl_ladder_matrices(*band_spec.cell_values())
+    cap, ki = stamped_lhtl(*band_spec.cell_values())
     cap = cap + np.eye(n + 1) * band_spec.c_left * 1e-9
     ms = solve_modes(wrap_dense(cap, ki, np.linspace(0, 1, n + 1)))
     k = np.arange(n - 1, n - 11, -1) * np.pi / (n * band_spec.cell_pitch)
@@ -126,39 +127,46 @@ def test_criterion_6_dynamics_invariants(band_spec, band_modes):
                       extent=0.5e-3, g_global=cfg["qubit.g_ghz"] * GHZ)
     couplings = coupling_spectrum(band_modes, band_spec, qubit)
     h = build_rwa_hamiltonian(couplings, qubit.delta0)
-    psi0 = SingleExcitationState(c0=1.0, c=np.zeros(len(couplings)))
+    eig = diagonalize(h)
+    psi0 = np.eye(len(couplings) + 1)[0]
     times = np.linspace(0.0, 10.0, 41) / qubit.g_global
     e0 = qubit.delta0
-    for psi in evolve(h, psi0, times):
-        v = psi.as_vector()
+    for t, v in zip(times, evolve(h, psi0, times)):
         assert abs(np.vdot(v, v).real - 1.0) <= 1e-9
         assert abs(np.real(v.conj() @ h @ v) - e0) <= 1e-8 * e0
+        # the library's real-product populations give the same entropies
+        rep = entropy_scan(eig, t)
+        assert abs(rep.e_qubit - binary_entropy(abs(v[0]) ** 2)) <= 1e-9
 
     # resonant single-mode Rabi oscillation
-    from metaline import CouplingSpectrum
     omega, g = TWO_PI * 5e9, TWO_PI * 5e7
     h2 = build_rwa_hamiltonian(
         CouplingSpectrum(frequencies=np.array([omega]),
                          relative_profile=np.array([1.0]),
                          g=np.array([g]), g_global=g), delta0=omega)
     ts = np.linspace(0, 4 * np.pi / g, 60)
-    for t, psi in zip(ts, evolve(h2, SingleExcitationState(c0=1.0, c=np.zeros(1)), ts)):
-        assert abs(abs(psi.c0) - abs(np.cos(g * t))) <= 1e-6
+    for t, psi in zip(ts, evolve(h2, [1.0, 0.0], ts)):
+        assert abs(abs(psi[0]) - abs(np.cos(g * t))) <= 1e-6
 
-    # closed-form entropies against the brute-force partial-trace oracle
-    from metaline import entropy_minus_mode, entropy_qubit
+    # entropy_scan against the brute-force partial-trace oracle on the
+    # propagated states of random baths
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(1, 9))
-        raw = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        raw /= np.linalg.norm(raw)
-        psi = SingleExcitationState(c0=complex(raw[0]), c=raw[1:])
-        worst = max(worst, abs(entropy_qubit(psi)
-                               - entropy_after_tracing(psi.c0, psi.c, [0])))
+        freqs = np.sort(rng.uniform(0.5, 3.0, size=n))
+        gs = rng.uniform(0.0, 0.5, size=n)
+        h = build_rwa_hamiltonian(
+            CouplingSpectrum(frequencies=freqs, relative_profile=gs / gs.max(),
+                             g=gs, g_global=gs.max()), rng.uniform(0.5, 3.0))
+        t = rng.uniform(0.0, 30.0)
+        (psi,) = evolve(h, np.eye(n + 1)[0], [t])
+        rep = entropy_scan(diagonalize(h), t)
+        worst = max(worst, abs(rep.e_qubit
+                               - entropy_after_tracing(psi[0], psi[1:], [0])))
         m = int(rng.integers(0, n))
-        worst = max(worst, abs(entropy_minus_mode(psi, m)
-                               - entropy_after_tracing(psi.c0, psi.c, [0, 1 + m])))
+        worst = max(worst, abs(rep.e_per_mode[m]
+                               - entropy_after_tracing(psi[0], psi[1:], [0, 1 + m])))
     assert worst <= 1e-9
     _report(6, "dynamics invariants",
             f"norm/energy conserved; Rabi 1e-6; oracle gap {worst:.1e} <= 1e-9")
@@ -173,13 +181,14 @@ def test_criterion_7_entanglement_witness(band_spec, band_modes):
                       extent=0.5e-3, g_global=cfg["qubit.g_ghz"] * GHZ)
     couplings = coupling_spectrum(band_modes, band_spec, qubit)
     h = build_rwa_hamiltonian(couplings, qubit.delta0)
-    psi0 = SingleExcitationState(c0=1.0, c=np.zeros(len(couplings)))
+    eig = diagonalize(h)
+    psi0 = np.eye(len(couplings) + 1)[0]
     margins = []
     for tg in range(1, 11):
         t = tg / qubit.g_global
-        rep = entropy_scan(h, t, time_label=float(tg))
+        rep = entropy_scan(eig, t, time_label=float(tg))
         (psi,) = evolve(h, psi0, [t])
-        populated = np.abs(psi.c) ** 2 > 1e-6
+        populated = np.abs(psi[1:]) ** 2 > 1e-6
         assert rep.e_qubit > 0
         assert np.all(rep.e_per_mode[populated] >= rep.e_qubit - 1e-12)
         margins.append((rep.e_per_mode[populated] - rep.e_qubit).min())
@@ -207,7 +216,6 @@ def test_criterion_8_discontinuous_transition(band_spec, band_modes):
 
     rng = np.random.default_rng(77)
     worst = 0.0
-    from metaline import CouplingSpectrum
     for k in range(100):
         n = int(rng.integers(1, 6))
         freqs = np.sort(rng.uniform(0.5, 3.0, size=n))

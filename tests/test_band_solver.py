@@ -278,7 +278,8 @@ def test_disorder_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "disorder.csv").exists()
 
 
-@pytest.mark.parametrize("command, csv", [("dynamics", "entropy.csv"),
+@pytest.mark.parametrize("command, csv", [("modes", "dom.csv"),
+                                          ("dynamics", "entropy.csv"),
                                           ("renorm", "renorm.csv"),
                                           ("phase", "phase.csv")])
 def test_bath_run_loads_no_scipy(tmp_path, command, csv):

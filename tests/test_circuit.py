@@ -6,12 +6,11 @@ import pytest
 from scipy import stats
 
 from metaline import (CircuitSpec, NetworkBands, apply_disorder,
-                      build_matrices, design_from_impedance,
-                      lhtl_ladder_matrices, network_bands, rhtl_from_impedance,
-                      rhtl_ladder_matrices)
+                      build_matrices, design_from_impedance, network_bands,
+                      rhtl_from_impedance)
 from metaline.circuit import _PHI_HI, _PHI_LO, _normal_ppf
 from conftest import OMEGA_IR, make_band_edge_spec
-from oracles import stamped_matrices
+from oracles import stamped_lhtl, stamped_matrices, stamped_rhtl
 
 
 class TestDesignFromImpedance:
@@ -79,15 +78,15 @@ class TestBuildMatrices:
         assert evals.min() > -1e-9 * evals.max()     # positive semidefinite
 
     def test_rhtl_stencil_rows_sum_to_zero(self):
-        _, ki = rhtl_ladder_matrices(1.667e-10, 4.167e-7, 0.03, 50)
+        _, ki = stamped_rhtl(1.667e-10, 4.167e-7, 0.03, 50)
         npt.assert_allclose(ki.sum(axis=1), 0.0, atol=1e-12 * np.abs(ki).max())
 
     def test_total_strip_capacitance_discretization_invariant(self, band_spec):
         total = band_spec.c_right_per_len * band_spec.rhtl_length
         for n in (50, 300, 600):
-            cap, _ = rhtl_ladder_matrices(band_spec.c_right_per_len,
-                                          band_spec.l_right_per_len,
-                                          band_spec.rhtl_length, n)
+            cap, _ = stamped_rhtl(band_spec.c_right_per_len,
+                                  band_spec.l_right_per_len,
+                                  band_spec.rhtl_length, n)
             npt.assert_allclose(np.trace(cap), total, rtol=1e-12)
 
     def test_terminating_capacitors_add_to_end_diagonals(self, band_spec):
@@ -104,7 +103,7 @@ class TestBuildMatrices:
     def test_lhtl_ladder_element_placement(self):
         c = np.full(4, 2e-13)
         l = np.full(4, 1e-9)
-        cap, ki = lhtl_ladder_matrices(c, l)
+        cap, ki = stamped_lhtl(c, l)
         # series caps: +C on both adjacent diagonals, -C off-diagonal
         npt.assert_allclose(np.diag(cap), [2e-13, 4e-13, 4e-13, 4e-13, 2e-13])
         npt.assert_allclose(np.diag(cap, 1), -c)
@@ -137,9 +136,9 @@ class TestBuildMatrices:
         assert one.k_off.shape == one.c_off.shape == (dim - 1,)
         two = NetworkBands.stack([one, network_bands(apply_disorder(band_spec, 0.1, 1))])
         assert two.k_diag.shape == (2, dim) and two.c_off.shape == (2, dim - 1)
-        cap, inv_ind = one.dense()
-        npt.assert_array_equal(np.diag(cap, 1), one.c_off)
-        npt.assert_array_equal(np.diag(inv_ind), one.k_diag)
+        mat = build_matrices(band_spec)
+        npt.assert_array_equal(np.diag(mat.cap, 1), one.c_off)
+        npt.assert_array_equal(np.diag(mat.inv_ind), one.k_diag)
 
     def test_random_specs_property(self):
         rng = np.random.default_rng(7)

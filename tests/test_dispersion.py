@@ -1,12 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.integrate import quad
 
-from metaline import (design_from_impedance, dom_approx, invert_lhtl,
-                      omega_lhtl, omega_rhtl, rhtl_background_dom,
-                      sample_spectral_density, spectral_density)
+from metaline import design_from_impedance, dom_approx, rhtl_background_dom
 from conftest import OMEGA_IR
+from oracles import omega_lhtl, omega_rhtl
 
 C_L, L_L = design_from_impedance(50.0, OMEGA_IR)
 
@@ -67,28 +65,6 @@ class TestOmegaLhtl:
         assert np.all(np.diff(w) < 0)
 
 
-class TestInvertLhtl:
-    def test_band_edge(self):
-        bp = invert_lhtl(OMEGA_IR, OMEGA_IR, 1e-4)
-        npt.assert_allclose(bp.phi, np.pi / 2, rtol=1e-12)
-
-    def test_arcsin_values(self):
-        npt.assert_allclose(invert_lhtl(2 * OMEGA_IR, OMEGA_IR, 1e-4).phi,
-                            np.pi / 6, rtol=1e-12)
-        npt.assert_allclose(invert_lhtl(np.sqrt(2) * OMEGA_IR, OMEGA_IR, 1e-4).phi,
-                            np.pi / 4, rtol=1e-12)
-
-    def test_round_trip_through_dispersion(self):
-        dx = 1e-4
-        for omega in OMEGA_IR * np.array([1.0001, 1.05, 1.7, 4.0, 30.0]):
-            bp = invert_lhtl(omega, OMEGA_IR, dx)
-            npt.assert_allclose(omega_lhtl(bp.k, C_L, L_L, dx), omega, rtol=1e-12)
-
-    def test_evanescent_rejected(self):
-        with pytest.raises(ValueError, match="evanescent"):
-            invert_lhtl(0.99 * OMEGA_IR, OMEGA_IR, 1e-4)
-
-
 class TestDomApprox:
     def test_value_at_twice_cutoff(self, band_spec):
         # (4*200*1.99e-11/pi) * tan(pi/6) * sin(pi/6) = 1.462e-9 s/rad
@@ -125,43 +101,3 @@ class TestDomApprox:
         for omega in (band_spec.omega_ir, 0.5 * band_spec.omega_ir):
             with pytest.raises(ValueError):
                 dom_approx(omega, band_spec)
-
-
-class TestSpectralDensity:
-    def test_zero_below_and_at_cutoff(self):
-        assert spectral_density(0.5 * OMEGA_IR, 200, OMEGA_IR) == 0.0
-        assert spectral_density(OMEGA_IR, 200, OMEGA_IR) == 0.0
-
-    def test_value_at_twice_cutoff(self):
-        npt.assert_allclose(spectral_density(2 * OMEGA_IR, 200, OMEGA_IR),
-                            1.7911e-9, rtol=1e-3)
-
-    def test_prefactor_cancels_in_ratios(self):
-        w1, w2 = 1.3 * OMEGA_IR, 2.7 * OMEGA_IR
-        ratio = spectral_density(w1, 200, OMEGA_IR) / spectral_density(w2, 200, OMEGA_IR)
-        npt.assert_allclose(ratio, np.sqrt((w2 - OMEGA_IR) / (w1 - OMEGA_IR)),
-                            rtol=1e-12)
-
-    def test_integrable_singularity(self):
-        # quadrature over [omega_ir, omega_ir (1+x)] against the
-        # antiderivative 2 N_l sqrt(omega - omega_ir) / (pi sqrt(2 omega_ir))
-        n_left = 200
-        for x in (0.01, 0.5, 3.0):
-            hi = OMEGA_IR * (1 + x)
-            val, _ = quad(lambda w: spectral_density(w, n_left, OMEGA_IR),
-                          OMEGA_IR, hi, points=[OMEGA_IR], limit=200)
-            closed = 2 * n_left * np.sqrt(hi - OMEGA_IR) / (np.pi * np.sqrt(2 * OMEGA_IR))
-            npt.assert_allclose(val, closed, rtol=1e-6)
-
-    def test_curve_sampler_invariants(self):
-        grid = OMEGA_IR * np.linspace(0.5, 3.0, 101)
-        curve = sample_spectral_density(grid, 200, OMEGA_IR)
-        below = grid <= OMEGA_IR
-        assert np.all(curve.j_values[below] == 0)
-        above = curve.j_values[~below]
-        assert np.all(above > 0)
-        assert np.all(np.diff(above) < 0)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            spectral_density(0.0, 200, OMEGA_IR)

@@ -2,10 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from metaline import (CouplingSpectrum, Eigensystem, SingleExcitationState,
-                      binary_entropy, build_rwa_hamiltonian, diagonalize,
-                      entropy_minus_mode, entropy_qubit, entropy_scan, evolve)
-from oracles import entropy_after_tracing
+from metaline import (CouplingSpectrum, Eigensystem, binary_entropy,
+                      build_rwa_hamiltonian, diagonalize, entropy_scan)
+from oracles import entropy_after_tracing, evolve
 
 LN2 = np.log(2.0)
 
@@ -20,8 +19,13 @@ def _couplings(freqs, gs, g_global=1.0):
 
 def _random_state(rng, n):
     raw = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-    raw /= np.linalg.norm(raw)
-    return SingleExcitationState(c0=complex(raw[0]), c=raw[1:])
+    return raw / np.linalg.norm(raw)
+
+
+def _scan(freqs, gs, delta0, t):
+    """``entropy_scan`` of |1;0> at time ``t`` under the RWA Hamiltonian."""
+    h = build_rwa_hamiltonian(_couplings(freqs, gs), delta0)
+    return entropy_scan(diagonalize(h), t)
 
 
 class TestBuildHamiltonian:
@@ -47,27 +51,27 @@ class TestBuildHamiltonian:
 
 
 class TestEvolve:
+    """The oracle propagator that the entropies are checked on."""
+
     def test_resonant_rabi_oscillation(self):
         omega, g = 2 * np.pi * 5e9, 2 * np.pi * 5e7
         h = build_rwa_hamiltonian(_couplings([omega], [g]), delta0=omega)
-        psi0 = SingleExcitationState(c0=1.0, c=np.zeros(1))
         times = np.linspace(0, 3 / (g / (2 * np.pi)), 40)
-        for t, psi in zip(times, evolve(h, psi0, times)):
+        for t, psi in zip(times, evolve(h, [1.0, 0.0], times)):
             # global phase exp(-i omega t) times cos(g t)
-            assert abs(abs(psi.c0) - abs(np.cos(g * t))) < 1e-6
+            assert abs(abs(psi[0]) - abs(np.cos(g * t))) < 1e-6
 
     def test_time_zero_is_identity(self):
         rng = np.random.default_rng(0)
         psi0 = _random_state(rng, 5)
         h = np.diag(np.arange(6.0))
         (psi,) = evolve(h, psi0, [0.0])
-        npt.assert_allclose(psi.as_vector(), psi0.as_vector(), atol=1e-15)
+        npt.assert_allclose(psi, psi0, atol=1e-15)
 
     def test_decoupled_qubit_stays_put(self):
         h = build_rwa_hamiltonian(_couplings([1.0, 2.0], [0.0, 0.0]), 1.5)
-        psi0 = SingleExcitationState(c0=1.0, c=np.zeros(2))
-        for psi in evolve(h, psi0, [0.3, 1.7, 9.1]):
-            assert abs(abs(psi.c0) - 1.0) < 1e-12
+        for psi in evolve(h, [1.0, 0.0, 0.0], [0.3, 1.7, 9.1]):
+            assert abs(abs(psi[0]) - 1.0) < 1e-12
 
     def test_norm_conserved(self):
         rng = np.random.default_rng(1)
@@ -76,8 +80,7 @@ class TestEvolve:
         h = 0.5 * (h + h.T)
         psi0 = _random_state(rng, n)
         for psi in evolve(h, psi0, np.linspace(0, 50, 30)):
-            total = abs(psi.c0) ** 2 + np.sum(np.abs(psi.c) ** 2)
-            assert abs(total - 1.0) < 1e-9
+            assert abs(np.vdot(psi, psi).real - 1.0) < 1e-9
 
     def test_energy_conserved(self):
         rng = np.random.default_rng(2)
@@ -87,8 +90,7 @@ class TestEvolve:
         psi0 = _random_state(rng, n)
         e0 = None
         for psi in evolve(h, psi0, np.linspace(0, 20, 15)):
-            v = psi.as_vector()
-            e = float(np.real(v.conj() @ h @ v))
+            e = float(np.real(psi.conj() @ h @ psi))
             e0 = e if e0 is None else e0
             assert abs(e - e0) <= 1e-8 * abs(e0)
 
@@ -100,17 +102,7 @@ class TestEvolve:
         psi0 = _random_state(rng, n)
         (fwd,) = evolve(h, psi0, [2.3])
         (back,) = evolve(h, fwd, [-2.3])
-        npt.assert_allclose(back.as_vector(), psi0.as_vector(), atol=1e-8)
-
-    def test_rejects_nonsymmetric(self):
-        h = np.array([[1.0, 0.5], [0.1, 2.0]])
-        psi0 = SingleExcitationState(c0=1.0, c=np.zeros(1))
-        with pytest.raises(ValueError, match="symmetric"):
-            evolve(h, psi0, [1.0])
-
-    def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError, match="normalized"):
-            SingleExcitationState(c0=1.0, c=np.array([0.5]))
+        npt.assert_allclose(back, psi0, atol=1e-8)
 
 
 class TestDiagonalize:
@@ -125,110 +117,92 @@ class TestDiagonalize:
         npt.assert_allclose(eig.evecs @ np.diag(eig.evals) @ eig.evecs.T, h,
                             atol=1e-14)
 
-    def test_evolve_same_bytes_as_matrix(self):
-        h = self._h()
-        eig = diagonalize(h)
-        psi0 = _random_state(np.random.default_rng(4), 4)
-        times = [0.0, 0.7, 3.1, 40.0]
-        for a, b in zip(evolve(h, psi0, times), evolve(eig, psi0, times)):
-            assert a.as_vector().tobytes() == b.as_vector().tobytes()
-
-    def test_entropy_scan_same_bytes_as_matrix(self):
-        h = self._h()
-        eig = diagonalize(h)
-        for t in (0.0, 0.9, 12.5):
-            a, b = entropy_scan(h, t, time_label=t), entropy_scan(eig, t, time_label=t)
-            assert (a.time, a.e_qubit) == (b.time, b.e_qubit)
-            assert a.e_per_mode.tobytes() == b.e_per_mode.tobytes()
-
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             diagonalize(np.array([[1.0, 0.5], [0.1, 2.0]]))
 
-    def test_dimension_mismatch(self):
-        psi0 = SingleExcitationState(c0=1.0, c=np.zeros(2))
-        with pytest.raises(ValueError, match="dimension"):
-            evolve(diagonalize(self._h()), psi0, [1.0])
-
 
 class TestEntropies:
+    """The closed-form entropies of ``entropy_scan`` on states of known
+    entanglement, reached by resonant exchange with some of the modes."""
+
     def test_product_state_zero(self):
-        psi = SingleExcitationState(c0=1.0, c=np.zeros(3))
-        assert entropy_qubit(psi) == 0.0
+        # a decoupled qubit stays excited: qubit and modes stay a product
+        rep = _scan([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], 1.5, 7.3)
+        npt.assert_allclose([rep.e_qubit, *rep.e_per_mode], 0.0, rtol=0, atol=1e-12)
 
     def test_maximal_bipartite(self):
-        psi = SingleExcitationState(c0=1 / np.sqrt(2),
-                                    c=np.array([1 / np.sqrt(2), 0.0]))
-        npt.assert_allclose(entropy_qubit(psi), LN2, rtol=1e-12)
+        # one resonant mode: |c0|^2 = cos^2(g t) = 1/2 at g t = pi/4
+        rep = _scan([1.0, 2.0], [0.1, 0.0], 1.0, np.pi / 4 / 0.1)
+        npt.assert_allclose(rep.e_qubit, LN2, rtol=1e-12)
 
     def test_all_amplitude_on_traced_mode(self):
-        psi = SingleExcitationState(c0=0.0, c=np.array([0.0, 1.0, 0.0]))
-        assert entropy_minus_mode(psi, 1) == 0.0
+        # the photon is all in mode 1 at g t = pi/2: tracing it leaves vacuum
+        rep = _scan([0.5, 1.0, 2.0], [0.0, 0.1, 0.0], 1.0, np.pi / 2 / 0.1)
+        assert abs(rep.e_per_mode[1]) <= 1e-12
 
     def test_two_mode_example(self):
-        psi = SingleExcitationState(c0=1 / np.sqrt(2),
-                                    c=np.array([1 / np.sqrt(2), 0.0]))
-        npt.assert_allclose(entropy_minus_mode(psi, 1), LN2, rtol=1e-12)
+        # |c0|^2 = |c_0|^2 = 1/2 and mode 1 empty: tracing mode 1 leaves a
+        # maximally entangled qubit and mode 0
+        rep = _scan([1.0, 2.0], [0.1, 0.0], 1.0, np.pi / 4 / 0.1)
+        npt.assert_allclose(rep.e_per_mode[1], LN2, rtol=1e-12)
 
     def test_uniform_spread_exceeds_qubit_entropy(self):
-        n = 6
-        psi = SingleExcitationState(c0=0.0, c=np.full(n, 1 / np.sqrt(n)))
-        assert entropy_qubit(psi) == 0.0
-        for m in range(n):
-            npt.assert_allclose(entropy_minus_mode(psi, m),
-                                binary_entropy(1.0 / n), rtol=1e-12)
-            assert entropy_minus_mode(psi, m) > 0
+        # n degenerate resonant modes: the qubit hands its excitation to their
+        # symmetric combination at g sqrt(n) t = pi/2, so c0 = 0, c_m = 1/sqrt(n)
+        n, g = 6, 0.05
+        rep = _scan(np.ones(n), np.full(n, g), 1.0, np.pi / 2 / (g * np.sqrt(n)))
+        assert abs(rep.e_qubit) <= 1e-12
+        npt.assert_allclose(rep.e_per_mode, binary_entropy(1.0 / n), rtol=1e-12)
+        assert np.all(rep.e_per_mode > 0)
 
     def test_against_partial_trace_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             n = int(rng.integers(2, 9))
-            psi = _random_state(rng, n)
-            npt.assert_allclose(entropy_qubit(psi),
-                                entropy_after_tracing(psi.c0, psi.c, [0]),
+            h = build_rwa_hamiltonian(
+                _couplings(np.sort(rng.uniform(1.0, 2.0, n)),
+                           rng.uniform(0.0, 0.3, n)), rng.uniform(1.0, 2.0))
+            t = rng.uniform(0.0, 50.0)
+            (psi,) = evolve(h, np.eye(n + 1)[0], [t])
+            rep = entropy_scan(diagonalize(h), t)
+            npt.assert_allclose(rep.e_qubit,
+                                entropy_after_tracing(psi[0], psi[1:], [0]),
                                 atol=1e-9)
-            for m in range(n):
-                npt.assert_allclose(
-                    entropy_minus_mode(psi, m),
-                    entropy_after_tracing(psi.c0, psi.c, [0, 1 + m]),
-                    atol=1e-9)
-
-    def test_mode_index_out_of_range(self):
-        psi = SingleExcitationState(c0=1.0, c=np.zeros(2))
-        with pytest.raises(IndexError):
-            entropy_minus_mode(psi, 2)
+            npt.assert_allclose(
+                rep.e_per_mode,
+                [entropy_after_tracing(psi[0], psi[1:], [0, 1 + m]) for m in range(n)],
+                atol=1e-9)
 
 
 class TestEntropyScan:
     def test_matches_entropies_of_evolved_state(self):
-        # real-product populations against the complex state from evolve
+        # real-product populations against the oracle's complex state
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(1, 40))
             h = build_rwa_hamiltonian(
                 _couplings(np.sort(rng.uniform(1.0, 2.0, n)),
                            rng.uniform(0.0, 0.1, n)), rng.uniform(1.0, 2.0))
-            psi0 = SingleExcitationState(c0=1.0, c=np.zeros(n))
+            eig = diagonalize(h)
             for t in (0.0, *rng.uniform(0.0, 500.0, 3)):
-                rep = entropy_scan(h, t)
-                (psi,) = evolve(h, psi0, [t])
-                npt.assert_allclose(rep.e_qubit, entropy_qubit(psi),
+                rep = entropy_scan(eig, t)
+                (psi,) = evolve(h, np.eye(n + 1)[0], [t])
+                p = abs(psi[0]) ** 2
+                npt.assert_allclose(rep.e_qubit, binary_entropy(p), rtol=0, atol=1e-12)
+                npt.assert_allclose(rep.e_per_mode,
+                                    binary_entropy(p + np.abs(psi[1:]) ** 2),
                                     rtol=0, atol=1e-12)
-                npt.assert_allclose(
-                    rep.e_per_mode,
-                    [entropy_minus_mode(psi, m) for m in range(n)],
-                    rtol=0, atol=1e-12)
 
     def test_time_zero_all_zero(self):
         h = build_rwa_hamiltonian(_couplings([1.0, 2.0], [0.1, 0.2]), 1.5)
-        rep = entropy_scan(h, 0.0)
+        rep = entropy_scan(diagonalize(h), 0.0)
         assert rep.e_qubit == 0.0
         npt.assert_allclose(rep.e_per_mode, 0.0)
 
     def test_single_mode_leaves_nothing_entangled(self):
         omega, g = 2 * np.pi * 5e9, 2 * np.pi * 5e7
-        h = build_rwa_hamiltonian(_couplings([omega], [g]), delta0=omega)
-        rep = entropy_scan(h, 0.25 / (g / (2 * np.pi)))
+        rep = _scan([omega], [g], omega, 0.25 / (g / (2 * np.pi)))
         assert rep.e_per_mode[0] < 1e-12
 
     def test_spread_regime_witness(self):
@@ -236,11 +210,11 @@ class TestEntropyScan:
         freqs = 1.0 + 0.01 * np.arange(30)
         gs = np.full(30, 0.02)
         h = build_rwa_hamiltonian(_couplings(freqs, gs, g_global=0.02), 1.05)
+        eig = diagonalize(h)
         for tg in (1.0, 3.0, 7.0):
-            rep = entropy_scan(h, tg / 0.02, time_label=tg)
+            rep = entropy_scan(eig, tg / 0.02, time_label=tg)
             assert rep.time == tg
             assert rep.e_qubit > 0
-            psi = evolve(h, SingleExcitationState(c0=1.0, c=np.zeros(30)),
-                         [tg / 0.02])[0]
-            populated = np.abs(psi.c) ** 2 > 1e-6
+            (psi,) = evolve(h, np.eye(31)[0], [tg / 0.02])
+            populated = np.abs(psi[1:]) ** 2 > 1e-6
             assert np.all(rep.e_per_mode[populated] >= rep.e_qubit - 1e-12)

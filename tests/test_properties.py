@@ -50,7 +50,6 @@ GOOD = {
     "qubit.target_mode_ghz": _floats(3.0, 14.0),
     "modes.window_ghz_lo": _floats(0.0, 6.0),
     "modes.window_ghz_hi": _floats(6.0, 20.0),
-    "modes.dom_bin_ghz": _floats(1e-3, 2.0),
     "coupling.normalization": st.sampled_from(["dom", "spatial"]),
     "renorm.variant": st.sampled_from(["standard", "literal"]),
     "dynamics.tg_grid": _grid(0.0, 20.0, 1, 5),
@@ -75,7 +74,6 @@ BAD = {
     "qubit.target_mode_ghz": BAD_FLOATS,
     "modes.window_ghz_lo": BAD_FLOATS,
     "modes.window_ghz_hi": BAD_FLOATS,
-    "modes.dom_bin_ghz": BAD_FLOATS,
     "coupling.normalization": st.just("flat"),
     "renorm.variant": st.just("quartic"),
     "dynamics.tg_grid": st.sampled_from(["5, 1, 3", "0, nan, 2", "0, 1, 0"]),

@@ -320,6 +320,11 @@ class TestSweepCoupling:
             sweep_coupling(cs, 1.0, [0.5])
         with pytest.raises(ValueError):
             sweep_coupling(cs, 1.0, [0.5, 0.4, 0.6])
+        with pytest.raises(ValueError, match="empty"):
+            sweep_coupling(_couplings([], []), 1.0, [0.5, 0.6])
+        for delta0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="delta0"):
+                sweep_coupling(cs, delta0, [0.5, 0.6])
 
 
 @pytest.fixture(scope="module")
