@@ -29,7 +29,7 @@ from .dispersion import dom_approx, rhtl_background_dom
 from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
 from .modes import (IllConditionedCircuitError, ModeSet, QubitSpec, band_edges,
                     coupling_spectrum, dom_numeric, footprint_at_antinode, solve_modes)
-from .spinboson import Phase, phase_diagram, sweep_coupling
+from .spinboson import LOCALIZATION_THRESHOLD, Phase, phase_diagram, sweep_coupling
 
 
 def _fmt(value) -> str:
@@ -212,14 +212,18 @@ def _build_modes(config: RunConfig) -> tuple:
     return spec, modeset
 
 
+def _no_mode(config: RunConfig, what: str) -> ConfigError:
+    v = config.values
+    return ConfigError(f"modes.window_ghz_lo = {v['modes.window_ghz_lo']!r} and "
+                       f"modes.window_ghz_hi = {v['modes.window_ghz_hi']!r} "
+                       f"enclose no mode {what}")
+
+
 def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
     """Resolve footprint placement and the coupling scale from the config."""
     v = config.values
     if not len(modeset):
-        raise ConfigError(
-            f"modes.window_ghz_lo = {v['modes.window_ghz_lo']!r} and "
-            f"modes.window_ghz_hi = {v['modes.window_ghz_hi']!r} enclose no "
-            f"mode: the qubit has nothing to couple to")
+        raise _no_mode(config, "for the qubit to couple to")
     extent = v["qubit.extent_m"]
     if v["qubit.position_m"] is not None:
         position = v["qubit.position_m"]
@@ -328,19 +332,14 @@ def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
 def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
     """Phase diagram over the (Delta_0, g) grid (``threads`` is unused)."""
     spec, modeset = _build_modes(config)
-    qubit, couplings = _qubit_and_couplings(config, spec, modeset)
+    _, couplings = _qubit_and_couplings(config, spec, modeset)
     omega_ir = spec.omega_ir
-    g_grid = config.grid("phase.g") * omega_ir
-    delta0_grid = config.grid("phase.delta0") * omega_ir
-    diagram = phase_diagram(
-        spec, qubit, g_grid, delta0_grid,
-        freq_window=config.freq_window(),
-        normalization=config["coupling.normalization"],
-        variant=config["renorm.variant"],
-    )
+    diagram = phase_diagram(couplings, config.grid("phase.g") * omega_ir,
+                            config.grid("phase.delta0") * omega_ir,
+                            config["renorm.variant"])
     comments = _comments(config, "phase")
     ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
-    labels = np.where(ratio < diagram.localization_threshold,
+    labels = np.where(ratio < LOCALIZATION_THRESHOLD,
                       Phase.LOCALIZED.value, Phase.DELOCALIZED.value)
     table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
                    np.tile(diagram.g_axis / omega_ir, len(ratio)),
@@ -367,10 +366,8 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
     edges, counts = band_edges(bands, config.freq_window(), band)
     empty = [seed for seed, edge in zip(seeds, edges) if np.isnan(edge)]
     if empty:
-        raise ValueError(
-            f"no mode in the window [{config['modes.window_ghz_lo']}, "
-            f"{config['modes.window_ghz_hi']}] GHz for disorder "
-            f"seed{'s' if len(empty) > 1 else ''} {', '.join(map(str, empty))}")
+        raise _no_mode(config, f"for disorder seed{'s' if len(empty) > 1 else ''} "
+                               f"{', '.join(map(str, empty))}")
 
     edges = edges / GHZ
     comments = _comments(config, "disorder")

@@ -257,6 +257,10 @@ def _validate(values: dict, path: str) -> None:
         raise ConfigError(f"{path}: renorm.variant must be 'standard' or 'literal'")
     if values["qubit.g_ghz"] is None and values["qubit.tune_g_ghz"] is None:
         raise ConfigError(f"{path}: set qubit.g_ghz or qubit.tune_g_ghz/tune_mode_ghz")
+    tune = [key for key in ("qubit.tune_g_ghz", "qubit.tune_mode_ghz")
+            if values[key] is not None]
+    if values["qubit.g_ghz"] is not None and tune:
+        raise ConfigError(f"{path}: set qubit.g_ghz or {'/'.join(tune)}, not both")
     if (values["qubit.tune_g_ghz"] is None) != (values["qubit.tune_mode_ghz"] is None):
         raise ConfigError(
             f"{path}: qubit.tune_g_ghz and qubit.tune_mode_ghz go together")

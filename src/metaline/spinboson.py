@@ -26,8 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .circuit import CircuitSpec, build_matrices
-from .modes import CouplingSpectrum, QubitSpec, coupling_spectrum, solve_modes
+# build_matrices, coupling_spectrum, solve_modes: unused; perfbench/tracer.py patches them
+from .circuit import build_matrices
+from .modes import CouplingSpectrum, coupling_spectrum, solve_modes
 
 LOCALIZATION_THRESHOLD = 1e-3
 JUMP_FACTOR = 10.0
@@ -54,8 +55,6 @@ class DetectedJump:
 
     g_star: float
     drop_factor: float
-    delta_before: float
-    delta_after: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +77,6 @@ class PhaseDiagram:
     delta0_axis: np.ndarray
     delta_eff_grid: np.ndarray
     boundary: list[tuple[float, float]]
-    localization_threshold: float
 
 
 def _power(variant: str) -> int:
@@ -141,6 +139,16 @@ def _boundary_couplings(omega: np.ndarray, profile: np.ndarray, delta0,
     return np.where(reached, ratio, 0.0).max(axis=-1) ** (1.0 / q)
 
 
+def _check_bath(couplings: CouplingSpectrum, g_grid) -> np.ndarray:
+    """``g_grid`` as a float array, after the checks both sweeps share."""
+    if len(couplings) == 0:
+        raise ValueError("empty coupling spectrum")
+    g_grid = np.asarray(g_grid, dtype=float)
+    if len(g_grid) < 2 or np.any(np.diff(g_grid) <= 0):
+        raise ValueError("g_grid must be ascending with at least two points")
+    return g_grid
+
+
 def renormalize(couplings: CouplingSpectrum, delta0: float,
                 variant: str = "standard") -> RenormResult:
     """Largest self-consistent splitting of one bath, in closed form.
@@ -190,13 +198,9 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
     so they stay finite in log-domain even when Delta_eff underflows.  The
     companion curve repeats the sweep with the spatial profile forced to 1.
     """
-    if len(couplings) == 0:
-        raise ValueError("empty coupling spectrum")
+    g_grid = _check_bath(couplings, g_grid)
     if not delta0 > 0:
         raise ValueError("delta0 must be positive")
-    g_grid = np.asarray(g_grid, dtype=float)
-    if len(g_grid) < 2 or np.any(np.diff(g_grid) <= 0):
-        raise ValueError("g_grid must be ascending with at least two points")
     omega = couplings.frequencies
     profile = couplings.relative_profile
     cats = _cat_sizes(omega, profile, delta0, g_grid, variant)
@@ -211,52 +215,41 @@ def sweep_coupling(couplings: CouplingSpectrum, delta0: float, g_grid,
         if log_drop > np.log(JUMP_FACTOR):
             jumps.append(DetectedJump(
                 g_star=0.5 * (g_lo + g_hi),
-                drop_factor=float(np.exp(min(log_drop, 700.0))),
-                delta_before=float(delta0 * np.exp(-2.0 * cat_lo)),
-                delta_after=float(delta0 * np.exp(-2.0 * cat_hi)),
-            ))
+                drop_factor=float(np.exp(min(log_drop, 700.0)))))
     return CouplingSweep(g_grid=g_grid, delta_eff=delta0 * np.exp(-2.0 * cats),
                          cat_size=cats, cat_size_flat=cats_flat,
                          delta_eff_flat=delta0 * np.exp(-2.0 * cats_flat),
                          jumps=jumps)
 
 
-def phase_diagram(spec: CircuitSpec, qubit: QubitSpec, g_grid, delta0_grid,
-                  freq_window: tuple[float, float] | None = None,
-                  normalization: str = "dom",
-                  variant: str = "standard",
-                  localization_threshold: float = LOCALIZATION_THRESHOLD) -> PhaseDiagram:
-    """Delta_eff over a (g, Delta_0) grid for the circuit's computed bath.
+def phase_diagram(couplings: CouplingSpectrum, g_grid, delta0_grid,
+                  variant: str = "standard") -> PhaseDiagram:
+    """Delta_eff over a (g, Delta_0) grid of one bath.
 
     Every row takes the closed-form fixed point over the same bath.  The
     boundary lists, for each row that localizes on the grid, the exact
-    coupling where it localizes (``_boundary_couplings``), kept inside the
+    coupling where Delta_eff / Delta_0 falls below
+    ``LOCALIZATION_THRESHOLD`` (``_boundary_couplings``), kept inside the
     grid step where its phase label flips.
     """
-    g_grid = np.asarray(g_grid, dtype=float)
+    g_grid = _check_bath(couplings, g_grid)
     delta0_grid = np.asarray(delta0_grid, dtype=float)
-    if len(g_grid) < 2 or np.any(np.diff(g_grid) <= 0):
-        raise ValueError("g_grid must be ascending with at least two points")
     if len(delta0_grid) == 0 or np.any(np.diff(delta0_grid) < 0):
         raise ValueError("delta0_grid must be non-empty and ascending")
     if not delta0_grid[0] > 0:
         raise ValueError("delta0_grid must be positive")
-
-    modeset = solve_modes(build_matrices(spec), freq_window)
-    couplings = coupling_spectrum(modeset, spec, qubit, normalization)
     omega, profile = couplings.frequencies, couplings.relative_profile
 
     cats = np.vstack([_cat_sizes(omega, profile, delta0, g_grid, variant)
                       for delta0 in delta0_grid])
     # the step before each row's first localized point, or g_grid[0]
-    localized = cats > -0.5 * np.log(localization_threshold)
+    localized = cats > -0.5 * np.log(LOCALIZATION_THRESHOLD)
     first = np.argmax(localized, axis=1)
     g_star = np.clip(_boundary_couplings(omega, profile, delta0_grid, variant,
-                                         localization_threshold),
+                                         LOCALIZATION_THRESHOLD),
                      g_grid[np.maximum(first - 1, 0)], g_grid[first])
     some = localized.any(axis=1)
     boundary = list(zip(g_star[some].tolist(), delta0_grid[some].tolist()))
     return PhaseDiagram(g_axis=g_grid, delta0_axis=delta0_grid,
                         delta_eff_grid=delta0_grid[:, None] * np.exp(-2.0 * cats),
-                        boundary=boundary,
-                        localization_threshold=localization_threshold)
+                        boundary=boundary)

@@ -16,6 +16,7 @@ from metaline import (CouplingSpectrum, QubitSpec, binary_entropy,
                       footprint_at_antinode, renormalize, solve_modes,
                       sweep_coupling, phase_diagram)
 from metaline.config import GHZ, parse_config
+from metaline.spinboson import LOCALIZATION_THRESHOLD
 from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec, wrap_dense
 from oracles import (entropy_after_tracing, evolve, grid_search_fixed_point,
                      omega_lhtl, omega_rhtl, sign_changes, stamped_lhtl,
@@ -243,12 +244,11 @@ def test_criterion_9_phase_diagram(band_spec, band_modes):
     omega_ir = band_spec.omega_ir
     g_grid = cfg.grid("phase.g") * omega_ir
     delta0_grid = cfg.grid("phase.delta0") * omega_ir
-    diagram = phase_diagram(band_spec, qubit, g_grid, delta0_grid,
-                            freq_window=cfg.freq_window(),
-                            normalization=cfg["coupling.normalization"],
-                            variant=cfg["renorm.variant"])
+    couplings = coupling_spectrum(band_modes, band_spec, qubit,
+                                  cfg["coupling.normalization"])
+    diagram = phase_diagram(couplings, g_grid, delta0_grid, cfg["renorm.variant"])
     ratios = diagram.delta_eff_grid / delta0_grid[:, None]
-    assert np.any(ratios < diagram.localization_threshold)      # localized
+    assert np.any(ratios < LOCALIZATION_THRESHOLD)              # localized
     assert np.any(ratios > 0.5)                                 # delocalized
     assert np.all((delta0_grid > 1.05 * omega_ir)
                   & (delta0_grid < 1.5 * omega_ir))
@@ -260,12 +260,10 @@ def test_criterion_9_phase_diagram(band_spec, band_modes):
     half_modes = solve_modes(build_matrices(half_spec), WINDOW)
     x0h = footprint_at_antinode(half_modes, half_spec, TWO_PI * 4.579e9, 0.5e-3)
     qubit_h = QubitSpec(delta0=d0, position=x0h, extent=0.5e-3, g_global=1.0)
-    full = phase_diagram(band_spec, qubit, g_grid, np.array([d0]),
-                         freq_window=cfg.freq_window(),
-                         variant=cfg["renorm.variant"])
-    half = phase_diagram(half_spec, qubit_h, g_grid, np.array([d0]),
-                         freq_window=cfg.freq_window(),
-                         variant=cfg["renorm.variant"])
+    full = phase_diagram(couplings, g_grid, np.array([d0]), cfg["renorm.variant"])
+    half = phase_diagram(coupling_spectrum(half_modes, half_spec, qubit_h,
+                                           cfg["coupling.normalization"]),
+                         g_grid, np.array([d0]), cfg["renorm.variant"])
     g_full = full.boundary[0][0]
     g_half = half.boundary[0][0]
     assert g_half > g_full

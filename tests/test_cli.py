@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from metaline import build_matrices, cli
+from metaline import build_matrices, cli, modes
 from metaline.cli import _resolve_threads, _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
 
@@ -101,6 +101,8 @@ class TestConfigParsing:
         ("circuit.z0_ohm", "1e-320", "must be positive and finite"),
         ("disorder.seed0", "-5", "disorder.seed0 must be >= 0"),
         ("disorder.band_ghz_lo", "6.0", "disorder.band_ghz_hi = 5.039"),
+        ("qubit.tune_g_ghz", "0.46", "set qubit.g_ghz or"),
+        ("qubit.tune_mode_ghz", "4.579", "set qubit.g_ghz or"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,
@@ -500,6 +502,22 @@ class TestCmdPhase:
         assert "delocalized" in body
 
 
+@pytest.mark.parametrize("command,solves", [("modes", 1), ("dynamics", 1), ("renorm", 1),
+                                            ("phase", 1), ("disorder", 0)])
+def test_band_solves_per_command(tmp_path, monkeypatch, command, solves):
+    # disorder counts modes on the bands (band_edges) and solves none
+    calls = []
+    for name in ("_band_modes", "_dense_modes"):
+        def counted(*args, solver=getattr(modes, name)):
+            calls.append(solver.__name__)
+            return solver(*args)
+        monkeypatch.setattr(modes, name, counted)
+    cfg = _write(tmp_path, SMALL + "dynamics.tg_grid = 0.0, 2.0, 3\ndisorder.seeds = 2\n"
+                 "phase.delta0_grid = 1.1, 1.2, 2\nphase.g_grid = 0.05, 1.5, 10\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == solves, calls
+
+
 class TestCmdDisorder:
     def test_zero_sigma_zero_spread(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\ndisorder.sigma = 0.0\n"
@@ -532,7 +550,7 @@ class TestCmdDisorder:
                      "--threads", "3"]) == 0
         assert _read_all(out1) == _read_all(out2)
 
-    def test_empty_window_for_some_seeds_exits_3(self, tmp_path, capsys):
+    def test_empty_window_for_some_seeds_exits_2(self, tmp_path, capsys):
         from metaline import apply_disorder, build_matrices, solve_modes
         spec = parse_config(SMALL, is_text=True).circuit_spec()
         edges = {seed: solve_modes(build_matrices(apply_disorder(spec, 0.02, seed)),
@@ -545,9 +563,11 @@ class TestCmdDisorder:
         cfg = _write(tmp_path, text + "\ndisorder.sigma = 0.02\n"
                      "disorder.seeds = 3\ndisorder.seed0 = 1\n")
         out = tmp_path / "o"
-        assert main(["disorder", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["disorder", "--config", cfg, "--out", str(out)]) == 2
         others = ", ".join(str(s) for s in sorted(edges) if s != lowest)
-        assert f"seeds {others}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"seeds {others}\n" in err
+        assert "modes.window_ghz_lo = 3.8" in err and "modes.window_ghz_hi" in err
         assert not (out / "disorder.csv").exists()
 
 
@@ -571,7 +591,7 @@ class TestExitCodes:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("command", ["dynamics", "renorm", "phase"])
+    @pytest.mark.parametrize("command", ["dynamics", "renorm", "phase", "disorder"])
     def test_empty_window_exits_2(self, tmp_path, capsys, command):
         text = SMALL.replace("modes.window_ghz_lo = 3.8", "modes.window_ghz_lo = 900")
         cfg = _write(tmp_path, text.replace("modes.window_ghz_hi = 13.0",

@@ -4,7 +4,8 @@ import pytest
 
 from metaline import (CouplingSpectrum, Phase, QubitSpec, phase_diagram,
                       renormalize, sweep_coupling)
-from metaline.spinboson import _boundary_couplings, _cat_sizes
+from metaline.spinboson import (LOCALIZATION_THRESHOLD, _boundary_couplings,
+                                _cat_sizes)
 from conftest import TWO_PI, make_band_edge_spec
 from oracles import (boundary_bracket, grid_search_fixed_point,
                      iterate_fixed_point)
@@ -328,53 +329,43 @@ class TestSweepCoupling:
 
 
 @pytest.fixture(scope="module")
-def small_spec():
-    return make_band_edge_spec(n_left=40, n_right=60)
-
-
-@pytest.fixture(scope="module")
-def small_qubit():
-    return QubitSpec(delta0=TWO_PI * 4.2e9, position=0.02, extent=0.5e-3,
-                     g_global=1.0)
+def small_bath():
+    from metaline import build_matrices, coupling_spectrum, solve_modes
+    spec = make_band_edge_spec(n_left=40, n_right=60)
+    qubit = QubitSpec(delta0=TWO_PI * 4.2e9, position=0.02, extent=0.5e-3,
+                      g_global=1.0)
+    modes = solve_modes(build_matrices(spec), (TWO_PI * 3.8e9, TWO_PI * 13e9))
+    return spec.omega_ir, coupling_spectrum(modes, spec, qubit)
 
 
 class TestPhaseDiagram:
-    def test_row_matches_sweep(self, small_spec, small_qubit):
-        from metaline import build_matrices, coupling_spectrum, solve_modes
-        window = (TWO_PI * 3.8e9, TWO_PI * 13e9)
-        omega_ir = small_spec.omega_ir
+    def test_row_matches_sweep(self, small_bath):
+        omega_ir, couplings = small_bath
         g_grid = np.geomspace(0.02, 1.5, 15) * omega_ir
         delta0_grid = np.array([1.1, 1.3]) * omega_ir
-        diagram = phase_diagram(small_spec, small_qubit, g_grid, delta0_grid,
-                                freq_window=window)
-        modes = solve_modes(build_matrices(small_spec), window)
-        couplings = coupling_spectrum(modes, small_spec, small_qubit)
+        diagram = phase_diagram(couplings, g_grid, delta0_grid)
         sweep = sweep_coupling(couplings, delta0_grid[0], g_grid)
         npt.assert_array_equal(diagram.delta_eff_grid[0], sweep.delta_eff)
 
-    def test_zero_coupling_column_delocalized(self, small_spec, small_qubit):
-        omega_ir = small_spec.omega_ir
+    def test_zero_coupling_column_delocalized(self, small_bath):
+        omega_ir, couplings = small_bath
         g_grid = np.linspace(0.0, 1.5, 12) * omega_ir
         delta0_grid = np.array([1.1, 1.2]) * omega_ir
-        diagram = phase_diagram(small_spec, small_qubit, g_grid, delta0_grid,
-                                freq_window=(TWO_PI * 3.8e9, TWO_PI * 13e9))
+        diagram = phase_diagram(couplings, g_grid, delta0_grid)
         npt.assert_allclose(diagram.delta_eff_grid[:, 0],
                             delta0_grid, rtol=1e-12)
 
-    @pytest.mark.parametrize("variant,threshold", BOUNDARY_CASES)
-    def test_boundary_inside_oracle_bracket(self, small_spec, small_qubit,
-                                            variant, threshold):
-        from metaline import build_matrices, coupling_spectrum, solve_modes
-        window = (TWO_PI * 3.8e9, TWO_PI * 13e9)
-        omega_ir = small_spec.omega_ir
+    # the diagram uses LOCALIZATION_THRESHOLD; other thresholds are
+    # covered by TestBoundaryClosedForm
+    @pytest.mark.parametrize("variant,threshold",
+                             [(v, t) for v, t in BOUNDARY_CASES
+                              if t == LOCALIZATION_THRESHOLD])
+    def test_boundary_inside_oracle_bracket(self, small_bath, variant,
+                                            threshold):
+        omega_ir, couplings = small_bath
         g_grid = np.geomspace(0.02, 1.5, 15) * omega_ir
         delta0_grid = np.linspace(0.9, 1.6, 8) * omega_ir
-        diagram = phase_diagram(small_spec, small_qubit, g_grid, delta0_grid,
-                                freq_window=window, variant=variant,
-                                localization_threshold=threshold)
-        couplings = coupling_spectrum(
-            solve_modes(build_matrices(small_spec), window), small_spec,
-            small_qubit)
+        diagram = phase_diagram(couplings, g_grid, delta0_grid, variant)
         brackets = [(boundary_bracket(couplings.frequencies,
                                       couplings.relative_profile, d0, g_grid,
                                       variant, threshold), d0)
@@ -387,8 +378,16 @@ class TestPhaseDiagram:
             assert lo <= g_star <= hi
 
     @pytest.mark.parametrize("delta0", [0.0, -1.0])
-    def test_nonpositive_delta0_rejected(self, small_spec, small_qubit, delta0):
-        g_grid = np.geomspace(0.02, 1.5, 5) * small_spec.omega_ir
+    def test_nonpositive_delta0_rejected(self, small_bath, delta0):
+        omega_ir, couplings = small_bath
+        g_grid = np.geomspace(0.02, 1.5, 5) * omega_ir
         with pytest.raises(ValueError, match="positive"):
-            phase_diagram(small_spec, small_qubit, g_grid,
-                          np.array([delta0, 1.2 * small_spec.omega_ir]))
+            phase_diagram(couplings, g_grid, np.array([delta0, 1.2 * omega_ir]))
+
+    def test_grid_validation(self, small_bath):
+        omega_ir, couplings = small_bath
+        delta0_grid = np.array([1.2 * omega_ir])
+        with pytest.raises(ValueError, match="ascending"):
+            phase_diagram(couplings, [0.5 * omega_ir], delta0_grid)
+        with pytest.raises(ValueError, match="empty coupling spectrum"):
+            phase_diagram(_couplings([], []), [0.5, 0.6], delta0_grid)
