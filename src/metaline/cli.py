@@ -243,7 +243,7 @@ def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
         g_global = v["qubit.tune_g_ghz"] * GHZ / rel
     qubit = QubitSpec(delta0=probe.delta0, position=position,
                       extent=extent, g_global=g_global)
-    couplings = replace(shape, g=g_global * shape.relative_profile, g_global=g_global)
+    couplings = replace(shape, g=g_global * shape.relative_profile)
     return qubit, couplings
 
 
@@ -287,8 +287,7 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
     tg_grid = config.grid("dynamics.tg")
 
     def scan(tg: float):
-        t = tg / qubit.g_global if qubit.g_global > 0 else 0.0
-        return entropy_scan(eig, t, time_label=tg)
+        return entropy_scan(eig, tg / qubit.g_global, time_label=tg)
 
     workers = min(threads, len(tg_grid))
     if workers > 1:
@@ -384,10 +383,11 @@ _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in
              (cmd_modes, cmd_dynamics, cmd_renorm, cmd_phase, cmd_disorder)}
 
 
-def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        return max(1, arg)
-    return os.cpu_count() or 1
+def _worker_count(text: str) -> int:
+    """The ``--threads`` value: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -397,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a .cfg file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
                         help="dynamics worker pool size (default: CPU count)")
     parser.add_argument("--profiles", action="store_true",
                         help="include per-node mode profiles in modes.csv")
@@ -405,13 +405,12 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = parse_config(args.config)
-        threads = _resolve_threads(args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "modes":
-            cmd_modes(config, out, threads, profiles=args.profiles)
+            cmd_modes(config, out, args.threads, profiles=args.profiles)
         else:
-            _COMMANDS[args.command](config, out, threads)
+            _COMMANDS[args.command](config, out, args.threads)
     except ConfigError as exc:
         print(f"metaline: config error: {exc}", file=sys.stderr)
         return 2

@@ -174,20 +174,17 @@ class RunConfig:
         return _make_grid(triple, spacing, f"{name}_grid")
 
 
-def parse_config(source: str | Path, is_text: bool = False) -> RunConfig:
-    """Parse a config file (or literal text) against the full key schema.
+def parse_config(source: str | Path) -> RunConfig:
+    """Parse the config file at ``source`` against the full key schema.
 
     Unknown keys, duplicate keys, malformed values and non-positive
     physical quantities are ConfigErrors carrying the offending line.
     """
-    if is_text:
-        text, path = str(source), "<text>"
-    else:
-        path = str(source)
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
+    path = str(source)
+    try:
+        text = Path(source).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
 
     values = {k: default for k, (_, default) in _SCHEMA.items()}
     seen = set()

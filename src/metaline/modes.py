@@ -16,9 +16,9 @@ then takes one of two paths by network size:
   Sturm counts isolate the window's eigenvalues, and shifted inverse
   iteration with Rayleigh-quotient shifts, one LDL^T solve per step on
   the bands with numpy across the window modes, finds their vectors;
-  O(n m) per step for m window modes, O(n k^2) per step for each cluster
-  of k close modes, and one O(n m^2) matrix product that
-  C-orthonormalizes the window;
+  O(n m) per step for m window modes, O(n k^2) per step for each set of
+  k modes in one Sturm cell too narrow to split (repeated eigenvalues),
+  and one O(n m^2) matrix product that C-orthonormalizes the window;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
   only there) for dims 1001-2001, O(n^3) for all n modes; the only path
   that forms the n x n matrices.
@@ -69,9 +69,6 @@ _SAFMIN = np.finfo(float).tiny
 # spectrum benchmark device (dim 2001), whose reference pins dense rounding
 # (see the module docstring); every other size takes the band solver
 _DENSE_DIMS = range(1001, 2002)
-# relative gap of inverse-iteration shifts below which their vectors are
-# C-orthonormalized together
-_CLUSTER_GAP = 1e-3
 # Sturm shifts per refined cell in _isolate; each round shrinks a cell 8-fold
 _CELL_SHIFTS = 7
 # window ends widen by this relative amount in lam = omega^2, so that a
@@ -137,7 +134,6 @@ class CouplingSpectrum:
     frequencies: np.ndarray
     relative_profile: np.ndarray
     g: np.ndarray
-    g_global: float
 
     def __post_init__(self):
         if not (len(self.frequencies) == len(self.relative_profile) == len(self.g)):
@@ -378,17 +374,18 @@ def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
     the modes, from fixed pseudo-random start vectors.  The shift of each
     mode is its last Rayleigh quotient while that stays in the mode's
     cell, else the cell midpoint, and every solve's pivot counts narrow
-    the cells further.  Vectors whose shifts lie within a relative
-    ``_CLUSTER_GAP`` are C-orthonormalized together (Cholesky QR) at each
-    step, and a last first-order Loewdin step, V <- V (I - E/2) with
-    E = V^T C V - I, C-orthonormalizes them all.  Returns the Rayleigh
-    quotients and the vectors.
+    the cells further.  Vectors of modes that share a cell ``_isolate``
+    left unsplit are C-orthonormalized together (Cholesky QR) at each
+    step; the others come out orthogonal to about eps / relative gap.  A
+    last first-order Loewdin step, V <- V (I - E/2) with E = V^T C V - I,
+    C-orthonormalizes them all, or raises ArithmeticError where E is too
+    large for one step.  Returns the Rayleigh quotients and the vectors.
     """
-    def cells() -> tuple[np.ndarray, np.ndarray]:
+    def cells() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         j = np.searchsorted(counts, index, side="right")
-        return points[j - 1], points[j]
+        return j, points[j - 1], points[j]
 
-    cell_lo, cell_hi = cells()
+    _, cell_lo, cell_hi = cells()
     shift = 0.5 * (cell_lo + cell_hi)
     k_rows, c_rows = (np.abs(diag) + np.pad(np.abs(off), (1, 0))
                       + np.pad(np.abs(off), (0, 1))     # absolute row sums
@@ -406,7 +403,7 @@ def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
             x[:, retry], below[retry] = _inverse_step(bands, shift[retry],
                                                       rhs[:, retry])
         points, counts = _merge(points, counts, shift, below)
-        cell_lo, cell_hi = cells()
+        cell, cell_lo, cell_hi = cells()
         cx = _tri_mul(bands.c_diag, bands.c_off, x)
         norm2 = np.einsum("ij,ij->j", x, cx)
         # (K - shift C) x = rhs gives x^T K x = x^T rhs + shift x^T C x
@@ -414,7 +411,7 @@ def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
         scale = 1.0 / np.sqrt(norm2)
         x *= scale
         cx *= scale
-        for s, e in _clusters(shift):
+        for s, e in _clusters(cell):
             r = np.linalg.inv(np.linalg.cholesky(x[:, s:e].T @ cx[:, s:e])).T
             x[:, s:e] = x[:, s:e] @ r
             cx[:, s:e] = cx[:, s:e] @ r
@@ -438,15 +435,19 @@ def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
             f"band eigensolver did not converge in {_MAX_STEPS} steps")
     err = x.T @ cx
     err[np.diag_indices_from(err)] -= 1.0
+    # the step leaves V^T C V - I = -(3/4) E^2 + O(E^3), |(E^2)_ij| <= |E_i| |E_j|
+    if (worst := 0.75 * np.einsum("ij,ij->j", err, err).max()) > 1e-12:
+        raise ArithmeticError(f"band eigensolver: vectors too far from "
+                              f"C-orthonormal for one Loewdin step ({worst:.1e})")
     x -= 0.5 * (x @ err)
     return rq, x
 
 
-def _clusters(lam: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of two or more ascending shifts whose
-    consecutive relative gaps are below ``_CLUSTER_GAP``."""
-    cuts = np.flatnonzero(np.diff(lam) > _CLUSTER_GAP * np.abs(lam[1:])) + 1
-    edges = np.concatenate([[0], cuts, [len(lam)]]).tolist()
+def _clusters(cell: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of two or more modes in one Sturm cell,
+    given the ascending cell number of every mode."""
+    cuts = np.flatnonzero(np.diff(cell)) + 1
+    edges = np.concatenate([[0], cuts, [len(cell)]]).tolist()
     return [(s, e) for s, e in zip(edges[:-1], edges[1:]) if e - s > 1]
 
 
@@ -671,8 +672,7 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
         relative = raw / peak
     return CouplingSpectrum(frequencies=modes.frequencies.copy(),
                             relative_profile=relative,
-                            g=qubit.g_global * relative,
-                            g_global=qubit.g_global)
+                            g=qubit.g_global * relative)
 
 
 def dom_numeric(modes: ModeSet) -> np.ndarray:

@@ -144,7 +144,7 @@ def test_criterion_6_dynamics_invariants(band_spec, band_modes):
     h2 = build_rwa_hamiltonian(
         CouplingSpectrum(frequencies=np.array([omega]),
                          relative_profile=np.array([1.0]),
-                         g=np.array([g]), g_global=g), delta0=omega)
+                         g=np.array([g])), delta0=omega)
     ts = np.linspace(0, 4 * np.pi / g, 60)
     for t, psi in zip(ts, evolve(h2, [1.0, 0.0], ts)):
         assert abs(abs(psi[0]) - abs(np.cos(g * t))) <= 1e-6
@@ -159,7 +159,7 @@ def test_criterion_6_dynamics_invariants(band_spec, band_modes):
         gs = rng.uniform(0.0, 0.5, size=n)
         h = build_rwa_hamiltonian(
             CouplingSpectrum(frequencies=freqs, relative_profile=gs / gs.max(),
-                             g=gs, g_global=gs.max()), rng.uniform(0.5, 3.0))
+                             g=gs), rng.uniform(0.5, 3.0))
         t = rng.uniform(0.0, 30.0)
         (psi,) = evolve(h, np.eye(n + 1)[0], [t])
         rep = entropy_scan(diagonalize(h), t)
@@ -225,7 +225,7 @@ def test_criterion_8_discontinuous_transition(band_spec, band_modes):
         variant = "standard" if k % 2 == 0 else "literal"
         cs = CouplingSpectrum(frequencies=freqs,
                               relative_profile=gs / gs.max(),
-                              g=gs, g_global=gs.max())
+                              g=gs)
         res = renormalize(cs, delta0, variant)
         oracle = grid_search_fixed_point(freqs, gs, delta0, variant)
         worst = max(worst, abs(res.delta_eff / oracle - 1))

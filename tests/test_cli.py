@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from metaline import build_matrices, cli, modes
-from metaline.cli import _resolve_threads, _write_csv, main
+from metaline.cli import _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
 
 SMALL = """
@@ -34,6 +34,11 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _parse(tmp_path, text):
+    """``parse_config`` of ``text``, written to a file in ``tmp_path``."""
+    return parse_config(_write(tmp_path, text))
+
+
 def _read_all(outdir):
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
@@ -45,38 +50,36 @@ def _float_rows(block):
 
 
 class TestConfigParsing:
-    def test_defaults_fill_missing_keys(self):
-        cfg = parse_config(SMALL, is_text=True)
+    def test_defaults_fill_missing_keys(self, tmp_path):
+        cfg = _parse(tmp_path, SMALL)
         assert cfg["circuit.n_right"] == 60
         assert cfg["coupling.normalization"] == "dom"
         assert cfg["renorm.variant"] == "standard"
         assert cfg["qubit.position_m"] is None
 
-    def test_ghz_conversion_happens_once(self):
-        cfg = parse_config(SMALL, is_text=True)
+    def test_ghz_conversion_happens_once(self, tmp_path):
+        cfg = _parse(tmp_path, SMALL)
         lo, hi = cfg.freq_window()
         assert lo == 3.8 * GHZ and hi == 13.0 * GHZ
         np.testing.assert_allclose(cfg.circuit_spec().omega_ir, 4.0 * GHZ,
                                    rtol=1e-12)
 
-    def test_unknown_key_with_line_number(self):
+    def test_unknown_key_with_line_number(self, tmp_path):
         with pytest.raises(ConfigError, match=":2"):
-            parse_config("circuit.n_left = 4\nbogus.key = 1\n", is_text=True)
+            _parse(tmp_path, "circuit.n_left = 4\nbogus.key = 1\n")
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, tmp_path):
         text = SMALL + "\ncircuit.n_left = 50\n"
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config(text, is_text=True)
+            _parse(tmp_path, text)
 
-    def test_malformed_value_addressed(self):
+    def test_malformed_value_addressed(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse"):
-            parse_config("circuit.n_left = forty\nqubit.g_ghz = 0.2",
-                         is_text=True)
+            _parse(tmp_path, "circuit.n_left = forty\nqubit.g_ghz = 0.2")
 
-    def test_nonpositive_physical_value(self):
+    def test_nonpositive_physical_value(self, tmp_path):
         with pytest.raises(ConfigError, match="must be positive"):
-            parse_config("circuit.cell_pitch_m = -1e-4\nqubit.g_ghz = 0.2",
-                         is_text=True)
+            _parse(tmp_path, "circuit.cell_pitch_m = -1e-4\nqubit.g_ghz = 0.2")
 
     # (key, bad value, what the message says); keys are checked when the
     # config is parsed, so every command stops on them
@@ -138,30 +141,30 @@ class TestConfigParsing:
         assert main(["disorder", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "disorder.sigma" in capsys.readouterr().err
 
-    def test_needs_some_coupling_scale(self):
+    def test_needs_some_coupling_scale(self, tmp_path):
         text = SMALL.replace("qubit.g_ghz = 0.2", "")
         with pytest.raises(ConfigError, match="g_ghz"):
-            parse_config(text, is_text=True)
+            _parse(tmp_path, text)
 
-    def test_tune_keys_go_together(self):
+    def test_tune_keys_go_together(self, tmp_path):
         text = SMALL.replace("qubit.g_ghz = 0.2", "qubit.tune_g_ghz = 0.46")
         with pytest.raises(ConfigError, match="go together"):
-            parse_config(text, is_text=True)
+            _parse(tmp_path, text)
 
-    def test_grid_parsing(self):
-        cfg = parse_config(SMALL + "\nrenorm.g_grid = 0.1, 1.0, 5\n"
-                           "renorm.g_spacing = log", is_text=True)
+    def test_grid_parsing(self, tmp_path):
+        cfg = _parse(tmp_path, SMALL + "\nrenorm.g_grid = 0.1, 1.0, 5\n"
+                     "renorm.g_spacing = log")
         grid = cfg.grid("renorm.g")
         assert len(grid) == 5
         np.testing.assert_allclose(grid[0], 0.1)
         np.testing.assert_allclose(grid[-1], 1.0)
 
-    def test_literal_element_values_loadable(self):
+    def test_literal_element_values_loadable(self, tmp_path):
         # the printed strip parameters (1667 fF/um, 4167 pH/um) stay
         # loadable even though the default derives consistent ones
         text = SMALL + ("\ncircuit.c_right_f_per_m = 1.667e-6\n"
                         "circuit.l_right_h_per_m = 4.167e-3\n")
-        spec = parse_config(text, is_text=True).circuit_spec()
+        spec = _parse(tmp_path, text).circuit_spec()
         assert spec.c_right_per_len == 1.667e-6
         assert spec.l_right_per_len == 4.167e-3
 
@@ -219,7 +222,7 @@ class TestCmdDynamics:
 
     def test_single_mode_window_no_crash(self, tmp_path):
         from metaline import build_matrices, solve_modes
-        spec = parse_config(SMALL, is_text=True).circuit_spec()
+        spec = _parse(tmp_path, SMALL).circuit_spec()
         ms = solve_modes(build_matrices(spec), (3.8 * GHZ, 13.0 * GHZ))
         f0 = ms.frequencies[0] / GHZ
         text = SMALL.replace("modes.window_ghz_lo = 3.8",
@@ -552,7 +555,7 @@ class TestCmdDisorder:
 
     def test_empty_window_for_some_seeds_exits_2(self, tmp_path, capsys):
         from metaline import apply_disorder, build_matrices, solve_modes
-        spec = parse_config(SMALL, is_text=True).circuit_spec()
+        spec = _parse(tmp_path, SMALL).circuit_spec()
         edges = {seed: solve_modes(build_matrices(apply_disorder(spec, 0.02, seed)),
                                    (3.8 * GHZ, 13.0 * GHZ)).frequencies[0] / GHZ
                  for seed in (1, 2, 3)}
@@ -607,12 +610,24 @@ class TestExitCodes:
         monkeypatch.setenv("METALINE_THREADS", "abc")
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert _resolve_threads(2) == 2
-        assert _resolve_threads(0) == 1
-        assert _resolve_threads(None) == 5
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_threads(None) == 1
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "renorm",
+                            lambda config, out, threads: seen.append(threads))
+        for cpus, flag in ((5, ["--threads", "2"]), (5, []), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert main(["renorm", "--config", cfg, "--out", str(tmp_path)] + flag) == 0
+        assert seen == [2, 5, 1]
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, value):
+        cfg = _write(tmp_path, SMALL)
+        with pytest.raises(SystemExit) as exit_:
+            main(["dynamics", "--config", cfg, "--out", str(tmp_path),
+                  "--threads", value])
+        assert exit_.value.code == 2
+        assert f"--threads: expected an integer >= 1, got '{value}'" \
+            in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_bundled_configs_parse(self):
         from importlib import resources

@@ -13,8 +13,7 @@ def _couplings(freqs, gs, g_global=1.0):
     freqs = np.asarray(freqs, dtype=float)
     gs = np.asarray(gs, dtype=float)
     rel = gs / g_global
-    return CouplingSpectrum(frequencies=freqs, relative_profile=rel, g=gs,
-                            g_global=g_global)
+    return CouplingSpectrum(frequencies=freqs, relative_profile=rel, g=gs)
 
 
 def _random_state(rng, n):

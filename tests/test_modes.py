@@ -366,7 +366,7 @@ class TestCouplingSpectrum:
     def test_mismatched_arrays_rejected(self):
         with pytest.raises(ValueError, match="matching"):
             CouplingSpectrum(frequencies=np.ones(3), relative_profile=np.ones(2),
-                             g=np.ones(3), g_global=1.0)
+                             g=np.ones(3))
 
     @pytest.mark.parametrize("kw", [dict(delta0=0.0), dict(extent=0.0),
                                     dict(g_global=-1.0)])

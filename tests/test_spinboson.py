@@ -16,7 +16,7 @@ def _couplings(freqs, gs):
     gs = np.asarray(gs, dtype=float)
     peak = gs.max() if len(gs) and gs.max() > 0 else 1.0
     return CouplingSpectrum(frequencies=freqs, relative_profile=gs / peak,
-                            g=gs, g_global=peak)
+                            g=gs)
 
 
 def _random_bath(rng, n_max=5):
@@ -281,7 +281,7 @@ class TestSweepCoupling:
     def _spectrum(self, g_global):
         freqs, profile = self._band()
         return CouplingSpectrum(frequencies=freqs, relative_profile=profile,
-                                g=g_global * profile, g_global=g_global)
+                                g=g_global * profile)
 
     def test_zero_coupling_endpoint(self):
         cs = self._spectrum(1.0)
@@ -305,7 +305,7 @@ class TestSweepCoupling:
         freqs = np.linspace(1.05, 3.0, 30)
         cs = CouplingSpectrum(frequencies=freqs,
                               relative_profile=np.ones(30),
-                              g=np.ones(30), g_global=1.0)
+                              g=np.ones(30))
         grid = np.geomspace(0.01, 3.0, 25)
         sweep = sweep_coupling(cs, 1.02, grid)
         raw_drops = sweep.delta_eff[:-1] / sweep.delta_eff[1:]
