@@ -162,11 +162,8 @@ class RunConfig:
         )
 
     def freq_window(self) -> tuple[float, float]:
-        lo = self.values["modes.window_ghz_lo"] * GHZ
-        hi = self.values["modes.window_ghz_hi"] * GHZ
-        if hi < lo:
-            raise ConfigError("modes.window_ghz_hi must be >= modes.window_ghz_lo")
-        return lo, hi
+        return (self.values["modes.window_ghz_lo"] * GHZ,
+                self.values["modes.window_ghz_hi"] * GHZ)
 
     def grid(self, name: str) -> np.ndarray:
         triple = self.values[f"{name}_grid"]
@@ -273,11 +270,12 @@ def _validate(values: dict, path: str) -> None:
     if values["disorder.seed0"] < 0:
         raise ConfigError(f"{path}: disorder.seed0 must be >= 0 (seeds seed the "
                           f"random generator), got {values['disorder.seed0']}")
-    if values["disorder.band_ghz_lo"] > values["disorder.band_ghz_hi"]:
-        raise ConfigError(
-            f"{path}: disorder.band_ghz_hi must be >= disorder.band_ghz_lo, got "
-            f"disorder.band_ghz_lo = {values['disorder.band_ghz_lo']} and "
-            f"disorder.band_ghz_hi = {values['disorder.band_ghz_hi']}")
+    for name in ("modes.window", "disorder.band"):
+        lo, hi = values[f"{name}_ghz_lo"], values[f"{name}_ghz_hi"]
+        if lo > hi:
+            raise ConfigError(
+                f"{path}: {name}_ghz_hi must be >= {name}_ghz_lo, got "
+                f"{name}_ghz_lo = {lo} and {name}_ghz_hi = {hi}")
     if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
         raise ConfigError(
             f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "

@@ -47,6 +47,11 @@ Where only frequencies and counts are needed (the disorder study)
 ``band_edges`` works on the bands of a whole stack of devices: Sturm
 counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law of
 inertia) and multisection, O(n) per shift and no eigenvectors.
+
+Every Sturm count, on both of these paths, is one ``sturm_count`` sweep:
+blocks of nodes in whole-block numpy expressions and a pivot recurrence
+of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
+block that meets a pivot below pivmin runs again with dstebz's guard.
 """
 
 from __future__ import annotations
@@ -65,6 +70,9 @@ GAUGE = 1e-6
 _SHIFTS = 31
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
+# values (nodes x shifts) per block of the Sturm sweep: bounds its
+# temporaries, and amortizes the block's whole-block expressions
+_BLOCK_VALUES = 2 ** 15
 # the only network dimensions that take dense eigh: the size class of the
 # spectrum benchmark device (dim 2001), whose reference pins dense rounding
 # (see the module docstring); every other size takes the band solver
@@ -227,17 +235,31 @@ def _check_capacitance(bands: NetworkBands) -> None:
             f"(pivot {pivot:.3e} F)")
 
 
+def _pivots(d: np.ndarray, b2: np.ndarray, pivmin: np.ndarray | None = None
+            ) -> None:
+    """LDL^T pivot recurrence d_{i+1} <- d_{i+1} - b2_i / d_i down the rows
+    of d, in place, two ufunc calls per node: on entry d holds a_i (d[0]
+    the pivot the recurrence starts from) and b2 the squared
+    off-diagonals.  With ``pivmin``, LAPACK dstebz's guard: every pivot
+    smaller in magnitude than pivmin, zero included, d[0] too, becomes
+    -pivmin."""
+    rows, t = list(d), np.empty(d.shape[1:])
+    if pivmin is not None:
+        np.copyto(rows[0], -pivmin, where=np.abs(rows[0]) < pivmin)
+    for i, b in enumerate(b2):
+        np.divide(b, rows[i], out=t)
+        np.subtract(rows[i + 1], t, out=rows[i + 1])
+        if pivmin is not None:
+            np.copyto(rows[i + 1], -pivmin, where=np.abs(rows[i + 1]) < pivmin)
+
+
 def _ldl(bands: NetworkBands, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pivots d (n, m) and multipliers l (n-1, m) of K - lam C = L D L^T,
-    one column per shift; the recurrence of ``sturm_count`` without its
-    pivmin guard."""
+    one column per shift, by ``_pivots``: the unguarded recurrence of
+    ``sturm_count``'s fast pass."""
     d = bands.k_diag[:, None] - bands.c_diag[:, None] * lam
     l = bands.k_off[:, None] - bands.c_off[:, None] * lam
-    rows, b2 = list(d), list(l * l)
-    t = np.empty(lam.shape)
-    for i in range(len(rows) - 1):
-        np.divide(b2[i], rows[i], out=t)
-        np.subtract(rows[i + 1], t, out=rows[i + 1])
+    _pivots(d, l * l)
     np.divide(l, d[:-1], out=l)
     return d, l
 
@@ -462,6 +484,14 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     it, and one within rounding of a shift may count on either side.
     ``lam`` has shape (..., m), with the leading axes of the bands; the
     result has the shape of ``lam``.
+
+    As in LAPACK dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+    2006), the nodes are swept in blocks of about ``_BLOCK_VALUES`` values:
+    a_i and b_i^2 of a block in a few whole-block expressions, then the
+    recurrence without the guard, two ufunc calls per node.  A block with
+    a pivot below pivmin in magnitude (or NaN) is run again from its
+    incoming pivot with the guard, so every pivot and count is that of
+    the guarded recurrence, bit for bit.
     """
     lam = np.asarray(lam, dtype=float)
 
@@ -476,25 +506,29 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     bmax = (np.abs(ko).max(axis=0, initial=0.0)
             + np.abs(lam) * np.abs(co).max(axis=0, initial=0.0))
     pivmin = _SAFMIN * np.maximum(1.0, bmax ** 2)
-    negpiv = -pivmin
-    d, b2, mag = np.empty_like(lam), np.empty_like(lam), np.empty_like(lam)
-    tiny = np.empty(lam.shape, dtype=bool)
-    negative = np.empty((len(kd),) + lam.shape, dtype=bool)
-    for i in range(len(kd)):
-        if i:
-            np.multiply(lam, co[i - 1], out=b2)
-            np.subtract(ko[i - 1], b2, out=b2)
+    n = len(kd)
+    step = max(1, _BLOCK_VALUES // max(1, lam.size))
+    d = np.empty((min(n, step + 1),) + lam.shape)
+    sq = np.empty((len(d) - 1,) + lam.shape)
+    below = np.zeros(lam.shape, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(0, n, step):
+            e = min(n, s + step)
+            carry = int(s > 0)      # row 0 then holds the last pivot before s
+            piv, b2 = d[:e - s + carry], sq[:e - s + carry - 1]
+            new = piv[carry:]
+            np.multiply(lam, co[s - carry:e - 1], out=b2)
+            np.subtract(ko[s - carry:e - 1], b2, out=b2)
             np.square(b2, out=b2)
-            np.divide(b2, d, out=b2)
-        np.multiply(lam, cd[i], out=d)
-        np.subtract(kd[i], d, out=d)
-        if i:
-            np.subtract(d, b2, out=d)
-        np.abs(d, out=mag)
-        np.less(mag, pivmin, out=tiny)
-        np.copyto(d, negpiv, where=tiny)
-        np.signbit(d, out=negative[i])
-    return np.count_nonzero(negative, axis=0)
+            for guard in (None, pivmin):
+                np.multiply(lam, cd[s:e], out=new)
+                np.subtract(kd[s:e], new, out=new)
+                _pivots(piv, b2, guard)
+                if (np.abs(new) >= pivmin).all():   # else a tiny pivot or NaN:
+                    break                           # run the block guarded
+            below += np.count_nonzero(np.signbit(new), axis=0)
+            d[0] = piv[-1]
+    return below
 
 
 def _narrow(bands: NetworkBands, index: np.ndarray, lo: np.ndarray,

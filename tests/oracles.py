@@ -10,10 +10,10 @@ bisection on labels from that iteration, the network matrices from
 per-element stamping loops, bare-line frequencies from the closed-form
 ladder dispersions, footprint-averaged currents and sign changes one
 mode at a time, mode counts from a dense eigenvalue solve of the
-symmetrically reduced pencil, single eigenvalues from a 40-digit
-bisection, eigenvectors refined by long-double inverse iteration with
-pivoted Gaussian elimination, and CSV bytes from a writer that formats
-every value with its own call.
+symmetrically reduced pencil and from a scalar pivot loop per shift,
+single eigenvalues from a 40-digit bisection, eigenvectors refined by
+long-double inverse iteration with pivoted Gaussian elimination, and CSV
+bytes from a writer that formats every value with its own call.
 """
 
 import numpy as np
@@ -267,6 +267,33 @@ def dense_count(cap: np.ndarray, inv_ind: np.ndarray, lam) -> np.ndarray:
     """Number of generalized eigenvalues of (inv_ind, cap) below each lam."""
     return np.searchsorted(pencil_eigenvalues(cap, inv_ind),
                            np.asarray(lam, dtype=float), side="left")
+
+
+def sturm_count_reference(bands, lam) -> np.ndarray:
+    """Number of eigenvalues of the tridiagonal pencil (K, C) below each
+    shift, one shift and one node at a time in Python floats.
+
+    The LDL^T pivots d_i = (k_i - lam c_i) - b_{i-1}^2 / d_{i-1}, with
+    b_i = k_off_i - lam c_off_i, follow LAPACK dstebz: a pivot smaller in
+    magnitude than pivmin = tiny * max(1, max_i b_i^2), zero included,
+    becomes -pivmin.  ``bands`` has 1-D ``k_diag``, ``k_off``, ``c_diag``
+    and ``c_off``; ``lam`` is 1-D.
+    """
+    kd, ko, cd, co = (np.asarray(x, dtype=float).tolist() for x in
+                      (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off))
+    tiny = float(np.finfo(float).tiny)
+    counts = []
+    for shift in np.asarray(lam, dtype=float).tolist():
+        b2 = [(k - shift * c) * (k - shift * c) for k, c in zip(ko, co)]
+        pivmin = tiny * max([1.0] + b2)
+        below, d = 0, None
+        for i, (k, c) in enumerate(zip(kd, cd)):
+            d = k - shift * c if i == 0 else (k - shift * c) - b2[i - 1] / d
+            if abs(d) < pivmin:
+                d = -pivmin
+            below += d < 0
+        counts.append(below)
+    return np.array(counts)
 
 
 def mp_pencil_eigenvalue(bands, index: int, digits: int = 40):

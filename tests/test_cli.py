@@ -104,6 +104,7 @@ class TestConfigParsing:
         ("circuit.z0_ohm", "1e-320", "must be positive and finite"),
         ("disorder.seed0", "-5", "disorder.seed0 must be >= 0"),
         ("disorder.band_ghz_lo", "6.0", "disorder.band_ghz_hi = 5.039"),
+        ("modes.window_ghz_lo", "14.0", "modes.window_ghz_hi = 13.0"),
         ("qubit.tune_g_ghz", "0.46", "set qubit.g_ghz or"),
         ("qubit.tune_mode_ghz", "4.579", "set qubit.g_ghz or"),
     ]

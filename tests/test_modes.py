@@ -12,12 +12,13 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       footprint_at_antinode, footprint_weights, network_bands,
                       solve_modes, sturm_count)
 from metaline.config import GHZ, parse_config
+import metaline.modes as modes
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec, wrap_dense)
 from oracles import (current_average, dense_count, omega_lhtl, omega_rhtl,
                      pencil_eigenvalues, sign_changes, stamped_lhtl,
-                     stamped_matrices, stamped_rhtl)
+                     stamped_matrices, stamped_rhtl, sturm_count_reference)
 
 
 def _wrap(cap, inv_ind, length=None, interface=0):
@@ -128,6 +129,20 @@ class TestColumnSignChanges:
             sign_changes(v[:, i]) for i in range(v.shape[1])]
 
 
+def _spy_guarded_pivots(monkeypatch) -> list:
+    """The all-zero rows of b2 (the cut edges) of each guarded block rerun
+    of ``sturm_count`` from now on."""
+    calls, pivots = [], modes._pivots
+
+    def spy(d, b2, pivmin=None):
+        if pivmin is not None:
+            calls.append(tuple(np.flatnonzero(~b2.reshape(len(b2), -1).any(axis=1))))
+        pivots(d, b2, pivmin)
+
+    monkeypatch.setattr(modes, "_pivots", spy)
+    return calls
+
+
 class TestSturmCount:
     @pytest.mark.parametrize("end_caps", [False, True])
     def test_matches_dense_count_oracle(self, end_caps):
@@ -167,9 +182,67 @@ class TestSturmCount:
         counts = sturm_count(stack, lam)
         assert counts.shape == (3, 2)
         for s in range(3):
-            one = NetworkBands(stack.k_diag[s], stack.k_off[s], stack.c_diag[s],
-                               stack.c_off[s])
-            npt.assert_array_equal(counts[s], sturm_count(one, lam[s]))
+            npt.assert_array_equal(counts[s], sturm_count(self._device(stack, s), lam[s]))
+
+    @staticmethod
+    def _random_bands(rng, shape) -> NetworkBands:
+        n = shape[-1]
+        return NetworkBands(k_diag=rng.normal(size=shape),
+                            k_off=rng.normal(size=shape[:-1] + (n - 1,)),
+                            c_diag=rng.uniform(0.5, 2.0, shape),
+                            c_off=0.2 * rng.normal(size=shape[:-1] + (n - 1,)))
+
+    @staticmethod
+    def _device(bands, s) -> NetworkBands:
+        return NetworkBands(bands.k_diag[s], bands.k_off[s], bands.c_diag[s],
+                            bands.c_off[s])
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    def test_matches_scalar_oracle_per_device(self, n):
+        rng = np.random.default_rng(n)
+        bands = self._random_bands(rng, (3, n))
+        lam = 3.0 * rng.normal(size=(3, 40))
+        counts = sturm_count(bands, lam)
+        for s in range(3):
+            npt.assert_array_equal(counts[s], sturm_count_reference(
+                self._device(bands, s), lam[s]))
+
+    def test_blocks_match_scalar_oracle(self):
+        # so many shifts that a block holds 5 nodes: 17 nodes take blocks
+        # of 5, 5, 5 and 2
+        rng = np.random.default_rng(7)
+        lam = 3.0 * rng.normal(size=modes._BLOCK_VALUES // 5)
+        assert modes._BLOCK_VALUES // len(lam) == 5
+        bands = self._random_bands(rng, (17,))
+        npt.assert_array_equal(sturm_count(bands, lam),
+                               sturm_count_reference(bands, lam))
+
+    # the zero pivot sits first, in the middle and last in the third of the
+    # blocks of 5 nodes (nodes 10-14); cutting the edge after it too makes
+    # the unguarded pivot after it 0/0
+    @pytest.mark.parametrize("cut", [(9,), (9, 10), (11, 12), (13,)])
+    def test_zero_pivot_reruns_only_its_block(self, monkeypatch, cut):
+        # node j = cut[0] + 1, cut from node j - 1, has a_j = 0 - 0 * c_j = 0
+        # at the shift 0, column 50 of 400
+        rng = np.random.default_rng(8)
+        bands = self._random_bands(rng, (17,))
+        j = cut[0] + 1
+        bands.k_off[list(cut)] = bands.c_off[list(cut)] = 0.0
+        bands.k_diag[j] = 0.0
+        lam = 3.0 * rng.normal(size=400)
+        lam[50] = 0.0
+        monkeypatch.setattr(modes, "_BLOCK_VALUES", 5 * len(lam))
+        guarded = _spy_guarded_pivots(monkeypatch)
+        counts = sturm_count(bands, lam)
+        # one rerun, of the third block: its b2 rows are edges 9-13
+        assert guarded == [tuple(e - 9 for e in cut if e <= 13)]
+        npt.assert_array_equal(counts, sturm_count_reference(bands, lam))
+
+    def test_fig2_solve_needs_no_guarded_rerun(self, monkeypatch):
+        guarded = _spy_guarded_pivots(monkeypatch)
+        cfg = parse_config(resources.files("metaline") / "configs" / "fig2.cfg")
+        assert len(solve_modes(build_matrices(cfg.circuit_spec()), cfg.freq_window()))
+        assert guarded == []
 
 
 def _dense_edge_and_count(spec, window, band):
