@@ -214,9 +214,9 @@ def _build_modes(config: RunConfig) -> tuple:
 
 def _no_mode(config: RunConfig, what: str) -> ConfigError:
     v = config.values
-    return ConfigError(f"modes.window_ghz_lo = {v['modes.window_ghz_lo']!r} and "
-                       f"modes.window_ghz_hi = {v['modes.window_ghz_hi']!r} "
-                       f"enclose no mode {what}")
+    return ConfigError(f"{config.path}: modes.window_ghz_lo = "
+                       f"{v['modes.window_ghz_lo']!r} and modes.window_ghz_hi = "
+                       f"{v['modes.window_ghz_hi']!r} enclose no mode {what}")
 
 
 def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):

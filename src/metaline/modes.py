@@ -23,18 +23,13 @@ then takes one of two paths by network size:
   only there) for dims 1001-2001, O(n^3) for all n modes; the only path
   that forms the n x n matrices.
 
-The band solver is the faster path from about dim 800: measured with
-``solve_modes`` on the benchmark's ladder devices (n_right = 1.5 n_left,
-3.8-13 GHz window), as the median of five warm solves per path in a
-fresh process on a 2-vCPU VM (numpy 2.4, scipy 1.17, OpenBLAS with 2
-threads), dense takes 0.052, 0.125 and 0.239 s at dims 501, 751 and
-1001, the band solver 0.058, 0.133 and 0.204 s; at dim 2001 it is 1.59 s
-against 0.68 s, and at dim 5001 18.4 s (1.24 GB peak) against 7.0 s
-(0.51 GB for one build and solve).  Below the crossover dense saves at
-most 10-20 ms per warm solve at dim 501, far less than the 0.21-0.26 s
-a fresh process spends importing ``scipy.linalg``, which the band path
-never loads, so the bundled fig2-fig5 devices (dim 501) take the band
-solver too.  ``_DENSE_DIMS`` is the size class of the benchmark's
+README (*Eigensolvers*) holds the timings of both paths, measured with
+``solve_modes`` on the benchmark's ladder devices as the median of warm
+solves per path in fresh processes: the band solver is as fast as dense
+at dim 501 and faster from there up, and it never imports
+``scipy.linalg``, which costs a fresh process more than a small solve,
+so the bundled fig2-fig5 devices (dim 501) take it too.
+``_DENSE_DIMS`` is the size class of the benchmark's
 spectrum device (dim 2001): the reference profiles recorded for it carry
 dense eigh's own rounding, which turns the close modes at the band edge
 by angles of up to 2e-7.  The band solver's vectors (residuals 1e-13

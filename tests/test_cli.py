@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import os
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,8 @@ class TestConfigParsing:
         ("modes.window_ghz_lo", "14.0", "modes.window_ghz_hi = 13.0"),
         ("qubit.tune_g_ghz", "0.46", "set qubit.g_ghz or"),
         ("qubit.tune_mode_ghz", "4.579", "set qubit.g_ghz or"),
+        ("output.stem", "sub/run", "may hold no path separator"),
+        ("output.stem", "run\0x", "may hold no path separator"),
     ]
 
     @pytest.mark.parametrize("key,value,message", BAD_VALUES,
@@ -120,6 +124,33 @@ class TestConfigParsing:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and message in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    # (line, key) of configs that are wrong only for some commands; every
+    # command stops on each when it is parsed, before any network is built
+    BEFORE_ANY_WORK = [
+        ("dynamics.tg_spacing = cubic", "dynamics.tg_spacing"),
+        ("renorm.g_spacing = cubic", "renorm.g_spacing"),
+        ("phase.delta0_spacing = cubic", "phase.delta0_spacing"),
+        ("phase.g_spacing = cubic", "phase.g_spacing"),
+        ("dynamics.tg_grid = 5, 1, 3", "dynamics.tg_grid"),
+        ("dynamics.tg_grid = 0, 1, 0", "dynamics.tg_grid"),
+        ("renorm.g_grid = 0, 1, 4", "renorm.g_grid"),      # log spacing
+    ]
+
+    @pytest.mark.parametrize("line,key", BEFORE_ANY_WORK,
+                             ids=[line for line, _ in BEFORE_ANY_WORK])
+    def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, line, key):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a network was built for a bad config")
+
+        for name in ("build_matrices", "network_bands", "band_edges"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = _write(tmp_path, SMALL + line + "\n")
+        for command in cli._COMMANDS:
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{cfg}:" in err and key in err, err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_disorder_band_order(self, tmp_path, capsys):
@@ -584,6 +615,36 @@ class TestExitCodes:
         assert main(["modes", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        # a Latin-1 byte in a comment of an otherwise valid config
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(SMALL.encode() + b"# r\xe9sonateur\n")
+        assert main(["modes", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"metaline: config error: cannot read config {path}: ")
+        assert "can't decode byte 0xe9" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_config_errors_raised_only_when_parsing(self):
+        # a ConfigError is built only in config.py, outside RunConfig, and in
+        # cli._no_mode, the one check that needs the spectrum
+        places = []
+
+        def visit(node, name, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call) and "ConfigError" in (
+                        getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                    places.append((name, scope))
+                named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                visit(child, name, scope + (child.name,) if named else scope)
+
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.name, ())
+        assert ("cli.py", ("_no_mode",)) in places
+        for name, scope in places:
+            assert (name == "config.py" and "RunConfig" not in scope
+                    or (name, scope) == ("cli.py", ("_no_mode",))), (name, scope)
+
     def test_numerical_failure_exits_3(self, tmp_path, monkeypatch):
         # a capacitance matrix that is not positive definite fails the solve
         def negated(spec):
@@ -602,7 +663,7 @@ class TestExitCodes:
                                             "modes.window_ghz_hi = 901"))
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "modes.window_ghz_lo = 900.0" in err
+        assert f"{cfg}: modes.window_ghz_lo = 900.0" in err
         assert "modes.window_ghz_hi = 901.0" in err
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):

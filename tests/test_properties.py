@@ -84,6 +84,11 @@ BAD = {
     "disorder.sigma": st.sampled_from(["-0.01", "0.34", "nan"]),
     "disorder.seeds": st.sampled_from(["0", "-3"]),
     "disorder.seed0": st.sampled_from(["-1", "-50"]),
+    "dynamics.tg_spacing": st.just("cubic"),
+    "renorm.g_spacing": st.just("cubic"),
+    "phase.delta0_spacing": st.just("cubic"),
+    "phase.g_spacing": st.just("cubic"),
+    "output.stem": st.sampled_from(["sub/run", "run\0x"]),
 }
 
 
