@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
-from .config import GHZ, ConfigError, RunConfig, parse_config
+from .config import GHZ, ConfigError, RunConfig, check_output_names, parse_config
 from .dispersion import dom_approx, rhtl_background_dom
 from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
 from .modes import (IllConditionedCircuitError, ModeSet, QubitSpec, band_edges,
@@ -200,12 +200,6 @@ def _comments(config: RunConfig, command: str) -> list[str]:
     return [f"metaline {__version__} {command}", f"config sha256={config.sha256}"]
 
 
-def _output(config: RunConfig, out: Path, name: str) -> Path:
-    """Path of output file ``name`` in ``out``, behind the ``output.stem`` prefix."""
-    stem = config["output.stem"]
-    return out / (f"{stem}_{name}" if stem else name)
-
-
 def _build_modes(config: RunConfig) -> tuple:
     spec = config.circuit_spec()
     modeset = solve_modes(build_matrices(spec), config.freq_window())
@@ -247,15 +241,14 @@ def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
     return qubit, couplings
 
 
-def cmd_modes(config: RunConfig, out: Path, threads: int,
-              profiles: bool = False) -> None:
+def cmd_modes(config: RunConfig, out: Path, profiles: bool = False) -> None:
     spec, modeset = _build_modes(config)
     comments = _comments(config, "modes")
 
     freqs_ghz = modeset.frequencies / GHZ
     blocks = [modeset.profiles.T] if profiles and len(modeset) else []
     cols = ["n", "f_ghz"] + [f"phi_{j}" for b in blocks for j in range(b.shape[1])]
-    _write_csv(_output(config, out, "modes.csv"), cols,
+    _write_csv(out / config.output_name("modes.csv"), cols,
                _Table(np.arange(len(modeset)), freqs_ghz, *blocks), comments)
 
     dom = _Table()
@@ -266,7 +259,7 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
         approx[above] = dom_approx(modeset.frequencies[above], spec,
                                    include_rhtl_background=True)
         dom = _Table(freqs_ghz, dom_numeric(modeset), approx)
-    _write_csv(_output(config, out, "dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
+    _write_csv(out / config.output_name("dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
                dom, comments)
 
     coupling_table = _Table()
@@ -274,7 +267,7 @@ def cmd_modes(config: RunConfig, out: Path, threads: int,
         _, couplings = _qubit_and_couplings(config, spec, modeset)
         coupling_table = _Table(np.arange(len(couplings)), couplings.frequencies / GHZ,
                                 couplings.relative_profile, couplings.g / GHZ)
-    _write_csv(_output(config, out, "couplings.csv"),
+    _write_csv(out / config.output_name("couplings.csv"),
                ["n", "f_ghz", "relative_profile", "g_ghz"], coupling_table, comments)
 
 
@@ -287,7 +280,7 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
     tg_grid = config.grid("dynamics.tg")
 
     def scan(tg: float):
-        return entropy_scan(eig, tg / qubit.g_global, time_label=tg)
+        return entropy_scan(eig, tg / qubit.g_global)
 
     workers = min(threads, len(tg_grid))
     if workers > 1:
@@ -297,17 +290,17 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
         reports = [scan(tg) for tg in tg_grid]
 
     n_modes = len(couplings)
-    blocks = {k * n_modes: f"tg={_fmt(rep.time)} e_q={_fmt(rep.e_qubit)}"
-              for k, rep in enumerate(reports)}
-    table = _Table(np.repeat([rep.time for rep in reports], n_modes),
+    blocks = {k * n_modes: f"tg={_fmt(tg)} e_q={_fmt(rep.e_qubit)}"
+              for k, (tg, rep) in enumerate(zip(tg_grid, reports))}
+    table = _Table(np.repeat(tg_grid, n_modes),
                    np.tile(np.arange(n_modes), len(reports)),
                    np.tile(couplings.frequencies / GHZ, len(reports)),
                    np.concatenate([rep.e_per_mode for rep in reports]))
-    _write_csv(_output(config, out, "entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
+    _write_csv(out / config.output_name("entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
                table, _comments(config, "dynamics"), blocks)
 
 
-def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
+def cmd_renorm(config: RunConfig, out: Path) -> None:
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
     omega_ir = spec.omega_ir
@@ -323,13 +316,13 @@ def cmd_renorm(config: RunConfig, out: Path, threads: int) -> None:
             f"drop_factor={_fmt(j.drop_factor)}")
     table = _Table(sweep.g_grid / omega_ir, sweep.g_grid / GHZ,
                    sweep.delta_eff / qubit.delta0, sweep.delta_eff_flat / qubit.delta0)
-    _write_csv(_output(config, out, "renorm.csv"),
+    _write_csv(out / config.output_name("renorm.csv"),
                ["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
                 "delta_eff_flat_over_delta0"], table, comments)
 
 
-def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
-    """Phase diagram over the (Delta_0, g) grid (``threads`` is unused)."""
+def cmd_phase(config: RunConfig, out: Path) -> None:
+    """Phase diagram over the (Delta_0, g) grid."""
     spec, modeset = _build_modes(config)
     _, couplings = _qubit_and_couplings(config, spec, modeset)
     omega_ir = spec.omega_ir
@@ -343,18 +336,18 @@ def cmd_phase(config: RunConfig, out: Path, threads: int) -> None:
     table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
                    np.tile(diagram.g_axis / omega_ir, len(ratio)),
                    ratio.ravel(), labels.ravel())
-    _write_csv(_output(config, out, "phase.csv"),
+    _write_csv(out / config.output_name("phase.csv"),
                ["delta0_over_omega_ir", "g_over_omega_ir",
                 "delta_eff_over_delta0", "phase"], table, comments)
     boundary = np.reshape(diagram.boundary, (-1, 2)) / omega_ir
-    _write_csv(_output(config, out, "boundary.csv"),
+    _write_csv(out / config.output_name("boundary.csv"),
                ["g_star_over_omega_ir", "delta0_over_omega_ir"], _Table(boundary),
                comments)
 
 
-def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
+def cmd_disorder(config: RunConfig, out: Path) -> None:
     """Band edge and band mode count of every disordered device, from one
-    batched Sturm-count solve (no eigenvectors; ``threads`` is unused)."""
+    batched Sturm-count solve (no eigenvectors)."""
     spec = config.circuit_spec()
     sigma = config["disorder.sigma"]
     seeds = list(range(config["disorder.seed0"],
@@ -375,12 +368,16 @@ def cmd_disorder(config: RunConfig, out: Path, threads: int) -> None:
         f"summary edge_ghz mean={_fmt(edges.mean())} std={_fmt(edges.std())}")
     comments.append(
         f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}")
-    _write_csv(_output(config, out, "disorder.csv"), ["seed", "edge_ghz", "band_count"],
+    _write_csv(out / config.output_name("disorder.csv"), ["seed", "edge_ghz", "band_count"],
                _Table(seeds, edges, counts), comments)
 
 
 _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in
              (cmd_modes, cmd_dynamics, cmd_renorm, cmd_phase, cmd_disorder)}
+# the files each command writes, checked against the file-name limit first
+_OUTPUTS = {"modes": ("modes.csv", "dom.csv", "couplings.csv"),
+            "dynamics": ("entropy.csv",), "renorm": ("renorm.csv",),
+            "phase": ("phase.csv", "boundary.csv"), "disorder": ("disorder.csv",)}
 
 
 def _worker_count(text: str) -> int:
@@ -407,10 +404,10 @@ def main(argv: list[str] | None = None) -> int:
         config = parse_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "modes":
-            cmd_modes(config, out, args.threads, profiles=args.profiles)
-        else:
-            _COMMANDS[args.command](config, out, args.threads)
+        check_output_names(config, out, _OUTPUTS[args.command])
+        options = {"modes": {"profiles": args.profiles},
+                   "dynamics": {"threads": args.threads}}
+        _COMMANDS[args.command](config, out, **options.get(args.command, {}))
     except ConfigError as exc:
         print(f"metaline: config error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,10 @@ nesting.  Frequencies are written in GHz in the file and kept in GHz in
 where it is used: in the circuit, ``RunConfig.freq_window`` and the
 commands in ``cli``.  Grids are written as ``lo, hi, n`` triples with the
 spacing (``linear`` or ``log``) named by the ``*_spacing`` key next to them.
-``parse_config`` checks every key and builds the circuit and every grid:
-after it, only a window that holds no mode is a config error (``cli``).
+``parse_config`` checks every key and builds the circuit and every grid;
+``check_output_names`` checks the file names against the output
+directory, which the config does not name.  After them, only a window
+that holds no mode is a config error (``cli``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import numpy as np
 from .circuit import MAX_SIGMA, CircuitSpec, design_from_impedance, rhtl_from_impedance
 
 GHZ = 2.0 * np.pi * 1e9
+# points of one grid at most, five times the largest grid in use (2000): a
+# count beyond it stops at parse time, not in an allocation after the solve
+MAX_GRID_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -105,6 +110,8 @@ def _make_grid(triple: tuple[float, float, int], spacing: str, where: str) -> np
     lo, hi, n = triple
     if n < 1 or hi < lo:
         raise ConfigError(f"{where}: grid needs lo <= hi and n >= 1")
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"{where}: grid needs n <= {MAX_GRID_POINTS}, got {n}")
     if spacing == "linear":
         return np.linspace(lo, hi, n)
     if lo <= 0:
@@ -176,6 +183,23 @@ class RunConfig:
 
     def grid(self, name: str) -> np.ndarray:
         return self.grids[name]
+
+    def output_name(self, name: str) -> str:
+        """File name of output ``name``, behind the ``output.stem`` prefix."""
+        stem = self.values["output.stem"]
+        return f"{stem}_{name}" if stem else name
+
+
+def check_output_names(config: RunConfig, out: Path, names) -> None:
+    """Check, before any work, that the file of each output in ``names``
+    fits the file-name limit of the directory ``out``, in UTF-8 bytes."""
+    limit = os.pathconf(out, "PC_NAME_MAX")
+    for name in names:
+        size = len(config.output_name(name).encode())
+        if size > limit:
+            raise ConfigError(
+                f"{config.path}: output.stem makes the file name of {name} "
+                f"{size} bytes long, over the {limit} bytes allowed in {out}")
 
 
 def parse_config(source: str | Path) -> RunConfig:

@@ -79,16 +79,13 @@ def diagonalize(h: np.ndarray) -> Eigensystem:
     return Eigensystem(evals=evals, evecs=evecs)
 
 
-def entropy_scan(eig: Eigensystem, t: float,
-                 time_label: float | None = None) -> EntropyReport:
+def entropy_scan(eig: Eigensystem, t: float) -> EntropyReport:
     """Evolve |1;0> to time ``t`` under the ``diagonalize``d Hamiltonian
     ``eig`` and report the entropies E_q and E_n of every mode.
 
     E_q = H2(p) traces out the qubit (p the excited-qubit population);
     tracing the qubit and mode n leaves the other modes diagonal, with
     weight p + |c_n|^2 on the vacuum, so E_n = H2(p + |c_n|^2).
-    ``time_label`` lets callers record the dimensionless time t*g instead
-    of the raw seconds.
     """
     if t == 0.0:
         pop = np.zeros(eig.dim)         # identity propagator, exactly
@@ -100,7 +97,7 @@ def entropy_scan(eig: Eigensystem, t: float,
                + (eig.evecs @ (np.sin(et) * coeffs)) ** 2)
     p = pop[0]
     return EntropyReport(
-        time=float(t if time_label is None else time_label),
+        time=float(t),
         e_qubit=binary_entropy(p),
         e_per_mode=binary_entropy(p + pop[1:]),
     )

@@ -6,10 +6,11 @@ eigendecomposition of their own, entropies come from explicit density
 matrices and partial traces in the full qubit x modes tensor space, the
 renormalization fixed point from a dense scan over candidate splittings
 and from the plain monotone iteration, the localization boundary by
-bisection on labels from that iteration, the network matrices from
-per-element stamping loops, bare-line frequencies from the closed-form
-ladder dispersions, footprint-averaged currents and sign changes one
-mode at a time, mode counts from a dense eigenvalue solve of the
+bisection on labels from that iteration, the jumps of the fixed point by
+one scalar bisection per grid step on that iteration, the network
+matrices from per-element stamping loops, bare-line frequencies from the
+closed-form ladder dispersions, footprint-averaged currents and sign
+changes one mode at a time, mode counts from a dense eigenvalue solve of the
 symmetrically reduced pencil and from a scalar pivot loop per shift,
 single eigenvalues from a 40-digit bisection, eigenvectors refined by
 long-double inverse iteration with pivoted Gaussian elimination, and CSV
@@ -94,6 +95,39 @@ def iterate_fixed_point(omega: np.ndarray, g: np.ndarray, delta0: float,
             return s
         delta = new
     raise RuntimeError("fixed-point iteration did not settle")
+
+
+def bisect_jumps(omega: np.ndarray, profile: np.ndarray, delta0: float,
+                 g_grid, variant: str = "standard", factor: float = 10.0,
+                 rel_tol: float = 1e-4) -> list[tuple[float, float]]:
+    """(g_star, drop_factor) of each jump of the largest fixed point along
+    the ascending ``g_grid``, one scalar bisection per grid step.
+
+    Dressing sums come from ``iterate_fixed_point`` with couplings
+    g * profile.  A grid step whose Delta_eff falls by more than ``factor``
+    is halved, keeping the half that falls more, until it is ``rel_tol``
+    wide relative to its top; if it still falls by more than ``factor``,
+    it is a jump at its midpoint.
+    """
+    def cat(g):
+        return iterate_fixed_point(omega, g * profile, delta0, variant)
+
+    cats = [cat(g) for g in g_grid]
+    jumps = []
+    for i in range(len(g_grid) - 1):
+        g_lo, g_hi, cat_lo, cat_hi = g_grid[i], g_grid[i + 1], cats[i], cats[i + 1]
+        if not 2.0 * (cat_hi - cat_lo) > np.log(factor):
+            continue
+        while (g_hi - g_lo) > rel_tol * g_hi:
+            g_mid = 0.5 * (g_lo + g_hi)
+            cat_mid = cat(g_mid)
+            if (cat_mid - cat_lo) >= (cat_hi - cat_mid):
+                g_hi, cat_hi = g_mid, cat_mid
+            else:
+                g_lo, cat_lo = g_mid, cat_mid
+        if 2.0 * (cat_hi - cat_lo) > np.log(factor):
+            jumps.append((0.5 * (g_lo + g_hi), float(np.exp(2.0 * (cat_hi - cat_lo)))))
+    return jumps
 
 
 def boundary_bracket(omega: np.ndarray, profile: np.ndarray, delta0: float,

@@ -187,7 +187,7 @@ def test_criterion_7_entanglement_witness(band_spec, band_modes):
     margins = []
     for tg in range(1, 11):
         t = tg / qubit.g_global
-        rep = entropy_scan(eig, t, time_label=float(tg))
+        rep = entropy_scan(eig, t)
         (psi,) = evolve(h, psi0, [t])
         populated = np.abs(psi[1:]) ** 2 > 1e-6
         assert rep.e_qubit > 0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from metaline import build_matrices, cli, modes
+from metaline import build_matrices, cli, config, modes
 from metaline.cli import _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
 
@@ -136,6 +136,8 @@ class TestConfigParsing:
         ("dynamics.tg_grid = 5, 1, 3", "dynamics.tg_grid"),
         ("dynamics.tg_grid = 0, 1, 0", "dynamics.tg_grid"),
         ("renorm.g_grid = 0, 1, 4", "renorm.g_grid"),      # log spacing
+        ("dynamics.tg_grid = 0.0, 10.0, 10000000000000000000", "dynamics.tg_grid"),
+        ("phase.delta0_grid = 1.1, 1.4, 10001", "phase.delta0_grid"),
     ]
 
     @pytest.mark.parametrize("line,key", BEFORE_ANY_WORK,
@@ -152,6 +154,19 @@ class TestConfigParsing:
             err = capsys.readouterr().err
             assert f"{cfg}:" in err and key in err, err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_grid_point_bound(self, tmp_path, capsys):
+        # the bundled figure 3 config with a time grid numpy cannot allocate
+        text = resources.files("metaline").joinpath("configs/fig3.cfg").read_text()
+        lines = [l for l in text.splitlines() if not l.startswith("dynamics.tg_grid")]
+        cfg = _write(tmp_path, "\n".join(lines + [
+            "dynamics.tg_grid = 0.0, 10.0, 10000000000000000000"]))
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: dynamics.tg_grid: grid needs n <= 10000, got " in err
+        # a grid of exactly the bound still parses
+        grid = _parse(tmp_path, SMALL + "renorm.g_grid = 0.1, 1.0, 10000\n").grid("renorm.g")
+        assert len(grid) == config.MAX_GRID_POINTS == 10000
 
     def test_disorder_band_order(self, tmp_path, capsys):
         band = "\ndisorder.band_ghz_lo = {}\ndisorder.band_ghz_hi = {}\n"
@@ -673,11 +688,11 @@ class TestExitCodes:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, "renorm",
+        monkeypatch.setitem(cli._COMMANDS, "dynamics",
                             lambda config, out, threads: seen.append(threads))
         for cpus, flag in ((5, ["--threads", "2"]), (5, []), (None, [])):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            assert main(["renorm", "--config", cfg, "--out", str(tmp_path)] + flag) == 0
+            assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)] + flag) == 0
         assert seen == [2, 5, 1]
 
     @pytest.mark.parametrize("value", ["0", "-3", "two"])
@@ -690,6 +705,38 @@ class TestExitCodes:
         assert f"--threads: expected an integer >= 1, got '{value}'" \
             in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_long_stem_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a network was built for a bad config")
+
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        path = tmp_path / "run.cfg"
+        # <stem>_couplings.csv at the limit is a file name the directory takes
+        path.write_text(SMALL + f"output.stem = {'x' * (limit - len('_couplings.csv'))}\n")
+        cfg = parse_config(path)
+        config.check_output_names(cfg, tmp_path, ["couplings.csv"])
+        (tmp_path / cfg.output_name("couplings.csv")).touch()
+        for name in ("build_matrices", "network_bands", "band_edges"):
+            monkeypatch.setattr(cli, name, no_work)
+        # one byte over for each command's first file, also in two-byte
+        # UTF-8 letters (fewer characters than the limit)
+        for command, names in cli._OUTPUTS.items():
+            room = limit - len(names[0])
+            for stem in ("x" * room, "\u00e9" * (room // 2) + "x" * (room % 2)):
+                path.write_text(SMALL + f"output.stem = {stem}\n", encoding="utf-8")
+                assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+                assert (f"{path}: output.stem makes the file name of {names[0]} "
+                        f"{limit + 1} bytes long") in capsys.readouterr().err
+        assert [p.name for p in tmp_path.glob("*.csv")] == [cfg.output_name("couplings.csv")]
+
+    def test_outputs_list_what_each_command_writes(self, tmp_path):
+        cfg = _write(tmp_path, SMALL + "output.stem = run\ndisorder.seeds = 2\n")
+        assert cli._OUTPUTS.keys() == cli._COMMANDS.keys()
+        for command, names in cli._OUTPUTS.items():
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(f"run_{n}" for n in names)
 
     def test_bundled_configs_parse(self):
         from importlib import resources

@@ -211,8 +211,8 @@ class TestEntropyScan:
         h = build_rwa_hamiltonian(_couplings(freqs, gs, g_global=0.02), 1.05)
         eig = diagonalize(h)
         for tg in (1.0, 3.0, 7.0):
-            rep = entropy_scan(eig, tg / 0.02, time_label=tg)
-            assert rep.time == tg
+            rep = entropy_scan(eig, tg / 0.02)
+            assert rep.time == tg / 0.02
             assert rep.e_qubit > 0
             (psi,) = evolve(h, np.eye(31)[0], [tg / 0.02])
             populated = np.abs(psi[1:]) ** 2 > 1e-6

@@ -4,10 +4,9 @@ import pytest
 
 from metaline import (CouplingSpectrum, Phase, QubitSpec, phase_diagram,
                       renormalize, sweep_coupling)
-from metaline.spinboson import (LOCALIZATION_THRESHOLD, _boundary_couplings,
-                                _cat_sizes)
+from metaline.spinboson import LOCALIZATION_THRESHOLD, _Breakpoints
 from conftest import TWO_PI, make_band_edge_spec
-from oracles import (boundary_bracket, grid_search_fixed_point,
+from oracles import (bisect_jumps, boundary_bracket, grid_search_fixed_point,
                      iterate_fixed_point)
 
 
@@ -191,6 +190,115 @@ def _boundary_bath(rng, k):
     return freqs[order], profile[order], float(delta0)
 
 
+def _breakpoint_couplings(freqs, profile, delta0, q):
+    """R_k^(1/q) (1 -+ 1e-12) for each left end x_k < Delta_0 with T_k > 0,
+    R_k = ln(Delta_0 / x_k) / (2 T_k) summed mode by mode, ascending."""
+    order = np.argsort(freqs)
+    w, t = freqs[order], (profile[order] / freqs[order]) ** q
+    points = []
+    for k in range(1, len(w) + 1):
+        tail = t[k:].sum()
+        if tail > 0 and w[k - 1] < delta0:
+            root = (np.log(delta0 / w[k - 1]) / (2 * tail)) ** (1 / q)
+            points += [root * (1 - 1e-12), root * (1 + 1e-12)]
+    return np.unique(points)
+
+
+class TestBreakpointEdges:
+    """Couplings one part in 1e12 either side of each breakpoint g^q = R_k,
+    where the largest fixed point moves to another interval, against the
+    monotone iteration."""
+
+    @pytest.mark.parametrize("variant,q", [("standard", 2), ("literal", 4)])
+    def test_sweep_coupling(self, variant, q):
+        rng = np.random.default_rng(41)
+        checked = moved = 0
+        for k in range(30):
+            freqs, profile, delta0 = _boundary_bath(rng, k)
+            cs = _couplings(freqs, profile)
+            profile, ones = cs.relative_profile, np.ones_like(profile)
+            g_grid = np.unique(np.concatenate(
+                [_breakpoint_couplings(freqs, p, delta0, q) for p in (profile, ones)]))
+            if len(g_grid) < 2:
+                continue
+            sweep = sweep_coupling(cs, delta0, g_grid, variant)
+            moved += np.sum(np.diff(sweep.cat_size) > 1e-9 * sweep.cat_size[1:])
+            for p, cats in ((profile, sweep.cat_size), (ones, sweep.cat_size_flat)):
+                for g, cat in zip(g_grid, cats):
+                    npt.assert_allclose(
+                        cat, iterate_fixed_point(freqs, g * p, delta0, variant),
+                        rtol=1e-12, atol=0)
+                    checked += 1
+        assert checked > 300 and moved > 40
+
+    @pytest.mark.parametrize("variant,q", [("standard", 2), ("literal", 4)])
+    def test_phase_diagram(self, variant, q):
+        rng = np.random.default_rng(42)
+        checked = moved = 0
+        for k in range(20):
+            freqs, profile, _ = _boundary_bath(rng, k)
+            cs = _couplings(freqs, profile)
+            profile = cs.relative_profile
+            delta0_grid = np.sort(np.append(rng.uniform(0.4, 3.2, size=3),
+                                            freqs[rng.integers(0, len(freqs))]))
+            g_grid = np.unique(np.concatenate(
+                [_breakpoint_couplings(freqs, profile, d0, q) for d0 in delta0_grid]))
+            if len(g_grid) < 2:
+                continue
+            diagram = phase_diagram(cs, g_grid, delta0_grid, variant)
+            steps = -np.diff(diagram.delta_eff_grid, axis=1)
+            moved += np.sum(steps > 1e-9 * diagram.delta_eff_grid[:, 1:])
+            for d0, row in zip(delta0_grid, diagram.delta_eff_grid):
+                for g, delta in zip(g_grid, row):
+                    cat = iterate_fixed_point(freqs, g * profile, d0, variant)
+                    npt.assert_allclose(delta, d0 * np.exp(-2.0 * cat),
+                                        rtol=1e-12, atol=0)
+                    checked += 1
+        assert checked > 700 and moved > 200
+
+
+def _planted_jump_bath(rng, q):
+    """Shuffled bath whose fixed point falls through a dense cluster just
+    below Delta_0 at one coupling g_c, by a planted factor of 30 to 1e6:
+    the cluster's weight is set so that the drop (Delta_0 / top)^(T_cluster
+    / T_fast) lands there.  Slow, weakly coupled modes sit below.  Returns
+    the bath and a log grid around g_c."""
+    top = rng.uniform(0.8, 1.5)
+    delta0 = top * rng.uniform(1.05, 1.6)
+    fast = rng.uniform(delta0, 2.0 * delta0, size=int(rng.integers(1, 6)))
+    cluster = top - rng.uniform(0.0, 0.02, size=int(rng.integers(2, 9)))
+    cluster[0] = top
+    slow = rng.uniform(0.3, 0.7, size=int(rng.integers(0, 4)))
+    p_fast = rng.uniform(0.1, 1.0, size=len(fast))
+    t_fast = np.sum((p_fast / fast) ** q)
+    p_cluster = rng.uniform(0.5, 1.0, size=len(cluster))
+    drop = np.exp(rng.uniform(np.log(30.0), np.log(1e6)))
+    weight = t_fast * np.log(drop) / np.log(delta0 / top)
+    p_cluster *= (weight / np.sum((p_cluster / cluster) ** q)) ** (1 / q)
+    freqs = np.concatenate([fast, cluster, slow])
+    profile = np.concatenate([p_fast, p_cluster, rng.uniform(0.01, 0.1, len(slow))])
+    order = rng.permutation(len(freqs))
+    g_c = (np.log(delta0 / top) / (2.0 * t_fast)) ** (1 / q)
+    g_grid = g_c * np.geomspace(0.3, 3.0, int(rng.integers(8, 40)))
+    return freqs[order], profile[order], delta0, g_grid
+
+
+class TestJumpsAgainstOracle:
+    @pytest.mark.parametrize("variant,q", [("standard", 2), ("literal", 4)])
+    def test_planted_jumps(self, variant, q):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            freqs, profile, delta0, g_grid = _planted_jump_bath(rng, q)
+            cs = CouplingSpectrum(frequencies=freqs, relative_profile=profile,
+                                  g=profile)
+            sweep = sweep_coupling(cs, delta0, g_grid, variant)
+            oracle = bisect_jumps(freqs, profile, delta0, g_grid, variant)
+            assert len(sweep.jumps) == len(oracle) >= 1
+            for jump, (g_star, drop) in zip(sweep.jumps, oracle):
+                npt.assert_allclose(jump.g_star, g_star, rtol=1e-12, atol=0)
+                npt.assert_allclose(jump.drop_factor, drop, rtol=1e-12, atol=0)
+
+
 BOUNDARY_CASES = [(variant, threshold) for variant in ("standard", "literal")
                   for threshold in (1e-3, 0.3)]
 
@@ -206,16 +314,16 @@ class TestBoundaryClosedForm:
         finite = 0
         for k in range(150):
             freqs, profile, delta0 = _boundary_bath(rng, k)
-            g_b = float(_boundary_couplings(freqs, profile, delta0, variant,
-                                            threshold))
+            table = _Breakpoints.of(freqs, profile, variant)
+            (g_b,) = table.boundary([delta0], threshold)
+            ceiling = table.ceiling(delta0)
             if np.isinf(g_b):
                 # delocalized at any coupling
-                assert _cat_sizes(freqs, profile, delta0, 1e30, variant) <= log_thr
+                assert table.cat_sizes(ceiling, [1e30])[0, 0] <= log_thr
                 continue
             finite += 1
-            below, above = _cat_sizes(freqs, profile, delta0,
-                                      [g_b * (1 - 1e-9), g_b * (1 + 1e-9)],
-                                      variant)
+            below, above = table.cat_sizes(
+                ceiling, [g_b * (1 - 1e-9), g_b * (1 + 1e-9)])[0]
             assert below <= log_thr < above, (k, freqs, profile, delta0)
         assert 40 < finite < 150
 
@@ -225,8 +333,8 @@ class TestBoundaryClosedForm:
         g_grid = np.geomspace(0.05, 20.0, 12)
         for k in range(40):
             freqs, profile, delta0 = _boundary_bath(rng, k)
-            g_b = float(_boundary_couplings(freqs, profile, delta0, variant,
-                                            threshold))
+            (g_b,) = _Breakpoints.of(freqs, profile, variant).boundary(
+                [delta0], threshold)
             bracket = boundary_bracket(freqs, profile, delta0, g_grid,
                                        variant, threshold)
             if bracket is None:
@@ -243,8 +351,8 @@ class TestBoundaryClosedForm:
         # one mode above Delta_0: Delta_eff = Delta_0 exp(-2 g^q (p/w)^q)
         # reaches threshold * Delta_0 at g^q = ln(1/threshold) / (2 (p/w)^q)
         for threshold in (1e-3, 0.3):
-            g_b = _boundary_couplings(np.array([2.0]), np.array([0.5]), 1.0,
-                                      variant, threshold)
+            g_b = _Breakpoints.of(np.array([2.0]), np.array([0.5]),
+                                  variant).boundary([1.0], threshold)
             npt.assert_allclose(g_b, 4.0 * (-np.log(threshold) / 2) ** (1 / q),
                                 rtol=1e-14)
 
@@ -254,21 +362,21 @@ class TestBoundaryClosedForm:
         profile = np.array([0.3, 1.0, 0.7, 0.6])
         # above every mode, on the top mode, and with every faster mode
         # uncoupled (profile zero above Delta_0)
-        assert np.all(np.isinf(_boundary_couplings(
-            freqs, profile, np.array([2.5, 2.0]), variant, 1e-3)))
-        assert np.isinf(_boundary_couplings(
-            freqs, np.array([0.3, 1.0, 0.7, 0.0]), 1.5, variant, 1e-3))
-        assert np.isinf(_boundary_couplings(freqs, np.zeros(4), 1.2, variant,
-                                            1e-3))
+        for profile, delta0 in ((profile, [2.5, 2.0]),
+                                (np.array([0.3, 1.0, 0.7, 0.0]), [1.5]),
+                                (np.zeros(4), [1.2])):
+            table = _Breakpoints.of(freqs, profile, variant)
+            assert np.all(np.isinf(table.boundary(delta0, 1e-3)))
 
     def test_rows_match_scalar_calls(self):
         freqs = np.array([1.1, 1.3, 1.3, 1.7, 2.4])
         profile = np.array([0.2, 0.9, 0.4, 1.0, 0.0])
         delta0 = np.array([0.5, 1.1, 1.25, 1.7, 3.0])
-        rows = _boundary_couplings(freqs, profile, delta0, "literal", 0.3)
+        table = _Breakpoints.of(freqs, profile, "literal")
+        rows = table.boundary(delta0, 0.3)
         assert rows.shape == (5,)
         for d0, g_b in zip(delta0, rows):
-            assert g_b == _boundary_couplings(freqs, profile, d0, "literal", 0.3)
+            assert table.boundary([d0], 0.3) == [g_b]
 
 
 class TestSweepCoupling:
