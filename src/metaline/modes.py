@@ -61,19 +61,17 @@ from .dispersion import dom_approx, rhtl_background_dom
 # gauge rule: modes at or below this fraction of the largest frequency
 # are the inductive null space, not physical modes
 GAUGE = 1e-6
-# shifts per multisection round; each round shrinks a bracket 32-fold
-_SHIFTS = 31
+# shifts per multisection round; each round shrinks a bracket 8-fold
+_SHIFTS = 7
 _EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny
-# values (nodes x shifts) per block of the Sturm sweep: bounds its
+# values (nodes x shifts x devices) per block of the Sturm sweep: bounds its
 # temporaries, and amortizes the block's whole-block expressions
 _BLOCK_VALUES = 2 ** 15
 # the only network dimensions that take dense eigh: the size class of the
 # spectrum benchmark device (dim 2001), whose reference pins dense rounding
 # (see the module docstring); every other size takes the band solver
 _DENSE_DIMS = range(1001, 2002)
-# Sturm shifts per refined cell in _isolate; each round shrinks a cell 8-fold
-_CELL_SHIFTS = 7
 # window ends widen by this relative amount in lam = omega^2, so that a
 # mode within rounding of an end is solved, then kept or dropped by its
 # own frequency as on the dense path
@@ -218,15 +216,21 @@ def _dense_modes(mat: NetworkMatrices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_capacitance(bands: NetworkBands) -> None:
-    """IllConditionedCircuitError unless every LDL^T pivot of C is positive."""
-    pivot = float(bands.c_diag[0])
-    for diag, off in zip(bands.c_diag[1:].tolist(), bands.c_off.tolist()):
-        if not pivot > 0:
-            break
-        pivot = diag - off * off / pivot
-    if not pivot > 0:
+    """IllConditionedCircuitError unless every LDL^T pivot of C is positive,
+    on one device or on each device of a stack (one leading axis), by one
+    ``_pivots`` recurrence over all devices.  The message names the first
+    pivot that is not positive, and on a stack the first device with one."""
+    n = np.shape(bands.c_diag)[-1]
+    d = np.reshape(bands.c_diag, (-1, n)).T.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _pivots(d, np.square(np.reshape(bands.c_off, (d.shape[1], n - 1)).T))
+    bad = ~(d > 0)
+    if bad.any():
+        device = int(np.argmax(bad.any(axis=0)))
+        pivot = d[np.argmax(bad[:, device]), device]
+        where = f" of device {device}" if np.ndim(bands.c_diag) > 1 else ""
         raise IllConditionedCircuitError(
-            f"capacitance matrix is not positive definite "
+            f"capacitance matrix{where} is not positive definite "
             f"(pivot {pivot:.3e} F)")
 
 
@@ -322,7 +326,7 @@ def _isolate(bands: NetworkBands, points: np.ndarray, counts: np.ndarray,
     their upper end are left as they are: their eigenvalues are treated
     as one cluster.
     """
-    fractions = np.arange(1, _CELL_SHIFTS + 1) / (_CELL_SHIFTS + 1)
+    fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     while True:
         occupied = np.flatnonzero(np.diff(counts))
         width = points[occupied + 1] - points[occupied]
@@ -477,8 +481,8 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     dstebz, pivots smaller in magnitude than pivmin, zero included, are
     replaced by -pivmin: an eigenvalue equal to a shift counts as below
     it, and one within rounding of a shift may count on either side.
-    ``lam`` has shape (..., m), with the leading axes of the bands; the
-    result has the shape of ``lam``.
+    ``lam`` has shape (..., m), broadcast against the leading axes of the
+    bands; the result has the broadcast shape.
 
     As in LAPACK dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
     2006), the nodes are swept in blocks of about ``_BLOCK_VALUES`` values:
@@ -486,13 +490,16 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     recurrence without the guard, two ufunc calls per node.  A block with
     a pivot below pivmin in magnitude (or NaN) is run again from its
     incoming pivot with the guard, so every pivot and count is that of
-    the guarded recurrence, bit for bit.
+    the guarded recurrence, bit for bit.  Blocks are (nodes, shifts,
+    devices): on a stack, whole-block expressions run over the devices.
     """
     lam = np.asarray(lam, dtype=float)
+    lead = np.broadcast_shapes(np.shape(bands.k_diag)[:-1], lam.shape[:-1])
+    lam = np.ascontiguousarray(np.moveaxis(np.broadcast_to(lam, lead + lam.shape[-1:]), -1, 0))
 
     def nodes_first(x) -> np.ndarray:
-        """(..., n) -> (n, ..., 1): one contiguous row per node."""
-        return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0)[..., None])
+        """(..., n) -> (n, 1, ...): one contiguous row per node."""
+        return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0)[:, None])
 
     kd, ko, cd, co = map(nodes_first, (bands.k_diag, bands.k_off,
                                        bands.c_diag, bands.c_off))
@@ -519,11 +526,11 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
                 np.multiply(lam, cd[s:e], out=new)
                 np.subtract(kd[s:e], new, out=new)
                 _pivots(piv, b2, guard)
-                if (np.abs(new) >= pivmin).all():   # else a tiny pivot or NaN:
-                    break                           # run the block guarded
+                if (np.abs(new).min(axis=0) >= pivmin).all():  # else a tiny pivot
+                    break                   # or NaN: run the block guarded
             below += np.count_nonzero(np.signbit(new), axis=0)
             d[0] = piv[-1]
-    return below
+    return np.moveaxis(below, 0, -1)
 
 
 def _narrow(bands: NetworkBands, index: np.ndarray, lo: np.ndarray,
@@ -589,14 +596,16 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     The count covers the part of the band inside the window.  Returns
     (edge in rad/s, NaN where the window holds no mode; count).  Only
     Sturm counts are used: no matrix is formed and no eigenvector found.
+    IllConditionedCircuitError names the first device whose capacitance
+    has an LDL^T pivot that is not positive.
     """
     bounds = np.array([*freq_window, *band], dtype=float)
     if not all(np.isfinite(x).all() for x in (bounds, bands.k_diag, bands.k_off,
                                               bands.c_diag, bands.c_off)):
         raise ValueError("band_edges needs finite bands, window and band")
+    _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
-    counts = sturm_count(bands, np.broadcast_to(bounds, (len(bands.k_diag), 4)))
-    win_lo, win_hi, band_lo, band_hi = counts.T
+    win_lo, win_hi, band_lo, band_hi = sturm_count(bands, bounds).T
     gauge, floor = _gauge_floor(bands, *_top_bracket(bands))
     first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)

@@ -92,7 +92,8 @@ class TestSolveModes:
     def test_ill_conditioned_error_names_pivot(self):
         cap = np.array([[1e-13, 2e-13], [2e-13, 1e-13]])   # indefinite
         ki = np.eye(2) * 1e9
-        with pytest.raises(IllConditionedCircuitError, match="pivot"):
+        with pytest.raises(IllConditionedCircuitError,
+                           match=r"^capacitance matrix is not positive definite \(pivot"):
             solve_modes(_wrap(cap, ki))
 
 
@@ -217,26 +218,45 @@ class TestSturmCount:
         npt.assert_array_equal(sturm_count(bands, lam),
                                sturm_count_reference(bands, lam))
 
+    @pytest.mark.parametrize("devices,shifts", [(50, 7), (5, 1)])
+    def test_more_devices_than_shifts(self, devices, shifts):
+        # the shift-major layout puts the devices on the inner axis
+        rng = np.random.default_rng(devices)
+        bands = self._random_bands(rng, (devices, 23))
+        lam = 3.0 * rng.normal(size=(devices, shifts))
+        counts = sturm_count(bands, lam)
+        shared = sturm_count(bands, lam[0])     # one row of shifts for all
+        assert counts.shape == shared.shape == (devices, shifts)
+        for s in range(devices):
+            device = self._device(bands, s)
+            npt.assert_array_equal(counts[s], sturm_count_reference(device, lam[s]))
+            npt.assert_array_equal(shared[s], sturm_count_reference(device, lam[0]))
+
     # the zero pivot sits first, in the middle and last in the third of the
     # blocks of 5 nodes (nodes 10-14); cutting the edge after it too makes
     # the unguarded pivot after it 0/0
     @pytest.mark.parametrize("cut", [(9,), (9, 10), (11, 12), (13,)])
     def test_zero_pivot_reruns_only_its_block(self, monkeypatch, cut):
         # node j = cut[0] + 1, cut from node j - 1, has a_j = 0 - 0 * c_j = 0
-        # at the shift 0, column 50 of 400
+        # at the shift 0, column 50 of 400; on one device, and on the last
+        # device of a stack of 3 whose devices all have the edges cut
         rng = np.random.default_rng(8)
-        bands = self._random_bands(rng, (17,))
         j = cut[0] + 1
-        bands.k_off[list(cut)] = bands.c_off[list(cut)] = 0.0
-        bands.k_diag[j] = 0.0
-        lam = 3.0 * rng.normal(size=400)
-        lam[50] = 0.0
-        monkeypatch.setattr(modes, "_BLOCK_VALUES", 5 * len(lam))
         guarded = _spy_guarded_pivots(monkeypatch)
-        counts = sturm_count(bands, lam)
-        # one rerun, of the third block: its b2 rows are edges 9-13
-        assert guarded == [tuple(e - 9 for e in cut if e <= 13)]
-        npt.assert_array_equal(counts, sturm_count_reference(bands, lam))
+        for lead, last in (((), ()), ((3,), (-1,))):
+            bands = self._random_bands(rng, lead + (17,))
+            bands.k_off[..., list(cut)] = bands.c_off[..., list(cut)] = 0.0
+            bands.k_diag[last + (j,)] = 0.0
+            lam = 3.0 * rng.normal(size=lead + (400,))
+            lam[last + (50,)] = 0.0
+            monkeypatch.setattr(modes, "_BLOCK_VALUES", 5 * lam.size)
+            guarded.clear()
+            counts = sturm_count(bands, lam)
+            # one rerun, of the third block: its b2 rows are edges 9-13
+            assert guarded == [tuple(e - 9 for e in cut if e <= 13)]
+            for s in np.ndindex(lead):
+                npt.assert_array_equal(counts[s], sturm_count_reference(
+                    self._device(bands, s), lam[s]))
 
     def test_fig2_solve_needs_no_guarded_rerun(self, monkeypatch):
         guarded = _spy_guarded_pivots(monkeypatch)
@@ -284,6 +304,36 @@ class TestBandEdges:
         dense = solve_modes(_wrap(np.eye(3), np.diag(k)), window).frequencies
         assert counts[0] == len(dense) == (2 if factor > 1 else 1)
         npt.assert_allclose(edges[0], dense[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("shifts", [1, 7, 31])
+    def test_bracket_closes_on_lowest_kept_mode(self, monkeypatch, band_spec, shifts):
+        # edge^2 (1 -+ 4 eps) straddles the index of the lowest kept mode,
+        # whatever the multisection width; that mode is the first above the
+        # window's lower end, as the gauge modes lie far below it
+        monkeypatch.setattr(modes, "_SHIFTS", shifts)
+        specs = [apply_disorder(band_spec, 0.02, seed) for seed in range(1, 51)]
+        edges, _ = band_edges(NetworkBands.stack([network_bands(s) for s in specs]),
+                              WINDOW, ULTRASTRONG_BAND)
+        eps = np.finfo(float).eps
+        for spec, edge in zip(specs, edges):
+            below, first, above = sturm_count_reference(
+                network_bands(spec),
+                [edge ** 2 * (1 - 4 * eps), WINDOW[0] ** 2, edge ** 2 * (1 + 4 * eps)])
+            assert below <= first < above
+
+    def test_indefinite_capacitance_names_device(self, band_spec):
+        stack = NetworkBands.stack([network_bands(apply_disorder(band_spec, 0.02, s))
+                                    for s in range(1, 4)])
+        stack.c_off[1, 7] = 2.0 * stack.c_diag[1, 7]     # indefinite in device 1
+        with pytest.raises(IllConditionedCircuitError, match="device 1 .*pivot") as err:
+            band_edges(stack, WINDOW, ULTRASTRONG_BAND)
+        # the pivot is the one solve_modes names for that device alone
+        device = build_matrices(apply_disorder(band_spec, 0.02, 2))
+        device = dataclasses.replace(device, bands=NetworkBands(
+            *(getattr(stack, name)[1] for name in ("k_diag", "k_off", "c_diag", "c_off"))))
+        with pytest.raises(IllConditionedCircuitError) as alone:
+            solve_modes(device)
+        assert str(err.value).replace(" of device 1", "") == str(alone.value)
 
     def test_rejects_nonfinite_input(self, band_spec):
         bands = NetworkBands.stack([network_bands(band_spec)])
