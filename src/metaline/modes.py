@@ -21,7 +21,8 @@ then takes one of two paths by network size:
   and one O(n m^2) matrix product that C-orthonormalizes the window;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
   only there) for dims 1001-2001, O(n^3) for all n modes; the only path
-  that forms the n x n matrices.
+  that forms the n x n matrices, which sygvd overwrites in place, so K, C
+  and its workspace, 4 n^2 doubles, are its whole working set.
 
 README (*Eigensolvers*) holds the timings of both paths, measured with
 ``solve_modes`` on the benchmark's ladder devices as the median of warm
@@ -176,7 +177,7 @@ def solve_modes(mat: NetworkMatrices,
     """
     _check_capacitance(mat.bands)
     if mat.dim in _DENSE_DIMS:
-        omega, vecs = _dense_modes(mat)
+        omega, vecs = _dense_modes(mat, freq_window)
     else:
         omega, vecs = _band_modes(mat.bands, freq_window)
 
@@ -194,24 +195,22 @@ def solve_modes(mat: NetworkMatrices,
     changes = _column_sign_changes(vecs)
     order = np.lexsort((changes, omega))
     omega, vecs = omega[order], vecs[:, order]
-
-    if freq_window is not None:
-        lo, hi = freq_window
-        sel = (omega >= lo) & (omega <= hi)
-        omega, vecs = omega[sel], vecs[:, sel]
-
     return ModeSet(frequencies=omega, profiles=vecs,
                    node_positions=mat.node_positions,
                    interface_index=mat.interface_index)
 
 
-def _dense_modes(mat: NetworkMatrices) -> tuple[np.ndarray, np.ndarray]:
-    """Every non-gauge mode by dense ``eigh`` (LAPACK sygvd)."""
+def _dense_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The non-gauge modes in ``freq_window`` by dense ``eigh`` (LAPACK
+    sygvd), in place: K and C are formed fresh and symmetric, so their
+    transposes are the same matrices in the Fortran order LAPACK takes."""
     import scipy.linalg as sla  # slow to import; only the _DENSE_DIMS sizes need it
 
-    w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
+    lo, hi = (0.0, np.inf) if freq_window is None else freq_window
+    w2, vecs = sla.eigh(mat.inv_ind.T, mat.cap.T, overwrite_a=True, overwrite_b=True)
     omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = omega > GAUGE * omega.max()
+    keep = (omega > GAUGE * omega.max()) & (omega >= lo) & (omega <= hi)
     return omega[keep], vecs[:, keep]
 
 
@@ -382,7 +381,9 @@ def _band_modes(bands: NetworkBands, freq_window: tuple[float, float] | None
         return empty
     points, counts = _isolate(bands, points, counts, lam_lo, lam_hi)
     lam, vecs = _inverse_iteration(bands, points, counts, np.arange(start, stop))
-    return np.sqrt(lam), vecs
+    omega = np.sqrt(lam)
+    keep = (omega >= lo) & (omega <= hi)      # drop the modes the slack let in
+    return omega[keep], vecs[:, keep]
 
 
 def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
@@ -512,6 +513,7 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     step = max(1, _BLOCK_VALUES // max(1, lam.size))
     d = np.empty((min(n, step + 1),) + lam.shape)
     sq = np.empty((len(d) - 1,) + lam.shape)
+    lam_rows = np.broadcast_to(lam, d.shape).copy()     # lam on each row of a block
     below = np.zeros(lam.shape, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, n, step):
@@ -519,16 +521,17 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
             carry = int(s > 0)      # row 0 then holds the last pivot before s
             piv, b2 = d[:e - s + carry], sq[:e - s + carry - 1]
             new = piv[carry:]
-            np.multiply(lam, co[s - carry:e - 1], out=b2)
+            np.multiply(lam_rows[:len(b2)], co[s - carry:e - 1], out=b2)
             np.subtract(ko[s - carry:e - 1], b2, out=b2)
             np.square(b2, out=b2)
             for guard in (None, pivmin):
-                np.multiply(lam, cd[s:e], out=new)
+                np.multiply(lam_rows[:len(new)], cd[s:e], out=new)
                 np.subtract(kd[s:e], new, out=new)
                 _pivots(piv, b2, guard)
                 if (np.abs(new).min(axis=0) >= pivmin).all():  # else a tiny pivot
                     break                   # or NaN: run the block guarded
-            below += np.count_nonzero(np.signbit(new), axis=0)
+            # int32: int16 would wrap on a block of 2^15 nodes (one shift)
+            below += np.add.reduce(np.signbit(new), axis=0, dtype=np.int32)
             d[0] = piv[-1]
     return np.moveaxis(below, 0, -1)
 

@@ -12,6 +12,7 @@ the ``dense_path`` fixture, which sends every network to dense ``eigh``.
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,65 @@ def test_default_size_selection(monkeypatch):
             solve_modes(mat, WINDOW)
         taken[mat.dim] = info.value.args[0]
     assert taken == {501: "band", 2001: "dense", 5001: "band"}
+
+
+@pytest.fixture(scope="module")
+def dense_matrices():
+    """A dim-1001 ladder device, in the default dense size range."""
+    mat = build_matrices(make_band_edge_spec(n_left=400, n_right=600))
+    assert mat.dim == 1001 and mat.dim in modes._DENSE_DIMS
+    return mat
+
+
+def test_dense_path_matches_copying_eigh(dense_matrices):
+    """The in-place solve returns the eigenpairs of the copying ``eigh``
+    call bit for bit, up to column sign and the order within ties."""
+    ms = solve_modes(dense_matrices, WINDOW)
+    omega, vecs = _dense(dense_matrices, WINDOW)
+    np.testing.assert_array_equal(ms.frequencies, omega)
+    matched = []
+    for w, v in zip(ms.frequencies, ms.profiles.T):
+        matched += [k for k in np.flatnonzero(omega == w)
+                    if np.array_equal(v, vecs[:, k]) or np.array_equal(v, -vecs[:, k])][:1]
+    assert sorted(matched) == list(range(len(omega)))
+
+
+def test_dense_path_peak_memory(dense_matrices):
+    """K and C reach LAPACK without copies: the solve peaks at K, C and
+    sygvd's workspace, 4 n^2 doubles, where copies of both took it to 6."""
+    solve_modes(dense_matrices, WINDOW)         # warm: imports and caches
+    tracemalloc.start()
+    try:
+        solve_modes(dense_matrices, WINDOW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * dense_matrices.dim ** 2
+
+
+@pytest.mark.parametrize("ends", ["default", "on_modes"])
+@pytest.mark.parametrize("path", ["dense_path", "band_path"])
+def test_window_restricts_full_solve(request, monkeypatch, path, ends):
+    """A windowed solve is the full solve restricted to the window, bit for
+    bit: the window is chosen before the sign rule and the tie-break, which
+    act column by column and by a stable sort.  The band solver's iteration
+    depends on the window (start vectors, Sturm samples), so there its
+    eigenpairs are pinned to one dense solve, indexed as the band solver
+    indexes them."""
+    request.getfixturevalue(path)
+    mat = build_matrices(make_band_edge_spec(n_left=80, n_right=120))
+    if path == "band_path":
+        w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
+        monkeypatch.setattr(modes, "_inverse_iteration",
+                            lambda bands, points, counts, index: (w2[index], vecs[:, index]))
+    full = solve_modes(mat, None)
+    f = full.frequencies
+    window = WINDOW if ends == "default" else (f[30], f[100])
+    part = solve_modes(mat, window)
+    sel = (f >= window[0]) & (f <= window[1])
+    assert 0 < sel.sum() < len(f)
+    np.testing.assert_array_equal(part.frequencies, f[sel])
+    np.testing.assert_array_equal(part.profiles, full.profiles[:, sel])
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
