@@ -119,16 +119,6 @@ class CircuitSpec:
         return 1.0 / (2.0 * np.sqrt(self.c_left * self.l_left))
 
     @property
-    def rhtl_impedance(self) -> float:
-        """Characteristic impedance sqrt(l_r/c_r) of the strip (ohm)."""
-        return np.sqrt(self.l_right_per_len / self.c_right_per_len)
-
-    @property
-    def rhtl_velocity(self) -> float:
-        """Phase velocity 1/sqrt(l_r c_r) of the strip (m/s)."""
-        return 1.0 / np.sqrt(self.l_right_per_len * self.c_right_per_len)
-
-    @property
     def dx_right(self) -> float:
         """Numerical discretization step of the strip (m)."""
         return self.rhtl_length / self.n_right
@@ -335,8 +325,6 @@ def apply_disorder(spec: CircuitSpec, relative_sigma: float, seed: int) -> Circu
         raise ValueError(
             f"relative_sigma must lie in [0, 1/3), got {relative_sigma}")
     c_cells, l_cells = spec.cell_values()
-    if relative_sigma == 0:
-        return replace(spec, c_left_cells=c_cells, l_left_cells=l_cells)
     u = np.random.default_rng(seed).uniform(size=2 * spec.n_left)
     eps = relative_sigma * _normal_ppf(_PHI_LO + u * (_PHI_HI - _PHI_LO))
     return replace(

@@ -25,11 +25,11 @@ import numpy as np
 from . import __version__
 from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
 from .config import GHZ, ConfigError, RunConfig, check_output_names, parse_config
-from .dispersion import dom_approx, rhtl_background_dom
+from .dispersion import dom_approx
 from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
 from .modes import (IllConditionedCircuitError, ModeSet, QubitSpec, band_edges,
                     coupling_spectrum, dom_numeric, footprint_at_antinode, solve_modes)
-from .spinboson import LOCALIZATION_THRESHOLD, Phase, phase_diagram, sweep_coupling
+from .spinboson import phase_diagram, sweep_coupling
 
 
 def _fmt(value) -> str:
@@ -253,12 +253,7 @@ def cmd_modes(config: RunConfig, out: Path, profiles: bool = False) -> None:
 
     dom = _Table()
     if len(modeset) >= 2:
-        # the formula diverges at the cutoff; below it only the strip counts
-        approx = np.full(len(modeset), rhtl_background_dom(spec))
-        above = modeset.frequencies > spec.omega_ir
-        approx[above] = dom_approx(modeset.frequencies[above], spec,
-                                   include_rhtl_background=True)
-        dom = _Table(freqs_ghz, dom_numeric(modeset), approx)
+        dom = _Table(freqs_ghz, dom_numeric(modeset), dom_approx(modeset.frequencies, spec))
     _write_csv(out / config.output_name("dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
                dom, comments)
 
@@ -331,11 +326,9 @@ def cmd_phase(config: RunConfig, out: Path) -> None:
                             config["renorm.variant"])
     comments = _comments(config, "phase")
     ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
-    labels = np.where(ratio < LOCALIZATION_THRESHOLD,
-                      Phase.LOCALIZED.value, Phase.DELOCALIZED.value)
     table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
                    np.tile(diagram.g_axis / omega_ir, len(ratio)),
-                   ratio.ravel(), labels.ravel())
+                   ratio.ravel(), diagram.phase.ravel())
     _write_csv(out / config.output_name("phase.csv"),
                ["delta0_over_omega_ir", "g_over_omega_ir",
                 "delta_eff_over_delta0", "phase"], table, comments)
@@ -411,8 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"metaline: config error: {exc}", file=sys.stderr)
         return 2
-    except (IllConditionedCircuitError, ValueError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (IllConditionedCircuitError, ValueError, ArithmeticError) as exc:
         print(f"metaline: numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -11,6 +11,8 @@ which is bounded below by the infrared cutoff omega_ir where the mode
 density diverges (a one-dimensional van Hove singularity at the zone
 boundary).  On the positive branch of the first Brillouin zone the
 half-phase is phi = k dx / 2 = arcsin(omega_ir / omega) in [0, pi/2].
+``dom_approx`` sums the two: the strip's constant density at every
+frequency and the ladder's above the cutoff.
 """
 
 from __future__ import annotations
@@ -26,23 +28,15 @@ def rhtl_background_dom(spec: CircuitSpec) -> float:
         spec.l_right_per_len * spec.c_right_per_len) / np.pi
 
 
-def dom_approx(omega, spec: CircuitSpec, include_rhtl_background: bool = False):
-    """Approximate density of modes of the coupled line near the band edge.
-
-    Evaluates (4 N_l sqrt(C_l L_l) / pi) tan(phi) sin(phi) with
-    phi = arcsin(omega_ir/omega), the left-handed contribution that
-    diverges at the cutoff.  With ``include_rhtl_background`` the strip's
-    constant density is added, approximating the total density as the sum
-    of the two uncoupled lines.
-    """
+def dom_approx(omega, spec: CircuitSpec):
+    """Approximate density of modes of the coupled line at every omega: the
+    strip's constant density plus, above the cutoff, the left-handed
+    (4 N_l sqrt(C_l L_l) / pi) tan(phi) sin(phi) with
+    phi = arcsin(omega_ir/omega), which diverges at the cutoff."""
     omega = np.asarray(omega, dtype=float)
-    omega_ir = spec.omega_ir
-    if np.any(omega <= omega_ir):
-        raise ValueError(
-            "density formula requires omega > omega_ir (it diverges at the edge)")
-    phi = np.arcsin(omega_ir / omega)
-    out = (4.0 * spec.n_left * np.sqrt(spec.c_left * spec.l_left) / np.pi) \
+    out = np.full(omega.shape, rhtl_background_dom(spec))
+    above = omega > spec.omega_ir
+    phi = np.arcsin(spec.omega_ir / omega[above])
+    out[above] += (4.0 * spec.n_left * np.sqrt(spec.c_left * spec.l_left) / np.pi) \
         * np.tan(phi) * np.sin(phi)
-    if include_rhtl_background:
-        out = out + rhtl_background_dom(spec)
     return float(out) if out.ndim == 0 else out

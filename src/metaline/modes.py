@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitSpec, NetworkBands, NetworkMatrices
-from .dispersion import dom_approx, rhtl_background_dom
+from .dispersion import dom_approx
 
 # gauge rule: modes at or below this fraction of the largest frequency
 # are the inductive null space, not physical modes
@@ -676,15 +676,6 @@ def footprint_at_antinode(modes: ModeSet, spec: CircuitSpec,
     return float(np.clip(x0, 0.0, spec.rhtl_length - extent))
 
 
-def _dom_weight(omega: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """Total density-of-modes weight, finite for all positive frequencies."""
-    out = np.full(omega.shape, rhtl_background_dom(spec))
-    above = omega > spec.omega_ir
-    if np.any(above):
-        out[above] += dom_approx(omega[above], spec)
-    return out
-
-
 def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
                       normalization: str = "dom") -> CouplingSpectrum:
     """Qubit-mode coupling spectrum over the given mode set.
@@ -705,7 +696,7 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
         raise ValueError(f"unknown normalization {normalization!r}")
     weights = footprint_weights(spec, qubit.position, qubit.extent)
     avg = np.abs(weights @ modes.profiles[modes.interface_index:, :])
-    raw = avg * _dom_weight(modes.frequencies, spec) if normalization == "dom" else avg
+    raw = avg * dom_approx(modes.frequencies, spec) if normalization == "dom" else avg
     peak = raw.max()
     if peak == 0:
         relative = np.zeros_like(raw)

@@ -74,11 +74,12 @@ class CouplingSweep:
 
 @dataclass(frozen=True, eq=False)
 class PhaseDiagram:
-    """Delta_eff over a (coupling, bare-splitting) grid with the phase boundary."""
+    """Delta_eff and ``Phase`` values over a (Delta_0, g) grid, and the boundary."""
 
     g_axis: np.ndarray
     delta0_axis: np.ndarray
     delta_eff_grid: np.ndarray
+    phase: np.ndarray
     boundary: list[tuple[float, float]]
 
 
@@ -144,6 +145,11 @@ class _Breakpoints:
         return self.ratios(delta0, threshold * delta0).max(axis=1) ** (1.0 / self.q)
 
 
+def _localized(cat_size):
+    """Whether Delta_eff / Delta_0 = exp(-2 cat_size) < ``LOCALIZATION_THRESHOLD``."""
+    return cat_size > -0.5 * np.log(LOCALIZATION_THRESHOLD)
+
+
 def _check_grid(g_grid) -> np.ndarray:
     """``g_grid`` as a float array, after the checks both sweeps share."""
     g_grid = np.asarray(g_grid, dtype=float)
@@ -169,8 +175,7 @@ def renormalize(couplings: CouplingSpectrum, delta0: float,
     cat = float(table.cat_sizes(table.ceiling(delta0), [1.0])[0, 0])
     delta = delta0 * np.exp(-2.0 * cat)
     lam = np.abs(couplings.g / omega) ** (table.q // 2) * (omega > delta)
-    phase = Phase.LOCALIZED if delta / delta0 < LOCALIZATION_THRESHOLD \
-        else Phase.DELOCALIZED
+    phase = Phase.LOCALIZED if _localized(cat) else Phase.DELOCALIZED
     return RenormResult(delta_eff=float(delta), lambdas=lam, phase=phase,
                         cat_size=cat)
 
@@ -228,11 +233,12 @@ def phase_diagram(couplings: CouplingSpectrum, g_grid, delta0_grid,
                   variant: str = "standard") -> PhaseDiagram:
     """Delta_eff over a (g, Delta_0) grid of one bath.
 
-    Every row takes the closed-form fixed point from the same table.  The
-    boundary lists, for each row that localizes on the grid, the exact
-    coupling where Delta_eff / Delta_0 falls below
-    ``LOCALIZATION_THRESHOLD`` (``_Breakpoints.boundary``), kept inside the
-    grid step where its phase label flips.
+    Every row takes the closed-form fixed point from the same table, and
+    every point its ``Phase`` value from ``_localized``.  The boundary
+    lists, for each row that localizes on the grid, the exact coupling
+    where Delta_eff / Delta_0 falls below ``LOCALIZATION_THRESHOLD``
+    (``_Breakpoints.boundary``), kept inside the grid step where the row's
+    label first turns localized.
     """
     g_grid = _check_grid(g_grid)
     delta0_grid = np.asarray(delta0_grid, dtype=float)
@@ -243,7 +249,7 @@ def phase_diagram(couplings: CouplingSpectrum, g_grid, delta0_grid,
     table = _Breakpoints.of(couplings.frequencies, couplings.relative_profile, variant)
     cats = table.cat_sizes(table.ceiling(delta0_grid[:, None]), g_grid)
     # the step before each row's first localized point, or g_grid[0]
-    localized = cats > -0.5 * np.log(LOCALIZATION_THRESHOLD)
+    localized = _localized(cats)
     first = np.argmax(localized, axis=1)
     g_star = np.clip(table.boundary(delta0_grid, LOCALIZATION_THRESHOLD),
                      g_grid[np.maximum(first - 1, 0)], g_grid[first])
@@ -251,4 +257,6 @@ def phase_diagram(couplings: CouplingSpectrum, g_grid, delta0_grid,
     boundary = list(zip(g_star[some].tolist(), delta0_grid[some].tolist()))
     return PhaseDiagram(g_axis=g_grid, delta0_axis=delta0_grid,
                         delta_eff_grid=delta0_grid[:, None] * np.exp(-2.0 * cats),
+                        phase=np.where(localized, Phase.LOCALIZED.value,
+                                       Phase.DELOCALIZED.value),
                         boundary=boundary)

@@ -9,12 +9,14 @@ and from the plain monotone iteration, the localization boundary by
 bisection on labels from that iteration, the jumps of the fixed point by
 one scalar bisection per grid step on that iteration, the network
 matrices from per-element stamping loops, bare-line frequencies from the
-closed-form ladder dispersions, footprint-averaged currents and sign
-changes one mode at a time, mode counts from a dense eigenvalue solve of the
-symmetrically reduced pencil and from a scalar pivot loop per shift,
-single eigenvalues from a 40-digit bisection, eigenvectors refined by
-long-double inverse iteration with pivoted Gaussian elimination, and CSV
-bytes from a writer that formats every value with its own call.
+closed-form ladder dispersions, the mode density of the uncoupled lines
+from the slope of the ladder's inverse dispersion, footprint-averaged
+currents and sign changes one mode at a time, mode counts from a dense
+eigenvalue solve of the symmetrically reduced pencil and from a scalar
+pivot loop per shift, single eigenvalues from a 40-digit bisection,
+eigenvectors refined by long-double inverse iteration with pivoted
+Gaussian elimination, and CSV bytes from a writer that formats every
+value with its own call.
 """
 
 import numpy as np
@@ -247,6 +249,27 @@ def omega_lhtl(k, c_left: float, l_left: float, dx: float):
     omega_ir = 1.0 / (2.0 * np.sqrt(c_left * l_left))
     out = omega_ir / np.sin(kdx / 2.0)
     return float(out) if out.ndim == 0 else out
+
+
+def uncoupled_mode_density(omega, spec) -> np.ndarray:
+    """Modes per unit angular frequency of the strip and the ladder, summed
+    one frequency at a time.
+
+    The strip adds its one-way delay over pi at every frequency.  Above the
+    cutoff the ladder's N_l cells add N_l dx / pi |dk/domega| of the branch
+    k = (2/dx) arcsin(omega_ir/omega), i.e. 2 N_l s / (pi omega sqrt(1 - s^2))
+    with s = omega_ir/omega.
+    """
+    delay = spec.rhtl_length * np.sqrt(spec.l_right_per_len * spec.c_right_per_len)
+    omega_ir = 1.0 / (2.0 * np.sqrt(spec.c_left * spec.l_left))
+    out = []
+    for w in np.atleast_1d(np.asarray(omega, dtype=float)).tolist():
+        density = delay / np.pi
+        if w > omega_ir:
+            s = omega_ir / w
+            density += 2.0 * spec.n_left * s / (np.pi * w * np.sqrt((1.0 - s) * (1.0 + s)))
+        out.append(density)
+    return np.array(out)
 
 
 def sign_changes(values: np.ndarray) -> int:

@@ -52,7 +52,7 @@ def test_criterion_2_dom_agreement(band_spec, band_modes):
     nearest_edge = np.argsort(np.abs(w - OMEGA_IR))[:3]
     sel = (w > 1.05 * OMEGA_IR) & (w < 3.0 * OMEGA_IR)
     sel[nearest_edge] = False
-    closed = dom_approx(w[sel], band_spec, include_rhtl_background=True)
+    closed = dom_approx(w[sel], band_spec)
     dev = np.abs(dom_numeric(band_modes)[sel] / closed - 1)
     assert dev.max() <= 0.05
     _report(2, "DoM agreement",

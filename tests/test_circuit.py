@@ -39,8 +39,10 @@ class TestDesignFromImpedance:
 class TestCircuitSpec:
     def test_derived_quantities(self, band_spec):
         npt.assert_allclose(band_spec.omega_ir, OMEGA_IR, rtol=1e-12)
-        npt.assert_allclose(band_spec.rhtl_impedance, 50.0, rtol=1e-12)
-        npt.assert_allclose(band_spec.rhtl_velocity, 1.2e8, rtol=1e-12)
+        # strip impedance sqrt(l_r/c_r) and phase velocity 1/sqrt(l_r c_r)
+        l_r, c_r = band_spec.l_right_per_len, band_spec.c_right_per_len
+        npt.assert_allclose(np.sqrt(l_r / c_r), 50.0, rtol=1e-12)
+        npt.assert_allclose(1.0 / np.sqrt(l_r * c_r), 1.2e8, rtol=1e-12)
 
     def test_validation_names_offending_fields(self):
         with pytest.raises(ValueError, match="c_left"):

@@ -387,7 +387,7 @@ class TestWriteCsv:
         assert not path.exists()
 
     def test_nonfinite_exits_3(self, tmp_path, capsys, monkeypatch):
-        def nan_dom(omega, spec, include_rhtl_background):
+        def nan_dom(omega, spec):
             return np.full(len(omega), np.nan)
 
         monkeypatch.setattr(cli, "dom_approx", nan_dom)

@@ -4,7 +4,7 @@ import pytest
 
 from metaline import design_from_impedance, dom_approx, rhtl_background_dom
 from conftest import OMEGA_IR
-from oracles import omega_lhtl, omega_rhtl
+from oracles import omega_lhtl, omega_rhtl, uncoupled_mode_density
 
 C_L, L_L = design_from_impedance(50.0, OMEGA_IR)
 
@@ -65,10 +65,15 @@ class TestOmegaLhtl:
         assert np.all(np.diff(w) < 0)
 
 
+def _ladder_dom(omega, spec):
+    """The ladder's share of ``dom_approx``: the total less the strip's."""
+    return dom_approx(omega, spec) - rhtl_background_dom(spec)
+
+
 class TestDomApprox:
     def test_value_at_twice_cutoff(self, band_spec):
         # (4*200*1.99e-11/pi) * tan(pi/6) * sin(pi/6) = 1.462e-9 s/rad
-        npt.assert_allclose(dom_approx(2 * OMEGA_IR, band_spec), 1.4624e-9,
+        npt.assert_allclose(_ladder_dom(2 * OMEGA_IR, band_spec), 1.4624e-9,
                             rtol=1e-3)
 
     def test_matches_dispersion_derivative(self, band_spec):
@@ -78,26 +83,33 @@ class TestDomApprox:
         s = OMEGA_IR / omega
         dk_domega = -(2.0 / band_spec.cell_pitch) * s / (omega * np.sqrt(1 - s ** 2))
         expected = -band_spec.n_left * band_spec.cell_pitch / np.pi * dk_domega
-        npt.assert_allclose(dom_approx(omega, band_spec), expected, rtol=1e-9)
+        npt.assert_allclose(_ladder_dom(omega, band_spec), expected, rtol=1e-9)
 
     def test_van_hove_edge_asymptotics(self, band_spec):
         # D(omega) sqrt(omega - omega_ir) -> 2 N_l / (pi sqrt(2 omega_ir))
         limit = 2 * band_spec.n_left / (np.pi * np.sqrt(2 * OMEGA_IR))
         for eps in (1e-4, 1e-6, 1e-8):
             omega = OMEGA_IR * (1 + eps)
-            val = dom_approx(omega, band_spec) * np.sqrt(omega - OMEGA_IR)
+            val = _ladder_dom(omega, band_spec) * np.sqrt(omega - OMEGA_IR)
             npt.assert_allclose(val, limit, rtol=2 * eps ** 0.5 + 1e-6)
 
     def test_background_term(self, band_spec):
         bg = rhtl_background_dom(band_spec)
         npt.assert_allclose(bg, 0.03 * np.sqrt(4.1667e-7 * 1.6667e-10) / np.pi,
                             rtol=1e-4)
-        omega = 1.5 * OMEGA_IR
-        npt.assert_allclose(
-            dom_approx(omega, band_spec, include_rhtl_background=True),
-            dom_approx(omega, band_spec) + bg, rtol=1e-12)
 
-    def test_domain_error_at_and_below_edge(self, band_spec):
-        for omega in (band_spec.omega_ir, 0.5 * band_spec.omega_ir):
-            with pytest.raises(ValueError):
-                dom_approx(omega, band_spec)
+    def test_matches_oracle_at_every_frequency(self, band_spec, band_modes):
+        # the strip alone at and below the cutoff, exactly; above it the
+        # ladder's slope density on top, at every mode and up to 50 omega_ir
+        omega_ir = band_spec.omega_ir
+        below = omega_ir * np.append(np.linspace(0.0, 1.0, 21), 1.0 - 1e-12)
+        above = np.append(omega_ir * np.geomspace(1.001, 50.0, 40), band_modes.frequencies)
+        assert below[-2] == omega_ir and np.all(above > omega_ir)
+        background = rhtl_background_dom(band_spec)
+        npt.assert_array_equal(dom_approx(below, band_spec), np.full(len(below), background))
+        npt.assert_array_equal(dom_approx(below, band_spec),
+                               uncoupled_mode_density(below, band_spec))
+        npt.assert_allclose(dom_approx(above, band_spec),
+                            uncoupled_mode_density(above, band_spec), rtol=1e-12, atol=0)
+        value = dom_approx(omega_ir, band_spec)
+        assert isinstance(value, float) and value == background

@@ -1,9 +1,13 @@
+import dataclasses
+from importlib import resources
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from metaline import (CouplingSpectrum, Phase, QubitSpec, phase_diagram,
+from metaline import (CouplingSpectrum, Phase, QubitSpec, cli, phase_diagram,
                       renormalize, sweep_coupling)
+from metaline.config import parse_config
 from metaline.spinboson import LOCALIZATION_THRESHOLD, _Breakpoints
 from conftest import TWO_PI, make_band_edge_spec
 from oracles import (bisect_jumps, boundary_bracket, grid_search_fixed_point,
@@ -499,3 +503,70 @@ class TestPhaseDiagram:
             phase_diagram(couplings, [0.5 * omega_ir], delta0_grid)
         with pytest.raises(ValueError, match="empty coupling spectrum"):
             phase_diagram(_couplings([], []), [0.5, 0.6], delta0_grid)
+
+
+def _check_boundary_rows(g_axis, delta0_axis, labels, boundary) -> np.ndarray:
+    """Each (g*, Delta_0) row of ``boundary`` lies in the grid step where its
+    row of ``labels`` first turns localized, and a row that never does has
+    none; returns the number of rows of each kind."""
+    localized = labels == Phase.LOCALIZED.value
+    assert np.all(localized | (labels == Phase.DELOCALIZED.value))
+    some = localized.any(axis=1)
+    first = np.argmax(localized, axis=1)[some]
+    g_star, d0 = np.reshape(boundary, (-1, 2)).T
+    npt.assert_array_equal(d0, delta0_axis[some])
+    assert np.all(g_axis[np.maximum(first - 1, 0)] <= g_star)
+    assert np.all(g_star <= g_axis[first])
+    return np.array([some.sum(), (~some).sum()])
+
+
+def _check_renormalize_labels(diagram, couplings, variant):
+    """``renormalize`` at each point of ``diagram`` gives the point's label."""
+    for d0, labels in zip(diagram.delta0_axis, diagram.phase):
+        for g, label in zip(diagram.g_axis, labels):
+            at_g = dataclasses.replace(couplings, g=g * couplings.relative_profile)
+            assert renormalize(at_g, d0, variant).phase.value == label
+
+
+class TestOneLocalizationPredicate:
+    """The phase labels of ``phase_diagram`` are the ones ``renormalize``
+    gives, the ones the boundary rows come from and the ones phase.csv holds."""
+
+    @pytest.mark.parametrize("variant", ["standard", "literal"])
+    def test_random_baths(self, variant):
+        rng = np.random.default_rng(43)
+        rows = np.zeros(2, dtype=int)
+        for _ in range(20):
+            freqs, gs, _ = _random_bath(rng, n_max=8)
+            cs = _couplings(freqs, gs)
+            g_grid = np.geomspace(0.01, rng.uniform(0.2, 3.0), 25)
+            delta0_grid = np.sort(rng.uniform(0.2, 3.0, size=5))
+            diagram = phase_diagram(cs, g_grid, delta0_grid, variant)
+            _check_renormalize_labels(diagram, cs, variant)
+            rows += _check_boundary_rows(g_grid, delta0_grid, diagram.phase,
+                                         diagram.boundary)
+        assert rows.min() >= 10     # rows that localize and rows that never do
+
+    def test_fig5_csv(self, tmp_path):
+        ref = resources.files("metaline") / "configs" / "fig5.cfg"
+        with resources.as_file(ref) as path:
+            assert cli.main(["phase", "--config", str(path), "--out", str(tmp_path)]) == 0
+            config = parse_config(path)
+        spec, modeset = cli._build_modes(config)
+        _, couplings = cli._qubit_and_couplings(config, spec, modeset)
+        variant = config["renorm.variant"]
+        diagram = phase_diagram(couplings, config.grid("phase.g") * spec.omega_ir,
+                                config.grid("phase.delta0") * spec.omega_ir, variant)
+        _check_renormalize_labels(diagram, couplings, variant)
+
+        def body(name):
+            lines = (tmp_path / config.output_name(name)).read_text().splitlines()
+            return np.array([line.split(",") for line in lines
+                             if not line.startswith("#")][1:])
+
+        phase = body("phase.csv").reshape(diagram.phase.shape + (4,))
+        npt.assert_array_equal(phase[..., 3], diagram.phase)
+        boundary = body("boundary.csv").astype(float)
+        rows = _check_boundary_rows(phase[0, :, 1].astype(float),
+                                    phase[:, 0, 0].astype(float), diagram.phase, boundary)
+        assert rows[0] == len(boundary) > 0
