@@ -10,49 +10,44 @@ which makes them the flux profiles of independent harmonic oscillators.
 
 Both matrices are tridiagonal, and ``NetworkMatrices`` holds only their
 bands.  ``solve_modes`` checks that every LDL^T pivot of cap is positive,
-then takes one of two paths by network size:
+then takes one of two paths:
 
-- the band solver ``_band_modes`` for every size outside ``_DENSE_DIMS``:
-  Sturm counts isolate the window's eigenvalues, and shifted inverse
-  iteration with Rayleigh-quotient shifts, one LDL^T solve per step on
-  the bands with numpy across the window modes, finds their vectors;
-  O(n m) per step for m window modes, O(n k^2) per step for each set of
-  k modes in one Sturm cell too narrow to split (repeated eigenvalues),
-  and one O(n m^2) matrix product that C-orthonormalizes the window;
+- the closed form ``_closed_modes`` for a two-segment device (a uniform
+  ladder joined at one node to a uniform strip, end caps allowed) outside
+  ``_DENSE_DIMS``.  On each segment the shooting solution of K - lam C is
+  one sinusoid (or two exponentials) in the node index, joined to the
+  other at three free rows: the first, the interface and the last.  Its
+  sign changes are the Sturm count, O(1) per shift; multisection on it
+  gives every window eigenvalue at once, and each vector joins the
+  solutions shot from both ends, O(n m) for m window modes plus one
+  O(n m^2) Loewdin step;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
-  only there) for dims 1001-2001, O(n^3) for all n modes; the only path
-  that forms the n x n matrices, which sygvd overwrites in place, so K, C
-  and its workspace, 4 n^2 doubles, are its whole working set.
+  only there) for dims 1001-2001 and for every band layout the closed
+  form does not take (disordered ladders, bare lines, toy pencils), which
+  no command solves: O(n^3), the only path that forms the n x n matrices,
+  which sygvd overwrites in place.
 
-README (*Eigensolvers*) holds the timings of both paths, measured with
-``solve_modes`` on the benchmark's ladder devices as the median of warm
-solves per path in fresh processes: the band solver is as fast as dense
-at dim 501 and faster from there up, and it never imports
-``scipy.linalg``, which costs a fresh process more than a small solve,
-so the bundled fig2-fig5 devices (dim 501) take it too.
-``_DENSE_DIMS`` is the size class of the benchmark's
-spectrum device (dim 2001): the reference profiles recorded for it carry
-dense eigh's own rounding, which turns the close modes at the band edge
-by angles of up to 2e-7.  The band solver's vectors (residuals 1e-13
-against 4e-11) differ from them by that much, and the reference check,
-1e-6 relative per entry, rejects that next to profile nodes.
-Both paths apply the same gauge rule (``_gauge_floor`` is its
-count-only form), sign rule and tie-break.
+README (*Eigensolvers*) holds the timings of both paths and why
+``_DENSE_DIMS``, the size class of the benchmark's spectrum device (dim
+2001), stays dense: its reference profiles carry dense eigh's rounding.
+Both paths apply the same gauge rule (``_gauge_floor`` is its count-only
+form), sign rule and tie-break.
 
 Where only frequencies and counts are needed (the disorder study)
 ``band_edges`` works on the bands of a whole stack of devices: Sturm
 counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law of
-inertia) and multisection, O(n) per shift and no eigenvectors.
-
-Every Sturm count, on both of these paths, is one ``sturm_count`` sweep:
-blocks of nodes in whole-block numpy expressions and a pivot recurrence
-of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
-block that meets a pivot below pivmin runs again with dstebz's guard.
+inertia) by ``sturm_count`` and multisection, O(n) per shift and no
+eigenvectors.  ``sturm_count`` sweeps blocks of nodes in whole-block numpy
+expressions and a pivot recurrence of two numpy calls per node without a
+guard, as in LAPACK dlaneg; only a block that meets a pivot below pivmin
+runs again with dstebz's guard.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,18 +64,10 @@ _SAFMIN = np.finfo(float).tiny
 # values (nodes x shifts x devices) per block of the Sturm sweep: bounds its
 # temporaries, and amortizes the block's whole-block expressions
 _BLOCK_VALUES = 2 ** 15
-# the only network dimensions that take dense eigh: the size class of the
-# spectrum benchmark device (dim 2001), whose reference pins dense rounding
-# (see the module docstring); every other size takes the band solver
+# dimensions at which two-segment devices, too, take dense eigh: the size
+# class of the spectrum benchmark device (dim 2001), whose reference pins
+# dense rounding (see the module docstring)
 _DENSE_DIMS = range(1001, 2002)
-# window ends widen by this relative amount in lam = omega^2, so that a
-# mode within rounding of an end is solved, then kept or dropped by its
-# own frequency as on the dense path
-_WINDOW_SLACK = 1e-9
-# a mode has converged when its Rayleigh quotient moved this little
-# (relative) from the shift of the solve that produced it
-_CONVERGED = 1e-13
-_MAX_STEPS = 40
 
 
 class IllConditionedCircuitError(RuntimeError):
@@ -169,17 +156,18 @@ def solve_modes(mat: NetworkMatrices,
     capacitive ends) are discarded at or below 1e-6 of the largest
     frequency.  Ties in frequency are broken by the ascending number of
     sign changes of the profile.  ``freq_window`` = (lo, hi) in rad/s
-    restricts the returned modes.  Networks are solved on their
-    tridiagonal bands (``_band_modes``), except those whose dimension lies
-    in ``_DENSE_DIMS``, which go to dense ``eigh``.
+    restricts the returned modes.  Two-segment devices are solved in
+    closed form (``_closed_modes``), except those whose dimension lies in
+    ``_DENSE_DIMS``; they and every other network go to dense ``eigh``.
     IllConditionedCircuitError, on either path, names the first LDL^T
     pivot of the capacitance that is not positive.
     """
     _check_capacitance(mat.bands)
-    if mat.dim in _DENSE_DIMS:
+    segs = None if mat.dim in _DENSE_DIMS else _two_segments(mat.bands, mat.interface_index)
+    if segs is None:
         omega, vecs = _dense_modes(mat, freq_window)
     else:
-        omega, vecs = _band_modes(mat.bands, freq_window)
+        omega, vecs = _closed_modes(mat.bands, segs, freq_window)
 
     # reproducible sign: non-negative flux at the interface node, falling
     # back to the largest strip entry when the interface sits on a node
@@ -251,47 +239,6 @@ def _pivots(d: np.ndarray, b2: np.ndarray, pivmin: np.ndarray | None = None
             np.copyto(rows[i + 1], -pivmin, where=np.abs(rows[i + 1]) < pivmin)
 
 
-def _ldl(bands: NetworkBands, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pivots d (n, m) and multipliers l (n-1, m) of K - lam C = L D L^T,
-    one column per shift, by ``_pivots``: the unguarded recurrence of
-    ``sturm_count``'s fast pass."""
-    d = bands.k_diag[:, None] - bands.c_diag[:, None] * lam
-    l = bands.k_off[:, None] - bands.c_off[:, None] * lam
-    _pivots(d, l * l)
-    np.divide(l, d[:-1], out=l)
-    return d, l
-
-
-def _inverse_step(bands: NetworkBands, lam: np.ndarray,
-                  rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x = (K - lam C)^-1 rhs column by column, and the number of
-    eigenvalues below each shift (its negative pivots).
-
-    A zero last pivot (the shift is an eigenvalue to the last bit) is
-    replaced by its rounding level; a column that still overflows gets
-    NaN counts, which its caller must not use.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d, l = _ldl(bands, lam)
-        last = d[-1]
-        zero = last == 0
-        last[zero] = _EPS * (np.abs(bands.k_diag[-1])
-                             + np.abs(bands.c_diag[-1]) * np.abs(lam[zero]))
-        x = rhs.copy()
-        rows, mult = list(x), list(l)
-        t = np.empty(lam.shape)
-        for i in range(len(rows) - 1):
-            np.multiply(mult[i], rows[i], out=t)
-            np.subtract(rows[i + 1], t, out=rows[i + 1])
-        np.divide(x, d, out=x)
-        for i in range(len(rows) - 2, -1, -1):
-            np.multiply(mult[i], rows[i + 1], out=t)
-            np.subtract(rows[i], t, out=rows[i])
-    below = np.count_nonzero(d < 0, axis=0).astype(float)
-    below[~np.isfinite(x).all(axis=0)] = np.nan
-    return x, below
-
-
 def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Symmetric tridiagonal matrix (diag, off) times the columns of x."""
     out = x * diag[:, None]
@@ -300,177 +247,224 @@ def _tri_mul(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge(points: np.ndarray, counts: np.ndarray, new_points: np.ndarray,
-           new_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted union of two sets of Sturm samples.
+class _Segment(NamedTuple):
+    """One uniform segment of the pencil: its interior diagonals k_d and
+    c_d, the magnitudes k_o and c_o of its off-diagonals (one of them is
+    zero, so beta = |k_off - lam c_off| = k_o + lam c_o), the node steps
+    it spans, and the sign of -b, the factor between v_{j+1}/v_j and
+    u_{j+1}/u_j."""
 
-    Counts are made non-decreasing, which only moves a count whose shift
-    lies within rounding of an eigenvalue.
+    k_d: float
+    c_d: float
+    k_o: float
+    c_o: float
+    steps: int
+    sign: float
+
+
+def _two_segments(bands: NetworkBands, iface: int):
+    """(ladder, strip, rows) of the bands, or None unless they have the
+    two-segment form exactly: on the ladder (off-diagonals 0..iface-1)
+    k_off = 0 and c_off one non-zero value, on the strip c_off = 0 and
+    k_off one non-zero value, each segment's interior diagonals constant.
+    ``rows`` holds (h_k, h_c) of the free rows (first, interface, last):
+    h_k - lam h_c is a_j less half the a of each segment beside it."""
+    kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
+    n = len(kd)
+    if not 1 <= iface <= n - 3:
+        return None
+    segs = []
+    for const, zero, off, inner in ((co, ko, slice(0, iface), slice(1, iface)),
+                                    (ko, co, slice(iface, n - 1), slice(iface + 1, n - 1))):
+        if zero[off].any() or not const[off].all() or any(
+                np.ptp(x[part]) > 0 for x, part in ((const, off), (kd, inner), (cd, inner))
+                if len(x[part])):
+            return None
+        # a segment without interior rows (a one-cell ladder) takes a = 0
+        k_d, c_d = (kd[inner][0], cd[inner][0]) if len(kd[inner]) else (0.0, 0.0)
+        segs.append(_Segment(k_d, c_d, abs(ko[off][0]), abs(co[off][0]),
+                             off.stop - off.start, -np.sign(ko[off][0] - co[off][0])))
+    # in long double where there is one: the halves nearly cancel a_j
+    half = [(np.longdouble(seg.k_d) / 2, np.longdouble(seg.c_d) / 2) for seg in segs]
+    rows = [(kd[i] - half[0][0] * (i < n - 1) - half[1][0] * (i > 0),
+             cd[i] - half[0][1] * (i < n - 1) - half[1][1] * (i > 0)) for i in (0, iface, n - 1)]
+    return segs[0], segs[1], [(float(h_k), float(h_c)) for h_k, h_c in rows]
+
+
+def _junction(row, prev: _Segment | None, nxt: _Segment | None, lam, u, w):
+    """W of the next segment at a free row from the state (u, W) the
+    previous one left there; with no next segment (the last row), beta
+    times the virtual u_n that row sets.  The state at node j is (u_j,
+    W_j), W_j = u_{j+1} - tau u_j = tau u_j - u_{j-1} in the segment's own
+    tau, and row j is beta_j u_{j+1} = a_j u_j - beta_{j-1} u_{j-1}."""
+    hu = (row[0] - lam * row[1]) * u
+    if prev is not None:
+        hu = hu + (prev.k_o + lam * prev.c_o) * w
+    return hu if nxt is None else hu / (nxt.k_o + lam * nxt.c_o)
+
+
+def _phase(j, t, f):
+    """(k, h) with j t + f = k + h, k even and h in about [-1, 2]: t is
+    split so that j times its leading 26 bits is exact, and the rest of the
+    product is small, so h carries no rounding of the size of j t."""
+    t1 = np.round(t * 2.0 ** 26) * 2.0 ** -26
+    x = j * t1
+    k = 2.0 * np.round(0.5 * x)
+    return k, (x - k) + (j * (t - t1) + f)
+
+
+def _advance(seg: _Segment, lam, u, w, values: bool = False):
+    """Across one segment from the state (u, W) at its first node: the sign
+    changes of u over its nodes and the state at its last node; with
+    ``values``, also u at every node (rows) and the log of the factor all
+    of these were divided by.
+
+    On the segment u_{j+1} + u_{j-1} = 2 tau u_j, tau = a/(2 beta).  With
+    p = 2 beta - a and q = 2 beta + a, formed without cancellation (on
+    the ladder q = k_d, on the strip p = lam c_d), the passband p, q > 0
+    has u_j = R sin(pi (j t + f)), pi t = psi = 2 atan2(sqrt p, sqrt q),
+    and a sign change each time j t + f passes a whole number; for p <= 0
+    u_j = e^{j kappa} (A + B e^{-2 j kappa}) changes sign at most once,
+    and for q <= 0 it is (-1)^j times that with p and q swapped.  Those
+    are divided by e^{steps kappa}.
     """
-    keep = np.isfinite(new_counts)
-    p = np.concatenate([points, new_points[keep]])
-    c = np.concatenate([counts, new_counts[keep].astype(int)])
-    order = np.argsort(p, kind="stable")
-    return p[order], np.maximum.accumulate(c[order])
+    m = seg.steps
+    beta4 = 4.0 * (seg.k_o + lam * seg.c_o)      # p + q
+    p = (2.0 * seg.k_o - seg.k_d) + lam * (2.0 * seg.c_o + seg.c_d)
+    q = (2.0 * seg.k_o + seg.k_d) + lam * (2.0 * seg.c_o - seg.c_d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sin_psi = 2.0 * np.sqrt(p * q) / beta4
+        t = np.arctan2(np.sqrt(p), np.sqrt(q)) * (2.0 / np.pi)
+        f = np.arctan2(u, w / sin_psi) / np.pi
+        r = np.hypot(u, w / sin_psi) * np.where(f < 0, -1.0, 1.0)
+        f = np.where(f < 0, f + 1.0, f)             # in [0, 1), so none before j = 0
+        k, h = _phase(m, t, f)
+        band = (k + np.floor(h), r * np.sin(np.pi * h), r * np.cos(np.pi * h) * sin_psi)
+        alt = q < 0
+        pe, qe, we = np.where(alt, q, p), np.where(alt, p, q), np.where(alt, -w, w)
+        kappa = 2.0 * np.arctanh(np.sqrt(-pe / qe))
+        sinh = 2.0 * np.sqrt(-pe * qe) / beta4
+        a, b = 0.5 * (u + we / sinh), 0.5 * (u - we / sinh)
+        decay = np.exp(-2.0 * m * kappa)
+        end = a + b * decay
+        flips = (u * end < 0).astype(float)
+        sign = np.where(alt, (-1.0) ** m, 1.0)      # u_m = (-1)^m w_m when alternating
+        ev = (np.where(alt, m - flips, flips), sign * end,
+              sinh * (a - b * decay) * np.where(alt, -sign, 1.0))
+        evanescent = (p <= 0) | (q <= 0)
+        out = tuple(np.where(evanescent, e, o) for e, o in zip(ev, band))
+        if not values:
+            return out
+        j = np.arange(m + 1.0)[:, None]
+        vals = np.empty((m + 1, len(lam)))
+        on = ~evanescent
+        vals[:, on] = r[on] * np.sin(np.pi * _phase(j, t[on], f[on])[1])
+        on = evanescent
+        vals[:, on] = (a[on] * np.exp((j - m) * kappa[on])
+                       + b[on] * np.exp(-(j + m) * kappa[on])) \
+            * np.where(alt[on] & (j % 2 == 1), -1.0, 1.0)
+    return out + (vals, np.where(evanescent, m * kappa, 0.0))
 
 
-def _isolate(bands: NetworkBands, points: np.ndarray, counts: np.ndarray,
-             lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the samples until every eigenvalue in [lo, hi] has a cell
-    (an interval between consecutive samples) of its own, no wider than
-    the empty space on either side of it.
-
-    The midpoint of such a cell is then at least three times closer to
-    its eigenvalue than to any other.  Cells narrower than 1e-13 of
-    their upper end are left as they are: their eigenvalues are treated
-    as one cluster.
-    """
-    fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
-    while True:
-        occupied = np.flatnonzero(np.diff(counts))
-        width = points[occupied + 1] - points[occupied]
-        space = np.empty(len(occupied) + 1)
-        space[0] = points[occupied[0]] - points[0]
-        space[1:-1] = points[occupied[1:]] - points[occupied[:-1] + 1]
-        space[-1] = points[-1] - points[occupied[-1] + 1]
-        refine = (((np.diff(counts)[occupied] > 1)
-                   | (width > np.minimum(space[:-1], space[1:])))
-                  & (width > 1e-13 * points[occupied + 1])
-                  & (points[occupied + 1] > lo) & (points[occupied] < hi))
-        cells = occupied[refine]
-        if not len(cells):
-            return points, counts
-        shifts = (points[cells, None] + width[refine, None] * fractions).ravel()
-        points, counts = _merge(points, counts, shifts, sturm_count(bands, shifts))
+def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False):
+    """Shot from the first of ``rows`` across ``first``, the second row,
+    ``second`` and the last row: for each shift lam > 0 the number of sign
+    changes, which is ``sturm_count``'s count, as the LDL^T pivots of the
+    shot v from node 0 are d_j = |b_j| u_{j+1}/u_j, with a virtual u_n for
+    the last (the discrete Pruefer angle: Atkinson, *Discrete and
+    Continuous Boundary Problems*, 1964).  With ``values``, u on the nodes
+    of each segment (rows, the shared node in both) per lam (columns), and
+    the log of the factor those on ``second`` were divided by beyond the
+    others."""
+    lam = np.asarray(lam, dtype=float)
+    u = np.ones_like(lam)
+    w = _junction(rows[0], None, first, lam, u, 0.0)
+    head = _advance(first, lam, u, w, values)
+    w = _junction(rows[1], first, second, lam, head[1], head[2])
+    tail = _advance(second, lam, head[1], w, values)
+    if values:
+        return head[3], tail[3], tail[4]
+    last = _junction(rows[2], second, None, lam, tail[1], tail[2])
+    return (head[0] + tail[0] + (tail[1] * last < 0)).astype(int)
 
 
-def _band_modes(bands: NetworkBands, freq_window: tuple[float, float] | None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The non-gauge modes in ``freq_window`` from the tridiagonal bands.
-
-    Sturm counts on one geometric grid over the window give each window
-    eigenvalue's index, ``_isolate`` gives each one a cell of its own, and
-    ``_inverse_iteration`` finds the vectors and Rayleigh quotients.
-    """
+def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The non-gauge modes in ``freq_window`` of a two-segment device: the
+    eigenvalues by multisection on the count of ``_shoot``, all window
+    modes at once, and their vectors by ``_closed_vectors``."""
+    ladder, strip, rows = segs
+    count = partial(_shoot, ladder, strip, rows)
     n = len(bands.k_diag)
     lo, hi = (0.0, np.inf) if freq_window is None else map(float, freq_window)
-    lam_lo = np.sign(lo) * lo * lo * (1.0 - _WINDOW_SLACK)
-    lam_hi = hi * hi * (1.0 + _WINDOW_SLACK)
+    lam_lo, lam_hi = np.sign(lo) * lo * lo, hi * hi
     stack = NetworkBands.stack([bands])
-    bracket = _top_bracket(stack)
+    bracket = _top_bracket(stack, count)
     top = float(bracket[1][0])
     first = 0
     if not GAUGE ** 2 * top < lam_lo:     # the window may reach gauge modes
-        gauge, floor = _gauge_floor(stack, *bracket)
+        gauge, floor = _gauge_floor(stack, count, *bracket)
         first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
     lam_hi = min(lam_hi, top)
-    empty = np.empty(0), np.empty((n, 0))
-    if not lam_lo < lam_hi:
-        return empty
-
-    # about two shifts per window mode, and a point beyond each end
-    ends = sturm_count(bands, np.array([lam_lo, lam_hi]))
-    size = max(2, 2 * int(ends[1] - ends[0]))
-    ratio = (lam_hi / lam_lo) ** (1.0 / size)
-    grid = lam_lo * ratio ** np.arange(-1, size + 2)
-    grid[[1, -2]] = lam_lo, lam_hi
-    points, counts = _merge(np.empty(0), np.empty(0, dtype=int), grid,
-                            sturm_count(bands, grid))
-    start, stop = max(int(counts[1]), first), int(counts[-2])
-    if start >= stop:
-        return empty
-    points, counts = _isolate(bands, points, counts, lam_lo, lam_hi)
-    lam, vecs = _inverse_iteration(bands, points, counts, np.arange(start, stop))
-    omega = np.sqrt(lam)
-    keep = (omega >= lo) & (omega <= hi)      # drop the modes the slack let in
-    return omega[keep], vecs[:, keep]
+    start, stop = count(np.array([lam_lo, lam_hi])) if lam_lo < lam_hi else (0, 0)
+    index = np.arange(max(start, first), stop)
+    brackets = np.full(len(index), lam_lo), np.full(len(index), lam_hi)
+    while (active := _open(*brackets)).any():
+        brackets = np.where(active, _narrow(count, index, *brackets), brackets)
+    lam = 0.5 * (brackets[0] + brackets[1])
+    lam = lam[(np.sqrt(lam) >= lo) & (np.sqrt(lam) <= hi)]
+    vecs = _closed_vectors(bands, segs, lam) if len(lam) else np.empty((n, 0))
+    return np.sqrt(lam), vecs
 
 
-def _inverse_iteration(bands: NetworkBands, points: np.ndarray,
-                       counts: np.ndarray, index: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs number ``index`` of (K, C), each isolated in a cell of the
-    Sturm samples (points, counts).
-
-    Shifted inverse iteration, one LDL^T solve per step with numpy across
-    the modes, from fixed pseudo-random start vectors.  The shift of each
-    mode is its last Rayleigh quotient while that stays in the mode's
-    cell, else the cell midpoint, and every solve's pivot counts narrow
-    the cells further.  Vectors of modes that share a cell ``_isolate``
-    left unsplit are C-orthonormalized together (Cholesky QR) at each
-    step; the others come out orthogonal to about eps / relative gap.  A
-    last first-order Loewdin step, V <- V (I - E/2) with E = V^T C V - I,
-    C-orthonormalizes them all, or raises ArithmeticError where E is too
-    large for one step.  Returns the Rayleigh quotients and the vectors.
-    """
-    def cells() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        j = np.searchsorted(counts, index, side="right")
-        return j, points[j - 1], points[j]
-
-    _, cell_lo, cell_hi = cells()
-    shift = 0.5 * (cell_lo + cell_hi)
-    k_rows, c_rows = (np.abs(diag) + np.pad(np.abs(off), (1, 0))
-                      + np.pad(np.abs(off), (0, 1))     # absolute row sums
-                      for diag, off in ((bands.k_diag, bands.k_off),
-                                        (bands.c_diag, bands.c_off)))
-    rhs = np.random.default_rng(0).uniform(-1.0, 1.0, (len(bands.k_diag), len(index)))
-    for _ in range(_MAX_STEPS):
-        x, below = _inverse_step(bands, shift, rhs)
-        nudge = 16.0 * _EPS
-        while (retry := np.isnan(below)).any():     # an exactly zero inner pivot
-            if nudge > 1e-6:
-                raise ArithmeticError("band eigensolver: singular shifted pencil")
-            shift[retry] *= 1.0 + nudge
-            nudge *= 16.0
-            x[:, retry], below[retry] = _inverse_step(bands, shift[retry],
-                                                      rhs[:, retry])
-        points, counts = _merge(points, counts, shift, below)
-        cell, cell_lo, cell_hi = cells()
-        cx = _tri_mul(bands.c_diag, bands.c_off, x)
-        norm2 = np.einsum("ij,ij->j", x, cx)
-        # (K - shift C) x = rhs gives x^T K x = x^T rhs + shift x^T C x
-        rq = shift + np.einsum("ij,ij->j", x, rhs) / norm2
-        scale = 1.0 / np.sqrt(norm2)
-        x *= scale
-        cx *= scale
-        for s, e in _clusters(cell):
-            r = np.linalg.inv(np.linalg.cholesky(x[:, s:e].T @ cx[:, s:e])).T
-            x[:, s:e] = x[:, s:e] @ r
-            cx[:, s:e] = cx[:, s:e] @ r
-            kx = _tri_mul(bands.k_diag, bands.k_off, x[:, s:e])
-            rq[s:e] = np.einsum("ij,ij->j", x[:, s:e], kx)
-        # rounding level of each quotient, eps x^T (|K| + |shift| |C|) x with
-        # the absolute values bounded by their row sums
-        x2 = x * x
-        noise = _EPS * (k_rows @ x2 + np.abs(shift) * (c_rows @ x2))
-        tol = _CONVERGED * np.abs(rq) + noise
-        inside = (rq >= cell_lo - 10.0 * tol) & (rq <= cell_hi + 10.0 * tol)
-        # converged: the quotient lies in its cell, and the shift of the last
-        # solve was already the quotient or the counts alone pin the mode down
-        if np.all(inside & ((np.abs(rq - shift) <= tol) | (cell_hi - cell_lo <= tol))):
-            break
-        shift = np.where(inside, np.clip(rq, cell_lo, cell_hi),
-                         0.5 * (cell_lo + cell_hi))
-        rhs = cx
-    else:
-        raise ArithmeticError(
-            f"band eigensolver did not converge in {_MAX_STEPS} steps")
+def _closed_vectors(bands: NetworkBands, segs, lam: np.ndarray) -> np.ndarray:
+    """C-orthonormal eigenvectors of a two-segment device at its eigenvalues
+    ``lam``.  Each joins the solutions shot from the first and from the
+    last node where their product is largest: there the diagonal of
+    (K - lam C)^-1 is largest and the join's residual smallest (twisted
+    factorization: Parlett & Dhillon, Linear Algebra Appl. 1997).  A
+    first-order Loewdin step, V <- V (I - E/2) with E = V^T C V - I, then
+    C-orthonormalizes them, or raises ArithmeticError where E is too large
+    for one step."""
+    n = len(bands.k_diag)
+    ladder, strip, rows = segs
+    lad_l, str_l, scale_l = _shoot(ladder, strip, rows, lam, values=True)
+    str_r, lad_r, scale_r = _shoot(strip, ladder, rows[::-1], lam, values=True)
+    lad_r, str_r = lad_r[::-1], str_r[::-1]
+    # the join node has the largest |left right|, e^{scale_r} times that of
+    # these arrays on the ladder and e^{scale_l} on the strip (may overflow)
+    cols, mid = np.arange(len(lam)), ladder.steps
+    at_l = np.argmax(np.abs(lad_l * lad_r), axis=0)
+    at_s = np.argmax(np.abs(str_l * str_r), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        on_ladder = (np.log(np.abs(lad_l[at_l, cols] * lad_r[at_l, cols])) + scale_r
+                     >= np.log(np.abs(str_l[at_s, cols] * str_r[at_s, cols])) + scale_l)
+        twist = np.where(on_ladder, at_l, at_s + mid)
+        # each shot divided by its value at the join node, one segment at a time
+        rows = np.arange(n)[:, None]
+        x = np.empty((n, len(lam)))
+        x[:mid + 1] = np.where(rows[:mid + 1] <= twist,
+                               lad_l * np.where(on_ladder, 1.0 / lad_l[at_l, cols],
+                                                np.exp(-scale_l) / str_l[at_s, cols]),
+                               lad_r / lad_r[at_l, cols])
+        x[mid + 1:] = np.where(rows[mid + 1:] <= twist, str_l[1:] / str_l[at_s, cols],
+                               str_r[1:] * np.where(on_ladder, np.exp(-scale_r) / lad_r[at_l, cols],
+                                                    1.0 / str_r[at_s, cols]))
+    del lad_l, str_l, lad_r, str_r
+    signs = np.repeat([ladder.sign, strip.sign], [ladder.steps, strip.steps])
+    x *= np.concatenate([[1.0], np.cumprod(signs)])[:, None]
+    cx = _tri_mul(bands.c_diag, bands.c_off, x)
+    scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", x, cx))
+    x *= scale
+    cx *= scale
     err = x.T @ cx
     err[np.diag_indices_from(err)] -= 1.0
     # the step leaves V^T C V - I = -(3/4) E^2 + O(E^3), |(E^2)_ij| <= |E_i| |E_j|
     if (worst := 0.75 * np.einsum("ij,ij->j", err, err).max()) > 1e-12:
-        raise ArithmeticError(f"band eigensolver: vectors too far from "
-                              f"C-orthonormal for one Loewdin step ({worst:.1e})")
+        raise ArithmeticError(f"closed-form modes too far from C-orthonormal "
+                              f"for one Loewdin step ({worst:.1e})")
     x -= 0.5 * (x @ err)
-    return rq, x
-
-
-def _clusters(cell: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each run of two or more modes in one Sturm cell,
-    given the ascending cell number of every mode."""
-    cuts = np.flatnonzero(np.diff(cell)) + 1
-    edges = np.concatenate([[0], cuts, [len(cell)]]).tolist()
-    return [(s, e) for s, e in zip(edges[:-1], edges[1:]) if e - s > 1]
+    return x
 
 
 def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
@@ -536,13 +530,14 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     return np.moveaxis(below, 0, -1)
 
 
-def _narrow(bands: NetworkBands, index: np.ndarray, lo: np.ndarray,
+def _narrow(count, index: np.ndarray, lo: np.ndarray,
             hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One multisection round on the bracket [lo, hi] of eigenvalue number
-    ``index`` (0-based, ascending) of each device in a stack."""
+    ``index`` (0-based, ascending) of each row, by ``count``: shifts (rows,
+    k) -> the number of eigenvalues below each."""
     fractions = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     shifts = lo[:, None] + (hi - lo)[:, None] * fractions
-    k = np.count_nonzero(sturm_count(bands, shifts) <= index[:, None], axis=1)
+    k = np.count_nonzero(count(shifts) <= index[:, None], axis=1)
     rows = np.arange(len(lo))
     lo = np.where(k > 0, shifts[rows, k - 1], lo)
     hi = np.where(k < _SHIFTS, shifts[rows, np.minimum(k, _SHIFTS - 1)], hi)
@@ -554,15 +549,16 @@ def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi - lo > 2.0 * _EPS * np.abs(hi)
 
 
-def _top_bracket(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo <= lam_max <= hi and hi <= 4 lo, for each device."""
+def _top_bracket(bands: NetworkBands, count) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) with lo <= lam_max <= hi and hi <= 4 lo, for each device of a
+    stack, by ``count`` as in ``_narrow``."""
     n = bands.k_diag.shape[-1]
     growth = 4.0 ** np.arange(1, _SHIFTS + 1)
     # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
     lo = np.max(bands.k_diag / bands.c_diag, axis=-1)
     while True:
         shifts = lo[:, None] * growth
-        full = sturm_count(bands, shifts) >= n
+        full = count(shifts) >= n
         if full[:, -1].all():
             break
         lo = np.where(full[:, -1], lo, shifts[:, -1])
@@ -571,7 +567,7 @@ def _top_bracket(bands: NetworkBands) -> tuple[np.ndarray, np.ndarray]:
     return np.where(k > 0, shifts[rows, k - 1], lo), shifts[rows, k]
 
 
-def _gauge_floor(bands: NetworkBands, lo: np.ndarray, hi: np.ndarray
+def _gauge_floor(bands: NetworkBands, count, lo: np.ndarray, hi: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(count, floor) per device: the number of modes the gauge rule drops,
     omega <= GAUGE * omega_max, and a shift with at most that many
@@ -582,11 +578,11 @@ def _gauge_floor(bands: NetworkBands, lo: np.ndarray, hi: np.ndarray
     """
     top = np.full(len(lo), bands.k_diag.shape[-1] - 1)
     while True:
-        counts = sturm_count(bands, GAUGE ** 2 * np.stack([lo, hi], axis=1))
+        counts = count(GAUGE ** 2 * np.stack([lo, hi], axis=1))
         pending = (counts[:, 0] != counts[:, 1]) & _open(lo, hi)
         if not pending.any():
             return counts[:, 1], GAUGE ** 2 * lo
-        lo, hi = np.where(pending, _narrow(bands, top, lo, hi), (lo, hi))
+        lo, hi = np.where(pending, _narrow(count, top, lo, hi), (lo, hi))
 
 
 def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
@@ -608,8 +604,9 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
         raise ValueError("band_edges needs finite bands, window and band")
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
-    win_lo, win_hi, band_lo, band_hi = sturm_count(bands, bounds).T
-    gauge, floor = _gauge_floor(bands, *_top_bracket(bands))
+    count = partial(sturm_count, bands)
+    win_lo, win_hi, band_lo, band_hi = count(bounds).T
+    gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))
     first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))
@@ -619,7 +616,7 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     lo = np.maximum(floor, bounds[0])
     hi = np.full_like(lo, bounds[1])
     while (active := found & _open(lo, hi)).any():
-        lo, hi = np.where(active, _narrow(bands, first, lo, hi), (lo, hi))
+        lo, hi = np.where(active, _narrow(count, first, lo, hi), (lo, hi))
     return np.where(found, np.sqrt(0.5 * (lo + hi)), np.nan), band_count
 
 

@@ -68,7 +68,7 @@ def band_couplings(band_spec, band_modes, band_qubit):
 
 @pytest.fixture
 def band_path(monkeypatch):
-    """Every ``solve_modes`` call takes the band solver, whatever the size."""
+    """Two-segment devices take the closed form, whatever the size."""
     monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(0))
 
 

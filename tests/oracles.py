@@ -353,12 +353,14 @@ def sturm_count_reference(bands, lam) -> np.ndarray:
     return np.array(counts)
 
 
-def mp_pencil_eigenvalue(bands, index: int, digits: int = 40):
+def mp_pencil_eigenvalue(bands, index: int, digits: int = 40, bracket=None):
     """Eigenvalue number ``index`` (0-based, ascending) of the pencil
     (K, C) given by tridiagonal bands, as an mpmath number.
 
     Bisection to 30 significant digits on the number of negative pivots
-    of K - lam C, every pivot carried in ``digits``-digit arithmetic.
+    of K - lam C, every pivot carried in ``digits``-digit arithmetic,
+    from ``bracket`` = (lo, hi) when given (AssertionError unless its
+    counts hold the eigenvalue) and else from [0, 1] widened 4-fold.
     """
     import mpmath   # only this oracle needs it
 
@@ -377,9 +379,13 @@ def mp_pencil_eigenvalue(bands, index: int, digits: int = 40):
                 count += d < 0
             return count
 
-        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
-        while below(hi) <= index:
-            lo, hi = hi, 4 * hi
+        if bracket is None:
+            lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+            while below(hi) <= index:
+                lo, hi = hi, 4 * hi
+        else:
+            lo, hi = (mpmath.mpf(float(x)) for x in bracket)
+            assert below(lo) <= index < below(hi)
         while hi - lo > mpmath.mpf(10) ** -30 * hi:
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if below(mid) > index else (mid, hi)

@@ -1,12 +1,15 @@
-"""The band eigensolver of ``solve_modes`` against independent oracles.
+"""The two paths of ``solve_modes`` against independent oracles.
 
-scipy's dense ``eigh`` is called directly here, not through the library;
-single eigenvalues also come from a 40-digit Sturm bisection, and the
-fig2 window modes from a long-double refinement of the dense ones.  The
-acceptance criteria and the CLI tests that solve modes run on the default
-path (the band solver, for their devices) and are rerun with the
-``band_path`` fixture, which pins the band solver whatever the size, and
-the ``dense_path`` fixture, which sends every network to dense ``eigh``.
+Two-segment devices (a uniform ladder joined to a uniform strip, end caps
+allowed) outside ``_DENSE_DIMS`` take the closed form; every other
+network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
+here, not through the library; single eigenvalues also come from a
+40-digit Sturm bisection, and the fig2 window modes from a long-double
+refinement of the dense ones.  The CLI tests that solve modes run on the
+default path (the closed form, for their devices) and are rerun with the
+``band_path`` fixture, which empties ``_DENSE_DIMS``, and the
+``dense_path`` fixture, which sends every network to dense ``eigh``; the
+acceptance criteria are rerun on the dense path.
 """
 
 import dataclasses
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import metaline.circuit as circuit
 import metaline.modes as modes
 import test_acceptance
 import test_cli
@@ -44,8 +48,9 @@ def _residuals(mat, omega, vecs):
         / np.linalg.norm(kv, axis=0)
 
 
-def _check(mat, window):
-    """The band solution against dense eigh at the stated gates."""
+def _check(mat, window, floor=1e-13):
+    """The default solution against dense eigh at the stated gates; the
+    residual gate is no worse than dense, or below ``floor``."""
     ms = solve_modes(mat, window)
     omega, vecs = _dense(mat, window)
     assert len(ms) == len(omega)
@@ -58,7 +63,7 @@ def _check(mat, window):
     assert np.abs(gram - np.eye(len(ms))).max() <= 1e-12
     # no worse than dense, or below 1e-13 where dense is exact (toy pencils)
     assert _residuals(mat, ms.frequencies, ms.profiles).max() \
-        <= max(_residuals(mat, omega, vecs).max(), 1e-13)
+        <= max(_residuals(mat, omega, vecs).max(), floor)
     return ms
 
 
@@ -82,9 +87,11 @@ class TestAgainstDenseEigh:
         assert np.sum(gaps < 1e-3) >= 5     # close modes were solved
 
     @pytest.mark.parametrize("seed", range(1, 21))
-    def test_disordered_devices(self, seed):
+    def test_disordered_devices(self, request, seed):
+        # off the two-segment pattern: the dense path's modes, bit for bit
         spec = apply_disorder(make_band_edge_spec(n_left=80, n_right=120), 0.05, seed)
         _check(build_matrices(spec), WINDOW)
+        _check_dense_taken(request, build_matrices(spec), WINDOW)
 
     def test_no_window(self, band_matrices):
         ms = _check(band_matrices, None)
@@ -118,20 +125,44 @@ class TestAgainstDenseEigh:
         _check(band_matrices, (0.0, TWO_PI * 6e9))
 
     @pytest.mark.parametrize("window", [None, (0.5, 1.5)])
-    def test_degenerate_pairs(self, window):
-        # only the eigenspaces of the double eigenvalues are fixed
+    def test_degenerate_pairs(self, request, window):
+        # every eigenvalue double: off the pattern, so the dense path's modes
         mat = _wrap(_twin_chains())
-        ms = solve_modes(mat, window)
+        ms = _check_dense_taken(request, mat, window)
         omega, vecs = _dense(mat, window)
         np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-10, atol=0)
         gram = ms.profiles.T @ mat.cap @ ms.profiles
         assert np.abs(gram - np.eye(len(ms))).max() <= 1e-12
         assert _residuals(mat, ms.frequencies, ms.profiles).max() <= 1e-11
-        # each band vector lies in the dense eigenspace of its frequency
+        # only the eigenspaces of the double eigenvalues are fixed: each
+        # vector lies in the eigh eigenspace of its frequency
         same = np.abs(omega[:, None] / ms.frequencies[None, :] - 1) < 1e-8
         inside = np.linalg.norm(np.where(same, vecs.T @ mat.cap @ ms.profiles, 0.0),
                                 axis=0)
         assert inside.min() >= 1 - 1e-12
+
+    @pytest.mark.parametrize("layout", ["strip", "ladder"])
+    def test_bare_lines(self, request, layout):
+        spec = make_band_edge_spec(n_left=80, n_right=120)
+        if layout == "strip":
+            bands = circuit._rhtl_bands(spec.c_right_per_len, spec.l_right_per_len,
+                                        spec.rhtl_length, spec.n_right)
+        else:       # the bare ladder's C is singular: a stray regularizer
+            bands = circuit._lhtl_bands(*spec.cell_values())
+            bands = dataclasses.replace(bands, c_diag=bands.c_diag + 1e-9 * spec.c_left)
+        _check_dense_taken(request, _wrap(bands), None)
+
+
+def _check_dense_taken(request, mat, window):
+    """``mat`` is off the two-segment pattern: its default solve returns
+    what the dense path returns, bit for bit."""
+    assert modes._two_segments(mat.bands, mat.interface_index) is None
+    ms = solve_modes(mat, window)
+    request.getfixturevalue("dense_path")
+    dense = solve_modes(mat, window)
+    np.testing.assert_array_equal(ms.frequencies, dense.frequencies)
+    np.testing.assert_array_equal(ms.profiles, dense.profiles)
+    return ms
 
 
 def _twin_chains():
@@ -145,13 +176,18 @@ def _twin_chains():
                            (chain.c_diag, False), (chain.c_off, True))))
 
 
-@pytest.mark.usefixtures("band_path")
-def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch):
-    # without the QR of each pair that shares a Sturm cell, the twin chains'
-    # vectors are further from C-orthonormal than one Loewdin step can mend
-    monkeypatch.setattr(modes, "_clusters", lambda cell: [])
+def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):
+    # shots with a share of one common vector in each are further from
+    # C-orthonormal than one Loewdin step can mend
+    def mixed(first, second, rows, lam, values=False, shoot=modes._shoot):
+        if not values:
+            return shoot(first, second, rows, lam)
+        head, tail, scale = shoot(first, second, rows, lam, values)
+        return head + 1e-4 * head[:, :1], tail + 1e-4 * tail[:, :1], scale
+
+    monkeypatch.setattr(modes, "_shoot", mixed)
     with pytest.raises(ArithmeticError, match="Loewdin"):
-        solve_modes(_wrap(_twin_chains()), None)
+        solve_modes(band_matrices, WINDOW)
 
 
 def test_ladder_top_rung_on_bands(monkeypatch):
@@ -204,7 +240,7 @@ def _bad_bands(mat, name, kind):
 
 @pytest.fixture(params=["dense", "band"])
 def solver_path(request):
-    """Run a test once on dense eigh and once on the band solver."""
+    """Run a test once on dense eigh and once on the closed form."""
     request.getfixturevalue(f"{request.param}_path")
     return request.param
 
@@ -248,7 +284,7 @@ def test_band_path_forms_no_dense_matrix(request, monkeypatch, band_matrices,
 
 def test_default_size_selection(monkeypatch):
     """The bath device (dim 501) and the size ladder's dim-5001 rung take
-    the band solver, the spectrum device (dim 2001) dense eigh."""
+    the closed form, the spectrum device (dim 2001) dense eigh."""
     class Taken(Exception):
         pass
 
@@ -258,14 +294,14 @@ def test_default_size_selection(monkeypatch):
         return take
 
     monkeypatch.setattr(modes, "_dense_modes", path("dense"))
-    monkeypatch.setattr(modes, "_band_modes", path("band"))
+    monkeypatch.setattr(modes, "_closed_modes", path("closed"))
     taken = {}
     for n_left in (200, 800, 2000):
         mat = build_matrices(make_band_edge_spec(n_left, 3 * n_left // 2))
         with pytest.raises(Taken) as info:
             solve_modes(mat, WINDOW)
         taken[mat.dim] = info.value.args[0]
-    assert taken == {501: "band", 2001: "dense", 5001: "band"}
+    assert taken == {501: "closed", 2001: "dense", 5001: "closed"}
 
 
 @pytest.fixture(scope="module")
@@ -304,27 +340,33 @@ def test_dense_path_peak_memory(dense_matrices):
 
 @pytest.mark.parametrize("ends", ["default", "on_modes"])
 @pytest.mark.parametrize("path", ["dense_path", "band_path"])
-def test_window_restricts_full_solve(request, monkeypatch, path, ends):
-    """A windowed solve is the full solve restricted to the window, bit for
-    bit: the window is chosen before the sign rule and the tie-break, which
-    act column by column and by a stable sort.  The band solver's iteration
-    depends on the window (start vectors, Sturm samples), so there its
-    eigenpairs are pinned to one dense solve, indexed as the band solver
-    indexes them."""
+def test_window_restricts_full_solve(request, path, ends):
+    """A windowed solve is the full solve restricted to the window: the
+    window is chosen before the sign rule and the tie-break, which act
+    column by column and by a stable sort.  On the dense path that holds
+    bit for bit.  The closed form's multisection starts from the window's
+    ends and its Loewdin step acts on the window's modes, so there the
+    frequencies agree to rounding and the profiles to 1e-12, signs and
+    order included."""
     request.getfixturevalue(path)
     mat = build_matrices(make_band_edge_spec(n_left=80, n_right=120))
-    if path == "band_path":
-        w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
-        monkeypatch.setattr(modes, "_inverse_iteration",
-                            lambda bands, points, counts, index: (w2[index], vecs[:, index]))
     full = solve_modes(mat, None)
     f = full.frequencies
     window = WINDOW if ends == "default" else (f[30], f[100])
+    if path == "band_path" and ends == "on_modes":
+        # a mode on an end is kept or dropped by its own last bits
+        # (test_window_ends_on_modes); here the ends sit just inside
+        window = (window[0] * (1 + 1e-12), window[1] * (1 - 1e-12))
     part = solve_modes(mat, window)
     sel = (f >= window[0]) & (f <= window[1])
     assert 0 < sel.sum() < len(f)
-    np.testing.assert_array_equal(part.frequencies, f[sel])
-    np.testing.assert_array_equal(part.profiles, full.profiles[:, sel])
+    if path == "dense_path":
+        np.testing.assert_array_equal(part.frequencies, f[sel])
+        np.testing.assert_array_equal(part.profiles, full.profiles[:, sel])
+    else:
+        np.testing.assert_allclose(part.frequencies, f[sel], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(part.profiles, full.profiles[:, sel], rtol=0,
+                                   atol=1e-12 * np.abs(full.profiles).max())
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -396,12 +438,6 @@ def _run_criterion(criterion, band_spec):
                 "band_modes": solve_modes(build_matrices(band_spec), WINDOW)}
     names = criterion.__code__.co_varnames[:criterion.__code__.co_argcount]
     criterion(*(fixtures[name] for name in names))
-
-
-@pytest.mark.usefixtures("band_path")
-@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
-def test_acceptance_on_band_path(criterion, band_spec):
-    _run_criterion(criterion, band_spec)
 
 
 @pytest.mark.usefixtures("dense_path")

@@ -557,7 +557,7 @@ class TestCmdPhase:
 def test_band_solves_per_command(tmp_path, monkeypatch, command, solves):
     # disorder counts modes on the bands (band_edges) and solves none
     calls = []
-    for name in ("_band_modes", "_dense_modes"):
+    for name in ("_closed_modes", "_dense_modes"):
         def counted(*args, solver=getattr(modes, name)):
             calls.append(solver.__name__)
             return solver(*args)

@@ -259,9 +259,15 @@ class TestSturmCount:
                     self._device(bands, s), lam[s]))
 
     def test_fig2_solve_needs_no_guarded_rerun(self, monkeypatch):
+        # the solve takes its counts in closed form; band_edges takes them
+        # from sturm_count on the same bands
         guarded = _spy_guarded_pivots(monkeypatch)
         cfg = parse_config(resources.files("metaline") / "configs" / "fig2.cfg")
-        assert len(solve_modes(build_matrices(cfg.circuit_spec()), cfg.freq_window()))
+        mat = build_matrices(cfg.circuit_spec())
+        assert len(solve_modes(mat, cfg.freq_window()))
+        edge, _ = band_edges(NetworkBands.stack([mat.bands]), cfg.freq_window(),
+                             ULTRASTRONG_BAND)
+        assert np.isfinite(edge).all()
         assert guarded == []
 
 
