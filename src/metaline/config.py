@@ -244,8 +244,14 @@ def parse_config(source: str | Path) -> RunConfig:
     grids = {key.removesuffix("_grid"): _make_grid(
                  values[key], values[key.replace("_grid", "_spacing")], f"{path}: {key}")
              for key, (kind, _, _) in _SCHEMA.items() if kind == "grid"}
-    return RunConfig(values=values, text=text, path=path,
-                     spec=_circuit_spec(values, path), grids=grids)
+    spec = _circuit_spec(values, path)
+    for key in ("renorm.g_grid", "phase.g_grid"):
+        # the sweeps take the grid in rad/s, where close points can repeat
+        if not (np.diff(grids[key.removesuffix("_grid")] * spec.omega_ir) > 0).all():
+            lo, hi, n = values[key]
+            raise ConfigError(f"{path}: {key} = {lo!r}, {hi!r}, {n} repeats a point "
+                              f"once built in rad/s; it needs {n} distinct points")
+    return RunConfig(values=values, text=text, path=path, spec=spec, grids=grids)
 
 
 def _validate(values: dict, path: str) -> None:

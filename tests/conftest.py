@@ -1,17 +1,50 @@
+"""Shared devices, solver-path fixtures and the dense-eigh comparison.
+
+``solve_modes`` has two paths: the closed form, which two-segment devices
+(a uniform ladder joined to a uniform strip) outside ``_DENSE_DIMS``
+take, and dense ``eigh``, which every other network takes.  The
+``closed_path`` fixture empties ``_DENSE_DIMS``, so a two-segment device
+of the spectrum size takes the closed form too; ``dense_path`` sends
+every network to dense ``eigh``; ``solver_path`` runs a test once on
+dense ``eigh`` and once on the default path.
+"""
+
 import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import metaline.modes
 from metaline import (CircuitSpec, NetworkBands, NetworkMatrices, QubitSpec,
                       build_matrices, coupling_spectrum, design_from_impedance,
                       footprint_at_antinode, rhtl_from_impedance, solve_modes)
+from oracles import refined_pencil_modes
 
 TWO_PI = 2.0 * np.pi
 OMEGA_IR = TWO_PI * 4e9
 WINDOW = (TWO_PI * 3.8e9, TWO_PI * 13e9)
 ULTRASTRONG_BAND = (TWO_PI * 4.119e9, TWO_PI * 5.039e9)
+# a dim-101 command-line device: every command runs on it in well under a second
+SMALL = """
+circuit.n_left = 40
+circuit.cell_pitch_m = 100e-6
+circuit.z0_ohm = 50
+circuit.f_ir_ghz = 4.0
+circuit.rhtl_length_m = 0.03
+circuit.rhtl_z0_ohm = 50
+circuit.n_right = 60
+modes.window_ghz_lo = 3.8
+modes.window_ghz_hi = 13.0
+qubit.freq_ghz = 4.2
+qubit.extent_m = 0.5e-3
+qubit.g_ghz = 0.2
+"""
+# a closed-form residual is at most this many times the largest residual
+# of the solve's modes refined in long double and rounded to double (the
+# rounding floor); the largest ratio seen is 23, at the top mode of the
+# reference device solved with no window
+RESIDUAL_FACTOR = 32
 
 
 def make_band_edge_spec(n_left=200, n_right=300) -> CircuitSpec:
@@ -32,6 +65,54 @@ def wrap_dense(cap, inv_ind, node_positions, interface_index=0) -> NetworkMatric
         node_positions=node_positions, interface_index=interface_index)
 
 
+def _wrap(bands):
+    return NetworkMatrices(bands=bands,
+                           node_positions=np.linspace(0.0, 1.0, len(bands.k_diag)),
+                           interface_index=0)
+
+
+def _dense(mat, window):
+    """(frequencies, profiles) from scipy's eigh, gauge rule and window applied."""
+    w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
+    omega = np.sqrt(np.clip(w2, 0.0, None))
+    keep = omega > metaline.modes.GAUGE * omega.max()
+    if window is not None:
+        keep &= (omega >= window[0]) & (omega <= window[1])
+    return omega[keep], vecs[:, keep]
+
+
+def _residuals(mat, omega, vecs):
+    kv = mat.inv_ind @ vecs
+    return np.linalg.norm(kv - (mat.cap @ vecs) * omega ** 2, axis=0) \
+        / np.linalg.norm(kv, axis=0)
+
+
+def _check(mat, window):
+    """The default solution against dense eigh at the stated gates.  A
+    closed-form solve's residuals are also bounded by RESIDUAL_FACTOR times
+    the largest residual of its modes refined in long double and rounded
+    to double: the rounding floor of a double vector.  A dense solve is
+    scipy's eigh itself, so it has no residual gate here."""
+    ms = solve_modes(mat, window)
+    omega, vecs = _dense(mat, window)
+    assert len(ms) == len(omega)
+    if not len(omega):
+        return ms
+    np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-10, atol=0)
+    overlap = np.abs(np.einsum("ij,ij->j", ms.profiles, mat.cap @ vecs))
+    assert overlap.min() >= 1 - 1e-12
+    gram = ms.profiles.T @ mat.cap @ ms.profiles
+    assert np.abs(gram - np.eye(len(ms))).max() <= 1e-12
+    closed = (mat.dim not in metaline.modes._DENSE_DIMS and
+              metaline.modes._two_segments(mat.bands, mat.interface_index) is not None)
+    if closed:      # one long-double step from vectors this close is converged
+        lam, refined = refined_pencil_modes(mat.bands, ms.profiles, steps=1)
+        floor = _residuals(mat, np.sqrt(lam.astype(float)), refined.astype(float))
+        assert _residuals(mat, ms.frequencies, ms.profiles).max() \
+            <= RESIDUAL_FACTOR * floor.max()
+    return ms
+
+
 @pytest.fixture(scope="session")
 def band_spec():
     return make_band_edge_spec()
@@ -44,7 +125,11 @@ def band_matrices(band_spec):
 
 @pytest.fixture(scope="session")
 def band_modes(band_spec, band_matrices):
-    return solve_modes(band_matrices, WINDOW)
+    """The closed form's window modes, even when the test that first asks
+    for them has pinned the dense path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metaline.modes, "_DENSE_DIMS", range(0))
+        return solve_modes(band_matrices, WINDOW)
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +152,7 @@ def band_couplings(band_spec, band_modes, band_qubit):
 
 
 @pytest.fixture
-def band_path(monkeypatch):
+def closed_path(monkeypatch):
     """Two-segment devices take the closed form, whatever the size."""
     monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(0))
 
@@ -76,3 +161,12 @@ def band_path(monkeypatch):
 def dense_path(monkeypatch):
     """Every ``solve_modes`` call takes dense eigh, whatever the size."""
     monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(sys.maxsize))
+
+
+@pytest.fixture(params=["dense", "closed"])
+def solver_path(request):
+    """Run a test once on dense eigh and once on the default path, where
+    the two-segment devices these tests solve take the closed form."""
+    if request.param == "dense":
+        request.getfixturevalue("dense_path")
+    return request.param

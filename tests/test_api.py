@@ -83,3 +83,17 @@ def test_readme_library_use_runs(capsys):
     ratio = float(capsys.readouterr().out)
     assert 0.0 < ratio <= 1.0
     assert len(namespace["edges"]) == len(namespace["counts"]) == 50
+
+
+def test_test_modules_import_no_test_module():
+    # shared helpers live in conftest.py and oracles.py, so each test
+    # module runs its own tests only
+    tests = ROOT / "tests"
+    names = {path.stem for path in tests.glob("test_*.py")}
+    for path in sorted(tests.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)}
+        assert not imported & names, (path.name, sorted(imported & names))

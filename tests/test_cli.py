@@ -13,21 +13,7 @@ import oracles
 from metaline import build_matrices, cli, config, modes
 from metaline.cli import _write_csv, main
 from metaline.config import GHZ, ConfigError, parse_config
-
-SMALL = """
-circuit.n_left = 40
-circuit.cell_pitch_m = 100e-6
-circuit.z0_ohm = 50
-circuit.f_ir_ghz = 4.0
-circuit.rhtl_length_m = 0.03
-circuit.rhtl_z0_ohm = 50
-circuit.n_right = 60
-modes.window_ghz_lo = 3.8
-modes.window_ghz_hi = 13.0
-qubit.freq_ghz = 4.2
-qubit.extent_m = 0.5e-3
-qubit.g_ghz = 0.2
-"""
+from conftest import SMALL
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -206,6 +192,17 @@ class TestConfigParsing:
         np.testing.assert_allclose(grid[0], 0.1)
         np.testing.assert_allclose(grid[-1], 1.0)
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("key", ["renorm.g_grid", "phase.g_grid"])
+    def test_grid_that_repeats_a_point_names_key(self, tmp_path, capsys, key, spacing):
+        # lo < hi by one unit in the last place: three points repeat one
+        cfg = _write(tmp_path, SMALL + f"{key} = 1.0, 1.0000000000000002, 3\n"
+                     f"{key.replace('_grid', '_spacing')} = {spacing}\n")
+        assert main([key.split(".")[0], "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: {key} = 1.0, 1.0000000000000002, 3 repeats a point" in err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_literal_element_values_loadable(self, tmp_path):
         # the printed strip parameters (1667 fF/um, 4167 pH/um) stay
         # loadable even though the default derives consistent ones
@@ -216,6 +213,7 @@ class TestConfigParsing:
         assert spec.l_right_per_len == 4.167e-3
 
 
+@pytest.mark.usefixtures("solver_path")
 class TestCmdModes:
     def test_writes_files_and_is_deterministic(self, tmp_path):
         cfg = _write(tmp_path, SMALL)
@@ -257,6 +255,7 @@ class TestCmdModes:
         assert "sha256=" in head[1]
 
 
+@pytest.mark.usefixtures("solver_path")
 class TestCmdDynamics:
     def test_tg_zero_block_is_zero(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 2.0, 2\n")
@@ -386,6 +385,7 @@ class TestWriteCsv:
                        self.COMMENTS)
         assert not path.exists()
 
+    @pytest.mark.usefixtures("solver_path")
     def test_nonfinite_exits_3(self, tmp_path, capsys, monkeypatch):
         def nan_dom(omega, spec):
             return np.full(len(omega), np.nan)
@@ -462,6 +462,7 @@ class TestWriteCsv:
                 cli._Table(np.arange(3), bad)
         assert len(cli._Table(np.ones((0, 0)))) == 0
 
+    @pytest.mark.usefixtures("solver_path")
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
         written = []
@@ -526,6 +527,7 @@ class TestFloatRows:
             assert lines[0] == ",".join(oracles.csv_value(v) for v in values)
 
 
+@pytest.mark.usefixtures("solver_path")
 class TestCmdRenorm:
     def test_zero_coupling_first_row(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\nrenorm.g_grid = 0.0, 1.0, 8\n"
@@ -537,6 +539,7 @@ class TestCmdRenorm:
         assert float(first[2]) == 1.0 and float(first[3]) == 1.0
 
 
+@pytest.mark.usefixtures("solver_path")
 class TestCmdPhase:
     def test_outputs_and_thread_independence(self, tmp_path):
         extra = ("\nphase.delta0_grid = 1.1, 1.2, 2\n"
@@ -671,8 +674,12 @@ class TestExitCodes:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("command", ["dynamics", "renorm", "phase", "disorder"])
-    def test_empty_window_exits_2(self, tmp_path, capsys, command):
+    # disorder counts modes on the bands, so it has no dense-path run
+    @pytest.mark.parametrize("command, solver_path", [
+        *((command, path) for command in ("dynamics", "renorm", "phase")
+          for path in ("dense", "closed")),
+        ("disorder", "closed")], indirect=["solver_path"])
+    def test_empty_window_exits_2(self, tmp_path, capsys, command, solver_path):
         text = SMALL.replace("modes.window_ghz_lo = 3.8", "modes.window_ghz_lo = 900")
         cfg = _write(tmp_path, text.replace("modes.window_ghz_hi = 13.0",
                                             "modes.window_ghz_hi = 901"))
@@ -681,6 +688,7 @@ class TestExitCodes:
         assert f"{cfg}: modes.window_ghz_lo = 900.0" in err
         assert "modes.window_ghz_hi = 901.0" in err
 
+    @pytest.mark.usefixtures("solver_path")
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         # there is none: an explicit value wins, the default is the CPU count,
         # and METALINE_THREADS, even one that is no integer, is ignored
@@ -730,6 +738,7 @@ class TestExitCodes:
                         f"{limit + 1} bytes long") in capsys.readouterr().err
         assert [p.name for p in tmp_path.glob("*.csv")] == [cfg.output_name("couplings.csv")]
 
+    @pytest.mark.usefixtures("solver_path")
     def test_outputs_list_what_each_command_writes(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "output.stem = run\ndisorder.seeds = 2\n")
         assert cli._OUTPUTS.keys() == cli._COMMANDS.keys()

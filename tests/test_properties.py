@@ -78,8 +78,9 @@ BAD = {
     "renorm.variant": st.just("quartic"),
     "dynamics.tg_grid": st.sampled_from(["5, 1, 3", "0, nan, 2", "0, 1, 0"]),
     "renorm.g_grid": st.sampled_from(
-        ["0.5, 0.5, 3", "0, 1, 4", "1, 2", "1, 1e300, 3"]),
-    "phase.g_grid": st.sampled_from(["0.5, 2, 1", "-1, 1, 4", "1e-300, 1e300, 3"]),
+        ["0.5, 0.5, 3", "0, 1, 4", "1, 2", "1, 1e300, 3", "1.0, 1.0000000000000002, 3"]),
+    "phase.g_grid": st.sampled_from(["0.5, 2, 1", "-1, 1, 4", "1e-300, 1e300, 3",
+                                     "1.0, 1.0000000000000002, 3"]),
     "phase.delta0_grid": st.sampled_from(["0, 1, 3", "-1, 1.2, 2", "1, 1e300, 2"]),
     "disorder.sigma": st.sampled_from(["-0.01", "0.34", "nan"]),
     "disorder.seeds": st.sampled_from(["0", "-3"]),

@@ -1,15 +1,14 @@
-"""The two paths of ``solve_modes`` against independent oracles.
+"""Both paths of ``solve_modes`` against dense ``eigh``, and the dispatch
+between them.
 
 Two-segment devices (a uniform ladder joined to a uniform strip, end caps
 allowed) outside ``_DENSE_DIMS`` take the closed form; every other
 network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
-here, not through the library; single eigenvalues also come from a
-40-digit Sturm bisection, and the fig2 window modes from a long-double
-refinement of the dense ones.  The CLI tests that solve modes run on the
-default path (the closed form, for their devices) and are rerun with the
-``band_path`` fixture, which empties ``_DENSE_DIMS``, and the
-``dense_path`` fixture, which sends every network to dense ``eigh``; the
-acceptance criteria are rerun on the dense path.
+here, not through the library (``conftest._dense``).  The closed form's
+own oracles (counts, 40-digit eigenvalues, long-double footprint
+averages) are in ``test_closed_form.py``; the command-line tests and the
+acceptance criteria that solve modes run on both paths through the
+``solver_path`` fixture.
 """
 
 import dataclasses
@@ -19,64 +18,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import metaline.circuit as circuit
 import metaline.modes as modes
-import test_acceptance
-import test_cli
 from metaline import (IllConditionedCircuitError, NetworkBands, NetworkMatrices,
-                      apply_disorder, build_matrices, footprint_weights,
-                      network_bands, solve_modes)
-from conftest import TWO_PI, WINDOW, make_band_edge_spec
-from oracles import mp_pencil_eigenvalue, refined_pencil_modes
+                      apply_disorder, build_matrices, solve_modes)
+from conftest import (SMALL, TWO_PI, WINDOW, _check, _dense, _residuals, _wrap,
+                      make_band_edge_spec)
 
 
-def _dense(mat, window):
-    """(frequencies, profiles) from scipy's eigh, gauge rule and window applied."""
-    w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
-    omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = omega > modes.GAUGE * omega.max()
-    if window is not None:
-        keep &= (omega >= window[0]) & (omega <= window[1])
-    return omega[keep], vecs[:, keep]
-
-
-def _residuals(mat, omega, vecs):
-    kv = mat.inv_ind @ vecs
-    return np.linalg.norm(kv - (mat.cap @ vecs) * omega ** 2, axis=0) \
-        / np.linalg.norm(kv, axis=0)
-
-
-def _check(mat, window, floor=1e-13):
-    """The default solution against dense eigh at the stated gates; the
-    residual gate is no worse than dense, or below ``floor``."""
-    ms = solve_modes(mat, window)
-    omega, vecs = _dense(mat, window)
-    assert len(ms) == len(omega)
-    if not len(omega):
-        return ms
-    np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-10, atol=0)
-    overlap = np.abs(np.einsum("ij,ij->j", ms.profiles, mat.cap @ vecs))
-    assert overlap.min() >= 1 - 1e-12
-    gram = ms.profiles.T @ mat.cap @ ms.profiles
-    assert np.abs(gram - np.eye(len(ms))).max() <= 1e-12
-    # no worse than dense, or below 1e-13 where dense is exact (toy pencils)
-    assert _residuals(mat, ms.frequencies, ms.profiles).max() \
-        <= max(_residuals(mat, omega, vecs).max(), floor)
-    return ms
-
-
-def _wrap(bands):
-    return NetworkMatrices(bands=bands,
-                           node_positions=np.linspace(0.0, 1.0, len(bands.k_diag)),
-                           interface_index=0)
-
-
-@pytest.mark.usefixtures("band_path")
 class TestAgainstDenseEigh:
+    @pytest.mark.usefixtures("closed_path")
     def test_spectrum_device(self):
-        # the device of the benchmark's spectrum workload, dim 2001
+        # the device of the benchmark's spectrum workload: dim 2001 lies in
+        # _DENSE_DIMS, so it takes the closed form only when pinned
         ms = _check(build_matrices(make_band_edge_spec(n_left=800, n_right=1200)),
                     WINDOW)
         assert len(ms) == 645
@@ -190,44 +145,6 @@ def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):
         solve_modes(band_matrices, WINDOW)
 
 
-def test_ladder_top_rung_on_bands(monkeypatch):
-    """The size ladder's dim-5001 rung, checked on the bands alone."""
-    def refuse(mat):
-        raise AssertionError("a dense network matrix was formed")
-
-    monkeypatch.setattr(NetworkMatrices, "cap", property(refuse))
-    monkeypatch.setattr(NetworkMatrices, "inv_ind", property(refuse))
-    mat = build_matrices(make_band_edge_spec(2000, 3000))
-    bands = mat.bands
-    ms = solve_modes(mat, WINDOW)
-    assert len(ms) == 1606
-    v = ms.profiles
-    kv = modes._tri_mul(bands.k_diag, bands.k_off, v)
-    cv = modes._tri_mul(bands.c_diag, bands.c_off, v)
-    gram = v.T @ cv
-    gram[np.diag_indices_from(gram)] -= 1.0
-    assert np.abs(gram).max() <= 1e-12
-    residual = np.linalg.norm(kv - cv * ms.frequencies ** 2, axis=0) \
-        / np.linalg.norm(kv, axis=0)
-    assert residual.max() <= 1e-12
-
-
-@pytest.mark.usefixtures("band_path")
-def test_no_farther_from_exact_than_dense():
-    spec = make_band_edge_spec(n_left=40, n_right=60)
-    mat = build_matrices(spec)
-    band = solve_modes(mat, WINDOW).frequencies
-    dense, _ = _dense(mat, WINDOW)
-    first = int(np.sum(_dense(mat, None)[0] < WINDOW[0])) + 1   # + the gauge mode
-    bands = network_bands(spec)
-    for k in (0, 1, 2, len(band) // 2, len(band) - 1):
-        exact = float(mp_pencil_eigenvalue(bands, first + k)) ** 0.5
-        err_band = abs(band[k] / exact - 1)
-        err_dense = abs(dense[k] / exact - 1)
-        # a few units in the last place are the floor of both
-        assert err_band <= max(err_dense, 4 * np.finfo(float).eps), k
-
-
 def _bad_bands(mat, name, kind):
     """The bands of ``mat`` with band ``name`` spoiled in one way."""
     band = getattr(mat.bands, name)
@@ -236,13 +153,6 @@ def _bad_bands(mat, name, kind):
                "short": band[:-1],
                "long": np.append(band, band[-1])}[kind]
     return dataclasses.replace(mat.bands, **{name: spoiled})
-
-
-@pytest.fixture(params=["dense", "band"])
-def solver_path(request):
-    """Run a test once on dense eigh and once on the closed form."""
-    request.getfixturevalue(f"{request.param}_path")
-    return request.param
 
 
 class TestInputChecks:
@@ -268,8 +178,8 @@ class TestInputChecks:
             solve_modes(_wrap(bands))
 
 
-def test_band_path_forms_no_dense_matrix(request, monkeypatch, band_matrices,
-                                        band_modes):
+def test_closed_form_forms_no_dense_matrix(request, monkeypatch, band_matrices,
+                                           band_modes):
     def refuse(mat):
         raise AssertionError("a dense network matrix was formed")
 
@@ -339,8 +249,7 @@ def test_dense_path_peak_memory(dense_matrices):
 
 
 @pytest.mark.parametrize("ends", ["default", "on_modes"])
-@pytest.mark.parametrize("path", ["dense_path", "band_path"])
-def test_window_restricts_full_solve(request, path, ends):
+def test_window_restricts_full_solve(solver_path, ends):
     """A windowed solve is the full solve restricted to the window: the
     window is chosen before the sign rule and the tie-break, which act
     column by column and by a stable sort.  On the dense path that holds
@@ -348,19 +257,18 @@ def test_window_restricts_full_solve(request, path, ends):
     ends and its Loewdin step acts on the window's modes, so there the
     frequencies agree to rounding and the profiles to 1e-12, signs and
     order included."""
-    request.getfixturevalue(path)
     mat = build_matrices(make_band_edge_spec(n_left=80, n_right=120))
     full = solve_modes(mat, None)
     f = full.frequencies
     window = WINDOW if ends == "default" else (f[30], f[100])
-    if path == "band_path" and ends == "on_modes":
+    if solver_path == "closed" and ends == "on_modes":
         # a mode on an end is kept or dropped by its own last bits
         # (test_window_ends_on_modes); here the ends sit just inside
         window = (window[0] * (1 + 1e-12), window[1] * (1 - 1e-12))
     part = solve_modes(mat, window)
     sel = (f >= window[0]) & (f <= window[1])
     assert 0 < sel.sum() < len(f)
-    if path == "dense_path":
+    if solver_path == "dense":
         np.testing.assert_array_equal(part.frequencies, f[sel])
         np.testing.assert_array_equal(part.profiles, full.profiles[:, sel])
     else:
@@ -369,86 +277,39 @@ def test_window_restricts_full_solve(request, path, ends):
                                    atol=1e-12 * np.abs(full.profiles).max())
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="the refinement needs an extended-precision long double")
-def test_footprint_averages_match_refined_modes(band_spec, band_matrices, band_qubit):
-    """The default solve of the fig2 device against its window modes refined
-    in long double from dense eigh's.  Dense eigh's own footprint averages
-    are up to 4.6e-9 off, so a return of this size to dense fails here."""
-    ms = solve_modes(band_matrices, WINDOW)
-    _, start = _dense(band_matrices, WINDOW)
-    lam, refined = refined_pencil_modes(band_matrices.bands, start)
-    np.testing.assert_allclose(ms.frequencies, np.sqrt(lam.astype(float)),
-                               rtol=1e-12, atol=0)
-    weights = footprint_weights(band_spec, band_qubit.position, band_qubit.extent)
-    strip = slice(band_matrices.interface_index, None)
-    expected = np.abs(weights.astype(np.longdouble) @ refined[strip]).astype(float)
-    np.testing.assert_allclose(np.abs(weights @ ms.profiles[strip]), expected,
-                               rtol=1e-10, atol=0)
-
-
-def test_cli_import_leaves_scipy_linalg_out():
-    code = ("import sys, metaline.cli; "
-            "print(any(m == 'scipy.linalg' or m.startswith('scipy.linalg.') "
-            "for m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def _scipy_modules_loaded(argv):
-    """"<exit code> <scipy modules loaded>" of ``main(argv)`` in a fresh
-    process."""
-    code = ("import sys; from metaline.cli import main; "
-            f"rc = main({argv!r}); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
-
-
-def test_disorder_run_loads_no_scipy(tmp_path):
+def test_closed_form_loads_no_scipy(tmp_path):
+    """One fresh process loads no scipy module: not on ``import
+    metaline.cli``, not in any command on a dim-101 device, and not in the
+    closed-form solves of the pattern devices (n_left 1 and 40, with and
+    without end caps).  Each step prints its own line."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(test_cli.SMALL + "disorder.seeds = 3\n")
-    argv = ["disorder", "--config", str(cfg), "--out", str(tmp_path)]
-    assert _scipy_modules_loaded(argv) == "0 []"
-    assert (tmp_path / "disorder.csv").exists()
-
-
-@pytest.mark.parametrize("command, csv", [("modes", "dom.csv"),
-                                          ("dynamics", "entropy.csv"),
-                                          ("renorm", "renorm.csv"),
-                                          ("phase", "phase.csv")])
-def test_bath_run_loads_no_scipy(tmp_path, command, csv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(test_cli.SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\n"
+    cfg.write_text(SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\ndisorder.seeds = 3\n"
                    "phase.delta0_grid = 1.1, 1.2, 2\nphase.g_grid = 0.05, 1.5, 10\n")
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path)]
-    assert _scipy_modules_loaded(argv) == "0 []"
-    assert (tmp_path / csv).exists()
+    code = f"""
+import dataclasses, sys
+from importlib import resources
 
+def report(step, rc=0):
+    print(step, rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
-ACCEPTANCE = [getattr(test_acceptance, name) for name in dir(test_acceptance)
-              if name.startswith("test_criterion_")]
-
-
-def _run_criterion(criterion, band_spec):
-    """An acceptance criterion with its modes solved on the patched path."""
-    fixtures = {"band_spec": band_spec,
-                "band_modes": solve_modes(build_matrices(band_spec), WINDOW)}
-    names = criterion.__code__.co_varnames[:criterion.__code__.co_argcount]
-    criterion(*(fixtures[name] for name in names))
-
-
-@pytest.mark.usefixtures("dense_path")
-@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
-def test_acceptance_on_dense_path(criterion, band_spec):
-    _run_criterion(criterion, band_spec)
-
-
-# each CLI test class that solves modes, once per pinned solver path
-for _cls in (test_cli.TestCmdModes, test_cli.TestCmdDynamics, test_cli.TestWriteCsv,
-             test_cli.TestCmdRenorm, test_cli.TestCmdPhase, test_cli.TestExitCodes):
-    for _path, _suffix in (("band_path", "OnBandPath"), ("dense_path", "OnDensePath")):
-        globals()[_cls.__name__ + _suffix] = type(_cls.__name__ + _suffix, (_cls,), {
-            "pytestmark": [pytest.mark.usefixtures(_path)]})
+import metaline.cli
+report('import')
+for command in ('disorder', 'modes', 'dynamics', 'renorm', 'phase'):
+    report(command, metaline.cli.main([command, '--config', {str(cfg)!r},
+                                       '--out', {str(tmp_path)!r}]))
+from metaline import build_matrices, solve_modes
+from metaline.config import parse_config
+spec = parse_config(resources.files('metaline') / 'configs' / 'fig2.cfg').circuit_spec()
+for n in (1, 40):
+    for cap in (None, spec.c_left):
+        solve_modes(build_matrices(dataclasses.replace(
+            spec, n_left=n, c_end_left=cap, c_end_right=cap)))
+        report(f'pattern-{{n}}-{{"caps" if cap else "bare"}}')
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    steps = ["import", "disorder", "modes", "dynamics", "renorm", "phase",
+             "pattern-1-bare", "pattern-1-caps", "pattern-40-bare", "pattern-40-caps"]
+    assert out.stdout.splitlines() == [f"{step} 0 []" for step in steps]
+    for csv in ("disorder.csv", "dom.csv", "entropy.csv", "renorm.csv", "phase.csv"):
+        assert (tmp_path / csv).exists()
