@@ -1,14 +1,16 @@
-"""Shared devices, solver-path fixtures and the dense-eigh comparison.
+"""Shared devices, solver-path fixtures, the dense-eigh comparison and the
+checks that more than one test module runs.
 
 ``solve_modes`` has two paths: the closed form, which two-segment devices
 (a uniform ladder joined to a uniform strip) outside ``_DENSE_DIMS``
 take, and dense ``eigh``, which every other network takes.  The
 ``closed_path`` fixture empties ``_DENSE_DIMS``, so a two-segment device
 of the spectrum size takes the closed form too; ``dense_path`` sends
-every network to dense ``eigh``; ``solver_path`` runs a test once on
-dense ``eigh`` and once on the default path.
+every network to dense ``eigh``.  The devices that more than one test
+reads (the size ladder's dim-5001 rung, a fresh process's scipy imports)
+are built once per session.
 """
-
+import subprocess
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ import metaline.modes
 from metaline import (CircuitSpec, NetworkBands, NetworkMatrices, QubitSpec,
                       build_matrices, coupling_spectrum, design_from_impedance,
                       footprint_at_antinode, rhtl_from_impedance, solve_modes)
-from oracles import refined_pencil_modes
+from oracles import mp_pencil_eigenvalue, refined_pencil_modes
 
 TWO_PI = 2.0 * np.pi
 OMEGA_IR = TWO_PI * 4e9
@@ -45,6 +47,7 @@ qubit.g_ghz = 0.2
 # rounding floor); the largest ratio seen is 23, at the top mode of the
 # reference device solved with no window
 RESIDUAL_FACTOR = 32
+EPS = np.finfo(float).eps
 
 
 def make_band_edge_spec(n_left=200, n_right=300) -> CircuitSpec:
@@ -113,6 +116,49 @@ def _check(mat, window):
     return ms
 
 
+def _sample(count):
+    """The lowest five, a middle and the top window mode."""
+    return [0, 1, 2, 3, 4, count // 2, count - 1]
+
+
+def _assert_no_farther_from_exact_than_dense(mat, window, ms):
+    """The sampled window modes ``ms`` of ``mat`` are no farther from the
+    40-digit Sturm bisection than dense eigh's, or a few units in the last
+    place from it."""
+    w2 = sla.eigh(mat.inv_ind, mat.cap, eigvals_only=True)
+    first = int(np.sum(w2 < window[0] ** 2))
+    dense = np.sqrt(w2[first:first + len(ms)])
+    for k in _sample(len(ms)):
+        lam = ms.frequencies[k] ** 2
+        exact = float(mp_pencil_eigenvalue(mat.bands, first + k,
+                                           bracket=(lam * (1 - 1e-10), lam * (1 + 1e-10))))
+        err_solved = abs(ms.frequencies[k] / exact ** 0.5 - 1)
+        err_dense = abs(dense[k] / exact ** 0.5 - 1)
+        # a few units in the last place are the floor of both
+        assert err_solved <= max(err_dense, 4 * EPS), k
+
+
+def _refined_footprints(mat, weights, start):
+    """(frequencies, |w^T v|) of the modes refined in long double from the
+    columns of ``start``."""
+    lam, refined = refined_pencil_modes(mat.bands, start)
+    strip = slice(mat.interface_index, None)
+    expected = np.abs(weights.astype(np.longdouble) @ refined[strip]).astype(float)
+    return np.sqrt(lam.astype(float)), expected
+
+
+def _assert_footprints_match_refined(mat, window, ms, weights):
+    """The window modes ``ms`` of ``mat`` against dense eigh's refined in
+    long double.  Dense eigh's own footprint averages are up to 4.6e-9
+    off on the fig2 device, so a return of this size to dense fails here."""
+    _, start = _dense(mat, window)
+    omega, expected = _refined_footprints(mat, weights, start)
+    np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-12, atol=0)
+    got = np.abs(weights @ ms.profiles[mat.interface_index:])
+    np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+    assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+
+
 @pytest.fixture(scope="session")
 def band_spec():
     return make_band_edge_spec()
@@ -163,10 +209,59 @@ def dense_path(monkeypatch):
     monkeypatch.setattr(metaline.modes, "_DENSE_DIMS", range(sys.maxsize))
 
 
-@pytest.fixture(params=["dense", "closed"])
-def solver_path(request):
-    """Run a test once on dense eigh and once on the default path, where
-    the two-segment devices these tests solve take the closed form."""
-    if request.param == "dense":
-        request.getfixturevalue("dense_path")
-    return request.param
+@pytest.fixture(scope="session")
+def ladder_top_rung():
+    """The size ladder's dim-5001 rung, built and solved once, with no
+    dense network matrix formed."""
+    def refuse(mat):
+        raise AssertionError("a dense network matrix was formed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NetworkMatrices, "cap", property(refuse))
+        mp.setattr(NetworkMatrices, "inv_ind", property(refuse))
+        spec = make_band_edge_spec(2000, 3000)
+        mat = build_matrices(spec)
+        return spec, mat, solve_modes(mat, WINDOW)
+
+
+SCIPY_FREE_STEPS = ["import", "disorder", "modes", "dynamics", "renorm", "phase",
+                    "pattern-1-bare", "pattern-1-caps", "pattern-40-bare",
+                    "pattern-40-caps"]
+
+
+@pytest.fixture(scope="session")
+def scipy_free_run(tmp_path_factory):
+    """({step: "<exit code> <scipy modules loaded so far>"}, output folder)
+    of one fresh process: ``import metaline.cli``, each command on SMALL,
+    then the closed-form solves of the pattern devices (n_left 1 and 40,
+    with and without end caps)."""
+    out = tmp_path_factory.mktemp("scipy_free")
+    cfg = out / "run.cfg"
+    cfg.write_text(SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\ndisorder.seeds = 3\n"
+                   "phase.delta0_grid = 1.1, 1.2, 2\nphase.g_grid = 0.05, 1.5, 10\n")
+    code = f"""
+import dataclasses, sys
+from importlib import resources
+
+def report(step, rc=0):
+    print(step, rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+
+import metaline.cli
+report('import')
+for command in ('disorder', 'modes', 'dynamics', 'renorm', 'phase'):
+    report(command, metaline.cli.main([command, '--config', {str(cfg)!r},
+                                       '--out', {str(out)!r}]))
+from metaline import build_matrices, solve_modes
+from metaline.config import parse_config
+spec = parse_config(resources.files('metaline') / 'configs' / 'fig2.cfg').circuit_spec()
+for n in (1, 40):
+    for cap in (None, spec.c_left):
+        solve_modes(build_matrices(dataclasses.replace(
+            spec, n_left=n, c_end_left=cap, c_end_right=cap)))
+        report(f'pattern-{{n}}-{{"caps" if cap else "bare"}}')
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    steps = dict(line.split(" ", 1) for line in run.stdout.splitlines())
+    assert list(steps) == SCIPY_FREE_STEPS
+    return steps, out

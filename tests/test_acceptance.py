@@ -1,10 +1,7 @@
-"""Acceptance gate: one test per release criterion, at its stated tolerance,
-run once on each solver path (``solver_path``: dense eigh, and the default
-path, where the two-segment devices take the closed form).
+"""Acceptance gate: one test per release criterion, at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
-criterion and path.  The bundled figure configs drive criteria that
-reference them.
+criterion.  The bundled figure configs drive criteria that reference them.
 """
 
 import time
@@ -24,14 +21,6 @@ from conftest import OMEGA_IR, TWO_PI, WINDOW, make_band_edge_spec, wrap_dense
 from oracles import (entropy_after_tracing, evolve, grid_search_fixed_point,
                      omega_lhtl, omega_rhtl, sign_changes, stamped_lhtl,
                      stamped_rhtl)
-
-pytestmark = pytest.mark.usefixtures("solver_path")
-
-
-@pytest.fixture
-def band_modes(solver_path, band_matrices, band_modes):
-    """The reference device's window modes on the path under test."""
-    return band_modes if solver_path == "closed" else solve_modes(band_matrices, WINDOW)
 
 
 def _config(name):

@@ -85,9 +85,12 @@ def test_readme_library_use_runs(capsys):
     assert len(namespace["edges"]) == len(namespace["counts"]) == 50
 
 
-def test_test_modules_import_no_test_module():
-    # shared helpers live in conftest.py and oracles.py, so each test
-    # module runs its own tests only
+# the path reruns import the modules whose tests they rerun; every other
+# shared helper lives in conftest.py or oracles.py
+RERUNS = {"test_band_solver": {"test_acceptance", "test_cli"}}
+
+
+def test_test_modules_import_only_what_they_rerun():
     tests = ROOT / "tests"
     names = {path.stem for path in tests.glob("test_*.py")}
     for path in sorted(tests.glob("test_*.py")):
@@ -96,4 +99,5 @@ def test_test_modules_import_no_test_module():
                     if isinstance(node, ast.Import) for alias in node.names}
         imported |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom)}
-        assert not imported & names, (path.name, sorted(imported & names))
+        assert imported & names == RERUNS.get(path.stem, set()), \
+            (path.name, sorted(imported & names))

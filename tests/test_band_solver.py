@@ -1,19 +1,19 @@
-"""Both paths of ``solve_modes`` against dense ``eigh``, and the dispatch
-between them.
+"""Both paths of ``solve_modes`` against dense ``eigh`` and the
+closed form's oracles, and the dispatch between them.
 
 Two-segment devices (a uniform ladder joined to a uniform strip, end caps
 allowed) outside ``_DENSE_DIMS`` take the closed form; every other
 network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
-here, not through the library (``conftest._dense``).  The closed form's
-own oracles (counts, 40-digit eigenvalues, long-double footprint
-averages) are in ``test_closed_form.py``; the command-line tests and the
-acceptance criteria that solve modes run on both paths through the
-``solver_path`` fixture.
+here, not through the library (``conftest._dense``).  The CLI tests that
+solve modes run on the default path (the closed form, for their devices)
+and again here, pinned by the ``closed_path`` fixture, which empties
+``_DENSE_DIMS``, and by the ``dense_path`` fixture, which sends every
+network to dense ``eigh``; the acceptance criteria are rerun on the dense
+path.  The ids say ``band`` where the fixture is ``closed_path``: they
+date from when the closed form's path was named the band path.
 """
 
 import dataclasses
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -21,10 +21,13 @@ import pytest
 
 import metaline.circuit as circuit
 import metaline.modes as modes
+import test_acceptance
+import test_cli
 from metaline import (IllConditionedCircuitError, NetworkBands, NetworkMatrices,
-                      apply_disorder, build_matrices, solve_modes)
-from conftest import (SMALL, TWO_PI, WINDOW, _check, _dense, _residuals, _wrap,
-                      make_band_edge_spec)
+                      apply_disorder, build_matrices, footprint_weights, solve_modes)
+from conftest import (TWO_PI, WINDOW, _assert_footprints_match_refined,
+                      _assert_no_farther_from_exact_than_dense, _check, _dense,
+                      _residuals, _wrap, make_band_edge_spec)
 
 
 class TestAgainstDenseEigh:
@@ -145,6 +148,27 @@ def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):
         solve_modes(band_matrices, WINDOW)
 
 
+def test_ladder_top_rung_on_bands(ladder_top_rung):
+    """The size ladder's dim-5001 rung, checked on the bands alone."""
+    _, mat, ms = ladder_top_rung
+    bands = mat.bands
+    assert len(ms) == 1606
+    v = ms.profiles
+    kv = modes._tri_mul(bands.k_diag, bands.k_off, v)
+    cv = modes._tri_mul(bands.c_diag, bands.c_off, v)
+    gram = v.T @ cv
+    gram[np.diag_indices_from(gram)] -= 1.0
+    assert np.abs(gram).max() <= 1e-12
+    residual = np.linalg.norm(kv - cv * ms.frequencies ** 2, axis=0) \
+        / np.linalg.norm(kv, axis=0)
+    assert residual.max() <= 1e-12
+
+
+def test_no_farther_from_exact_than_dense():
+    mat = build_matrices(make_band_edge_spec(n_left=40, n_right=60))
+    _assert_no_farther_from_exact_than_dense(mat, WINDOW, solve_modes(mat, WINDOW))
+
+
 def _bad_bands(mat, name, kind):
     """The bands of ``mat`` with band ``name`` spoiled in one way."""
     band = getattr(mat.bands, name)
@@ -153,6 +177,12 @@ def _bad_bands(mat, name, kind):
                "short": band[:-1],
                "long": np.append(band, band[-1])}[kind]
     return dataclasses.replace(mat.bands, **{name: spoiled})
+
+
+@pytest.fixture(params=["dense_path", "closed_path"], ids=["dense", "band"])
+def solver_path(request):
+    """Run a test once on dense eigh and once on the closed form."""
+    request.getfixturevalue(request.param)
 
 
 class TestInputChecks:
@@ -178,8 +208,8 @@ class TestInputChecks:
             solve_modes(_wrap(bands))
 
 
-def test_closed_form_forms_no_dense_matrix(request, monkeypatch, band_matrices,
-                                           band_modes):
+def test_band_path_forms_no_dense_matrix(request, monkeypatch, band_matrices,
+                                        band_modes):
     def refuse(mat):
         raise AssertionError("a dense network matrix was formed")
 
@@ -249,7 +279,9 @@ def test_dense_path_peak_memory(dense_matrices):
 
 
 @pytest.mark.parametrize("ends", ["default", "on_modes"])
-def test_window_restricts_full_solve(solver_path, ends):
+@pytest.mark.parametrize("path", ["dense_path", "closed_path"],
+                         ids=["dense_path", "band_path"])
+def test_window_restricts_full_solve(request, path, ends):
     """A windowed solve is the full solve restricted to the window: the
     window is chosen before the sign rule and the tie-break, which act
     column by column and by a stable sort.  On the dense path that holds
@@ -257,18 +289,19 @@ def test_window_restricts_full_solve(solver_path, ends):
     ends and its Loewdin step acts on the window's modes, so there the
     frequencies agree to rounding and the profiles to 1e-12, signs and
     order included."""
+    request.getfixturevalue(path)
     mat = build_matrices(make_band_edge_spec(n_left=80, n_right=120))
     full = solve_modes(mat, None)
     f = full.frequencies
     window = WINDOW if ends == "default" else (f[30], f[100])
-    if solver_path == "closed" and ends == "on_modes":
+    if path == "closed_path" and ends == "on_modes":
         # a mode on an end is kept or dropped by its own last bits
         # (test_window_ends_on_modes); here the ends sit just inside
         window = (window[0] * (1 + 1e-12), window[1] * (1 - 1e-12))
     part = solve_modes(mat, window)
     sel = (f >= window[0]) & (f <= window[1])
     assert 0 < sel.sum() < len(f)
-    if solver_path == "dense":
+    if path == "dense_path":
         np.testing.assert_array_equal(part.frequencies, f[sel])
         np.testing.assert_array_equal(part.profiles, full.profiles[:, sel])
     else:
@@ -277,39 +310,100 @@ def test_window_restricts_full_solve(solver_path, ends):
                                    atol=1e-12 * np.abs(full.profiles).max())
 
 
-def test_closed_form_loads_no_scipy(tmp_path):
-    """One fresh process loads no scipy module: not on ``import
-    metaline.cli``, not in any command on a dim-101 device, and not in the
-    closed-form solves of the pattern devices (n_left 1 and 40, with and
-    without end caps).  Each step prints its own line."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\ndisorder.seeds = 3\n"
-                   "phase.delta0_grid = 1.1, 1.2, 2\nphase.g_grid = 0.05, 1.5, 10\n")
-    code = f"""
-import dataclasses, sys
-from importlib import resources
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the refinement needs an extended-precision long double")
+def test_footprint_averages_match_refined_modes(band_spec, band_matrices, band_modes,
+                                                band_qubit):
+    weights = footprint_weights(band_spec, band_qubit.position, band_qubit.extent)
+    _assert_footprints_match_refined(band_matrices, WINDOW, band_modes, weights)
 
-def report(step, rc=0):
-    print(step, rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
-import metaline.cli
-report('import')
-for command in ('disorder', 'modes', 'dynamics', 'renorm', 'phase'):
-    report(command, metaline.cli.main([command, '--config', {str(cfg)!r},
-                                       '--out', {str(tmp_path)!r}]))
-from metaline import build_matrices, solve_modes
-from metaline.config import parse_config
-spec = parse_config(resources.files('metaline') / 'configs' / 'fig2.cfg').circuit_spec()
-for n in (1, 40):
-    for cap in (None, spec.c_left):
-        solve_modes(build_matrices(dataclasses.replace(
-            spec, n_left=n, c_end_left=cap, c_end_right=cap)))
-        report(f'pattern-{{n}}-{{"caps" if cap else "bare"}}')
-"""
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    steps = ["import", "disorder", "modes", "dynamics", "renorm", "phase",
-             "pattern-1-bare", "pattern-1-caps", "pattern-40-bare", "pattern-40-caps"]
-    assert out.stdout.splitlines() == [f"{step} 0 []" for step in steps]
-    for csv in ("disorder.csv", "dom.csv", "entropy.csv", "renorm.csv", "phase.csv"):
-        assert (tmp_path / csv).exists()
+def test_cli_import_leaves_scipy_linalg_out(scipy_free_run):
+    # no scipy module at all, scipy.linalg included
+    steps, _ = scipy_free_run
+    assert steps["import"] == "0 []"
+
+
+def test_disorder_run_loads_no_scipy(scipy_free_run):
+    steps, out = scipy_free_run
+    assert steps["disorder"] == "0 []"
+    assert (out / "disorder.csv").exists()
+
+
+@pytest.mark.parametrize("command, csv", [("modes", "dom.csv"),
+                                          ("dynamics", "entropy.csv"),
+                                          ("renorm", "renorm.csv"),
+                                          ("phase", "phase.csv")])
+def test_bath_run_loads_no_scipy(scipy_free_run, command, csv):
+    # one process runs every command in turn: a module that an earlier
+    # command loaded fails this one too, and the earliest failure names it
+    steps, out = scipy_free_run
+    assert steps[command] == "0 []"
+    assert (out / csv).exists()
+
+
+ACCEPTANCE = [getattr(test_acceptance, name) for name in dir(test_acceptance)
+              if name.startswith("test_criterion_")]
+
+
+def _run_criterion(criterion, band_spec):
+    """An acceptance criterion with its modes solved on the patched path."""
+    fixtures = {"band_spec": band_spec,
+                "band_modes": solve_modes(build_matrices(band_spec), WINDOW)}
+    names = criterion.__code__.co_varnames[:criterion.__code__.co_argcount]
+    criterion(*(fixtures[name] for name in names))
+
+
+@pytest.mark.usefixtures("dense_path")
+@pytest.mark.parametrize("criterion", ACCEPTANCE, ids=lambda f: f.__name__[5:])
+def test_acceptance_on_dense_path(criterion, band_spec):
+    _run_criterion(criterion, band_spec)
+
+
+# each CLI test class that solves modes, once per pinned solver path
+class TestCmdModesOnBandPath(test_cli.TestCmdModes):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestCmdModesOnDensePath(test_cli.TestCmdModes):
+    pytestmark = pytest.mark.usefixtures("dense_path")
+
+
+class TestCmdDynamicsOnBandPath(test_cli.TestCmdDynamics):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestCmdDynamicsOnDensePath(test_cli.TestCmdDynamics):
+    pytestmark = pytest.mark.usefixtures("dense_path")
+
+
+class TestWriteCsvOnBandPath(test_cli.TestWriteCsv):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestWriteCsvOnDensePath(test_cli.TestWriteCsv):
+    pytestmark = pytest.mark.usefixtures("dense_path")
+
+
+class TestCmdRenormOnBandPath(test_cli.TestCmdRenorm):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestCmdRenormOnDensePath(test_cli.TestCmdRenorm):
+    pytestmark = pytest.mark.usefixtures("dense_path")
+
+
+class TestCmdPhaseOnBandPath(test_cli.TestCmdPhase):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestCmdPhaseOnDensePath(test_cli.TestCmdPhase):
+    pytestmark = pytest.mark.usefixtures("dense_path")
+
+
+class TestExitCodesOnBandPath(test_cli.TestExitCodes):
+    pytestmark = pytest.mark.usefixtures("closed_path")
+
+
+class TestExitCodesOnDensePath(test_cli.TestExitCodes):
+    pytestmark = pytest.mark.usefixtures("dense_path")

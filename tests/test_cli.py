@@ -213,7 +213,6 @@ class TestConfigParsing:
         assert spec.l_right_per_len == 4.167e-3
 
 
-@pytest.mark.usefixtures("solver_path")
 class TestCmdModes:
     def test_writes_files_and_is_deterministic(self, tmp_path):
         cfg = _write(tmp_path, SMALL)
@@ -255,7 +254,6 @@ class TestCmdModes:
         assert "sha256=" in head[1]
 
 
-@pytest.mark.usefixtures("solver_path")
 class TestCmdDynamics:
     def test_tg_zero_block_is_zero(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 2.0, 2\n")
@@ -385,7 +383,6 @@ class TestWriteCsv:
                        self.COMMENTS)
         assert not path.exists()
 
-    @pytest.mark.usefixtures("solver_path")
     def test_nonfinite_exits_3(self, tmp_path, capsys, monkeypatch):
         def nan_dom(omega, spec):
             return np.full(len(omega), np.nan)
@@ -462,7 +459,6 @@ class TestWriteCsv:
                 cli._Table(np.arange(3), bad)
         assert len(cli._Table(np.ones((0, 0)))) == 0
 
-    @pytest.mark.usefixtures("solver_path")
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
         written = []
@@ -527,7 +523,6 @@ class TestFloatRows:
             assert lines[0] == ",".join(oracles.csv_value(v) for v in values)
 
 
-@pytest.mark.usefixtures("solver_path")
 class TestCmdRenorm:
     def test_zero_coupling_first_row(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\nrenorm.g_grid = 0.0, 1.0, 8\n"
@@ -539,7 +534,6 @@ class TestCmdRenorm:
         assert float(first[2]) == 1.0 and float(first[3]) == 1.0
 
 
-@pytest.mark.usefixtures("solver_path")
 class TestCmdPhase:
     def test_outputs_and_thread_independence(self, tmp_path):
         extra = ("\nphase.delta0_grid = 1.1, 1.2, 2\n"
@@ -674,12 +668,8 @@ class TestExitCodes:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
 
-    # disorder counts modes on the bands, so it has no dense-path run
-    @pytest.mark.parametrize("command, solver_path", [
-        *((command, path) for command in ("dynamics", "renorm", "phase")
-          for path in ("dense", "closed")),
-        ("disorder", "closed")], indirect=["solver_path"])
-    def test_empty_window_exits_2(self, tmp_path, capsys, command, solver_path):
+    @pytest.mark.parametrize("command", ["dynamics", "renorm", "phase", "disorder"])
+    def test_empty_window_exits_2(self, tmp_path, capsys, command):
         text = SMALL.replace("modes.window_ghz_lo = 3.8", "modes.window_ghz_lo = 900")
         cfg = _write(tmp_path, text.replace("modes.window_ghz_hi = 13.0",
                                             "modes.window_ghz_hi = 901"))
@@ -688,7 +678,6 @@ class TestExitCodes:
         assert f"{cfg}: modes.window_ghz_lo = 900.0" in err
         assert "modes.window_ghz_hi = 901.0" in err
 
-    @pytest.mark.usefixtures("solver_path")
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         # there is none: an explicit value wins, the default is the CPU count,
         # and METALINE_THREADS, even one that is no integer, is ignored
@@ -738,7 +727,6 @@ class TestExitCodes:
                         f"{limit + 1} bytes long") in capsys.readouterr().err
         assert [p.name for p in tmp_path.glob("*.csv")] == [cfg.output_name("couplings.csv")]
 
-    @pytest.mark.usefixtures("solver_path")
     def test_outputs_list_what_each_command_writes(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "output.stem = run\ndisorder.seeds = 2\n")
         assert cli._OUTPUTS.keys() == cli._COMMANDS.keys()

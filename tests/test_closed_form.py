@@ -2,8 +2,8 @@
 
 Its count against ``sturm_count`` (LDL^T pivots), its eigenvalues against
 a 40-digit Sturm bisection, its footprint averages against long-double
-refined eigenvectors, the size ladder's dim-5001 rung on the bands alone,
-and the pattern devices it takes.
+refined eigenvectors, and its dispatch: which bands take it, and that
+they load no scipy.
 """
 
 import dataclasses
@@ -12,17 +12,16 @@ from importlib import resources
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 import metaline.modes as modes
-from metaline import (NetworkBands, NetworkMatrices, build_matrices,
-                      footprint_at_antinode, footprint_weights, solve_modes,
-                      sturm_count)
+from metaline import (NetworkBands, build_matrices, footprint_at_antinode,
+                      footprint_weights, solve_modes, sturm_count)
 from metaline.config import parse_config
-from conftest import TWO_PI, WINDOW, _check, _dense, make_band_edge_spec
-from oracles import mp_pencil_eigenvalue, refined_pencil_modes
+from conftest import (SCIPY_FREE_STEPS, TWO_PI, WINDOW,
+                      _assert_footprints_match_refined,
+                      _assert_no_farther_from_exact_than_dense, _check,
+                      _refined_footprints, _sample, make_band_edge_spec)
 
-EPS = np.finfo(float).eps
 FIGURES = ["fig2", "fig3", "fig4", "fig5"]
 
 
@@ -95,70 +94,9 @@ def fig5():
     return spec, window, mat, ms, footprint_weights(spec, x0, extent)
 
 
-@pytest.fixture
-def device(request, band_spec, band_matrices, band_modes, band_qubit):
-    """(spec, window, matrices, window modes, footprint weights) of the
-    device named by the parameter: "fig2" (the session's reference device,
-    footprint of ``band_qubit``), "fig5" or "n_left-40" (no footprint)."""
-    if request.param == "fig2":
-        return (band_spec, WINDOW, band_matrices, band_modes,
-                footprint_weights(band_spec, band_qubit.position, band_qubit.extent))
-    if request.param == "fig5":
-        return request.getfixturevalue("fig5")
-    mat = build_matrices(make_band_edge_spec(n_left=40, n_right=60))
-    return None, WINDOW, mat, solve_modes(mat, WINDOW), None
-
-
-@pytest.fixture(scope="module")
-def ladder_top_rung():
-    """The size ladder's dim-5001 rung, built and solved once, with no
-    dense network matrix formed."""
-    def refuse(mat):
-        raise AssertionError("a dense network matrix was formed")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NetworkMatrices, "cap", property(refuse))
-        mp.setattr(NetworkMatrices, "inv_ind", property(refuse))
-        spec = make_band_edge_spec(2000, 3000)
-        mat = build_matrices(spec)
-        return spec, mat, solve_modes(mat, WINDOW)
-
-
-def _sample(count):
-    """The lowest five, a middle and the top window mode."""
-    return [0, 1, 2, 3, 4, count // 2, count - 1]
-
-
-@pytest.mark.parametrize("device", ["n_left-40", "fig5"], indirect=True)
-def test_eigenvalues_no_farther_from_exact_than_dense(device):
-    _, window, mat, ms, _ = device
-    w2 = sla.eigh(mat.inv_ind, mat.cap, eigvals_only=True)
-    first = int(np.sum(w2 < window[0] ** 2))
-    dense = np.sqrt(w2[first:first + len(ms)])
-    for k in _sample(len(ms)):
-        lam = ms.frequencies[k] ** 2
-        exact = float(mp_pencil_eigenvalue(mat.bands, first + k,
-                                           bracket=(lam * (1 - 1e-10), lam * (1 + 1e-10))))
-        err_closed = abs(ms.frequencies[k] / exact ** 0.5 - 1)
-        err_dense = abs(dense[k] / exact ** 0.5 - 1)
-        # a few units in the last place are the floor of both
-        assert err_closed <= max(err_dense, 4 * EPS), k
-
-
-def test_ladder_top_rung_on_bands(ladder_top_rung):
-    """The size ladder's dim-5001 rung, checked on the bands alone."""
-    _, mat, ms = ladder_top_rung
-    bands = mat.bands
-    assert len(ms) == 1606
-    v = ms.profiles
-    kv = modes._tri_mul(bands.k_diag, bands.k_off, v)
-    cv = modes._tri_mul(bands.c_diag, bands.c_off, v)
-    gram = v.T @ cv
-    gram[np.diag_indices_from(gram)] -= 1.0
-    assert np.abs(gram).max() <= 1e-12
-    residual = np.linalg.norm(kv - cv * ms.frequencies ** 2, axis=0) \
-        / np.linalg.norm(kv, axis=0)
-    assert residual.max() <= 1e-12
+def test_eigenvalues_no_farther_from_exact_than_dense(fig5):
+    _, window, mat, ms, _ = fig5
+    _assert_no_farther_from_exact_than_dense(mat, window, ms)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -166,25 +104,10 @@ def test_ladder_top_rung_on_bands(ladder_top_rung):
 class TestFootprintAverages:
     """|w^T v| against the window modes refined in long double."""
 
-    @staticmethod
-    def _refined(mat, weights, start):
-        lam, refined = refined_pencil_modes(mat.bands, start)
-        strip = slice(mat.interface_index, None)
-        expected = np.abs(weights.astype(np.longdouble) @ refined[strip]).astype(float)
-        return np.sqrt(lam.astype(float)), expected
-
-    @pytest.mark.parametrize("device", ["fig2", "fig5"], indirect=True)
-    def test_match_refined_modes(self, device):
-        """Refined from dense eigh's window modes.  Dense eigh's own
-        footprint averages are up to 4.6e-9 off, so a return of this size
-        to dense fails here."""
-        _, window, mat, ms, weights = device
-        _, start = _dense(mat, window)
-        omega, expected = self._refined(mat, weights, start)
-        np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-12, atol=0)
-        got = np.abs(weights @ ms.profiles[mat.interface_index:])
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
-        assert np.abs(got - expected).max() <= 1e-12 * expected.max()
+    def test_fig5(self, fig5):
+        # refined from dense eigh's window modes
+        _, window, mat, ms, weights = fig5
+        _assert_footprints_match_refined(mat, window, ms, weights)
 
     def test_ladder_top_rung(self, ladder_top_rung):
         # refined from the closed form's own vectors, at the sampled modes
@@ -192,7 +115,7 @@ class TestFootprintAverages:
         x0 = footprint_at_antinode(ms, spec, TWO_PI * 4.579e9, 0.5e-3)
         weights = footprint_weights(spec, x0, 0.5e-3)
         cols = ms.profiles[:, _sample(len(ms))]
-        _, expected = self._refined(mat, weights, cols)
+        _, expected = _refined_footprints(mat, weights, cols)
         got = np.abs(weights @ cols[mat.interface_index:])
         assert np.abs(got - expected).max() <= 1e-10 * expected.max()
 
@@ -219,3 +142,8 @@ class TestDispatch:
         monkeypatch.setattr(modes, "_dense_modes", dense)
         assert len(ms)
         _check(mat, window)
+
+    def test_pattern_devices_load_no_scipy(self, scipy_free_run):
+        steps, _ = scipy_free_run
+        assert [steps[step] for step in SCIPY_FREE_STEPS if step.startswith("pattern")] \
+            == 4 * ["0 []"]
