@@ -1,13 +1,15 @@
 """Command-line driver emitting deterministic, plot-ready CSV files.
 
 Every subcommand reads one flat config file, runs the corresponding
-pipeline and hands its results to ``_write_csv`` as numpy columns, which
-writes them with '#' provenance comments (tool version and config hash).
-Output bytes are identical across reruns of the same config and
-independent of the worker-pool size.
+pipeline and returns its tables as numpy columns, one table per file.
+``main`` alone writes them, through ``_write_csv``, each behind the same
+'#' provenance comments (tool version and config hash).  Output bytes are
+identical across reruns of the same config and independent of the
+worker-pool size.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, also for a
-NaN or infinity in a CSV column, which is never written.
+NaN or infinity in a CSV column.  A command that fails writes no file:
+each of its tables is computed and checked before the first is written.
 """
 
 from __future__ import annotations
@@ -158,14 +160,9 @@ class _Table:
         return zip(*[values for c in self.columns for values in np.atleast_2d(c.T).tolist()])
 
 
-def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str],
-               block_comments: dict[int, str] | None = None) -> None:
-    """Write ``table``: labels verbatim, integers in full, floats in
-    ``"%.11e"`` (12 significant digits), formatted by numpy ``_CHUNK_VALUES``
-    values at a time and written a chunk per string.  A non-finite float
-    raises ArithmeticError naming the file and the column before the file is
-    opened.  ``block_comments`` maps a row index to a comment line written
-    just before that row."""
+def _check_finite(path: Path, columns: list[str], table: _Table) -> int:
+    """The CSV column count of ``table``; ArithmeticError naming the file
+    and the column of its first NaN or infinity."""
     width = 0
     for c in table.columns:
         if c.dtype.kind == "f" and not np.isfinite(c).all():
@@ -175,6 +172,18 @@ def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str
             raise ArithmeticError(f"{path.name}: column {name} holds "
                                   f"{values[row, j]} at row {row}")
         width += c.shape[1] if c.ndim == 2 else 1
+    return width
+
+
+def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str],
+               block_comments: dict[int, str] | None = None) -> None:
+    """Write ``table``: labels verbatim, integers in full, floats in
+    ``"%.11e"`` (12 significant digits), formatted by numpy ``_CHUNK_VALUES``
+    values at a time and written a chunk per string.  A non-finite float
+    raises ArithmeticError naming the file and the column before the file is
+    opened.  ``block_comments`` maps a row index to a comment line written
+    just before that row."""
+    width = _check_finite(path, columns, table)
     # adjacent float columns are formatted together, any other column alone
     runs = [list(run) for _, run in itertools.groupby(
         table.columns, key=lambda c: c.dtype.kind == "f" or object())]
@@ -241,32 +250,24 @@ def _qubit_and_couplings(config: RunConfig, spec, modeset: ModeSet):
     return qubit, couplings
 
 
-def cmd_modes(config: RunConfig, out: Path, profiles: bool = False) -> None:
+def cmd_modes(config: RunConfig, profiles: bool = False) -> list:
     spec, modeset = _build_modes(config)
-    comments = _comments(config, "modes")
-
     freqs_ghz = modeset.frequencies / GHZ
     blocks = [modeset.profiles.T] if profiles and len(modeset) else []
     cols = ["n", "f_ghz"] + [f"phi_{j}" for b in blocks for j in range(b.shape[1])]
-    _write_csv(out / config.output_name("modes.csv"), cols,
-               _Table(np.arange(len(modeset)), freqs_ghz, *blocks), comments)
-
-    dom = _Table()
+    dom = coupling_table = _Table()
     if len(modeset) >= 2:
         dom = _Table(freqs_ghz, dom_numeric(modeset), dom_approx(modeset.frequencies, spec))
-    _write_csv(out / config.output_name("dom.csv"), ["f_ghz", "d_numeric", "d_approx"],
-               dom, comments)
-
-    coupling_table = _Table()
     if len(modeset):
         _, couplings = _qubit_and_couplings(config, spec, modeset)
         coupling_table = _Table(np.arange(len(couplings)), couplings.frequencies / GHZ,
                                 couplings.relative_profile, couplings.g / GHZ)
-    _write_csv(out / config.output_name("couplings.csv"),
-               ["n", "f_ghz", "relative_profile", "g_ghz"], coupling_table, comments)
+    return [(cols, _Table(np.arange(len(modeset)), freqs_ghz, *blocks), [], None),
+            (["f_ghz", "d_numeric", "d_approx"], dom, [], None),
+            (["n", "f_ghz", "relative_profile", "g_ghz"], coupling_table, [], None)]
 
 
-def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
+def cmd_dynamics(config: RunConfig, threads: int) -> list:
     """Entropies at every tg, all propagated from one eigendecomposition
     of the RWA Hamiltonian; ``threads`` workers share the time grid."""
     spec, modeset = _build_modes(config)
@@ -291,32 +292,29 @@ def cmd_dynamics(config: RunConfig, out: Path, threads: int) -> None:
                    np.tile(np.arange(n_modes), len(reports)),
                    np.tile(couplings.frequencies / GHZ, len(reports)),
                    np.concatenate([rep.e_per_mode for rep in reports]))
-    _write_csv(out / config.output_name("entropy.csv"), ["tg", "n", "f_ghz", "e_n"],
-               table, _comments(config, "dynamics"), blocks)
+    return [(["tg", "n", "f_ghz", "e_n"], table, [], blocks)]
 
 
-def cmd_renorm(config: RunConfig, out: Path) -> None:
+def cmd_renorm(config: RunConfig) -> list:
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
     omega_ir = spec.omega_ir
     g_grid = config.grid("renorm.g") * omega_ir
     sweep = sweep_coupling(couplings, qubit.delta0, g_grid,
                            config["renorm.variant"])
-    comments = _comments(config, "renorm")
-    comments.append(f"delta0_ghz={_fmt(qubit.delta0 / GHZ)} "
-                    f"variant={config['renorm.variant']}")
+    comments = [f"delta0_ghz={_fmt(qubit.delta0 / GHZ)} "
+                f"variant={config['renorm.variant']}"]
     for j in sweep.jumps:
         comments.append(
             f"jump g_star_over_omega_ir={_fmt(j.g_star / omega_ir)} "
             f"drop_factor={_fmt(j.drop_factor)}")
     table = _Table(sweep.g_grid / omega_ir, sweep.g_grid / GHZ,
                    sweep.delta_eff / qubit.delta0, sweep.delta_eff_flat / qubit.delta0)
-    _write_csv(out / config.output_name("renorm.csv"),
-               ["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
-                "delta_eff_flat_over_delta0"], table, comments)
+    return [(["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
+              "delta_eff_flat_over_delta0"], table, comments, None)]
 
 
-def cmd_phase(config: RunConfig, out: Path) -> None:
+def cmd_phase(config: RunConfig) -> list:
     """Phase diagram over the (Delta_0, g) grid."""
     spec, modeset = _build_modes(config)
     _, couplings = _qubit_and_couplings(config, spec, modeset)
@@ -324,21 +322,17 @@ def cmd_phase(config: RunConfig, out: Path) -> None:
     diagram = phase_diagram(couplings, config.grid("phase.g") * omega_ir,
                             config.grid("phase.delta0") * omega_ir,
                             config["renorm.variant"])
-    comments = _comments(config, "phase")
     ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
     table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
                    np.tile(diagram.g_axis / omega_ir, len(ratio)),
                    ratio.ravel(), diagram.phase.ravel())
-    _write_csv(out / config.output_name("phase.csv"),
-               ["delta0_over_omega_ir", "g_over_omega_ir",
-                "delta_eff_over_delta0", "phase"], table, comments)
     boundary = np.reshape(diagram.boundary, (-1, 2)) / omega_ir
-    _write_csv(out / config.output_name("boundary.csv"),
-               ["g_star_over_omega_ir", "delta0_over_omega_ir"], _Table(boundary),
-               comments)
+    return [(["delta0_over_omega_ir", "g_over_omega_ir", "delta_eff_over_delta0",
+              "phase"], table, [], None),
+            (["g_star_over_omega_ir", "delta0_over_omega_ir"], _Table(boundary), [], None)]
 
 
-def cmd_disorder(config: RunConfig, out: Path) -> None:
+def cmd_disorder(config: RunConfig) -> list:
     """Band edge and band mode count of every disordered device, from one
     batched Sturm-count solve (no eigenvectors)."""
     spec = config.circuit_spec()
@@ -355,19 +349,17 @@ def cmd_disorder(config: RunConfig, out: Path) -> None:
                                f"{', '.join(map(str, empty))}")
 
     edges = edges / GHZ
-    comments = _comments(config, "disorder")
-    comments.append(f"sigma={_fmt(sigma)} seeds={len(seeds)}")
-    comments.append(
-        f"summary edge_ghz mean={_fmt(edges.mean())} std={_fmt(edges.std())}")
-    comments.append(
-        f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}")
-    _write_csv(out / config.output_name("disorder.csv"), ["seed", "edge_ghz", "band_count"],
-               _Table(seeds, edges, counts), comments)
+    comments = [f"sigma={_fmt(sigma)} seeds={len(seeds)}",
+                f"summary edge_ghz mean={_fmt(edges.mean())} std={_fmt(edges.std())}",
+                f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}"]
+    return [(["seed", "edge_ghz", "band_count"], _Table(seeds, edges, counts),
+             comments, None)]
 
 
 _COMMANDS = {f.__name__.removeprefix("cmd_"): f for f in
              (cmd_modes, cmd_dynamics, cmd_renorm, cmd_phase, cmd_disorder)}
-# the files each command writes, checked against the file-name limit first
+# the file of each table a command returns, in order: the one place a file
+# name is spelled, checked against the file-name limit before any work
 _OUTPUTS = {"modes": ("modes.csv", "dom.csv", "couplings.csv"),
             "dynamics": ("entropy.csv",), "renorm": ("renorm.csv",),
             "phase": ("phase.csv", "boundary.csv"), "disorder": ("disorder.csv",)}
@@ -400,7 +392,14 @@ def main(argv: list[str] | None = None) -> int:
         check_output_names(config, out, _OUTPUTS[args.command])
         options = {"modes": {"profiles": args.profiles},
                    "dynamics": {"threads": args.threads}}
-        _COMMANDS[args.command](config, out, **options.get(args.command, {}))
+        tables = _COMMANDS[args.command](config, **options.get(args.command, {}))
+        files = [(out / config.output_name(name), *entry) for name, entry
+                 in zip(_OUTPUTS[args.command], tables, strict=True)]
+        for path, columns, table, _, _ in files:
+            _check_finite(path, columns, table)
+        for path, columns, table, comments, blocks in files:
+            _write_csv(path, columns, table, _comments(config, args.command) + comments,
+                       blocks)
     except ConfigError as exc:
         print(f"metaline: config error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,9 @@ GHZ = 2.0 * np.pi * 1e9
 # points of one grid at most, five times the largest grid in use (2000): a
 # count beyond it stops at parse time, not in an allocation after the solve
 MAX_GRID_POINTS = 10_000
+# disorder seeds of one run at most: ``disorder`` stacks the bands of every
+# seed's device, 160 MB at dim 501 for this many
+MAX_SEEDS = 10_000
 
 
 class ConfigError(ValueError):
@@ -121,13 +124,14 @@ def _make_grid(triple: tuple[float, float, int], spacing: str, where: str) -> np
 
 def _circuit_spec(v: dict, path: str) -> CircuitSpec:
     omega_ir = v["circuit.f_ir_ghz"] * GHZ
-    if v["circuit.c_left_f"] is not None and v["circuit.l_left_h"] is not None:
+    # each element pair is set whole or not at all (_validate)
+    if v["circuit.c_left_f"] is not None:
         c_left, l_left = v["circuit.c_left_f"], v["circuit.l_left_h"]
         left_keys = "circuit.c_left_f, circuit.l_left_h"
     else:
         c_left, l_left = design_from_impedance(v["circuit.z0_ohm"], omega_ir)
         left_keys = "circuit.z0_ohm, circuit.f_ir_ghz"
-    if v["circuit.c_right_f_per_m"] is not None and v["circuit.l_right_h_per_m"] is not None:
+    if v["circuit.c_right_f_per_m"] is not None:
         c_r, l_r = v["circuit.c_right_f_per_m"], v["circuit.l_right_h_per_m"]
         right_keys = "circuit.c_right_f_per_m, circuit.l_right_h_per_m"
     else:
@@ -283,9 +287,11 @@ def _validate(values: dict, path: str) -> None:
             if values[key] is not None]
     if values["qubit.g_ghz"] is not None and tune:
         raise ConfigError(f"{path}: set qubit.g_ghz or {'/'.join(tune)}, not both")
-    if (values["qubit.tune_g_ghz"] is None) != (values["qubit.tune_mode_ghz"] is None):
-        raise ConfigError(
-            f"{path}: qubit.tune_g_ghz and qubit.tune_mode_ghz go together")
+    for first, second in (("qubit.tune_g_ghz", "qubit.tune_mode_ghz"),
+                          ("circuit.c_left_f", "circuit.l_left_h"),
+                          ("circuit.c_right_f_per_m", "circuit.l_right_h_per_m")):
+        if (values[first] is None) != (values[second] is None):
+            raise ConfigError(f"{path}: {first} and {second} go together")
     for key in ("renorm.g_grid", "phase.g_grid"):
         lo, hi, n = values[key]
         if n < 2 or not lo < hi:
@@ -295,6 +301,9 @@ def _validate(values: dict, path: str) -> None:
     if not (lo > 0 and hi > 0):
         raise ConfigError(
             f"{path}: phase.delta0_grid must be positive, got {lo}, {hi}")
+    if values["disorder.seeds"] > MAX_SEEDS:
+        raise ConfigError(f"{path}: disorder.seeds must be <= {MAX_SEEDS}, "
+                          f"got {values['disorder.seeds']}")
     if values["disorder.seed0"] < 0:
         raise ConfigError(f"{path}: disorder.seed0 must be >= 0 (seeds seed the "
                           f"random generator), got {values['disorder.seed0']}")

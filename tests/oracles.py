@@ -357,10 +357,13 @@ def mp_pencil_eigenvalue(bands, index: int, digits: int = 40, bracket=None):
     """Eigenvalue number ``index`` (0-based, ascending) of the pencil
     (K, C) given by tridiagonal bands, as an mpmath number.
 
-    Bisection to 30 significant digits on the number of negative pivots
-    of K - lam C, every pivot carried in ``digits``-digit arithmetic,
-    from ``bracket`` = (lo, hi) when given (AssertionError unless its
-    counts hold the eigenvalue) and else from [0, 1] widened 4-fold.
+    Bisection on the number of negative pivots of K - lam C, every pivot
+    carried in ``digits``-digit arithmetic, from ``bracket`` = (lo, hi)
+    when given (AssertionError unless its counts hold the eigenvalue) and
+    else from [0, 1] widened 4-fold.  It stops once both ends round to one
+    double, which is then the correctly rounded eigenvalue and the
+    ``float`` of the result, or at 30 significant digits (an eigenvalue
+    that close to half-way between two doubles).
     """
     import mpmath   # only this oracle needs it
 
@@ -386,7 +389,7 @@ def mp_pencil_eigenvalue(bands, index: int, digits: int = 40, bracket=None):
         else:
             lo, hi = (mpmath.mpf(float(x)) for x in bracket)
             assert below(lo) <= index < below(hi)
-        while hi - lo > mpmath.mpf(10) ** -30 * hi:
+        while float(lo) != float(hi) and hi - lo > mpmath.mpf(10) ** -30 * hi:
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if below(mid) > index else (mid, hi)
         return (lo + hi) / 2

@@ -65,6 +65,24 @@ def test_public_names_are_used_by_package_or_readme():
     assert not unused, f"public names only the tests use: {unused}"
 
 
+def test_commands_compute_and_main_writes():
+    """No ``cmd_*`` takes ``out``, writes a CSV or names an output file: it
+    returns its tables, and ``main`` is the one caller of ``_write_csv``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+
+    def calls(node):
+        return {getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    commands = [f for f in functions if f.name.startswith("cmd_")]
+    assert len(commands) == 5
+    for f in commands:
+        assert "out" not in [a.arg for a in f.args.args + f.args.kwonlyargs], f.name
+        assert not calls(f) & {"_write_csv", "output_name"}, f.name
+    assert [f.name for f in functions if "_write_csv" in calls(f)] == ["main"]
+
+
 def test_oracles_import_nothing_from_the_package():
     tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
     imported = [alias.name for node in ast.walk(tree)

@@ -6,11 +6,12 @@ allowed) outside ``_DENSE_DIMS`` take the closed form; every other
 network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
 here, not through the library (``conftest._dense``).  The CLI tests that
 solve modes run on the default path (the closed form, for their devices)
-and again here, pinned by the ``closed_path`` fixture, which empties
-``_DENSE_DIMS``, and by the ``dense_path`` fixture, which sends every
-network to dense ``eigh``; the acceptance criteria are rerun on the dense
-path.  The ids say ``band`` where the fixture is ``closed_path``: they
-date from when the closed form's path was named the band path.
+and again here, pinned by the ``dense_path`` fixture, which sends every
+network to dense ``eigh``; the dynamics, CSV and exit-code classes also
+run pinned by the ``closed_path`` fixture, which empties ``_DENSE_DIMS``.
+The acceptance criteria are rerun on the dense path.
+The ids say ``band`` where the fixture is ``closed_path``: they date from
+when the closed form's path was named the band path.
 """
 
 import dataclasses
@@ -360,11 +361,9 @@ def test_acceptance_on_dense_path(criterion, band_spec):
     _run_criterion(criterion, band_spec)
 
 
-# each CLI test class that solves modes, once per pinned solver path
-class TestCmdModesOnBandPath(test_cli.TestCmdModes):
-    pytestmark = pytest.mark.usefixtures("closed_path")
-
-
+# each CLI test class that solves modes, on the dense path; SMALL (dim 101)
+# takes the closed form unpinned, so the closed-path reruns left below
+# repeat their test_cli ids (ROADMAP item 2 retires them)
 class TestCmdModesOnDensePath(test_cli.TestCmdModes):
     pytestmark = pytest.mark.usefixtures("dense_path")
 
@@ -385,16 +384,8 @@ class TestWriteCsvOnDensePath(test_cli.TestWriteCsv):
     pytestmark = pytest.mark.usefixtures("dense_path")
 
 
-class TestCmdRenormOnBandPath(test_cli.TestCmdRenorm):
-    pytestmark = pytest.mark.usefixtures("closed_path")
-
-
 class TestCmdRenormOnDensePath(test_cli.TestCmdRenorm):
     pytestmark = pytest.mark.usefixtures("dense_path")
-
-
-class TestCmdPhaseOnBandPath(test_cli.TestCmdPhase):
-    pytestmark = pytest.mark.usefixtures("closed_path")
 
 
 class TestCmdPhaseOnDensePath(test_cli.TestCmdPhase):

@@ -184,6 +184,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="go together"):
             _parse(tmp_path, text)
 
+    @pytest.mark.parametrize("key, other", [
+        ("circuit.c_left_f", "circuit.l_left_h"),
+        ("circuit.l_left_h", "circuit.c_left_f"),
+        ("circuit.c_right_f_per_m", "circuit.l_right_h_per_m"),
+        ("circuit.l_right_h_per_m", "circuit.c_right_f_per_m")])
+    def test_element_keys_go_together(self, tmp_path, capsys, key, other):
+        # one element of a pair alone would be ignored for the design values
+        cfg = _write(tmp_path, SMALL + f"{key} = 5e-12\n")
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and other in err and "go together" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_seed_count_capped(self, tmp_path, capsys):
+        # the cap parses; one seed more stops at parse time, before any device
+        text = SMALL + f"disorder.seeds = {config.MAX_SEEDS}\n"
+        assert _parse(tmp_path, text)["disorder.seeds"] == config.MAX_SEEDS
+        cfg = _write(tmp_path, SMALL + f"disorder.seeds = {config.MAX_SEEDS + 1}\n")
+        assert main(["disorder", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert (f"disorder.seeds must be <= {config.MAX_SEEDS}, got "
+                f"{config.MAX_SEEDS + 1}") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_grid_parsing(self, tmp_path):
         cfg = _parse(tmp_path, SMALL + "\nrenorm.g_grid = 0.1, 1.0, 5\n"
                      "renorm.g_spacing = log")
@@ -391,7 +414,8 @@ class TestWriteCsv:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "dom.csv: column d_approx holds nan" in capsys.readouterr().err
-        assert not (tmp_path / "dom.csv").exists()
+        # modes.csv comes before dom.csv, and is not written either
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_block_comments_and_zero_rows(self, tmp_path):
         n = np.arange(5)
@@ -678,6 +702,18 @@ class TestExitCodes:
         assert f"{cfg}: modes.window_ghz_lo = 900.0" in err
         assert "modes.window_ghz_hi = 901.0" in err
 
+    def test_failed_command_writes_no_csv(self, tmp_path, capsys, monkeypatch):
+        # the coupling step fails after the modes and the DOM are computed
+        def fail(*args):
+            raise ValueError("coupling failed")
+
+        monkeypatch.setattr(cli, "coupling_spectrum", fail)
+        cfg = _write(tmp_path, SMALL)
+        out = tmp_path / "o"
+        assert main(["modes", "--config", cfg, "--out", str(out)]) == 3
+        assert "numerical failure: coupling failed" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         # there is none: an explicit value wins, the default is the CPU count,
         # and METALINE_THREADS, even one that is no integer, is ignored
@@ -685,8 +721,8 @@ class TestExitCodes:
         cfg = _write(tmp_path, SMALL)
         assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
         seen = []
-        monkeypatch.setitem(cli._COMMANDS, "dynamics",
-                            lambda config, out, threads: seen.append(threads))
+        monkeypatch.setitem(cli._COMMANDS, "dynamics", lambda config, threads: (
+            seen.append(threads) or [(["tg"], cli._Table(), [], None)]))
         for cpus, flag in ((5, ["--threads", "2"]), (5, []), (None, [])):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)] + flag) == 0
