@@ -209,6 +209,11 @@ def _comments(config: RunConfig, command: str) -> list[str]:
     return [f"metaline {__version__} {command}", f"config sha256={config.sha256}"]
 
 
+# times per entropy_scan call: a fixed size, so that the products, and so
+# the bytes, do not depend on the pool size
+_TIME_CHUNK = 32
+
+
 def _build_modes(config: RunConfig) -> tuple:
     spec = config.circuit_spec()
     modeset = solve_modes(build_matrices(spec), config.freq_window())
@@ -269,29 +274,34 @@ def cmd_modes(config: RunConfig, profiles: bool = False) -> list:
 
 def cmd_dynamics(config: RunConfig, threads: int) -> list:
     """Entropies at every tg, all propagated from one eigendecomposition
-    of the RWA Hamiltonian; ``threads`` workers share the time grid."""
+    of the RWA Hamiltonian, ``_TIME_CHUNK`` times per ``entropy_scan`` call;
+    a pool of ``threads`` workers (at most one per tg) maps the chunks."""
     spec, modeset = _build_modes(config)
     qubit, couplings = _qubit_and_couplings(config, spec, modeset)
     eig = diagonalize(build_rwa_hamiltonian(couplings, qubit.delta0))
     tg_grid = config.grid("dynamics.tg")
+    times = tg_grid / qubit.g_global
+    chunks = [times[i:i + _TIME_CHUNK] for i in range(0, len(times), _TIME_CHUNK)]
 
-    def scan(tg: float):
-        return entropy_scan(eig, tg / qubit.g_global)
+    def scan(chunk: np.ndarray):
+        return entropy_scan(eig, chunk)
 
     workers = min(threads, len(tg_grid))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(scan, tg_grid))
+            reports = list(pool.map(scan, chunks))
     else:
-        reports = [scan(tg) for tg in tg_grid]
+        reports = [scan(chunk) for chunk in chunks]
+    e_qubit = np.concatenate([rep.e_qubit for rep in reports])
+    e_per_mode = np.concatenate([rep.e_per_mode for rep in reports])
 
     n_modes = len(couplings)
-    blocks = {k * n_modes: f"tg={_fmt(tg)} e_q={_fmt(rep.e_qubit)}"
-              for k, (tg, rep) in enumerate(zip(tg_grid, reports))}
+    blocks = {k * n_modes: f"tg={_fmt(tg)} e_q={_fmt(e_q)}"
+              for k, (tg, e_q) in enumerate(zip(tg_grid, e_qubit))}
     table = _Table(np.repeat(tg_grid, n_modes),
-                   np.tile(np.arange(n_modes), len(reports)),
-                   np.tile(couplings.frequencies / GHZ, len(reports)),
-                   np.concatenate([rep.e_per_mode for rep in reports]))
+                   np.tile(np.arange(n_modes), len(tg_grid)),
+                   np.tile(couplings.frequencies / GHZ, len(tg_grid)),
+                   e_per_mode.ravel())
     return [(["tg", "n", "f_ghz", "e_n"], table, [], blocks)]
 
 

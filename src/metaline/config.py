@@ -30,6 +30,10 @@ MAX_GRID_POINTS = 10_000
 # disorder seeds of one run at most: ``disorder`` stacks the bands of every
 # seed's device, 160 MB at dim 501 for this many
 MAX_SEEDS = 10_000
+# ladder cells (circuit.n_left) and strip cells (circuit.n_right) at most:
+# the size ladder's top rung is n_left 20 000 with n_right 30 000, and a
+# larger count stops at parse time, not in an allocation
+MAX_CELLS = 50_000
 
 
 class ConfigError(ValueError):
@@ -259,6 +263,9 @@ def parse_config(source: str | Path) -> RunConfig:
 
 
 def _validate(values: dict, path: str) -> None:
+    for key in ("circuit.n_left", "circuit.n_right"):
+        if values[key] > MAX_CELLS:
+            raise ConfigError(f"{path}: {key} must be <= {MAX_CELLS}, got {values[key]}")
     if values["circuit.n_right"] < 2:
         raise ConfigError(f"{path}: circuit.n_right must satisfy n_right >= 2 "
                           f"(two strip cells), got {values['circuit.n_right']}")

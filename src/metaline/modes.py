@@ -326,7 +326,8 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
     and a sign change each time j t + f passes a whole number; for p <= 0
     u_j = e^{j kappa} (A + B e^{-2 j kappa}) changes sign at most once,
     and for q <= 0 it is (-1)^j times that with p and q swapped.  Those
-    are divided by e^{steps kappa}.
+    are divided by e^{steps kappa}.  A count-only call whose shifts all lie
+    in the passband skips the evanescent formulas.
     """
     m = seg.steps
     beta4 = 4.0 * (seg.k_o + lam * seg.c_o)      # p + q
@@ -340,6 +341,9 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
         f = np.where(f < 0, f + 1.0, f)             # in [0, 1), so none before j = 0
         k, h = _phase(m, t, f)
         band = (k + np.floor(h), r * np.sin(np.pi * h), r * np.cos(np.pi * h) * sin_psi)
+        evanescent = (p <= 0) | (q <= 0)
+        if not (values or evanescent.any()):
+            return band
         alt = q < 0
         pe, qe, we = np.where(alt, q, p), np.where(alt, p, q), np.where(alt, -w, w)
         kappa = 2.0 * np.arctanh(np.sqrt(-pe / qe))
@@ -351,7 +355,6 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
         sign = np.where(alt, (-1.0) ** m, 1.0)      # u_m = (-1)^m w_m when alternating
         ev = (np.where(alt, m - flips, flips), sign * end,
               sinh * (a - b * decay) * np.where(alt, -sign, 1.0))
-        evanescent = (p <= 0) | (q <= 0)
         out = tuple(np.where(evanescent, e, o) for e, o in zip(ev, band))
         if not values:
             return out

@@ -308,6 +308,24 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times) -> list[np.ndarray]:
     return [evecs @ (np.exp(-1j * evals * t) * coeffs) for t in times]
 
 
+def long_double_populations(evals, evecs, times) -> np.ndarray:
+    """|<j| exp(-i h t) |0>|^2 of the eigendecomposition (evals, evecs) of
+    h, one column per time, with phases, sums and squares in long double."""
+    e, v = np.asarray(evals, np.longdouble), np.asarray(evecs, np.longdouble)
+    phase = np.outer(e, np.asarray(times, np.longdouble))
+    amps = v[0][:, None]
+    return (v @ (np.cos(phase) * amps)) ** 2 + (v @ (np.sin(phase) * amps)) ** 2
+
+
+def long_double_entropy(p) -> np.ndarray:
+    """H2(p) in long double, with H2(0) = H2(1) = 0."""
+    p = np.clip(np.asarray(p, np.longdouble), 0, 1)
+    out = np.zeros_like(p)
+    inner = (p > 0) & (p < 1)
+    out[inner] = -p[inner] * np.log(p[inner]) - (1 - p[inner]) * np.log1p(-p[inner])
+    return out
+
+
 def pencil_eigenvalues(cap: np.ndarray, inv_ind: np.ndarray) -> np.ndarray:
     """Ascending generalized eigenvalues of (inv_ind, cap).
 

@@ -207,6 +207,25 @@ class TestConfigParsing:
                 f"{config.MAX_SEEDS + 1}") in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("key, line", [("circuit.n_left", "circuit.n_left = 40"),
+                                           ("circuit.n_right", "circuit.n_right = 60")])
+    def test_cell_count_capped(self, tmp_path, capsys, monkeypatch, key, line):
+        # the cap parses, with the size ladder's top rung below it; one cell
+        # more stops at parse time, before any device is built
+        assert config.MAX_CELLS >= 30_000
+        text = SMALL.replace(line, f"{key} = {config.MAX_CELLS}")
+        assert _parse(tmp_path, text)[key] == config.MAX_CELLS
+
+        def no_device(*args):
+            raise AssertionError("device built for a count over the cap")
+
+        monkeypatch.setattr(config, "_circuit_spec", no_device)
+        cfg = _write(tmp_path, SMALL.replace(line, f"{key} = {config.MAX_CELLS + 1}"))
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert (f"{key} must be <= {config.MAX_CELLS}, got "
+                f"{config.MAX_CELLS + 1}") in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_grid_parsing(self, tmp_path):
         cfg = _parse(tmp_path, SMALL + "\nrenorm.g_grid = 0.1, 1.0, 5\n"
                      "renorm.g_spacing = log")
@@ -312,6 +331,27 @@ class TestCmdDynamics:
         assert main(["dynamics", "--config", cfg, "--out", str(out2),
                      "--threads", "3"]) == 0
         assert _read_all(out1) == _read_all(out2)
+
+    def test_bath_size_thread_independence(self, tmp_path, monkeypatch):
+        # the bath workload's 201 tg over the fig2 device's 164 modes: 7
+        # chunks of at most cli._TIME_CHUNK times, the same bytes for any pool
+        text = resources.files("metaline").joinpath("configs/fig3.cfg").read_text()
+        cfg = _write(tmp_path, text.replace("dynamics.tg_grid = 0.0, 10.0, 11",
+                                            "dynamics.tg_grid = 0.0, 20.0, 201"))
+        chunks, scan = [], cli.entropy_scan
+        monkeypatch.setattr(cli, "entropy_scan",
+                            lambda eig, t: chunks.append(len(t)) or scan(eig, t))
+        outs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / str(threads)
+            assert main(["dynamics", "--config", cfg, "--out", str(out),
+                         "--threads", str(threads)]) == 0
+            outs.append(_read_all(out))
+        assert outs[0] == outs[1] == outs[2]
+        assert cli._TIME_CHUNK == 32
+        assert sorted(chunks) == 3 * [9] + 18 * [32]
+        lines = outs[0]["entropy.csv"].decode().splitlines()
+        assert sum(not line.startswith("#") for line in lines) == 1 + 201 * 164
 
     def test_one_eigendecomposition(self, tmp_path, monkeypatch):
         calls = []

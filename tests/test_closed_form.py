@@ -82,6 +82,68 @@ class TestCount:
             _assert_counts_match(spec, WINDOW, rng, 25)
 
 
+def _passband(seg, lam):
+    """Shifts in the passband of ``seg``, p > 0 and q > 0 as ``_advance`` forms them."""
+    p = (2.0 * seg.k_o - seg.k_d) + lam * (2.0 * seg.c_o + seg.c_d)
+    q = (2.0 * seg.k_o + seg.k_d) + lam * (2.0 * seg.c_o - seg.c_d)
+    return (p > 0) & (q > 0)
+
+
+class TestPassbandShortcut:
+    """A count-only ``_advance`` whose shifts all lie in the segment's
+    passband skips the evanescent formulas.  On the fig2 device the ladder
+    is evanescent below its 4 GHz cutoff and the strip above about 900 GHz."""
+
+    @pytest.fixture(scope="class")
+    def device(self):
+        mat = build_matrices(_config("fig2").circuit_spec())
+        rng = np.random.default_rng(4)
+        ghz = TWO_PI * 1e9
+        lam = np.concatenate([rng.uniform(3.0, 3.99, 300), rng.uniform(4.01, 13.0, 300),
+                              rng.uniform(1e3, 2e3, 100)]) ** 2 * ghz ** 2
+        rng.shuffle(lam)
+        segs = _segments(mat)
+        passband = _passband(segs[0], lam) & _passband(segs[1], lam)
+        assert 0 < passband.sum() < len(lam)
+        return mat, segs, lam, passband
+
+    @staticmethod
+    def _evanescent_calls(monkeypatch, fn):
+        # each evanescent branch takes one arctanh
+        calls, arctanh = [], np.arctanh
+        monkeypatch.setattr(np, "arctanh", lambda x: calls.append(1) or arctanh(x))
+        result = fn()
+        monkeypatch.setattr(np, "arctanh", arctanh)
+        return result, len(calls)
+
+    def test_subset_is_bit_identical(self, monkeypatch, device):
+        _, segs, lam, passband = device
+        ladder, _, rows = segs
+        mixed, taken = self._evanescent_calls(monkeypatch, lambda: modes._shoot(*segs, lam))
+        alone, skipped = self._evanescent_calls(
+            monkeypatch, lambda: modes._shoot(*segs, lam[passband]))
+        assert (taken, skipped) == (2, 0)
+        np.testing.assert_array_equal(mixed[passband], alone)
+        # the ladder's state at its last node too, bit for bit
+        states = []
+        for shifts in (lam, lam[passband]):
+            u = np.ones_like(shifts)
+            w = modes._junction(rows[0], None, ladder, shifts, u, 0.0)
+            states.append(modes._advance(ladder, shifts, u, w))
+        for full, sub in zip(*states):
+            np.testing.assert_array_equal(full[passband].view(np.int64), sub.view(np.int64))
+
+    @pytest.mark.parametrize("shifts", ["passband", "evanescent", "mixed"])
+    def test_count_matches_sturm(self, device, shifts):
+        mat, segs, lam, passband = device
+        lam = {"passband": lam[passband], "evanescent": lam[~passband], "mixed": lam}[shifts]
+        clear = (sturm_count(mat.bands, lam * (1 - 1e-12))
+                 == sturm_count(mat.bands, lam * (1 + 1e-12)))
+        assert clear.mean() > 0.9
+        np.testing.assert_array_equal(modes._shoot(*segs, lam)[clear],
+                                      sturm_count(mat.bands, lam[clear]))
+
+
 @pytest.fixture(scope="module")
 def fig5():
     cfg = _config("fig5")

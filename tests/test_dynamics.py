@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from metaline import (CouplingSpectrum, Eigensystem, binary_entropy,
-                      build_rwa_hamiltonian, diagonalize, entropy_scan)
-from oracles import entropy_after_tracing, evolve
+                      build_rwa_hamiltonian, diagonalize, dynamics, entropy_scan)
+from oracles import (entropy_after_tracing, evolve, long_double_entropy,
+                     long_double_populations)
 
 LN2 = np.log(2.0)
 
@@ -217,3 +218,90 @@ class TestEntropyScan:
             (psi,) = evolve(h, np.eye(31)[0], [tg / 0.02])
             populated = np.abs(psi[1:]) ** 2 > 1e-6
             assert np.all(rep.e_per_mode[populated] >= rep.e_qubit - 1e-12)
+
+
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                              reason="the reference needs an extended-precision long double")
+
+
+def _bath(seed):
+    """A sector of the bath's size (164 modes from 4 to 13 GHz, couplings
+    near 0.2 GHz, qubit at 4.2 GHz, in rad/s) and its tg = 1 time."""
+    rng = np.random.default_rng(seed)
+    ghz = 2 * np.pi * 1e9
+    h = build_rwa_hamiltonian(_couplings(np.sort(rng.uniform(4.0, 13.0, 164)) * ghz,
+                                         rng.uniform(0.05, 0.3, 164) * ghz), 4.2 * ghz)
+    return diagonalize(h), 1.0 / (0.2 * ghz)
+
+
+class TestBatchedScan:
+    """``entropy_scan`` of a 1-D array of times against its scalar calls
+    and against a long-double propagation of the same decomposition."""
+
+    def test_array_matches_scalar_calls(self):
+        eig, unit = _bath(0)
+        times = np.concatenate([[0.0], np.random.default_rng(1).uniform(0, 20, 40)]) * unit
+        rep = entropy_scan(eig, times)
+        assert rep.time.shape == rep.e_qubit.shape == (41,)
+        assert rep.e_per_mode.shape == (41, 164)
+        for k, t in enumerate(times):
+            one = entropy_scan(eig, t)
+            assert rep.time[k] == one.time == t
+            npt.assert_allclose(rep.e_qubit[k], one.e_qubit, rtol=1e-13, atol=0)
+            npt.assert_allclose(rep.e_per_mode[k], one.e_per_mode, rtol=1e-13, atol=0)
+
+    def test_time_zero_columns_exact(self):
+        eig, unit = _bath(2)
+        times = np.array([0.0, 3.0, 0.0, 7.5, 0.0]) * unit
+        rep = entropy_scan(eig, times)
+        zero = times == 0.0
+        assert np.all(rep.e_qubit[zero] == 0.0)
+        assert np.all(rep.e_per_mode[zero] == 0.0)
+        assert np.all(rep.e_qubit[~zero] > 0)
+
+    @pytest.mark.parametrize("t", [0.0, 2.5, np.float64(2.5), np.array(2.5)])
+    def test_scalar_keeps_return_types(self, t):
+        eig, unit = _bath(3)
+        rep = entropy_scan(eig, t * unit)
+        assert type(rep.time) is float and type(rep.e_qubit) is float
+        assert isinstance(rep.e_per_mode, np.ndarray) and rep.e_per_mode.shape == (164,)
+
+    @EXTENDED
+    def test_matches_long_double_propagation(self):
+        # phases of up to 1300 rad: rounded to double, they alone put about
+        # 2e-15 on an entropy here (1e-14 on the bath workload's)
+        for seed in (4, 5):
+            eig, unit = _bath(seed)
+            times = np.linspace(0.5, 20.0, 40) * unit
+            rep = entropy_scan(eig, times)
+            pop = long_double_populations(eig.evals, eig.evecs, times)
+            e_qubit = long_double_entropy(pop[0])
+            e_per_mode = long_double_entropy(pop[0] + pop[1:]).T
+            for got, want in ((rep.e_qubit, e_qubit), (rep.e_per_mode, e_per_mode)):
+                assert float(np.max(np.abs(got - want) / np.maximum(want, 1e-300))) < 1e-15
+
+    @EXTENDED
+    @pytest.mark.parametrize("dim", [165, 512, 700, 1000])
+    def test_leading_slices_multiply_exactly(self, dim):
+        # same-sign entries next to the largest make the biggest sums the
+        # slices can: above 512 terms, 22-bit slices would overflow 2^53
+        rng = np.random.default_rng(dim)
+        a, x = rng.uniform(0.95, 1.0, (dim, dim)), rng.uniform(0.95, 1.0, (dim, 8))
+        bits = dynamics._slice_bits(dim)
+        a_hi, _ = dynamics._leading(a, 1, bits)
+        x_hi, _ = dynamics._leading(x, 0, bits)
+        want = a_hi.astype(np.longdouble) @ x_hi.astype(np.longdouble)
+        assert np.array_equal(a_hi @ x_hi, want)
+
+    @EXTENDED
+    @pytest.mark.parametrize("macs", [dynamics._PRODUCT_MACS, 50_000])
+    def test_product_rounds_about_once(self, monkeypatch, macs):
+        # the plain product of these factors is off by about 5 ulp on
+        # average; 50 000 multiply-adds cut it into 19 row blocks, the last short
+        monkeypatch.setattr(dynamics, "_PRODUCT_MACS", macs)
+        eig, _ = _bath(6)
+        x = np.random.default_rng(7).normal(size=(165, 32)) * eig.evecs[0][:, None]
+        got = dynamics._product(eig, x)
+        want = eig.evecs.astype(np.longdouble) @ x.astype(np.longdouble)
+        ulps = np.abs(got - want) / np.spacing(np.abs(got))
+        assert float(ulps.mean()) < 0.5
