@@ -6,17 +6,20 @@ nesting.  Frequencies are written in GHz in the file and kept in GHz in
 where it is used: in the circuit, ``RunConfig.freq_window`` and the
 commands in ``cli``.  Grids are written as ``lo, hi, n`` triples with the
 spacing (``linear`` or ``log``) named by the ``*_spacing`` key next to them.
-``parse_config`` checks every key and builds the circuit and every grid;
-``check_output_names`` checks the file names against the output
-directory, which the config does not name.  After them, only a window
-that holds no mode is a config error (``cli``).
+Each ``_SCHEMA`` row carries its key's whole rule as (test, what the value
+must be) pairs, which ``parse_config`` checks on the line that sets the
+key; ``_validate`` then checks the rules that join keys, and
+``parse_config`` builds the circuit and every grid.  ``check_output_names``
+checks the file names against the output directory, which the config does
+not name.  After them, only a window that holds no mode is a config error
+(``cli``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,51 +43,71 @@ class ConfigError(ValueError):
     """Malformed or physically invalid run configuration."""
 
 
-# the rule of a key: _POS (its value, when set, must be positive) or the
-# words a str key takes; checked on the line that sets the key
-_POS = "positive when set"
-_SPACINGS = ("linear", "log")
+def _one_of(*words: str) -> tuple:
+    """The rule of a key that takes one of ``words``."""
+    return ((lambda v: v in words, f"must be {' or '.join(map(repr, words))}"),)
+
+
+# a key's rule: (test, what the value must be) pairs, checked in order on
+# the line that sets the key ("<path>:<line>: <key> <what>, got <value>";
+# a grid's rules speak of the grid, "<key>: grid needs ...")
+_POS = ((lambda v: v > 0, "must be positive"),)
+_RAD = ((lambda v: np.isfinite(v * GHZ), "overflows in rad/s"),)
+_CELLS = ((lambda v: v <= MAX_CELLS, f"must be <= {MAX_CELLS}"),)
+_SPACINGS = _one_of("linear", "log")
+_GRID = ((lambda g: g[2] >= 1 and g[0] <= g[1], "grid needs lo <= hi and n >= 1"),
+         (lambda g: g[2] <= MAX_GRID_POINTS, f"grid needs n <= {MAX_GRID_POINTS}"))
+_SWEEP = _GRID + ((lambda g: g[2] >= 2 and g[0] < g[1],
+                   "grid needs lo < hi and n >= 2"),)
 
 # key -> (type tag, default, rule); frequencies carry the _ghz suffix in-file
-_SCHEMA: dict[str, tuple[str, object, object]] = {
-    "circuit.n_left": ("int", 200, _POS),
+_SCHEMA: dict[str, tuple[str, object, tuple]] = {
+    "circuit.n_left": ("int", 200, _POS + _CELLS),
     "circuit.cell_pitch_m": ("float", 100e-6, _POS),
     "circuit.z0_ohm": ("float", 50.0, _POS),
-    "circuit.f_ir_ghz": ("float", 4.0, _POS),
+    "circuit.f_ir_ghz": ("float", 4.0, _POS + _RAD),
     "circuit.c_left_f": ("float", None, _POS),
     "circuit.l_left_h": ("float", None, _POS),
     "circuit.rhtl_length_m": ("float", 0.03, _POS),
     "circuit.rhtl_z0_ohm": ("float", 50.0, _POS),
     "circuit.c_right_f_per_m": ("float", None, _POS),
     "circuit.l_right_h_per_m": ("float", None, _POS),
-    "circuit.n_right": ("int", 300, None),
+    "circuit.n_right": ("int", 300, ((lambda v: v >= 2, "must satisfy n_right >= 2 "
+                                      "(two strip cells)"),) + _CELLS),
     "circuit.c_end_left_f": ("float", None, _POS),
     "circuit.c_end_right_f": ("float", None, _POS),
-    "qubit.freq_ghz": ("float", 4.2, _POS),
+    "qubit.freq_ghz": ("float", 4.2, _POS + _RAD),
     "qubit.extent_m": ("float", 0.5e-3, _POS),
-    "qubit.position_m": ("float", None, None),        # None -> antinode placement
-    "qubit.g_ghz": ("float", None, _POS),
-    "qubit.tune_mode_ghz": ("float", None, _POS),
-    "qubit.tune_g_ghz": ("float", None, _POS),
-    "qubit.target_mode_ghz": ("float", 4.579, None),
-    "modes.window_ghz_lo": ("float", 3.8, None),
-    "modes.window_ghz_hi": ("float", 13.0, None),
-    "coupling.normalization": ("str", "dom", ("dom", "spatial")),
-    "dynamics.tg_grid": ("grid", (0.0, 10.0, 11), None),
+    "qubit.position_m": ("float", None, ()),          # None -> antinode placement
+    "qubit.g_ghz": ("float", None, _POS + _RAD),
+    "qubit.tune_mode_ghz": ("float", None, _POS + _RAD),
+    "qubit.tune_g_ghz": ("float", None, _POS + _RAD),
+    "qubit.target_mode_ghz": ("float", 4.579, _RAD),
+    "modes.window_ghz_lo": ("float", 3.8, _RAD),
+    "modes.window_ghz_hi": ("float", 13.0, _RAD),
+    "coupling.normalization": ("str", "dom", _one_of("dom", "spatial")),
+    "dynamics.tg_grid": ("grid", (0.0, 10.0, 11), _GRID),
     "dynamics.tg_spacing": ("str", "linear", _SPACINGS),
-    "renorm.variant": ("str", "standard", ("standard", "literal")),
-    "renorm.g_grid": ("grid", (0.01, 2.0, 60), None),  # units of omega_ir
+    "renorm.variant": ("str", "standard", _one_of("standard", "literal")),
+    "renorm.g_grid": ("grid", (0.01, 2.0, 60), _SWEEP),  # units of omega_ir
     "renorm.g_spacing": ("str", "log", _SPACINGS),
-    "phase.delta0_grid": ("grid", (1.1, 1.4, 4), None),  # units of omega_ir
+    "phase.delta0_grid": ("grid", (1.1, 1.4, 4), _GRID + (  # units of omega_ir
+        (lambda g: g[0] > 0, "grid must be positive"),)),
     "phase.delta0_spacing": ("str", "linear", _SPACINGS),
-    "phase.g_grid": ("grid", (0.05, 2.0, 40), None),
+    "phase.g_grid": ("grid", (0.05, 2.0, 40), _SWEEP),
     "phase.g_spacing": ("str", "log", _SPACINGS),
-    "disorder.sigma": ("float", 0.02, None),
-    "disorder.seeds": ("int", 50, _POS),
-    "disorder.seed0": ("int", 1, None),
-    "disorder.band_ghz_lo": ("float", 4.119, None),
-    "disorder.band_ghz_hi": ("float", 5.039, None),
-    "output.stem": ("str", "", None),
+    "disorder.sigma": ("float", 0.02, ((lambda v: 0 <= v < MAX_SIGMA,
+                                        "must lie in [0, 1/3), since elements are "
+                                        "scattered by up to 3 sigma"),)),
+    "disorder.seeds": ("int", 50, _POS + ((lambda v: v <= MAX_SEEDS,
+                                           f"must be <= {MAX_SEEDS}"),)),
+    "disorder.seed0": ("int", 1, ((lambda v: v >= 0, "must be >= 0 (seeds seed "
+                                   "the random generator)"),)),
+    "disorder.band_ghz_lo": ("float", 4.119, _RAD),
+    "disorder.band_ghz_hi": ("float", 5.039, _RAD),
+    "output.stem": ("str", "", ((lambda v: not {"/", os.sep, "\0"} & set(v),
+                                 "is a file-name prefix and may hold no path "
+                                 "separator or NUL byte"),)),
 }
 
 
@@ -103,22 +126,16 @@ def _parse_value(kind: str, text: str, where: str):
             return _finite(text)
         if kind == "str":
             return text
-        if kind == "grid":
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 3:
-                raise ValueError("expected 'lo, hi, n'")
-            return (_finite(parts[0]), _finite(parts[1]), int(parts[2]))
+        parts = [p.strip() for p in text.split(",")]     # a grid
+        if len(parts) != 3:
+            raise ValueError("expected 'lo, hi, n'")
+        return (_finite(parts[0]), _finite(parts[1]), int(parts[2]))
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {kind} value {text!r} ({exc})") from None
-    raise ConfigError(f"{where}: unknown value kind {kind}")
 
 
 def _make_grid(triple: tuple[float, float, int], spacing: str, where: str) -> np.ndarray:
     lo, hi, n = triple
-    if n < 1 or hi < lo:
-        raise ConfigError(f"{where}: grid needs lo <= hi and n >= 1")
-    if n > MAX_GRID_POINTS:
-        raise ConfigError(f"{where}: grid needs n <= {MAX_GRID_POINTS}, got {n}")
     if spacing == "linear":
         return np.linspace(lo, hi, n)
     if lo <= 0:
@@ -170,14 +187,10 @@ class RunConfig:
     circuit and the grids it sets, built and checked by ``parse_config``."""
 
     values: dict
-    text: str
+    sha256: str                         # of the file's UTF-8 text
     path: str
     spec: CircuitSpec
     grids: dict[str, np.ndarray]        # "renorm.g" -> the renorm.g_grid values
-    sha256: str = field(init=False)
-
-    def __post_init__(self):
-        self.sha256 = hashlib.sha256(self.text.encode()).hexdigest()
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -242,11 +255,10 @@ def parse_config(source: str | Path) -> RunConfig:
         kind, _, rule = _SCHEMA[key]
         where = f"{path}:{lineno}: {key}"
         value = values[key] = _parse_value(kind, val, where)
-        if rule == _POS and not value > 0:
-            raise ConfigError(f"{where} must be positive, got {value}")
-        if isinstance(rule, tuple) and value not in rule:
-            raise ConfigError(f"{where} must be {' or '.join(map(repr, rule))}, "
-                              f"got {value!r}")
+        for test, must in rule:
+            if not test(value):
+                subject = f"{where}:" if kind == "grid" else where
+                raise ConfigError(f"{subject} {must}, got {value!r}")
 
     _validate(values, path)
     grids = {key.removesuffix("_grid"): _make_grid(
@@ -259,16 +271,11 @@ def parse_config(source: str | Path) -> RunConfig:
             lo, hi, n = values[key]
             raise ConfigError(f"{path}: {key} = {lo!r}, {hi!r}, {n} repeats a point "
                               f"once built in rad/s; it needs {n} distinct points")
-    return RunConfig(values=values, text=text, path=path, spec=spec, grids=grids)
+    return RunConfig(values=values, sha256=hashlib.sha256(text.encode()).hexdigest(),
+                     path=path, spec=spec, grids=grids)
 
 
 def _validate(values: dict, path: str) -> None:
-    for key in ("circuit.n_left", "circuit.n_right"):
-        if values[key] > MAX_CELLS:
-            raise ConfigError(f"{path}: {key} must be <= {MAX_CELLS}, got {values[key]}")
-    if values["circuit.n_right"] < 2:
-        raise ConfigError(f"{path}: circuit.n_right must satisfy n_right >= 2 "
-                          f"(two strip cells), got {values['circuit.n_right']}")
     # the qubit footprint lies on the strip, as footprint_weights requires
     length, extent = values["circuit.rhtl_length_m"], values["qubit.extent_m"]
     position = values["qubit.position_m"]
@@ -280,9 +287,6 @@ def _validate(values: dict, path: str) -> None:
             f"{path}: qubit.position_m = {position} with qubit.extent_m = {extent} "
             f"puts the footprint outside the strip [0, {length}] m "
             f"(circuit.rhtl_length_m)")
-    for key, val in values.items():
-        if "_ghz" in key and val is not None and not np.isfinite(val * GHZ):
-            raise ConfigError(f"{path}: {key} = {val} overflows in rad/s")
     omega_ir = values["circuit.f_ir_ghz"] * GHZ
     for key in ("renorm.g_grid", "phase.g_grid", "phase.delta0_grid"):
         if not np.isfinite(max(map(abs, values[key][:2])) * omega_ir):
@@ -299,32 +303,9 @@ def _validate(values: dict, path: str) -> None:
                           ("circuit.c_right_f_per_m", "circuit.l_right_h_per_m")):
         if (values[first] is None) != (values[second] is None):
             raise ConfigError(f"{path}: {first} and {second} go together")
-    for key in ("renorm.g_grid", "phase.g_grid"):
-        lo, hi, n = values[key]
-        if n < 2 or not lo < hi:
-            raise ConfigError(
-                f"{path}: {key} needs lo < hi and n >= 2, got {lo}, {hi}, {n}")
-    lo, hi, _ = values["phase.delta0_grid"]
-    if not (lo > 0 and hi > 0):
-        raise ConfigError(
-            f"{path}: phase.delta0_grid must be positive, got {lo}, {hi}")
-    if values["disorder.seeds"] > MAX_SEEDS:
-        raise ConfigError(f"{path}: disorder.seeds must be <= {MAX_SEEDS}, "
-                          f"got {values['disorder.seeds']}")
-    if values["disorder.seed0"] < 0:
-        raise ConfigError(f"{path}: disorder.seed0 must be >= 0 (seeds seed the "
-                          f"random generator), got {values['disorder.seed0']}")
     for name in ("modes.window", "disorder.band"):
         lo, hi = values[f"{name}_ghz_lo"], values[f"{name}_ghz_hi"]
         if lo > hi:
             raise ConfigError(
                 f"{path}: {name}_ghz_hi must be >= {name}_ghz_lo, got "
                 f"{name}_ghz_lo = {lo} and {name}_ghz_hi = {hi}")
-    if not 0 <= values["disorder.sigma"] < MAX_SIGMA:
-        raise ConfigError(
-            f"{path}: disorder.sigma must lie in [0, 1/3), since elements are "
-            f"scattered by up to 3 sigma, got {values['disorder.sigma']}")
-    stem = values["output.stem"]
-    if {"/", os.sep, "\0"} & set(stem):
-        raise ConfigError(f"{path}: output.stem = {stem!r} is a file-name prefix "
-                          f"and may hold no path separator or NUL byte")

@@ -182,15 +182,22 @@ def entropy_scan(eig: Eigensystem, t) -> EntropyReport:
     are propagated at once, a column each, to about one rounding of the
     exact propagation of ``eig``: the phases E t keep their rounding error
     and the products are ``_product``s.  t = 0 is the identity propagator
-    exactly.
+    exactly.  ArithmeticError if a population is not finite (a time whose
+    phases overflow).
     """
     times = np.asarray(t, dtype=float)
     ts = times.reshape(-1)
-    # |psi|^2 = Re^2 + Im^2, one part at a time
-    parts = _coefficients(eig, ts)
-    pop = _product(eig, parts.pop()) ** 2
-    pop += _product(eig, parts.pop()) ** 2
+    # |psi|^2 = Re^2 + Im^2, one part at a time; phases that overflow leave
+    # populations that are not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _coefficients(eig, ts)
+        pop = _product(eig, parts.pop()) ** 2
+        pop += _product(eig, parts.pop()) ** 2
     pop[:, ts == 0.0] = np.eye(eig.dim, 1)
+    finite = np.isfinite(pop).all(axis=0)
+    if not finite.all():
+        raise ArithmeticError(f"populations at t = {ts[~finite][0]:.6g} s are not finite: "
+                              f"the phases E t overflow")
     p = pop[0]
     e_qubit = binary_entropy(p)
     pop[1:] += p

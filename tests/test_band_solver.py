@@ -7,8 +7,8 @@ network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
 here, not through the library (``conftest._dense``).  The CLI tests that
 solve modes run on the default path (the closed form, for their devices)
 and again here, pinned by the ``dense_path`` fixture, which sends every
-network to dense ``eigh``; the dynamics, CSV and exit-code classes also
-run pinned by the ``closed_path`` fixture, which empties ``_DENSE_DIMS``.
+network to dense ``eigh``; the CSV and exit-code classes also run pinned
+by the ``closed_path`` fixture, which empties ``_DENSE_DIMS``.
 The acceptance criteria are rerun on the dense path.
 The ids say ``band`` where the fixture is ``closed_path``: they date from
 when the closed form's path was named the band path.
@@ -366,10 +366,6 @@ def test_acceptance_on_dense_path(criterion, band_spec):
 # repeat their test_cli ids (ROADMAP item 2 retires them)
 class TestCmdModesOnDensePath(test_cli.TestCmdModes):
     pytestmark = pytest.mark.usefixtures("dense_path")
-
-
-class TestCmdDynamicsOnBandPath(test_cli.TestCmdDynamics):
-    pytestmark = pytest.mark.usefixtures("closed_path")
 
 
 class TestCmdDynamicsOnDensePath(test_cli.TestCmdDynamics):

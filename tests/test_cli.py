@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import math
 import os
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +37,83 @@ def _float_rows(block):
     """The lines of ``cli._float_fields(block)`` as text; None if one is not finite."""
     return cli._float_fields(block).tobytes().replace(b"\0", b"").decode(
         "ascii").split("\n")[:-1] if np.isfinite(block).all() else None
+
+
+def _stops_every_command(tmp_path, capsys, monkeypatch, text, key):
+    """Every command exits 2 on the config ``text`` before any network is
+    built, naming the config file and ``key``, and writes no CSV."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("a network was built for a bad config")
+
+    for name in ("build_matrices", "network_bands", "band_edges"):
+        monkeypatch.setattr(cli, name, no_work)
+    cfg = _write(tmp_path, text)
+    for command in cli._COMMANDS:
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:" in err and key in err, err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _small_with(key, value):
+    """SMALL with ``key = value`` in place of the line that sets the key; a
+    tune key comes with its partner, in place of qubit.g_ghz."""
+    partner = {"qubit.tune_g_ghz": "qubit.tune_mode_ghz = 4.579",
+               "qubit.tune_mode_ghz": "qubit.tune_g_ghz = 0.46"}
+    drop = (key, "qubit.g_ghz") if key in partner else (key,)
+    lines = [l for l in SMALL.splitlines() if not l.startswith(drop)]
+    return "\n".join(lines + [partner.get(key, ""), f"{key} = {value}\n"])
+
+
+def _rad_bound() -> float:
+    """The largest GHz value that stays finite in rad/s."""
+    x = sys.float_info.max / GHZ
+    while math.isinf(x * GHZ):
+        x = math.nextafter(x, 0.0)
+    while not math.isinf(math.nextafter(x, math.inf) * GHZ):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+RAD_MAX = _rad_bound()
+PAST_RAD_MAX = math.nextafter(RAD_MAX, math.inf)
+# (key, its inclusive bound or None where the bound is no valid value, the
+# first value past the bound) for every _SCHEMA row whose rule bounds a number
+SCHEMA_BOUNDS = [
+    ("circuit.n_left", "1", "0"),
+    ("circuit.n_left", str(config.MAX_CELLS), str(config.MAX_CELLS + 1)),
+    ("circuit.n_right", "2", "1"),
+    ("circuit.n_right", str(config.MAX_CELLS), str(config.MAX_CELLS + 1)),
+    ("disorder.seeds", "1", "0"),
+    ("disorder.seeds", str(config.MAX_SEEDS), str(config.MAX_SEEDS + 1)),
+    ("disorder.seed0", "0", "-1"),
+    ("disorder.sigma", "0.0", "-5e-324"),
+    ("disorder.sigma", None, repr(1 / 3)),
+    *[(key, None, "0") for key in (
+        "circuit.cell_pitch_m", "circuit.z0_ohm", "circuit.f_ir_ghz",
+        "circuit.c_left_f", "circuit.l_left_h", "circuit.rhtl_length_m",
+        "circuit.rhtl_z0_ohm", "circuit.c_right_f_per_m", "circuit.l_right_h_per_m",
+        "circuit.c_end_left_f", "circuit.c_end_right_f", "qubit.freq_ghz",
+        "qubit.extent_m", "qubit.g_ghz", "qubit.tune_mode_ghz", "qubit.tune_g_ghz")],
+    # the cutoff at the rad/s bound makes its grids overflow in rad/s
+    ("circuit.f_ir_ghz", None, repr(PAST_RAD_MAX)),
+    *[(key, repr(RAD_MAX), repr(PAST_RAD_MAX)) for key in (
+        "qubit.freq_ghz", "qubit.g_ghz", "qubit.tune_mode_ghz", "qubit.tune_g_ghz",
+        "qubit.target_mode_ghz", "modes.window_ghz_hi", "disorder.band_ghz_hi")],
+    *[(key, repr(-RAD_MAX), repr(-PAST_RAD_MAX))
+      for key in ("modes.window_ghz_lo", "disorder.band_ghz_lo")],
+    ("dynamics.tg_grid", "0, 1, 1", "0, 1, 0"),
+    ("dynamics.tg_grid", "0, 1, 10000", "0, 1, 10001"),
+    ("dynamics.tg_grid", "1, 1, 3", "1.0000000000000002, 1, 3"),
+    *[case for key in ("renorm.g_grid", "phase.g_grid") for case in (
+        (key, "0.1, 1, 2", "0.1, 1, 1"),
+        (key, "0.1, 1, 10000", "0.1, 1, 10001"),
+        (key, None, "1, 1, 3"))],
+    ("phase.delta0_grid", "1.1, 1.4, 1", "1.1, 1.4, 0"),
+    ("phase.delta0_grid", "1.1, 1.4, 10000", "1.1, 1.4, 10001"),
+    ("phase.delta0_grid", "1.4, 1.4, 3", "1.4000000000000001, 1.4, 3"),
+    ("phase.delta0_grid", None, "0, 1.4, 3"),
+]
 
 
 class TestConfigParsing:
@@ -129,17 +208,19 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line,key", BEFORE_ANY_WORK,
                              ids=[line for line, _ in BEFORE_ANY_WORK])
     def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, line, key):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a network was built for a bad config")
+        _stops_every_command(tmp_path, capsys, monkeypatch, SMALL + line + "\n", key)
 
-        for name in ("build_matrices", "network_bands", "band_edges"):
-            monkeypatch.setattr(cli, name, no_work)
-        cfg = _write(tmp_path, SMALL + line + "\n")
-        for command in cli._COMMANDS:
-            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-            err = capsys.readouterr().err
-            assert f"{cfg}:" in err and key in err, err
-        assert not list(tmp_path.glob("*.csv"))
+    @pytest.mark.parametrize("key,bound,past", SCHEMA_BOUNDS,
+                             ids=[f"{k}={p}" for k, _, p in SCHEMA_BOUNDS])
+    def test_schema_bounds(self, tmp_path, capsys, monkeypatch, key, bound, past):
+        # an inclusive bound parses; the first value past it stops every command
+        if bound is not None:
+            _parse(tmp_path, _small_with(key, bound))
+        _stops_every_command(tmp_path, capsys, monkeypatch, _small_with(key, past), key)
+
+    def test_schema_bounds_cover_every_numeric_rule(self):
+        assert {key for key, _, _ in SCHEMA_BOUNDS} == {
+            key for key, (kind, _, rule) in config._SCHEMA.items() if rule and kind != "str"}
 
     def test_grid_point_bound(self, tmp_path, capsys):
         # the bundled figure 3 config with a time grid numpy cannot allocate
@@ -149,7 +230,7 @@ class TestConfigParsing:
             "dynamics.tg_grid = 0.0, 10.0, 10000000000000000000"]))
         assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert f"{cfg}: dynamics.tg_grid: grid needs n <= 10000, got " in err
+        assert f"{cfg}:{len(lines) + 1}: dynamics.tg_grid: grid needs n <= 10000, got " in err
         # a grid of exactly the bound still parses
         grid = _parse(tmp_path, SMALL + "renorm.g_grid = 0.1, 1.0, 10000\n").grid("renorm.g")
         assert len(grid) == config.MAX_GRID_POINTS == 10000
@@ -297,6 +378,14 @@ class TestCmdModes:
 
 
 class TestCmdDynamics:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_phases_exit_3(self, tmp_path, capsys):
+        # at tg = 1e300 the phases E t keep no digit, and their squares overflow
+        cfg = _write(tmp_path, SMALL + "dynamics.tg_grid = 0.0, 1e300, 3\n")
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_tg_zero_block_is_zero(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 2.0, 2\n")
         out = tmp_path / "o"

@@ -259,6 +259,12 @@ class TestBatchedScan:
         assert np.all(rep.e_per_mode[zero] == 0.0)
         assert np.all(rep.e_qubit[~zero] > 0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowed_phases_raise(self):
+        eig, unit = _bath(0)
+        with pytest.raises(ArithmeticError, match="not finite"):
+            entropy_scan(eig, np.array([0.0, 1.0, 1e300]) * unit)
+
     @pytest.mark.parametrize("t", [0.0, 2.5, np.float64(2.5), np.array(2.5)])
     def test_scalar_keeps_return_types(self, t):
         eig, unit = _bath(3)
