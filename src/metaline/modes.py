@@ -17,10 +17,14 @@ then takes one of two paths:
   ``_DENSE_DIMS``.  On each segment the shooting solution of K - lam C is
   one sinusoid (or two exponentials) in the node index, joined to the
   other at three free rows: the first, the interface and the last.  Its
-  sign changes are the Sturm count, O(1) per shift; multisection on it
-  gives every window eigenvalue at once, and each vector joins the
-  solutions shot from both ends, O(n m) for m window modes plus one
-  O(n m^2) Loewdin step;
+  sign changes are the Sturm count, O(1) per shift, and its phase is a
+  continuous Pruefer angle whose integer crossings are the count's steps
+  (Pryce, *Numerical Solution of Sturm-Liouville Problems*, 1993).
+  Moebius steps on that phase, one shot for all window modes per step,
+  find every window eigenvalue, and a count one ulp to either side
+  certifies each: 8 shots in all on the fig2 device, where multisection
+  took 21.  Each vector joins the solutions shot from both ends, O(n m)
+  for m window modes plus one O(n m^2) Loewdin step;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
   only there) for dims 1001-2001 and for every band layout the closed
   form does not take (disordered ladders, bare lines, toy pencils), which
@@ -68,6 +72,14 @@ _BLOCK_VALUES = 2 ** 15
 # class of the spectrum benchmark device (dim 2001), whose reference pins
 # dense rounding (see the module docstring)
 _DENSE_DIMS = range(1001, 2002)
+# grid shifts per unit of each segment's phase: the Pruefer phase rises by
+# about one per eigenvalue, so about _GRID fall between two eigenvalues
+_GRID = 4
+# Moebius steps at most, the step (in ulps) at which a row counts as
+# converged, and the half-width (in ulps) of the fan that certifies it
+_STEPS = 8
+_ULPS = 16
+_FAN = 4
 
 
 class IllConditionedCircuitError(RuntimeError):
@@ -204,9 +216,18 @@ def _dense_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
 
 def _check_capacitance(bands: NetworkBands) -> None:
     """IllConditionedCircuitError unless every LDL^T pivot of C is positive,
-    on one device or on each device of a stack (one leading axis), by one
-    ``_pivots`` recurrence over all devices.  The message names the first
-    pivot that is not positive, and on a stack the first device with one."""
+    on one device (a loop over Python floats, where numpy calls on rows of
+    one value would cost ten times more) or on each device of a stack (one
+    leading axis, one ``_pivots`` recurrence over all devices), with the
+    same pivots either way.  The message names the first pivot that is
+    not positive, and on a stack the first device with one."""
+    if np.ndim(bands.c_diag) == 1:
+        pivot = 1.0
+        for a, b2 in zip(bands.c_diag.tolist(), [0.0] + np.square(bands.c_off).tolist()):
+            pivot = a - b2 / pivot
+            if not pivot > 0:
+                _not_definite(pivot, "")
+        return
     n = np.shape(bands.c_diag)[-1]
     d = np.reshape(bands.c_diag, (-1, n)).T.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -214,11 +235,12 @@ def _check_capacitance(bands: NetworkBands) -> None:
     bad = ~(d > 0)
     if bad.any():
         device = int(np.argmax(bad.any(axis=0)))
-        pivot = d[np.argmax(bad[:, device]), device]
-        where = f" of device {device}" if np.ndim(bands.c_diag) > 1 else ""
-        raise IllConditionedCircuitError(
-            f"capacitance matrix{where} is not positive definite "
-            f"(pivot {pivot:.3e} F)")
+        _not_definite(d[np.argmax(bad[:, device]), device], f" of device {device}")
+
+
+def _not_definite(pivot: float, where: str):
+    raise IllConditionedCircuitError(
+        f"capacitance matrix{where} is not positive definite (pivot {pivot:.3e} F)")
 
 
 def _pivots(d: np.ndarray, b2: np.ndarray, pivmin: np.ndarray | None = None
@@ -313,7 +335,7 @@ def _phase(j, t, f):
     return k, (x - k) + (j * (t - t1) + f)
 
 
-def _advance(seg: _Segment, lam, u, w, values: bool = False):
+def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False):
     """Across one segment from the state (u, W) at its first node: the sign
     changes of u over its nodes and the state at its last node; with
     ``values``, also u at every node (rows) and the log of the factor all
@@ -327,7 +349,8 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
     u_j = e^{j kappa} (A + B e^{-2 j kappa}) changes sign at most once,
     and for q <= 0 it is (-1)^j times that with p and q swapped.  Those
     are divided by e^{steps kappa}.  A count-only call whose shifts all lie
-    in the passband skips the evanescent formulas.
+    in the passband skips the evanescent formulas.  With ``phase``, also
+    k, h (NaN where evanescent) and sin(psi) of the last node.
     """
     m = seg.steps
     beta4 = 4.0 * (seg.k_o + lam * seg.c_o)      # p + q
@@ -336,14 +359,24 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sin_psi = 2.0 * np.sqrt(p * q) / beta4
         t = np.arctan2(np.sqrt(p), np.sqrt(q)) * (2.0 / np.pi)
-        f = np.arctan2(u, w / sin_psi) / np.pi
-        r = np.hypot(u, w / sin_psi) * np.where(f < 0, -1.0, 1.0)
-        f = np.where(f < 0, f + 1.0, f)             # in [0, 1), so none before j = 0
+        w_psi = w / sin_psi
+        f = np.arctan2(u, w_psi) / np.pi
+        r, before = np.hypot(u, w_psi), f < 0
+        np.negative(r, out=r, where=before)
+        f += before                                 # in [0, 1), so none before j = 0
         k, h = _phase(m, t, f)
-        band = (k + np.floor(h), r * np.sin(np.pi * h), r * np.cos(np.pi * h) * sin_psi)
-        evanescent = (p <= 0) | (q <= 0)
+        # the state from the part of h above its floor, with the sign the
+        # count gives it: sin(pi h) can round to the other side of 0 than
+        # floor(h) near a whole h, and a u of 0 there would lose the sign
+        # the next segment counts from
+        whole = np.floor(h)
+        k, h = k + whole, np.maximum(h - whole, _SAFMIN)
+        ends = np.where(k % 2, -r, r)
+        band = (k, ends * np.sin(np.pi * h), ends * np.cos(np.pi * h) * sin_psi)
+        evanescent = np.minimum(p, q) <= 0
+        angle = (k, np.where(evanescent, np.nan, h), sin_psi) if phase else ()
         if not (values or evanescent.any()):
-            return band
+            return band + angle
         alt = q < 0
         pe, qe, we = np.where(alt, q, p), np.where(alt, p, q), np.where(alt, -w, w)
         kappa = 2.0 * np.arctanh(np.sqrt(-pe / qe))
@@ -357,7 +390,7 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
               sinh * (a - b * decay) * np.where(alt, -sign, 1.0))
         out = tuple(np.where(evanescent, e, o) for e, o in zip(ev, band))
         if not values:
-            return out
+            return out + angle
         j = np.arange(m + 1.0)[:, None]
         vals = np.empty((m + 1, len(lam)))
         on = ~evanescent
@@ -369,7 +402,8 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False):
     return out + (vals, np.where(evanescent, m * kappa, 0.0))
 
 
-def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False):
+def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
+           phase: bool = False):
     """Shot from the first of ``rows`` across ``first``, the second row,
     ``second`` and the last row: for each shift lam > 0 the number of sign
     changes, which is ``sturm_count``'s count, as the LDL^T pivots of the
@@ -378,24 +412,42 @@ def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False):
     Continuous Boundary Problems*, 1964).  With ``values``, u on the nodes
     of each segment (rows, the shared node in both) per lam (columns), and
     the log of the factor those on ``second`` were divided by beyond the
-    others."""
+    others.
+
+    With ``phase``, also the continuous Pruefer phase Phi = whole + part:
+    the sign changes on ``first``, plus the phase m t + f that ``_advance``
+    forms on ``second`` (NaN where that is evanescent), less the h* in
+    (0, 1) at which the state there, u = r sin(pi h*) and W = r cos(pi h*)
+    sin(psi), meets the last row's condition (h_k - lam h_c) u + beta W = 0
+    (h* = 1/2 where the row's (h_k, h_c) is (0, 0)).  Phi rises with lam
+    and the count is floor(Phi) + 1.  ``whole`` holds integers and
+    ``part`` lies in about [-2, 2], so Phi - k keeps every digit of part."""
     lam = np.asarray(lam, dtype=float)
     u = np.ones_like(lam)
     w = _junction(rows[0], None, first, lam, u, 0.0)
     head = _advance(first, lam, u, w, values)
     w = _junction(rows[1], first, second, lam, head[1], head[2])
-    tail = _advance(second, lam, head[1], w, values)
+    tail = _advance(second, lam, head[1], w, values, phase)
     if values:
         return head[3], tail[3], tail[4]
     last = _junction(rows[2], second, None, lam, tail[1], tail[2])
-    return (head[0] + tail[0] + (tail[1] * last < 0)).astype(int)
+    count = (head[0] + tail[0] + (tail[1] * last < 0)).astype(int)
+    if not phase:
+        return count
+    k, h, sin_psi = tail[3:]
+    with np.errstate(invalid="ignore"):
+        star = np.arctan2((second.k_o + lam * second.c_o) * sin_psi,
+                          lam * rows[2][1] - rows[2][0]) / np.pi
+    return count, head[0] + k, h - star
 
 
 def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The non-gauge modes in ``freq_window`` of a two-segment device: the
-    eigenvalues by multisection on the count of ``_shoot``, all window
-    modes at once, and their vectors by ``_closed_vectors``."""
+    top of the spectrum bracketed by counts of ``_shoot`` (and the gauge
+    modes, where the window may reach them, counted), the eigenvalues by
+    ``_closed_eigenvalues``, all window modes at once, and their vectors
+    by ``_closed_vectors``."""
     ladder, strip, rows = segs
     count = partial(_shoot, ladder, strip, rows)
     n = len(bands.k_diag)
@@ -409,15 +461,151 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
         gauge, floor = _gauge_floor(stack, count, *bracket)
         first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
     lam_hi = min(lam_hi, top)
-    start, stop = count(np.array([lam_lo, lam_hi])) if lam_lo < lam_hi else (0, 0)
-    index = np.arange(max(start, first), stop)
-    brackets = np.full(len(index), lam_lo), np.full(len(index), lam_hi)
-    while (active := _open(*brackets)).any():
-        brackets = np.where(active, _narrow(count, index, *brackets), brackets)
-    lam = 0.5 * (brackets[0] + brackets[1])
+    lam = (_closed_eigenvalues(count, segs[:2], lam_lo, lam_hi, first)
+           if lam_lo < lam_hi else np.empty(0))
     lam = lam[(np.sqrt(lam) >= lo) & (np.sqrt(lam) <= hi)]
     vecs = _closed_vectors(bands, segs, lam) if len(lam) else np.empty((n, 0))
     return np.sqrt(lam), vecs
+
+
+def _phase_grid(segs, lo: float, hi: float) -> np.ndarray:
+    """lo, hi and, ascending between them, the shifts at which the phase m t
+    of either segment passes a multiple of 1/_GRID, so that between two of
+    them the phases of both segments rise by at most 2/_GRID however fast
+    lam moves (as it does little near the ladder's band edge).  The phase
+    t of a shift is that of the segment's sinusoid, a = 2 beta cos(pi t)."""
+    grid = [np.array([lo, hi])]
+    for seg in segs:
+        cos = np.cos(np.arange(1, _GRID * seg.steps) * (np.pi / (_GRID * seg.steps)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = (seg.k_d - 2.0 * seg.k_o * cos) / (seg.c_d + 2.0 * seg.c_o * cos)
+        grid.append(lam[(lam > lo) & (lam < hi)])
+    return np.sort(np.concatenate(grid))
+
+
+def _mobius_root(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The x at which the Moebius map through the three points (x_i,
+    tan(pi g_i)), the rows of x and g, is zero: the one whose cross ratio
+    with the x_i is that of 0 with the tan(pi g_i), which a Moebius map
+    keeps.  It is exact where tan(pi g) is a Moebius map of x, as across a
+    narrow resonance, and takes g modulo 1 without a branch."""
+    s = np.sin(np.pi * np.concatenate([g[:2], g[:2] - g[2]]))
+    r = (s[2] * s[1]) / (s[3] * s[0])
+    a, b = x[0] - x[2], x[1] - x[2]
+    return x[1] + r * b * (x[0] - x[1]) / (r * b - a)
+
+
+def _mobius_steps(count, index: np.ndarray, x: np.ndarray, g: np.ndarray,
+                  lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of the phase Phi - ``index`` of each row (column) by
+    Moebius steps, all rows in one ``count`` shot per step, from the three
+    points (x, g) of the row, g = Phi - index; NaN where g is NaN at the
+    start or the row does not converge.  Each step moves one end of the
+    row's bracket [lo, hi] (in place) to its shift by the count of the same
+    shot, never by the sign of Phi."""
+    root = np.full(len(index), np.nan)
+    rows = np.flatnonzero(np.isfinite(g).all(axis=0))
+    k, x, g, left, right = index[rows], x[:, rows], g[:, rows], lo[rows], hi[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_STEPS):
+            new = _mobius_root(x, g)
+            # a step of a few ulps has met the rounding of Phi: done
+            tol = _ULPS * np.spacing(x[2])
+            near = np.abs(new - x[2]) <= tol
+            done = near | (np.abs(x[2] - x[1]) <= tol)
+            stay = ~done & np.isfinite(g[2])
+            if not stay.all():
+                root[rows[done]] = np.where(near, np.clip(new, left, right), x[2])[done]
+                if not stay.any():
+                    break
+                rows, k, x, g, left, right, new = (
+                    a[..., stay] for a in (rows, k, x, g, left, right, new))
+            new = np.where((new > left) & (new < right), new, 0.5 * (left + right))
+            counted, whole, part = count(new, phase=True)
+            below = counted <= k
+            left, right = np.where(below, new, left), np.where(below, right, new)
+            lo[rows], hi[rows] = left, right
+            x = np.concatenate([x[1:], new[None]])
+            g = np.concatenate([g[1:], ((whole - k) + part)[None]])
+    return root
+
+
+def _fan(count, index: np.ndarray, center: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+         reach: int = _FAN) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The brackets [lo, hi] of eigenvalue number ``index`` narrowed by one
+    shot of 2 ``reach`` + 1 shifts one ulp apart about ``center``, moved
+    into the bracket where it reaches an end: to two adjacent doubles
+    wherever the count steps past ``index`` inside the fan.  hi moves to
+    the lowest shift counted above ``index`` and lo to the highest below
+    that one; the ends keep the counts they were given, as the count need
+    not be monotone at the ulp level.  Also returns the end nearer the
+    root by the phase |Phi - index| at both, NaN unless the fan holds
+    both ends."""
+    step = np.spacing(center)[:, None]
+    lo, hi = lo[:, None], hi[:, None]
+    shifts = (np.minimum(np.maximum(center[:, None], lo + reach * step), hi - reach * step)
+              + np.arange(-reach, reach + 1) * step)
+    counted, whole, part = count(shifts, phase=True)
+    inside = (shifts >= lo) & (shifts <= hi)
+    above = np.where(shifts == hi, True, np.where(shifts == lo, False, counted > index[:, None]))
+    rows, above = np.arange(len(index)), above & inside
+    up = np.where(above, shifts, np.inf).argmin(axis=1)
+    hi = np.where(above[rows, up], shifts[rows, up], hi[:, 0])
+    below = ~above & inside & (shifts < hi[:, None])
+    down = np.where(below, shifts, -np.inf).argmax(axis=1)
+    lo = np.where(below[rows, down], shifts[rows, down], lo[:, 0])
+    phase = np.abs((whole - index[:, None]) + part)
+    nearer = np.where(phase[rows, down] <= phase[rows, up], lo, hi)
+    return lo, hi, np.where(above[rows, up] & below[rows, down], nearer, np.nan)
+
+
+def _closed_eigenvalues(count, segs, lo: float, hi: float, first: int) -> np.ndarray:
+    """Eigenvalues number max(count(lo), first) to count(hi) - 1 of a
+    two-segment device, ascending, by ``count`` (``_shoot`` on it), each
+    an end of a bracket of two adjacent doubles across which the count
+    steps from its number to the next, the one nearer the root by the
+    phase at both (the midpoint of the bracket where the fan did not
+    leave both ends).
+
+    With ``phase``, ``count`` also gives the continuous Pruefer phase Phi,
+    increasing in lam, whose floor plus one is the count, so eigenvalue k
+    is the root of Phi - k.  The count of a ``_phase_grid`` brackets each
+    eigenvalue alone (a grid uniform in lam would not: the modes near the
+    ladder's band edge lie within 1e-4 of it); ``_mobius_steps`` find the
+    roots, and one ``_fan`` about each certifies it.  A row whose grid
+    cell holds more than one eigenvalue, whose Phi is NaN (the strip
+    evanescent there) or that is not found inside its fan is narrowed by
+    multisection (``_narrow``) until closed, and then fanned across.
+    """
+    grid = _phase_grid(segs, lo, hi)
+    counts, whole, part = count(grid, phase=True)
+    index = np.arange(max(counts[0], first), counts[-1])
+    cell = np.searchsorted(np.maximum.accumulate(counts), index, side="right") - 1
+    lo, hi = grid[cell], grid[cell + 1]
+    # each row's three points: the grid neighbour of its cell nearer in
+    # phase, then the cell's ends (the phase NaN unless the cell isolates)
+    at = np.stack([np.maximum(cell - 1, 0), np.minimum(cell + 2, len(grid) - 1), cell, cell + 1])
+    g = (whole[at] - index) + part[at]
+    before = np.abs(g[0]) < np.abs(g[1])
+    at[1], g[1] = np.where(before, at[0], at[1]), np.where(before, g[0], g[1])
+    g[:, (counts[cell] != index) | (counts[cell + 1] != index + 1)] = np.nan
+    root = _mobius_steps(count, index, grid[at[1:]], g[1:], lo, hi)
+    nearer = np.full(len(index), np.nan)
+    rows = np.flatnonzero(np.isfinite(root))
+    # a fan about each root, and a wider one about the few it misses
+    for reach in (_FAN, 8 * _FAN):
+        if not rows.size:
+            break
+        lo[rows], hi[rows], nearer[rows] = _fan(count, index[rows], root[rows],
+                                                lo[rows], hi[rows], reach)
+        rows = rows[hi[rows] > np.nextafter(lo[rows], np.inf)]
+    rest = np.flatnonzero(hi > np.nextafter(lo, np.inf))
+    while (rows := rest[_open(lo[rest], hi[rest])]).size:
+        lo[rows], hi[rows] = _narrow(count, index[rows], lo[rows], hi[rows])
+    if rest.size:
+        lo[rest], hi[rest], nearer[rest] = _fan(count, index[rest], 0.5 * (lo[rest] + hi[rest]),
+                                                lo[rest], hi[rest])
+    return np.where(np.isnan(nearer), 0.5 * (lo + hi), nearer)
 
 
 def _closed_vectors(bands: NetworkBands, segs, lam: np.ndarray) -> np.ndarray:

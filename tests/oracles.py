@@ -13,7 +13,8 @@ closed-form ladder dispersions, the mode density of the uncoupled lines
 from the slope of the ladder's inverse dispersion, footprint-averaged
 currents and sign changes one mode at a time, mode counts from a dense
 eigenvalue solve of the symmetrically reduced pencil and from a scalar
-pivot loop per shift, single eigenvalues from a 40-digit bisection,
+pivot loop per shift, single eigenvalues from a 40-digit bisection and
+from multisection on that pivot loop,
 eigenvectors refined by long-double inverse iteration with pivoted
 Gaussian elimination, and CSV bytes from a writer that formats every
 value with its own call.
@@ -369,6 +370,25 @@ def sturm_count_reference(bands, lam) -> np.ndarray:
             below += d < 0
         counts.append(below)
     return np.array(counts)
+
+
+def multisection_eigenvalue(bands, index: int, lo: float, hi: float,
+                            shifts: int = 3) -> float:
+    """Eigenvalue number ``index`` (0-based, ascending) of the pencil (K,
+    C) given by tridiagonal bands, by multisection on
+    ``sturm_count_reference`` from the bracket [lo, hi] (AssertionError
+    unless its counts hold the eigenvalue): each round counts ``shifts``
+    evenly spaced shifts inside the bracket and keeps the part between the
+    last counted at or below ``index`` and the first counted above, until
+    the bracket is no wider than 2 eps hi.  Returns its midpoint."""
+    assert sturm_count_reference(bands, [lo])[0] <= index < sturm_count_reference(bands, [hi])[0]
+    eps = float(np.finfo(float).eps)
+    while hi - lo > 2.0 * eps * hi:
+        points = [lo + (hi - lo) * (i + 1) / (shifts + 1) for i in range(shifts)]
+        counts = sturm_count_reference(bands, points).tolist()
+        lo = max([lo] + [x for x, c in zip(points, counts) if c <= index])
+        hi = min([hi] + [x for x, c in zip(points, counts) if c > index and x > lo])
+    return 0.5 * (lo + hi)
 
 
 def mp_pencil_eigenvalue(bands, index: int, digits: int = 40, bracket=None):

@@ -138,9 +138,9 @@ def _twin_chains():
 def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):
     # shots with a share of one common vector in each are further from
     # C-orthonormal than one Loewdin step can mend
-    def mixed(first, second, rows, lam, values=False, shoot=modes._shoot):
+    def mixed(first, second, rows, lam, values=False, phase=False, shoot=modes._shoot):
         if not values:
-            return shoot(first, second, rows, lam)
+            return shoot(first, second, rows, lam, phase=phase)
         head, tail, scale = shoot(first, second, rows, lam, values)
         return head + 1e-4 * head[:, :1], tail + 1e-4 * tail[:, :1], scale
 

@@ -386,6 +386,15 @@ class TestCmdDynamics:
         assert "not finite" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phases_without_precision_exit_3(self, tmp_path, capsys):
+        # at tg = 5e15 the phases E t (about 2e17 rad) are finite, but their
+        # rounding error is radians: every entropy would read 0
+        cfg = _write(tmp_path, SMALL + "dynamics.tg_grid = 0.0, 1e16, 3\n")
+        assert main(["dynamics", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "lost their precision" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_tg_zero_block_is_zero(self, tmp_path):
         cfg = _write(tmp_path, SMALL + "\ndynamics.tg_grid = 0.0, 2.0, 2\n")
         out = tmp_path / "o"

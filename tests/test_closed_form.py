@@ -1,9 +1,11 @@
 """The closed form of two-segment devices against independent oracles.
 
-Its count against ``sturm_count`` (LDL^T pivots), its eigenvalues against
-a 40-digit Sturm bisection, its footprint averages against long-double
-refined eigenvectors, and its dispatch: which bands take it, and that
-they load no scipy.
+Its count against ``sturm_count`` (LDL^T pivots), its continuous phase
+against its count, its eigenvalues against counts one ulp apart, a
+multisection on the reference pivot loop and a 40-digit Sturm bisection,
+the number of counts a solve takes, its footprint averages against
+long-double refined eigenvectors, and its dispatch: which bands take it,
+and that they load no scipy.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import metaline.modes as modes
 from metaline import (NetworkBands, build_matrices, footprint_at_antinode,
                       footprint_weights, solve_modes, sturm_count)
 from metaline.config import parse_config
+from oracles import multisection_eigenvalue, sturm_count_reference
 from conftest import (SCIPY_FREE_STEPS, TWO_PI, WINDOW,
                       _assert_footprints_match_refined,
                       _assert_no_farther_from_exact_than_dense, _check,
@@ -60,6 +63,18 @@ def _assert_counts_match(spec, window, rng, size):
     np.testing.assert_array_equal(closed[clear], sturm_count(mat.bands, lam[clear]))
 
 
+def _random_specs(rng, devices):
+    """Devices of 1-60 ladder cells and 2-90 strip cells, every second
+    one with end caps."""
+    for device in range(devices):
+        spec = make_band_edge_spec(int(rng.integers(1, 61)), int(rng.integers(2, 91)))
+        if device % 2:
+            spec = dataclasses.replace(
+                spec, c_end_left=spec.c_left * rng.uniform(0.1, 3.0),
+                c_end_right=spec.c_left * rng.uniform(0.1, 3.0))
+        yield spec
+
+
 class TestCount:
     @pytest.mark.parametrize("name", FIGURES)
     def test_figures(self, name):
@@ -73,13 +88,45 @@ class TestCount:
 
     def test_random_devices(self):
         rng = np.random.default_rng(3)
-        for device in range(200):
-            spec = make_band_edge_spec(int(rng.integers(1, 61)), int(rng.integers(2, 91)))
-            if device % 2:
-                spec = dataclasses.replace(
-                    spec, c_end_left=spec.c_left * rng.uniform(0.1, 3.0),
-                    c_end_right=spec.c_left * rng.uniform(0.1, 3.0))
+        for spec in _random_specs(rng, 200):
             _assert_counts_match(spec, WINDOW, rng, 25)
+
+
+def _assert_phase_matches_count(spec, window, rng, size):
+    """On the shifts of ``_test_shifts``: floor(Phi) + 1 is the count of the
+    same shot wherever the phase Phi is defined (NaN where the strip is
+    evanescent), and Phi rises with the shift.  Returns the share of the
+    shifts with a phase."""
+    mat = build_matrices(spec)
+    lam = np.sort(_test_shifts(spec, mat.bands, window, rng, size))
+    count, whole, part = modes._shoot(*_segments(mat), lam, phase=True)
+    defined = np.isfinite(part)
+    np.testing.assert_array_equal(whole[defined] + np.floor(part[defined]) + 1,
+                                  count[defined])
+    # to the rounding of the strip's phase m t
+    assert np.diff(whole[defined] + part[defined]).min(initial=0.0) >= -1e-9
+    return defined.mean()
+
+
+class TestPhase:
+    """The continuous Pruefer phase whose roots ``_closed_eigenvalues`` finds;
+    most of the shifts above the window lie above the strip's band."""
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_figures(self, name):
+        cfg = _config(name)
+        assert _assert_phase_matches_count(cfg.circuit_spec(), cfg.freq_window(),
+                                           np.random.default_rng(1), 1000) > 0.5
+
+    def test_ladder_top_rung(self):
+        assert _assert_phase_matches_count(make_band_edge_spec(2000, 3000), WINDOW,
+                                           np.random.default_rng(2), 750) > 0.5
+
+    def test_random_devices(self):
+        rng = np.random.default_rng(3)
+        shares = [_assert_phase_matches_count(spec, WINDOW, rng, 25)
+                  for spec in _random_specs(rng, 200)]
+        assert np.mean(shares) > 0.5
 
 
 def _passband(seg, lam):
@@ -142,6 +189,85 @@ class TestPassbandShortcut:
         assert clear.mean() > 0.9
         np.testing.assert_array_equal(modes._shoot(*segs, lam)[clear],
                                       sturm_count(mat.bands, lam[clear]))
+
+
+def _returned_eigenvalues(monkeypatch, mat, window):
+    """The eigenvalues ``solve_modes`` returns, as the closed form takes its
+    vectors at them (their frequencies squared would round)."""
+    seen, vectors = [], modes._closed_vectors
+    monkeypatch.setattr(modes, "_closed_vectors",
+                        lambda bands, segs, lam: seen.append(lam) or vectors(bands, segs, lam))
+    solve_modes(mat, window)
+    monkeypatch.setattr(modes, "_closed_vectors", vectors)
+    return seen[0]
+
+
+def _assert_certified(monkeypatch, mat, window):
+    """Each returned eigenvalue, number k, where the strip is in its
+    passband: certified by counts one ulp apart (k at it and k + 1 at the
+    next double, or k at the double below it and k + 1 at it), or within
+    one ulp of the multisection on the reference pivot loop.  Where the
+    strip is evanescent the closed count is only good to about 1e-12 (it
+    steps back and forth over several ulps, and 2400 ulps from the pivot
+    count were seen), so there the reference counts 1e-11 to either side
+    must hold the eigenvalue.  Returns the share certified by counts."""
+    lam = _returned_eigenvalues(monkeypatch, mat, window)
+    segs = _segments(mat)
+    first = (mat.dim - len(lam) if window is None
+             else int(modes._shoot(*segs, np.array([window[0] ** 2]))[0]))
+    k = first + np.arange(len(lam))
+    counts = modes._shoot(*segs, np.stack([np.nextafter(lam, 0.0), lam,
+                                           np.nextafter(lam, np.inf)], axis=1))
+    certified = (((counts[:, 0] == k) & (counts[:, 1] == k + 1))
+                 | ((counts[:, 1] == k) & (counts[:, 2] == k + 1)))
+    passband = np.isfinite(modes._shoot(*segs, lam, phase=True)[2])
+    for j in np.flatnonzero(~certified & passband):
+        exact = multisection_eigenvalue(mat.bands, int(k[j]), lam[j] * (1 - 1e-9),
+                                        lam[j] * (1 + 1e-9))
+        assert abs(lam[j] - exact) <= np.spacing(lam[j]), (j, lam[j], exact)
+    for j in np.flatnonzero(~passband):
+        below, above = sturm_count_reference(mat.bands, lam[j] * np.array([1 - 1e-11, 1 + 1e-11]))
+        assert below <= k[j] < above, j
+    return certified.mean()
+
+
+class TestCertified:
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_figures(self, monkeypatch, name):
+        # every eigenvalue of the commands' devices by counts
+        cfg = _config(name)
+        assert _assert_certified(monkeypatch, build_matrices(cfg.circuit_spec()),
+                                 cfg.freq_window()) == 1.0
+
+    @pytest.mark.parametrize("n_left, caps", [(1, False), (1, True), (40, True)])
+    @pytest.mark.parametrize("window", [None, WINDOW])
+    def test_pattern_devices(self, monkeypatch, n_left, caps, window):
+        _assert_certified(monkeypatch, build_matrices(_pattern_spec(n_left, caps)), window)
+
+    def test_random_devices(self, monkeypatch):
+        # every third with no window: its top modes lie where the strip is
+        # evanescent, and multisection finds them
+        rng = np.random.default_rng(5)
+        shares = [_assert_certified(monkeypatch, build_matrices(spec), WINDOW if i % 3 else None)
+                  for i, spec in enumerate(_random_specs(rng, 60))]
+        assert np.mean(shares) > 0.99
+
+
+def test_fig2_solve_takes_few_counts(monkeypatch):
+    """A fig2 solve brackets, steps to and certifies its 164 window modes in
+    at most 12 count shots: multisection from the whole window, which took
+    21, fails here."""
+    cfg = _config("fig2")
+    mat = build_matrices(cfg.circuit_spec())
+    calls, shoot = [], modes._shoot
+
+    def counted(*args, values=False, **kwargs):
+        calls.append(values)
+        return shoot(*args, values=values, **kwargs)
+
+    monkeypatch.setattr(modes, "_shoot", counted)
+    assert len(solve_modes(mat, cfg.freq_window())) == 164
+    assert 0 < calls.count(False) <= 12
 
 
 @pytest.fixture(scope="module")

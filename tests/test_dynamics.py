@@ -265,6 +265,16 @@ class TestBatchedScan:
         with pytest.raises(ArithmeticError, match="not finite"):
             entropy_scan(eig, np.array([0.0, 1.0, 1e300]) * unit)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phases_without_precision_raise(self):
+        # phases up to about 6.5e7 rad err by at most 4e-9 rad, which the
+        # first-order correction takes; at about 6.5e10 rad they err by
+        # microradians, and the entropies would carry that
+        eig, unit = _bath(0)
+        entropy_scan(eig, np.array([0.0, 1.0, 1e6]) * unit)
+        with pytest.raises(ArithmeticError, match="lost their precision"):
+            entropy_scan(eig, np.array([0.0, 1.0, 1e9]) * unit)
+
     @pytest.mark.parametrize("t", [0.0, 2.5, np.float64(2.5), np.array(2.5)])
     def test_scalar_keeps_return_types(self, t):
         eig, unit = _bath(3)

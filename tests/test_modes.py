@@ -97,6 +97,27 @@ class TestSolveModes:
             solve_modes(_wrap(cap, ki))
 
 
+    @pytest.mark.parametrize("spoil", ["first", "middle", "last", "tiny", "nan"])
+    def test_one_device_pivots_as_a_stack_of_one(self, band_matrices, spoil):
+        # the Python-float loop for one device and the numpy recurrence for
+        # a stack name the same pivot
+        c_diag = band_matrices.bands.c_diag.copy()
+        i = len(c_diag) - 1 if spoil == "last" else 0 if spoil == "first" else 100
+        if spoil == "tiny":     # on the ladder: a pivot of about 1e-300 F, then a huge one
+            c_diag[i - 1:i + 1] = 1e300, 1e-300
+        else:
+            c_diag[i] = np.nan if spoil == "nan" else -c_diag[i]
+        bands = dataclasses.replace(band_matrices.bands, c_diag=c_diag)
+        messages = []
+        for each in (bands, NetworkBands.stack([bands])):
+            with pytest.raises(IllConditionedCircuitError) as err:
+                modes._check_capacitance(each)
+            messages.append(str(err.value).replace(" of device 0", ""))
+        assert messages[0] == messages[1]
+        modes._check_capacitance(band_matrices.bands)
+        modes._check_capacitance(NetworkBands.stack([band_matrices.bands]))
+
+
 class TestColumnSignChanges:
     """The all-columns count against the 1-D ``sign_changes``."""
 
