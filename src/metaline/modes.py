@@ -22,7 +22,7 @@ then takes one of two paths:
   (Pryce, *Numerical Solution of Sturm-Liouville Problems*, 1993).
   Moebius steps on that phase, one shot for all window modes per step,
   find every window eigenvalue, and a count one ulp to either side
-  certifies each: 8 shots in all on the fig2 device, where multisection
+  certifies each: 9 shots in all on the fig2 device, where multisection
   took 21.  Each vector joins the solutions shot from both ends, O(n m)
   for m window modes plus one O(n m^2) Loewdin step;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
@@ -359,11 +359,9 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sin_psi = 2.0 * np.sqrt(p * q) / beta4
         t = np.arctan2(np.sqrt(p), np.sqrt(q)) * (2.0 / np.pi)
-        w_psi = w / sin_psi
-        f = np.arctan2(u, w_psi) / np.pi
-        r, before = np.hypot(u, w_psi), f < 0
-        np.negative(r, out=r, where=before)
-        f += before                                 # in [0, 1), so none before j = 0
+        f = np.arctan2(u, w / sin_psi) / np.pi
+        r = np.hypot(u, w / sin_psi) * np.where(f < 0, -1.0, 1.0)
+        f = np.where(f < 0, f + 1.0, f)             # in [0, 1), so none before j = 0
         k, h = _phase(m, t, f)
         # the state from the part of h above its floor, with the sign the
         # count gives it: sin(pi h) can round to the other side of 0 than
@@ -373,7 +371,7 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
         k, h = k + whole, np.maximum(h - whole, _SAFMIN)
         ends = np.where(k % 2, -r, r)
         band = (k, ends * np.sin(np.pi * h), ends * np.cos(np.pi * h) * sin_psi)
-        evanescent = np.minimum(p, q) <= 0
+        evanescent = (p <= 0) | (q <= 0)
         angle = (k, np.where(evanescent, np.nan, h), sin_psi) if phase else ()
         if not (values or evanescent.any()):
             return band + angle
@@ -471,9 +469,11 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
 def _phase_grid(segs, lo: float, hi: float) -> np.ndarray:
     """lo, hi and, ascending between them, the shifts at which the phase m t
     of either segment passes a multiple of 1/_GRID, so that between two of
-    them the phases of both segments rise by at most 2/_GRID however fast
-    lam moves (as it does little near the ladder's band edge).  The phase
-    t of a shift is that of the segment's sinusoid, a = 2 beta cos(pi t)."""
+    them the phases of both segments rise by at most 2/_GRID, however
+    little lam moves meanwhile (the fig2 device's lowest window mode lies
+    within 6e-5 of the ladder's cutoff in lam, its next within 2.5e-4).
+    The phase t of a shift is that of the segment's sinusoid, a = 2 beta
+    cos(pi t)."""
     grid = [np.array([lo, hi])]
     for seg in segs:
         cos = np.cos(np.arange(1, _GRID * seg.steps) * (np.pi / (_GRID * seg.steps)))
@@ -563,19 +563,19 @@ def _closed_eigenvalues(count, segs, lo: float, hi: float, first: int) -> np.nda
     """Eigenvalues number max(count(lo), first) to count(hi) - 1 of a
     two-segment device, ascending, by ``count`` (``_shoot`` on it), each
     an end of a bracket of two adjacent doubles across which the count
-    steps from its number to the next, the one nearer the root by the
-    phase at both (the midpoint of the bracket where the fan did not
-    leave both ends).
+    steps from its number to the next, the end nearer the root by the
+    phase at both (the bracket's midpoint where no fan held both ends).
 
     With ``phase``, ``count`` also gives the continuous Pruefer phase Phi,
     increasing in lam, whose floor plus one is the count, so eigenvalue k
     is the root of Phi - k.  The count of a ``_phase_grid`` brackets each
-    eigenvalue alone (a grid uniform in lam would not: the modes near the
-    ladder's band edge lie within 1e-4 of it); ``_mobius_steps`` find the
-    roots, and one ``_fan`` about each certifies it.  A row whose grid
-    cell holds more than one eigenvalue, whose Phi is NaN (the strip
-    evanescent there) or that is not found inside its fan is narrowed by
-    multisection (``_narrow``) until closed, and then fanned across.
+    eigenvalue alone (a grid uniform in lam would not: the modes crowd
+    within 1e-4 of the ladder's cutoff); ``_mobius_steps`` find the
+    roots, and a ``_fan`` about each certifies it, a wider one the few the
+    first misses.  A row whose grid cell holds more than one eigenvalue,
+    whose Phi is NaN (the strip evanescent there) or whose root lies
+    outside both fans is narrowed by multisection (``_narrow``) until
+    closed, and then fanned across.
     """
     grid = _phase_grid(segs, lo, hi)
     counts, whole, part = count(grid, phase=True)
