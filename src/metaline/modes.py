@@ -499,8 +499,8 @@ def _mobius_steps(count, index: np.ndarray, x: np.ndarray, g: np.ndarray,
                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The root of the phase Phi - ``index`` of each row (column) by
     Moebius steps, all rows in one ``count`` shot per step, from the three
-    points (x, g) of the row, g = Phi - index; NaN where g is NaN at the
-    start or the row does not converge.  Each step moves one end of the
+    points (x, g) of the row, g = Phi - index; NaN where g is or turns
+    NaN or the row does not converge.  Each step moves one end of the
     row's bracket [lo, hi] (in place) to its shift by the count of the same
     shot, never by the sign of Phi."""
     root = np.full(len(index), np.nan)
