@@ -516,10 +516,10 @@ def _mobius_steps(count, index: np.ndarray, x: np.ndarray, g: np.ndarray,
             stay = ~done & np.isfinite(g[2])
             if not stay.all():
                 root[rows[done]] = np.where(near, np.clip(new, left, right), x[2])[done]
-                if not stay.any():
-                    break
                 rows, k, x, g, left, right, new = (
                     a[..., stay] for a in (rows, k, x, g, left, right, new))
+            if not rows.size:
+                break
             new = np.where((new > left) & (new < right), new, 0.5 * (left + right))
             counted, whole, part = count(new, phase=True)
             below = counted <= k

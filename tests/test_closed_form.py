@@ -256,7 +256,8 @@ class TestCertified:
 def test_fig2_solve_takes_few_counts(monkeypatch):
     """A fig2 solve brackets, steps to and certifies its 164 window modes in
     at most 12 count shots: multisection from the whole window, which took
-    21, fails here."""
+    21, fails here.  A window that holds no mode takes the top bracket's
+    shot and the grid's."""
     cfg = _config("fig2")
     mat = build_matrices(cfg.circuit_spec())
     calls, shoot = [], modes._shoot
@@ -268,6 +269,10 @@ def test_fig2_solve_takes_few_counts(monkeypatch):
     monkeypatch.setattr(modes, "_shoot", counted)
     assert len(solve_modes(mat, cfg.freq_window())) == 164
     assert 0 < calls.count(False) <= 12
+    calls.clear()
+    gap = TWO_PI * 5e9         # between two modes of the fig2 device
+    assert len(solve_modes(mat, (gap, gap * (1 + 1e-9)))) == 0
+    assert calls.count(False) <= 2
 
 
 @pytest.fixture(scope="module")
