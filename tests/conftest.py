@@ -10,6 +10,7 @@ every network to dense ``eigh``.  The devices that more than one test
 reads (the size ladder's dim-5001 rung, a fresh process's scipy imports)
 are built once per session.
 """
+import dataclasses
 import subprocess
 import sys
 
@@ -58,6 +59,18 @@ def make_band_edge_spec(n_left=200, n_right=300) -> CircuitSpec:
                        cell_pitch=100e-6, rhtl_length=0.03,
                        c_right_per_len=c_r, l_right_per_len=l_r,
                        n_right=n_right)
+
+
+def _random_specs(rng, devices):
+    """Devices of 1-60 ladder cells and 2-90 strip cells, every second
+    one with end caps."""
+    for device in range(devices):
+        spec = make_band_edge_spec(int(rng.integers(1, 61)), int(rng.integers(2, 91)))
+        if device % 2:
+            spec = dataclasses.replace(
+                spec, c_end_left=spec.c_left * rng.uniform(0.1, 3.0),
+                c_end_right=spec.c_left * rng.uniform(0.1, 3.0))
+        yield spec
 
 
 def wrap_dense(cap, inv_ind, node_positions, interface_index=0) -> NetworkMatrices:

@@ -23,7 +23,7 @@ from oracles import multisection_eigenvalue, sturm_count_reference
 from conftest import (SCIPY_FREE_STEPS, TWO_PI, WINDOW,
                       _assert_footprints_match_refined,
                       _assert_no_farther_from_exact_than_dense, _check,
-                      _refined_footprints, _sample, make_band_edge_spec)
+                      _random_specs, _refined_footprints, _sample, make_band_edge_spec)
 
 FIGURES = ["fig2", "fig3", "fig4", "fig5"]
 
@@ -61,18 +61,6 @@ def _assert_counts_match(spec, window, rng, size):
              == sturm_count(mat.bands, lam * (1 + 1e-12)))
     assert clear.mean() > 0.9
     np.testing.assert_array_equal(closed[clear], sturm_count(mat.bands, lam[clear]))
-
-
-def _random_specs(rng, devices):
-    """Devices of 1-60 ladder cells and 2-90 strip cells, every second
-    one with end caps."""
-    for device in range(devices):
-        spec = make_band_edge_spec(int(rng.integers(1, 61)), int(rng.integers(2, 91)))
-        if device % 2:
-            spec = dataclasses.replace(
-                spec, c_end_left=spec.c_left * rng.uniform(0.1, 3.0),
-                c_end_right=spec.c_left * rng.uniform(0.1, 3.0))
-        yield spec
 
 
 class TestCount:
@@ -191,18 +179,15 @@ class TestPassbandShortcut:
                                       sturm_count(mat.bands, lam[clear]))
 
 
-def _returned_eigenvalues(monkeypatch, mat, window):
-    """The eigenvalues ``solve_modes`` returns, as the closed form takes its
-    vectors at them (their frequencies squared would round)."""
-    seen, vectors = [], modes._closed_vectors
-    monkeypatch.setattr(modes, "_closed_vectors",
-                        lambda bands, segs, lam: seen.append(lam) or vectors(bands, segs, lam))
-    solve_modes(mat, window)
-    monkeypatch.setattr(modes, "_closed_vectors", vectors)
-    return seen[0]
+def _returned_eigenvalues(mat, window):
+    """The eigenvalues ``solve_modes`` returns, in count order, as the
+    closed form holds them and takes its profiles at them (their
+    frequencies squared would round)."""
+    closed = solve_modes(mat, window)._closed
+    return closed.lam[np.argsort(closed.index)]
 
 
-def _assert_certified(monkeypatch, mat, window):
+def _assert_certified(mat, window):
     """Each returned eigenvalue, number k, where the strip is in its
     passband: certified by counts one ulp apart (k at it and k + 1 at the
     next double, or k at the double below it and k + 1 at it), or within
@@ -211,7 +196,7 @@ def _assert_certified(monkeypatch, mat, window):
     steps back and forth over several ulps, and 2400 ulps from the pivot
     count were seen), so there the reference counts 1e-11 to either side
     must hold the eigenvalue.  Returns the share certified by counts."""
-    lam = _returned_eigenvalues(monkeypatch, mat, window)
+    lam = _returned_eigenvalues(mat, window)
     segs = _segments(mat)
     first = (mat.dim - len(lam) if window is None
              else int(modes._shoot(*segs, np.array([window[0] ** 2]))[0]))
@@ -233,31 +218,31 @@ def _assert_certified(monkeypatch, mat, window):
 
 class TestCertified:
     @pytest.mark.parametrize("name", FIGURES)
-    def test_figures(self, monkeypatch, name):
+    def test_figures(self, name):
         # every eigenvalue of the commands' devices by counts
         cfg = _config(name)
-        assert _assert_certified(monkeypatch, build_matrices(cfg.circuit_spec()),
+        assert _assert_certified(build_matrices(cfg.circuit_spec()),
                                  cfg.freq_window()) == 1.0
 
     @pytest.mark.parametrize("n_left, caps", [(1, False), (1, True), (40, True)])
     @pytest.mark.parametrize("window", [None, WINDOW])
-    def test_pattern_devices(self, monkeypatch, n_left, caps, window):
-        _assert_certified(monkeypatch, build_matrices(_pattern_spec(n_left, caps)), window)
+    def test_pattern_devices(self, n_left, caps, window):
+        _assert_certified(build_matrices(_pattern_spec(n_left, caps)), window)
 
-    def test_random_devices(self, monkeypatch):
+    def test_random_devices(self):
         # every third with no window: its top modes lie where the strip is
         # evanescent, and multisection finds them
         rng = np.random.default_rng(5)
-        shares = [_assert_certified(monkeypatch, build_matrices(spec), WINDOW if i % 3 else None)
+        shares = [_assert_certified(build_matrices(spec), WINDOW if i % 3 else None)
                   for i, spec in enumerate(_random_specs(rng, 60))]
         assert np.mean(shares) > 0.99
 
 
 def test_fig2_solve_takes_few_counts(monkeypatch):
     """A fig2 solve brackets, steps to and certifies its 164 window modes in
-    at most 12 count shots: multisection from the whole window, which took
-    21, fails here.  A window that holds no mode takes the top bracket's
-    shot and the grid's."""
+    at most 8 count shots: multisection from the whole window, which took
+    21, fails here, and so does a solve that also brackets the top of the
+    spectrum.  A window that holds no mode takes the grid's shot alone."""
     cfg = _config("fig2")
     mat = build_matrices(cfg.circuit_spec())
     calls, shoot = [], modes._shoot
@@ -268,11 +253,11 @@ def test_fig2_solve_takes_few_counts(monkeypatch):
 
     monkeypatch.setattr(modes, "_shoot", counted)
     assert len(solve_modes(mat, cfg.freq_window())) == 164
-    assert 0 < calls.count(False) <= 12
+    assert 0 < calls.count(False) <= 8
     calls.clear()
     gap = TWO_PI * 5e9         # between two modes of the fig2 device
     assert len(solve_modes(mat, (gap, gap * (1 + 1e-9)))) == 0
-    assert calls.count(False) <= 2
+    assert calls.count(False) == 1
 
 
 @pytest.fixture(scope="module")
