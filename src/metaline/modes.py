@@ -467,23 +467,18 @@ class _Wave(NamedTuple):
         return _Wave(*(x[cols] for x in self))
 
 
-def _wave_values(wave: _Wave, m: int, j: np.ndarray) -> np.ndarray:
-    """u of ``wave`` (a segment of m steps) at the local nodes j, a float
-    array of one row per node and either one column for all shifts or one
-    per shift; a column per shift out."""
+def _wave_values(wave: _Wave, m, j: np.ndarray) -> np.ndarray:
+    """u of ``wave`` (on a segment of m steps) at the local nodes j, entry
+    by entry: the wave's fields and m broadcast against j (a column of
+    nodes for all shifts, or nodes per shift)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if not wave.evanescent.any():
-            return wave.r * np.sin(np.pi * _phase(j, wave.t, wave.f)[1])
-        vals = np.empty((len(j), len(wave.t)))
-        on = ~wave.evanescent
-        jo = j if j.shape[1] == 1 else j[:, on]
-        vals[:, on] = wave.r[on] * np.sin(np.pi * _phase(jo, wave.t[on], wave.f[on])[1])
-        on = wave.evanescent
-        jo = j if j.shape[1] == 1 else j[:, on]
-        vals[:, on] = (wave.a[on] * np.exp((jo - m) * wave.kappa[on])
-                       + wave.b[on] * np.exp(-(jo + m) * wave.kappa[on])) \
-            * np.where(wave.alt[on] & (jo % 2 == 1), -1.0, 1.0)
-    return vals
+        u = wave.r * np.sin(np.pi * _phase(j, wave.t, wave.f)[1])
+        if wave.evanescent.any():
+            u = np.where(wave.evanescent,
+                         (wave.a * np.exp((j - m) * wave.kappa)
+                          + wave.b * np.exp(-(j + m) * wave.kappa))
+                         * np.where(wave.alt & (j % 2 == 1), -1.0, 1.0), u)
+    return u
 
 
 def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
@@ -844,12 +839,17 @@ class _ClosedModes:
         # per wave: its segment, and the node -> local index map offset + step * node
         self.parts = ((ladder, 0, 1), (ladder, self.mid, -1),
                       (strip, -self.mid, 1), (strip, self.n - 1, -1))
+        self.steps, self.offset, self.step = (np.array(x) for x in zip(*(
+            (seg.steps, offset, step) for seg, offset, step in self.parts)))
         self.twist = np.zeros(len(self.lam), dtype=int)
         self.coef = np.zeros((4, len(self.lam)))
         self.waves, scale_l, scale_r = _shots(segs, self.lam)
+        # the four waves' fields, one row each
+        self.stack = _Wave(*(np.stack(field) for field in zip(*self.waves)))
         if not len(self.lam):
             return
         self._join(scale_l, scale_r)
+        self.pieces = self._pieces()
         # the profiles at the free rows (first, interface, last) and about
         # the twist, scaled with the coefficients below
         t, mid, n = self.twist, self.mid, self.n
@@ -880,27 +880,20 @@ class _ClosedModes:
     def _values(self, node: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """The profiles (with the current ``coef``) at ``node``, a column of
         nodes for all modes ``cols`` (None: every mode) or one column of
-        nodes per mode."""
-        twist = self.twist if cols is None else self.twist[cols]
-        out = np.zeros(np.broadcast_shapes(np.shape(node), twist.shape))
-        if not out.size:
-            return out
-        ladder, left = node <= self.mid, node <= twist
-        with np.errstate(over="ignore", invalid="ignore"):
-            for part, sel in enumerate((ladder & left, ladder & ~left,
-                                        ~ladder & left, ~ladder & ~left)):
-                if not sel.any():
-                    continue
-                (seg, offset, step), wave = self.parts[part], self.waves[part]
-                coef = self.coef[part]
-                if cols is not None:
-                    wave, coef = wave.take(cols), coef[cols]
-                local = (offset + step * node).astype(float)
-                np.copyto(out, _wave_values(wave, seg.steps, local) * coef, where=sel)
+        nodes per mode: each entry from its own wave, the first shot's up
+        to the twist and the second's beyond, on its node's segment."""
+        cols = np.arange(len(self.lam)) if cols is None else cols
+        node = np.broadcast_to(node, (len(node), len(cols)))
+        if not node.size:
+            return np.zeros(node.shape)
+        part = 2 * (node > self.mid) + (node > self.twist[cols])
+        u = _wave_values(_Wave(*(field[part, cols] for field in self.stack)), self.steps[part],
+                         (self.offset[part] + self.step[part] * node).astype(float))
+        u *= self.coef[part, cols]
         ladder_sign, strip_sign = self.parts[0][0].sign, self.parts[2][0].sign
         flips = ((ladder_sign < 0) * np.minimum(node, self.mid)
                  + (strip_sign < 0) * np.maximum(node - self.mid, 0))
-        return np.where(flips % 2 == 1, -out, out)
+        return np.where(flips % 2 == 1, -u, u)
 
     def _join(self, scale_l: np.ndarray, scale_r: np.ndarray) -> None:
         """Sets ``twist`` and ``coef`` as ``_closed_vectors`` forms them
@@ -951,8 +944,8 @@ class _ClosedModes:
         bands, mid, n, m = self.bands, self.mid, self.n, len(self.lam)
         split = self.twist < mid
         # the four parts at once, the ladder's two first
-        wave = _Wave(*(np.concatenate(field) for field in zip(*self.waves)))
-        j0, count = (np.concatenate(x) for x in zip(*self._pieces()))
+        wave = _Wave(*(np.ravel(field) for field in self.stack))
+        j0, count = (np.concatenate(x) for x in zip(*self.pieces))
         steps, c_d, c_o = (np.repeat([getattr(seg, key) for seg, _, _ in self.parts], m)
                            for key in ("steps", "c_d", "c_o"))
         coef2 = np.ravel(self.coef ** 2)
@@ -990,6 +983,8 @@ class _ClosedModes:
         cols = np.arange(len(self.lam))
         amplitude = np.maximum(np.abs(ref), self._amplitudes()[1])
         small = np.abs(ref) < 1e-9 * amplitude
+        if not small.any():
+            return np.where(ref < 0, -1.0, 1.0)
         strip = self._values(np.arange(self.mid, self.n)[:, None], cols[small])
         return _interface_signs(ref, strip, small)
 
@@ -1005,26 +1000,42 @@ class _ClosedModes:
         At their Rayleigh quotient mu = lam + g x_t, the part of x along
         eigenvector i is then g v_i(t) / (lam_i - mu), so the sine of the
         C-angle between x and its eigenvector is |g| times the root of the
-        sum of v_i(t)^2 / (lam_i - mu)^2 over the other modes (the gap
-        theorem's argument: Parlett, *The Symmetric Eigenvalue Problem*,
-        11.7).  That sum is evaluated over the ``_NEAR`` nearest window
-        modes on either side.  Beyond them, the window modes' v_i(t)^2 sum
-        to at most the sum of their squared amplitudes on t's segment, at
-        no less than the distance to the next of them, and the modes
-        outside the window to at most (C^-1)_tt (which sum_i v_i(t)^2 is),
-        at no less than the distance to the window's neighbours.  The
-        closed form's rounding of each entry turns the profile by a small
-        angle of its own, taken as ``_ULPS`` n eps.  With theta_j the sum
-        of the two, x_j's parts e_ij along the other eigenvectors have
-        sum_i e_ij^2 <= theta_j^2, and E_ij = e_ij + e_ji + sum_k e_ik
-        e_jk, so |E_j| <= sqrt(2 (|theta|^2 + theta_j^2)) + theta_j
-        |theta|, plus the C-norm's rounding."""
+        sum of v_i(t)^2 / (lam_i - mu)^2 over the other modes, where sum_i
+        v_i(t)^2 is (C^-1)_tt.  That sum is at most (C^-1)_tt over the
+        squared distance from mu to the nearest other eigenvalue (the gap
+        theorem: Parlett, *The Symmetric Eigenvalue Problem*, 11.7).  Where
+        that bound is too coarse for the gate (at n_left = 5000 and up),
+        the sum is evaluated over the ``_NEAR`` nearest window modes on
+        either side; beyond them the window modes' v_i(t)^2 sum to at most
+        their squared amplitudes on t's segment, at no less than the
+        distance to the next of them, and the modes outside the window to
+        at most (C^-1)_tt, at no less than the distance to the window's
+        neighbours.  The closed form's rounding of each entry turns the
+        profile by a small angle of its own, taken as ``_ULPS`` n eps.
+        With theta_j the sum of the two, x_j's parts e_ij along the other
+        eigenvectors have sum_i e_ij^2 <= theta_j^2, and E_ij = e_ij + e_ji
+        + sum_k e_ik e_jk, so |E_j| <= sqrt(2 (|theta|^2 + theta_j^2)) +
+        theta_j |theta|, plus the C-norm's rounding."""
         b, lam, t, n, m = self.bands, self.lam, self.twist, self.n, len(self.lam)
         prev, nxt = np.maximum(t - 1, 0), np.minimum(t, n - 2)
         mismatch = np.abs((b.k_diag[t] - lam * b.c_diag[t]) * x[1]
                           + np.where(t > 0, (b.k_off[prev] - lam * b.c_off[prev]) * x[0], 0.0)
                           + np.where(t < n - 1, (b.k_off[nxt] - lam * b.c_off[nxt]) * x[2], 0.0))
-        mu, cols = lam + mismatch * x[1], np.arange(m)
+        mu, cols, cinv = lam + mismatch * x[1], np.arange(m), self._inverse_diagonal(t)
+        ends = np.concatenate([[outside[0]], lam, [outside[1]]])
+
+        def worst(share):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                theta = mismatch * np.sqrt(share) + _ULPS * n * _EPS
+            theta = np.where(theta >= 0, theta, np.inf)
+            total = np.sqrt(np.sum(theta ** 2))
+            bound = np.sqrt(2.0 * (total ** 2 + theta ** 2)) + theta * total + norm_error
+            return 0.75 * np.max(bound) ** 2
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.minimum(mu - ends[cols], ends[cols + 2] - mu)
+        if (bound := worst(cinv / gap ** 2)) <= 1e-12:
+            return
         # v[r, i] = v_i(t_j) for the pair j = i - k_r: mode i at the twist
         # of the mode k_r below it
         shifts = np.array([k for k in range(-_NEAR, _NEAR + 1) if k])[:, None]
@@ -1033,21 +1044,16 @@ class _ClosedModes:
         valid = (i >= 0) & (i < m)
         i = np.clip(i, 0, m - 1)
         v = np.where(valid, v[np.arange(len(shifts))[:, None], i], 0.0)
-        ends = np.concatenate([[outside[0]], lam, [outside[1]]])
         window = np.array([np.sum(a ** 2) for a in self._amplitudes()])[(t > self.mid).astype(int)]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             far = np.minimum(mu - ends[np.maximum(cols - _NEAR, 0)],
                              ends[np.minimum(cols + _NEAR + 2, m + 1)] - mu)
             away = np.minimum(mu - outside[0], outside[1] - mu)
-            theta = mismatch * np.sqrt(
-                np.sum(np.where(valid, v * v / (lam[i] - mu) ** 2, 0.0), axis=0)
-                + window / far ** 2 + self._inverse_diagonal(t) / away ** 2) + _ULPS * n * _EPS
-        theta = np.where(theta >= 0, theta, np.inf)
-        total = np.sqrt(np.sum(theta ** 2))
-        bound = np.sqrt(2.0 * (total ** 2 + theta ** 2)) + theta * total + norm_error
-        if not (worst := 0.75 * np.max(bound) ** 2) <= 1e-12:
+            share = (np.sum(np.where(valid, v * v / (lam[i] - mu) ** 2, 0.0), axis=0)
+                     + window / far ** 2 + cinv / away ** 2)
+        if not (bound := min(bound, worst(share))) <= 1e-12:
             raise ArithmeticError(f"closed-form modes too far from C-orthonormal: their "
-                                  f"eigenvalues' residuals allow {worst:.1e}")
+                                  f"eigenvalues' residuals allow {bound:.1e}")
 
     def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on |x| of every profile on the ladder and on the strip
@@ -1058,7 +1064,7 @@ class _ClosedModes:
         for parts in ((0, 1), (2, 3)):
             top = np.zeros(len(self.lam))
             for part in parts:
-                w, count = self.waves[part], self._pieces()[part][1]
+                w, count = self.waves[part], self.pieces[part][1]
                 r = np.where(w.evanescent, np.abs(w.a) + np.abs(w.b), np.abs(w.r))
                 top = np.maximum(top, np.where(count > 0, r * np.abs(self.coef[part]), 0.0))
             out.append(top)
