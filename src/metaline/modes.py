@@ -24,11 +24,12 @@ then takes one of two paths:
   find every window eigenvalue, and a count one ulp to either side
   certifies each: 8 shots in all on the fig2 device, where multisection
   took 21.  Each mode is held as the solutions shot from both ends and
-  the node where they join (``_ClosedModes``), O(1) per mode: ``rows``
-  evaluates chosen nodes, which is all the commands' couplings, antinode
-  and sign rule read, and the n x m profiles (O(n m) and one O(n m^2)
-  Loewdin step for m window modes) are formed only where ``profiles`` is
-  read: by ``modes --profiles``, the tests and health checks;
+  the node where they join (``closedform.ClosedModes``), O(1) per mode:
+  ``ModeSet.rows`` evaluates chosen nodes, which is all the commands'
+  couplings, antinode and sign rule read, and the n x m profiles (O(n m)
+  and one O(n m^2) Loewdin step for m window modes) are formed only where
+  ``profiles`` is read: by ``modes --profiles``, the tests and health
+  checks;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
   only there) for dims 1001-2001 and for every band layout the closed
   form does not take (disordered ladders, bare lines, toy pencils), which
@@ -59,12 +60,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .circuit import CircuitSpec, NetworkBands, NetworkMatrices
 from .dispersion import dom_approx
+
+if TYPE_CHECKING:
+    from .closedform import ClosedModes
 
 # gauge rule: modes at or below this fraction of the largest frequency
 # are the inductive null space, not physical modes
@@ -88,12 +92,6 @@ _GRID = 4
 _STEPS = 8
 _ULPS = 16
 _FAN = 4
-# a closed-form C-norm whose terms' magnitudes sum to more than this many
-# times the norm is summed again node by node
-_CANCEL = 32.0
-# window modes on either side whose share of a twist's residual the gate
-# of ``_ClosedModes`` evaluates, before bounding the rest by a gap
-_NEAR = 4
 
 
 class IllConditionedCircuitError(RuntimeError):
@@ -111,19 +109,19 @@ class ModeSet:
 
     A dense solve, or a caller, hands over ``profiles`` whole.  A
     closed-form solve holds each mode as its two closed-form shots
-    (``_ClosedModes``) and forms no n x m array: ``rows`` evaluates the
-    shots at the nodes asked for, which is all that ``coupling_spectrum``
-    (the footprint rows), ``find_current_antinode`` (one mode's strip) and
-    the sign rule read, and ``profiles`` is formed, Loewdin step included,
-    only when something reads it (``modes --profiles``, the tests, a
-    health check).  On the fig5 device at n_left = 5000 (dim 12 501, 4009
+    (``closedform.ClosedModes``) and forms no n x m array: ``rows``
+    evaluates the shots at the nodes asked for, which is all that
+    ``coupling_spectrum`` (the footprint rows), ``find_current_antinode``
+    (one mode's strip) and the sign rule read, and ``profiles`` is formed,
+    Loewdin step included, only when something reads it (``modes
+    --profiles``, the tests, a health check).  On the fig5 device at n_left = 5000 (dim 12 501, 4009
     window modes) that takes a ``phase`` run from 9.0 s and 1.67 GB
     resident to 0.17 s and 64 MB (fresh processes, 2-vCPU VM).
     """
 
     def __init__(self, frequencies: np.ndarray, profiles: np.ndarray | None = None,
                  node_positions: np.ndarray | None = None, interface_index: int = 0,
-                 closed: _ClosedModes | None = None):
+                 closed: ClosedModes | None = None):
         self.frequencies = frequencies
         self.node_positions = node_positions
         self.interface_index = interface_index
@@ -467,20 +465,6 @@ class _Wave(NamedTuple):
         return _Wave(*(x[cols] for x in self))
 
 
-def _wave_values(wave: _Wave, m, j: np.ndarray) -> np.ndarray:
-    """u of ``wave`` (on a segment of m steps) at the local nodes j, entry
-    by entry: the wave's fields and m broadcast against j (a column of
-    nodes for all shifts, or nodes per shift)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = wave.r * np.sin(np.pi * _phase(j, wave.t, wave.f)[1])
-        if wave.evanescent.any():
-            u = np.where(wave.evanescent,
-                         (wave.a * np.exp((j - m) * wave.kappa)
-                          + wave.b * np.exp(-(j + m) * wave.kappa))
-                         * np.where(wave.alt & (j % 2 == 1), -1.0, 1.0), u)
-    return u
-
-
 def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
            phase: bool = False):
     """Shot from the first of ``rows`` across ``first``, the second row,
@@ -489,8 +473,8 @@ def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
     shot v from node 0 are d_j = |b_j| u_{j+1}/u_j, with a virtual u_n for
     the last (the discrete Pruefer angle: Atkinson, *Discrete and
     Continuous Boundary Problems*, 1964).  With ``values``, the ``_Wave``
-    of each segment per lam, which ``_wave_values`` evaluates at any of
-    its nodes (the shared node in both), and the log of the factor those
+    of each segment per lam, which ``closedform._wave_values`` evaluates
+    at any of its nodes (the shared node in both), and the log of the factor those
     on ``second`` are divided by beyond the others.
 
     With ``phase``, also the continuous Pruefer phase Phi = whole + part:
@@ -521,18 +505,21 @@ def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
 
 
 def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | None
-                  ) -> _ClosedModes:
+                  ) -> ClosedModes:
     """The non-gauge modes in ``freq_window`` of a two-segment device, as
-    ``_ClosedModes``: the eigenvalues by ``_closed_eigenvalues``, all window
-    modes at once, from one count of a ``_phase_grid``.  That count also
-    takes a shift at lam_lo / GAUGE^2: where all n eigenvalues lie below
-    it, no gauge mode (omega <= GAUGE omega_max) reaches the window.  Where
-    some do not, or the window has no top, the top of the spectrum is
-    bracketed by counts of ``_shoot`` (``_top_bracket``), the gauge modes
-    are counted (``_gauge_floor``) where the window may reach them, and the
-    grid is counted again.  The count also takes the grid shift next below
-    and next above the window, whose counts bound the eigenvalues next to
-    the window's modes for the gaps that ``_ClosedModes`` checks."""
+    ``closedform.ClosedModes``: the eigenvalues by ``_closed_eigenvalues``,
+    all window modes at once, from one count of a ``_phase_grid``.  That
+    count also takes a shift at lam_lo / GAUGE^2: where all n eigenvalues
+    lie below it, no gauge mode (omega <= GAUGE omega_max) reaches the
+    window.  Where some do not, or the window has no top, the top of the
+    spectrum is bracketed by counts of ``_shoot`` (``_top_bracket``), the
+    gauge modes are counted (``_gauge_floor``) where the window may reach
+    them, and the grid is counted again.  The count also takes the grid
+    shift next below and next above the window, whose counts bound the
+    eigenvalues next to the window's modes for the gaps that
+    ``ClosedModes`` checks."""
+    from .closedform import ClosedModes     # compiled only where this path runs
+
     ladder, strip, rows = segs
     count = partial(_shoot, ladder, strip, rows)
     n = len(bands.k_diag)
@@ -547,7 +534,7 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
         if shot[0][-1] < n:         # the window may reach gauge modes
             shot = None
     elif np.isfinite(lam_hi) and lam_lo >= lam_hi:
-        return _ClosedModes(bands, segs, *empty)
+        return ClosedModes(bands, segs, *empty)
     if shot is None:
         stack = NetworkBands.stack([bands])
         bracket = _top_bracket(stack, count)
@@ -557,7 +544,7 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
             first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
         lam_hi = min(lam_hi, top)
         if not lam_lo < lam_hi:
-            return _ClosedModes(bands, segs, *empty)
+            return ClosedModes(bands, segs, *empty)
         grid = _phase_grid(points, lam_lo, lam_hi)
         shifts = np.concatenate([grid, _outside(points, lam_lo, lam_hi)])
         shot = count(shifts, phase=True)
@@ -566,13 +553,13 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
     index = np.arange(max(counts[0], first), counts[len(grid) - 1])
     keep = np.flatnonzero((np.sqrt(lam) >= lo) & (np.sqrt(lam) <= hi))
     if not len(keep):
-        return _ClosedModes(bands, segs, *empty)
+        return ClosedModes(bands, segs, *empty)
     # the eigenvalues next to the window's: counts(s) >= k puts eigenvalue
     # k - 1 below s, counts(s) <= k + 1 eigenvalue k + 1 at or above it
     below = shifts[counts >= index[0]].min() if index[0] else -np.inf
     above = shifts[counts <= index[-1] + 1].max() if index[-1] + 1 < n else np.inf
     near = np.concatenate([[below], lam, [above]])
-    return _ClosedModes(bands, segs, lam[keep], index[keep], near[[keep[0], keep[-1] + 2]])
+    return ClosedModes(bands, segs, lam[keep], index[keep], near[[keep[0], keep[-1] + 2]])
 
 
 def _phase_points(segs) -> np.ndarray:
@@ -727,432 +714,6 @@ def _closed_eigenvalues(count, grid: np.ndarray, shot, first: int) -> np.ndarray
         lo[rest], hi[rest], nearer[rest] = _fan(count, index[rest], 0.5 * (lo[rest] + hi[rest]),
                                                 lo[rest], hi[rest])
     return np.where(np.isnan(nearer), 0.5 * (lo + hi), nearer)
-
-
-def _closed_vectors(bands: NetworkBands, segs, lam: np.ndarray) -> np.ndarray:
-    """C-orthonormal eigenvectors of a two-segment device at its eigenvalues
-    ``lam``.  Each joins the solutions shot from the first and from the
-    last node where their product is largest: there the diagonal of
-    (K - lam C)^-1 is largest and the join's residual smallest (twisted
-    factorization: Parlett & Dhillon, Linear Algebra Appl. 1997).  A
-    first-order Loewdin step, V <- V (I - E/2) with E = V^T C V - I, then
-    C-orthonormalizes them, or raises ArithmeticError where E is too large
-    for one step."""
-    n = len(bands.k_diag)
-    ladder, strip, rows = segs
-    (lad_l, lad_r, str_l, str_r), scale_l, scale_r = _shots(segs, lam)
-    # u on the nodes of each segment, in node order (the shot from the
-    # last node runs through them backwards)
-    j = np.arange(ladder.steps + 1.0)[:, None]
-    lad_l, lad_r = (_wave_values(lad_l, ladder.steps, j),
-                    _wave_values(lad_r, ladder.steps, j[::-1]))
-    j = np.arange(strip.steps + 1.0)[:, None]
-    str_l, str_r = (_wave_values(str_l, strip.steps, j),
-                    _wave_values(str_r, strip.steps, j[::-1]))
-    # the join node has the largest |left right|, e^{scale_r} times that of
-    # these arrays on the ladder and e^{scale_l} on the strip (may overflow)
-    cols, mid = np.arange(len(lam)), ladder.steps
-    at_l = np.argmax(np.abs(lad_l * lad_r), axis=0)
-    at_s = np.argmax(np.abs(str_l * str_r), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        on_ladder = (np.log(np.abs(lad_l[at_l, cols] * lad_r[at_l, cols])) + scale_r
-                     >= np.log(np.abs(str_l[at_s, cols] * str_r[at_s, cols])) + scale_l)
-        twist = np.where(on_ladder, at_l, at_s + mid)
-        # each shot divided by its value at the join node, one segment at a time
-        rows = np.arange(n)[:, None]
-        x = np.empty((n, len(lam)))
-        x[:mid + 1] = np.where(rows[:mid + 1] <= twist,
-                               lad_l * np.where(on_ladder, 1.0 / lad_l[at_l, cols],
-                                                np.exp(-scale_l) / str_l[at_s, cols]),
-                               lad_r / lad_r[at_l, cols])
-        x[mid + 1:] = np.where(rows[mid + 1:] <= twist, str_l[1:] / str_l[at_s, cols],
-                               str_r[1:] * np.where(on_ladder, np.exp(-scale_r) / lad_r[at_l, cols],
-                                                    1.0 / str_r[at_s, cols]))
-    del lad_l, str_l, lad_r, str_r
-    signs = np.repeat([ladder.sign, strip.sign], [ladder.steps, strip.steps])
-    x *= np.concatenate([[1.0], np.cumprod(signs)])[:, None]
-    cx = _tri_mul(bands.c_diag, bands.c_off, x)
-    scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", x, cx))
-    x *= scale
-    cx *= scale
-    err = x.T @ cx
-    err[np.diag_indices_from(err)] -= 1.0
-    # the step leaves V^T C V - I = -(3/4) E^2 + O(E^3), |(E^2)_ij| <= |E_i| |E_j|
-    if (worst := 0.75 * np.einsum("ij,ij->j", err, err).max()) > 1e-12:
-        raise ArithmeticError(f"closed-form modes too far from C-orthonormal "
-                              f"for one Loewdin step ({worst:.1e})")
-    x -= 0.5 * (x @ err)
-    return x
-
-
-def _shots(segs, lam: np.ndarray):
-    """The waves of the shots of a two-segment device from its first node
-    and from its last: ((ladder, ladder, strip, strip), each first from the
-    first node, then from the last; and the log of the factor by which
-    each shot's strip, then ladder, is divided beyond its other segment)."""
-    ladder, strip, rows = segs
-    lad_l, str_l, scale_l = _shoot(ladder, strip, rows, lam, values=True)
-    str_r, lad_r, scale_r = _shoot(strip, ladder, rows[::-1], lam, values=True)
-    return (lad_l, lad_r, str_l, str_r), scale_l, scale_r
-
-
-class _ClosedModes:
-    """The window modes of a two-segment device held as closed-form shots,
-    in the order of their frequencies; no n x m array is formed.
-
-    Mode k keeps its eigenvalue ``lam``, its count ``index``, the
-    ``_Wave`` of each segment in the shot from the first node and in the
-    one from the last (``_shots``), the ``twist`` node where they are
-    joined (the first shot up to it, the second beyond) and the factor
-    ``coef`` of each of the four waves that makes its u the C-normalized
-    profile, sign rule included.  ``rows`` evaluates any nodes of any
-    modes at O(1) per entry.  Each step of ``_closed_vectors`` that costs
-    O(n) per mode is O(1) here:
-
-    - the twist: the largest |first . second| among each segment's ends
-      and the two nodes about the crest of its sinusoid nearest its middle
-      (where the segment is evanescent, |u| is largest at an end), within
-      a factor of about 2 of the largest over all nodes;
-    - the C-norm: closed-form sums over each part of the profile (a
-      Dirichlet kernel for the sin^2 of a passband, geometric sums where
-      evanescent), the ladder's coupling term as a sum of squares
-      (u_j + u_{j+1})^2, so that no large terms cancel; a mode whose sums
-      still cancel by more than ``_CANCEL`` is summed node by node;
-    - the sign rule at the interface node, its fallback evaluated over the
-      strip only for the modes whose interface entry lies below 1e-9 of
-      the strip's amplitude (which bounds the strip's largest entry);
-    - the tie-break, from the count index.
-
-    In place of the Loewdin step and its Gram matrix, the constructor
-    bounds each mode's C-angle to its exact eigenvector by its residual
-    over its gap, O(m) in all (``_check``).  ``profiles`` forms the full
-    profiles by ``_closed_vectors``, Loewdin step and Gram gate included.
-    """
-
-    def __init__(self, bands: NetworkBands, segs, lam: np.ndarray, index: np.ndarray,
-                 outside):
-        order = np.lexsort((index, np.sqrt(lam)))
-        self.bands, self.segs = bands, segs
-        self.lam, self.index = lam[order], index[order]
-        ladder, strip, _ = segs
-        self.n, self.mid = len(bands.k_diag), ladder.steps
-        # per wave: its segment, and the node -> local index map offset + step * node
-        self.parts = ((ladder, 0, 1), (ladder, self.mid, -1),
-                      (strip, -self.mid, 1), (strip, self.n - 1, -1))
-        self.steps, self.offset, self.step = (np.array(x) for x in zip(*(
-            (seg.steps, offset, step) for seg, offset, step in self.parts)))
-        self.twist = np.zeros(len(self.lam), dtype=int)
-        self.coef = np.zeros((4, len(self.lam)))
-        self.waves, scale_l, scale_r = _shots(segs, self.lam)
-        # the four waves' fields, one row each
-        self.stack = _Wave(*(np.stack(field) for field in zip(*self.waves)))
-        if not len(self.lam):
-            return
-        self._join(scale_l, scale_r)
-        self.pieces = self._pieces()
-        # the profiles at the free rows (first, interface, last) and about
-        # the twist, scaled with the coefficients below
-        t, mid, n = self.twist, self.mid, self.n
-        x = self._values(np.stack([0 * t, 0 * t + mid, 0 * t + n - 1,
-                                   np.maximum(t - 1, 0), t, np.minimum(t + 1, n - 1)]))
-        norm, size = self._norm(x)
-        x /= np.sqrt(norm)
-        self.coef /= np.sqrt(norm)
-        sign = self._signs(x[1])
-        self.coef *= sign
-        self._check(outside, x[3:] * sign, 16.0 * _EPS * size / norm)
-
-    def rows(self, nodes: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-        """The profiles at ``nodes`` (one row each) of the modes ``cols``
-        (None: every mode)."""
-        return self._values(np.asarray(nodes)[:, None], cols)
-
-    def profiles(self) -> np.ndarray:
-        """The n x m profiles that ``_closed_vectors`` forms at the
-        eigenvalues in count order, in this order, with the sign rule
-        applied to them as formed."""
-        if not len(self.lam):
-            return np.empty((self.n, 0))
-        back = np.argsort(self.index)
-        vecs = _closed_vectors(self.bands, self.segs, self.lam[back])[:, np.argsort(back)]
-        return vecs * _interface_signs(vecs[self.mid], vecs[self.mid:])
-
-    def _values(self, node: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """The profiles (with the current ``coef``) at ``node``, a column of
-        nodes for all modes ``cols`` (None: every mode) or one column of
-        nodes per mode: each entry from its own wave, the first shot's up
-        to the twist and the second's beyond, on its node's segment."""
-        cols = np.arange(len(self.lam)) if cols is None else cols
-        node = np.broadcast_to(node, (len(node), len(cols)))
-        if not node.size:
-            return np.zeros(node.shape)
-        part = 2 * (node > self.mid) + (node > self.twist[cols])
-        u = _wave_values(_Wave(*(field[part, cols] for field in self.stack)), self.steps[part],
-                         (self.offset[part] + self.step[part] * node).astype(float))
-        u *= self.coef[part, cols]
-        ladder_sign, strip_sign = self.parts[0][0].sign, self.parts[2][0].sign
-        flips = ((ladder_sign < 0) * np.minimum(node, self.mid)
-                 + (strip_sign < 0) * np.maximum(node - self.mid, 0))
-        return np.where(flips % 2 == 1, -u, u)
-
-    def _join(self, scale_l: np.ndarray, scale_r: np.ndarray) -> None:
-        """Sets ``twist`` and ``coef`` as ``_closed_vectors`` forms them
-        (each shot divided by its value at the twist, the ladder's of the
-        first shot where the twist lies on the strip, and the other way
-        round), the twist taken among the nodes of ``_crests``."""
-        cols, mid = np.arange(len(self.lam)), self.mid
-        best = []
-        for first, m in ((0, mid), (2, self.parts[2][0].steps)):
-            at = _crests(self.waves[first], m)
-            u, v = (_wave_values(self.waves[first], m, at),
-                    _wave_values(self.waves[first + 1], m, m - at))
-            k = np.abs(u * v).argmax(axis=0)
-            best.append((at[k, cols], u[k, cols], v[k, cols]))
-        (at_l, lad_l, lad_r), (at_s, str_l, str_r) = best
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            on_ladder = (np.log(np.abs(lad_l * lad_r)) + scale_r
-                         >= np.log(np.abs(str_l * str_r)) + scale_l)
-            self.twist = np.where(on_ladder, at_l, at_s + mid).astype(int)
-            self.coef = np.array([
-                np.where(on_ladder, 1.0 / lad_l, np.exp(-scale_l) / str_l),
-                np.where(on_ladder, 1.0 / lad_r, 0.0),
-                np.where(on_ladder, 0.0, 1.0 / str_l),
-                np.where(on_ladder, np.exp(-scale_r) / lad_r, 1.0 / str_r)])
-
-    def _pieces(self):
-        """(first local node, node count) of each wave's part of every
-        profile: the ladder from the first shot up to the twist and from
-        the second beyond it, then the strip past the interface node
-        likewise."""
-        n, mid, twist = self.n, self.mid, self.twist
-        on_ladder, zero = twist <= mid, np.zeros_like(twist)
-        return ((zero, np.where(on_ladder, twist, mid) + 1),
-                (zero, np.where(on_ladder, mid - twist, 0)),
-                (zero + 1, np.where(on_ladder, 0, twist - mid)),
-                (zero, n - 1 - np.maximum(twist, mid)))
-
-    def _norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x^T C x of every profile with the current ``coef``, and the sum
-        of the magnitudes of its terms, from ``x`` at the free rows and
-        about the twist (rows as ``__init__`` takes them).  On a segment
-        x^T C x is c_d sum u^2 + 2 c_o sum u_j u_{j+1} = c_o sum (u_j +
-        u_{j+1})^2 + (c_d - 2 c_o) sum u^2 + c_o (u^2 at the part's two
-        ends) in each wave's u, with corrections at the free rows, whose
-        diagonal is not c_d, and across a twist on the ladder.  A mode
-        whose terms cancel by more than ``_CANCEL`` is summed node by
-        node."""
-        bands, mid, n, m = self.bands, self.mid, self.n, len(self.lam)
-        split = self.twist < mid
-        # the four parts at once, the ladder's two first
-        wave = _Wave(*(np.ravel(field) for field in self.stack))
-        j0, count = (np.concatenate(x) for x in zip(*self.pieces))
-        steps, c_d, c_o = (np.repeat([getattr(seg, key) for seg, _, _ in self.parts], m)
-                           for key in ("steps", "c_d", "c_o"))
-        coef2 = np.ravel(self.coef ** 2)
-        sq, sq_size = _squares(wave, steps, j0, count)
-        total = ((c_d - 2.0 * c_o) * coef2 * sq).reshape(4, m).sum(axis=0)
-        size = (np.abs(c_d - 2.0 * c_o) * coef2 * sq_size).reshape(4, m).sum(axis=0)
-        if (lad := self.parts[0][0]).c_o:
-            # pairs and the u^2 coef^2 at both ends of the two ladder parts
-            pair, pair_size = _squares(wave.take(slice(0, 2 * m)), steps[:2 * m], j0[:2 * m],
-                                       np.maximum(count[:2 * m] - 1, 0), True)
-            ends = (x[0] ** 2 + np.where(split, x[4], x[1]) ** 2
-                    + np.where(split, x[1] ** 2 + x[5] ** 2, 0.0))
-            total += lad.c_o * ((coef2[:2 * m] * pair).reshape(2, m).sum(axis=0) + ends)
-            size += lad.c_o * ((coef2[:2 * m] * pair_size).reshape(2, m).sum(axis=0) + ends)
-        c_d = np.array([self.parts[0][0].c_d, self.parts[0][0].c_d, self.parts[2][0].c_d])
-        corr = ((bands.c_diag[[0, mid, n - 1]] - c_d)[:, None] * x[:3] ** 2).sum(axis=0)
-        # the coupling between the two shots across a twist on the ladder
-        cross = np.where(split, 2.0 * bands.c_off[np.minimum(self.twist, mid - 1)] * x[4] * x[5],
-                         0.0)
-        total += corr + cross
-        size += np.abs(corr) + np.abs(cross)
-        redo = np.flatnonzero(~(size <= _CANCEL * total))
-        if redo.size:        # node by node: O(n) for each of these modes
-            v = self._values(np.arange(n)[:, None], redo)
-            total[redo] = size[redo] = np.einsum(
-                "ij,ij->j", v, _tri_mul(bands.c_diag, bands.c_off, v))
-        return total, size
-
-    def _signs(self, ref: np.ndarray) -> np.ndarray:
-        """The sign rule of ``_interface_signs`` on the normalized
-        profiles, whose interface entries are ``ref``: the strip rows are
-        evaluated only for the modes whose interface entry lies below 1e-9
-        of the strip's amplitude, which bounds its largest entry (|r| of a
-        passband wave, |a| + |b| of an evanescent one, as j <= m)."""
-        cols = np.arange(len(self.lam))
-        amplitude = np.maximum(np.abs(ref), self._amplitudes()[1])
-        small = np.abs(ref) < 1e-9 * amplitude
-        if not small.any():
-            return np.where(ref < 0, -1.0, 1.0)
-        strip = self._values(np.arange(self.mid, self.n)[:, None], cols[small])
-        return _interface_signs(ref, strip, small)
-
-    def _check(self, outside, x: np.ndarray, norm_error: np.ndarray) -> None:
-        """ArithmeticError unless every profile is C-orthonormal to the
-        gate of ``_closed_vectors``, (3/4) |E_j|^2 <= 1e-12 for E = V^T C
-        V - I, bounded without forming E from ``x``, the profiles at the
-        twist t and its neighbours, and ``outside``, bounds on the
-        eigenvalues next below and above the window's.
-
-        The joined shots of mode j leave a residual g e_t, the mismatch at
-        row t alone (as computed, with the rounding of that row's terms).
-        At their Rayleigh quotient mu = lam + g x_t, the part of x along
-        eigenvector i is then g v_i(t) / (lam_i - mu), so the sine of the
-        C-angle between x and its eigenvector is |g| times the root of the
-        sum of v_i(t)^2 / (lam_i - mu)^2 over the other modes, where sum_i
-        v_i(t)^2 is (C^-1)_tt.  That sum is at most (C^-1)_tt over the
-        squared distance from mu to the nearest other eigenvalue (the gap
-        theorem: Parlett, *The Symmetric Eigenvalue Problem*, 11.7).  Where
-        that bound is too coarse for the gate (at n_left = 5000 and up),
-        the sum is evaluated over the ``_NEAR`` nearest window modes on
-        either side; beyond them the window modes' v_i(t)^2 sum to at most
-        their squared amplitudes on t's segment, at no less than the
-        distance to the next of them, and the modes outside the window to
-        at most (C^-1)_tt, at no less than the distance to the window's
-        neighbours.  The closed form's rounding of each entry turns the
-        profile by a small angle of its own, taken as ``_ULPS`` n eps.
-        With theta_j the sum of the two, x_j's parts e_ij along the other
-        eigenvectors have sum_i e_ij^2 <= theta_j^2, and E_ij = e_ij + e_ji
-        + sum_k e_ik e_jk, so |E_j| <= sqrt(2 (|theta|^2 + theta_j^2)) +
-        theta_j |theta|, plus the C-norm's rounding."""
-        b, lam, t, n, m = self.bands, self.lam, self.twist, self.n, len(self.lam)
-        prev, nxt = np.maximum(t - 1, 0), np.minimum(t, n - 2)
-        mismatch = np.abs((b.k_diag[t] - lam * b.c_diag[t]) * x[1]
-                          + np.where(t > 0, (b.k_off[prev] - lam * b.c_off[prev]) * x[0], 0.0)
-                          + np.where(t < n - 1, (b.k_off[nxt] - lam * b.c_off[nxt]) * x[2], 0.0))
-        mu, cols, cinv = lam + mismatch * x[1], np.arange(m), self._inverse_diagonal(t)
-        ends = np.concatenate([[outside[0]], lam, [outside[1]]])
-
-        def worst(share):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                theta = mismatch * np.sqrt(share) + _ULPS * n * _EPS
-            theta = np.where(theta >= 0, theta, np.inf)
-            total = np.sqrt(np.sum(theta ** 2))
-            bound = np.sqrt(2.0 * (total ** 2 + theta ** 2)) + theta * total + norm_error
-            return 0.75 * np.max(bound) ** 2
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.minimum(mu - ends[cols], ends[cols + 2] - mu)
-        if (bound := worst(cinv / gap ** 2)) <= 1e-12:
-            return
-        # v[r, i] = v_i(t_j) for the pair j = i - k_r: mode i at the twist
-        # of the mode k_r below it
-        shifts = np.array([k for k in range(-_NEAR, _NEAR + 1) if k])[:, None]
-        v = self._values(t[np.clip(cols - shifts, 0, m - 1)])
-        i = cols + shifts
-        valid = (i >= 0) & (i < m)
-        i = np.clip(i, 0, m - 1)
-        v = np.where(valid, v[np.arange(len(shifts))[:, None], i], 0.0)
-        window = np.array([np.sum(a ** 2) for a in self._amplitudes()])[(t > self.mid).astype(int)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = np.minimum(mu - ends[np.maximum(cols - _NEAR, 0)],
-                             ends[np.minimum(cols + _NEAR + 2, m + 1)] - mu)
-            away = np.minimum(mu - outside[0], outside[1] - mu)
-            share = (np.sum(np.where(valid, v * v / (lam[i] - mu) ** 2, 0.0), axis=0)
-                     + window / far ** 2 + cinv / away ** 2)
-        if not (bound := min(bound, worst(share))) <= 1e-12:
-            raise ArithmeticError(f"closed-form modes too far from C-orthonormal: their "
-                                  f"eigenvalues' residuals allow {bound:.1e}")
-
-    def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on |x| of every profile on the ladder and on the strip
-        past the interface node: the largest |coef| times the amplitude of
-        the waves of its parts there (|r| in the passband; |a| + |b| where
-        evanescent, as j <= m)."""
-        out = []
-        for parts in ((0, 1), (2, 3)):
-            top = np.zeros(len(self.lam))
-            for part in parts:
-                w, count = self.waves[part], self.pieces[part][1]
-                r = np.where(w.evanescent, np.abs(w.a) + np.abs(w.b), np.abs(w.r))
-                top = np.maximum(top, np.where(count > 0, r * np.abs(self.coef[part]), 0.0))
-            out.append(top)
-        return out
-
-    def _inverse_diagonal(self, nodes: np.ndarray) -> np.ndarray:
-        """(C^-1)_ii at ``nodes``.  C couples no two strip nodes, so past
-        the interface it is 1 / c_ii; on the ladder (nodes 0 .. mid, a
-        block of C of its own) 1 / (d+_i + d-_i - c_ii) from the LDL^T
-        pivots d+ from its first row and d- from its last (the twisted
-        factorization), in loops over Python floats."""
-        mid, c_diag = self.mid, self.bands.c_diag
-        c, b2 = c_diag[:mid + 1].tolist(), np.square(self.bands.c_off[:mid]).tolist()
-        down, up = [c[0]], [c[-1]]
-        for a, sq in zip(c[1:], b2):
-            down.append(a - sq / down[-1])
-        for a, sq in zip(c[-2::-1], b2[::-1]):
-            up.append(a - sq / up[-1])
-        ladder = 1.0 / (np.array(down) + np.array(up[::-1]) - c_diag[:mid + 1])
-        return np.where(nodes <= mid, ladder[np.minimum(nodes, mid)], 1.0 / c_diag[nodes])
-
-
-def _crests(wave: _Wave, m: int) -> np.ndarray:
-    """Local nodes (rows, per shift) where |u| of ``wave`` may be largest
-    on its segment of m steps: both ends and, in the passband, the two
-    nodes about the crest of |sin(pi (j t + f))| nearest the middle (with
-    t - 1 for t, the same |sin|, where t > 1/2)."""
-    t = np.where(wave.t > 0.5, wave.t - 1.0, wave.t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phase = 0.5 * m * t + wave.f
-        j = 0.5 * m + (np.round(phase - 0.5) + 0.5 - phase) / t
-    j = np.where(np.isfinite(j), np.clip(j, 0.0, m), 0.0)
-    return np.stack([np.zeros_like(j), np.full_like(j, m), np.floor(j), np.ceil(j)])
-
-
-def _squares(wave: _Wave, m, j0: np.ndarray, count: np.ndarray, pairs: bool = False
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of u_j^2 of ``wave`` (on segments of m steps) over j = j0 ..
-    j0 + count - 1, or with
-    ``pairs`` of (u_j + u_{j+1})^2, per shift, and the sum of the
-    magnitudes of its terms.  In the passband u_j + u_{j+1} = 2 cos(pi
-    t/2) r sin(pi (j t + f + t/2)); where evanescent it is again a growing
-    and a decaying exponential."""
-    total, size = np.zeros(len(count)), np.zeros(len(count))
-    on = ~wave.evanescent
-    t, f, r = wave.t[on], wave.f[on], wave.r[on]
-    if pairs:
-        f, r = f + 0.5 * t, 2.0 * r * np.sin(0.5 * np.pi * (1.0 - t))
-    total[on], size[on] = _sin_squares(r, t, f, j0[on], count[on])
-    on = wave.evanescent
-    if on.any():
-        a, b, kappa = wave.a[on], wave.b[on], wave.kappa[on]
-        if pairs:
-            # (1 + e^-kappa) on both terms, or e^-kappa - 1 and 1 - e^-kappa
-            # where the wave alternates
-            up = np.where(wave.alt[on], np.expm1(-kappa), 1.0 + np.exp(-kappa))
-            a, b = a * up, b * np.where(wave.alt[on], -up, up)
-        total[on], size[on] = _exp_squares(a, b, kappa, np.broadcast_to(m, on.shape)[on],
-                                           j0[on], count[on], int(pairs))
-    return total, size
-
-
-def _sin_squares(r, t, f, j0, count) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of (r sin(pi (j t + f)))^2 over j = j0 .. j0 + count - 1
-    by the Dirichlet kernel, r^2/2 (count - D cos(pi ((2 j0 + count - 1) t
-    + 2 f))) with D = sin(pi count t) / sin(pi t), and r^2/2 (count + |D|),
-    the magnitude of its terms; each angle's whole turns split off by
-    ``_phase``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kernel = (np.sin(np.pi * _phase(count, t, 0.0)[1])
-                  / np.sin(np.pi * np.minimum(t, 1.0 - t)))
-        cos = np.cos(np.pi * _phase(2 * j0 + count - 1, t, 2.0 * f)[1])
-    half = 0.5 * r * r
-    return half * (count - kernel * cos), half * (count + np.abs(kernel))
-
-
-def _exp_squares(a, b, kappa, m, j0, count, shift: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of (a e^{(j - m + shift) kappa} + b e^{-(j + m) kappa})^2
-    over j = j0 .. j0 + count - 1 by geometric sums, every exponent <= 0
-    on that range, and the sum of the magnitudes of its terms."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.where(kappa > 0, np.expm1(-2.0 * count * kappa) / np.expm1(-2.0 * kappa),
-                         count)
-        grow = a * a * np.exp(2.0 * (j0 + count - 1 - m + shift) * kappa) * ratio
-        decay = b * b * np.exp(-2.0 * (j0 + m) * kappa) * ratio
-        cross = 2.0 * a * b * count * np.exp((shift - 2.0 * m) * kappa)
-    return grow + cross + decay, grow + np.abs(cross) + decay
 
 
 def sturm_count(bands: NetworkBands, lam) -> np.ndarray:

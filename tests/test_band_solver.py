@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import metaline.circuit as circuit
+import metaline.closedform as closedform
 import metaline.modes as modes
 import test_acceptance
 import test_cli
@@ -141,11 +142,11 @@ def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):
     # from the shots when first read
     ms = solve_modes(band_matrices, WINDOW)
 
-    def mixed(wave, m, j, values=modes._wave_values):
+    def mixed(wave, m, j, values=closedform._wave_values):
         u = values(wave, m, j)
         return u + 1e-4 * u[:, :1]
 
-    monkeypatch.setattr(modes, "_wave_values", mixed)
+    monkeypatch.setattr(closedform, "_wave_values", mixed)
     with pytest.raises(ArithmeticError, match="Loewdin"):
         ms.profiles
 

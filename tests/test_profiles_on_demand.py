@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import metaline.closedform as closedform
 import metaline.modes as modes
 from metaline import build_matrices, find_current_antinode, solve_modes
 from metaline.cli import main
@@ -36,13 +37,13 @@ def _devices():
 
 def _eager(mat, ms):
     """(frequencies, profiles) by the rules the dense path applies to
-    formed profiles: ``_closed_vectors`` at the eigenvalues in count order,
-    the sign rule on them, and the order by frequency with ties broken by
-    ``_column_sign_changes``."""
+    formed profiles: ``closedform._closed_vectors`` at the eigenvalues in
+    count order, the sign rule on them, and the order by frequency with
+    ties broken by ``_column_sign_changes``."""
     closed = ms._closed
     lam = closed.lam[np.argsort(closed.index)]
-    vecs = modes._closed_vectors(mat.bands, modes._two_segments(mat.bands, mat.interface_index),
-                                 lam)
+    vecs = closedform._closed_vectors(
+        mat.bands, modes._two_segments(mat.bands, mat.interface_index), lam)
     vecs = vecs * modes._interface_signs(vecs[mat.interface_index], vecs[mat.interface_index:])
     order = np.lexsort((modes._column_sign_changes(vecs), np.sqrt(lam)))
     return np.sqrt(lam)[order], vecs[:, order]
