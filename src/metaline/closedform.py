@@ -199,7 +199,11 @@ class ClosedModes:
         if not node.size:
             return np.zeros(node.shape)
         part = 2 * (node > self.mid) + (node > self.twist[cols])
-        u = _wave_values(_Wave(*(field[part, cols] for field in self.stack)), self.steps[part],
+        # the evanescent fields only where some entry needs them
+        evanescent = self.stack.evanescent[part, cols]
+        fields = self.stack[:3] + (self.stack[3:7] if evanescent.any() else 4 * (None,))
+        u = _wave_values(_Wave(*(None if field is None else field[part, cols]
+                                 for field in fields), evanescent), self.steps[part],
                          (self.offset[part] + self.step[part] * node).astype(float))
         u *= self.coef[part, cols]
         ladder_sign, strip_sign = self.parts[0][0].sign, self.parts[2][0].sign
@@ -415,17 +419,14 @@ def _crests(wave: _Wave, m: int) -> np.ndarray:
 def _squares(wave: _Wave, m, j0: np.ndarray, count: np.ndarray, pairs: bool = False
              ) -> tuple[np.ndarray, np.ndarray]:
     """The sum of u_j^2 of ``wave`` (on segments of m steps) over j = j0 ..
-    j0 + count - 1, or with
-    ``pairs`` of (u_j + u_{j+1})^2, per shift, and the sum of the
-    magnitudes of its terms.  In the passband u_j + u_{j+1} = 2 cos(pi
-    t/2) r sin(pi (j t + f + t/2)); where evanescent it is again a growing
-    and a decaying exponential."""
-    total, size = np.zeros(len(count)), np.zeros(len(count))
-    on = ~wave.evanescent
-    t, f, r = wave.t[on], wave.f[on], wave.r[on]
+    j0 + count - 1, or with ``pairs`` of (u_j + u_{j+1})^2, per shift, and
+    the sum of the magnitudes of its terms.  In the passband u_j + u_{j+1}
+    = 2 cos(pi t/2) r sin(pi (j t + f + t/2)); where evanescent it is
+    again a growing and a decaying exponential."""
+    t, f, r = wave.t, wave.f, wave.r          # NaN where evanescent
     if pairs:
         f, r = f + 0.5 * t, 2.0 * r * np.sin(0.5 * np.pi * (1.0 - t))
-    total[on], size[on] = _sin_squares(r, t, f, j0[on], count[on])
+    total, size = _sin_squares(r, t, f, j0, count)
     on = wave.evanescent
     if on.any():
         a, b, kappa = wave.a[on], wave.b[on], wave.kappa[on]

@@ -401,8 +401,8 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
     and a sign change each time j t + f passes a whole number; for p <= 0
     u_j = e^{j kappa} (A + B e^{-2 j kappa}) changes sign at most once,
     and for q <= 0 it is (-1)^j times that with p and q swapped.  Those
-    are divided by e^{steps kappa}.  A count-only call whose shifts all lie
-    in the passband skips the evanescent formulas.  With ``phase``, also
+    are divided by e^{steps kappa}.  A call whose shifts all lie in the
+    passband skips the evanescent formulas.  With ``phase``, also
     k, h (NaN where evanescent) and sin(psi) of the last node.
     """
     m = seg.steps
@@ -426,8 +426,12 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
         band = (k, ends * np.sin(np.pi * h), ends * np.cos(np.pi * h) * sin_psi)
         evanescent = (p <= 0) | (q <= 0)
         angle = (k, np.where(evanescent, np.nan, h), sin_psi) if phase else ()
-        if not (values or evanescent.any()):
-            return band + angle
+        if not evanescent.any():
+            if not values:
+                return band + angle
+            nan = np.full_like(t, np.nan)
+            return band + (_Wave(t, f, r, nan, nan, nan, evanescent, evanescent),
+                           np.zeros_like(t))
         alt = q < 0
         pe, qe, we = np.where(alt, q, p), np.where(alt, p, q), np.where(alt, -w, w)
         kappa = 2.0 * np.arctanh(np.sqrt(-pe / qe))
