@@ -43,7 +43,7 @@ Both paths apply the same gauge rule (``_gauge_floor`` is its count-only
 form), sign rule and tie-break (sign changes on the dense path, the
 count index on the closed form's, which agree wherever tested).  At
 n_left = 5000 (dim 12 501, 4009 window modes) a ``phase`` run on the
-fig5 device takes 0.17 s and 64 MB resident, where forming the profiles
+fig5 device takes 0.17 s and 44 MB resident, where forming the profiles
 took 9.0 s and 1.67 GB.
 
 Where only frequencies and counts are needed (the disorder study)
@@ -114,10 +114,10 @@ class ModeSet:
     ``coupling_spectrum`` (the footprint rows), ``find_current_antinode``
     (one mode's strip) and the sign rule read, and ``profiles`` is formed,
     Loewdin step included, only when something reads it (``modes
-    --profiles``, the tests, a health check).  On the fig5 device at n_left = 5000 (dim 12 501, 4009
-    window modes) that takes a ``phase`` run from 9.0 s and 1.67 GB
-    resident to 0.17 s and 64 MB (fresh processes, 2-vCPU VM).
-    """
+    --profiles``, the tests, a health check).  On the fig5 device at
+    n_left = 5000 (dim 12 501, 4009 window modes) that takes a ``phase``
+    run from 9.0 s and 1.67 GB resident to 0.17 s and 44 MB (fresh
+    processes, 2-vCPU VM)."""
 
     def __init__(self, frequencies: np.ndarray, profiles: np.ndarray | None = None,
                  node_positions: np.ndarray | None = None, interface_index: int = 0,
@@ -945,12 +945,19 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
     if normalization not in ("dom", "spatial"):
         raise ValueError(f"unknown normalization {normalization!r}")
     weights = footprint_weights(spec, qubit.position, qubit.extent)
-    # a closed-form solve evaluates only the rows under the footprint;
-    # profiles held whole take the product over the strip, as they always have
-    used = np.flatnonzero(weights) if modes.closed_form else [0, len(weights) - 1]
-    span = slice(used[0], used[-1] + 1)
     iface = modes.interface_index
-    avg = np.abs(weights[span] @ modes.rows(slice(iface + span.start, iface + span.stop)))
+    if modes.closed_form:
+        # only the rows under the footprint (about n_right / 60 of them), a
+        # block of modes at a time
+        used = np.flatnonzero(weights)
+        span = slice(used[0], used[-1] + 1)
+        rows = slice(iface + span.start, iface + span.stop)
+        step = max(1, _BLOCK_VALUES // len(used))
+        avg = np.abs(np.concatenate([
+            weights[span] @ modes.rows(rows, np.arange(j, min(j + step, len(modes))))
+            for j in range(0, len(modes), step)]))
+    else:       # profiles held whole: the product over the strip, as always
+        avg = np.abs(weights @ modes.profiles[iface:, :])
     raw = avg * dom_approx(modes.frequencies, spec) if normalization == "dom" else avg
     peak = raw.max()
     if peak == 0:
