@@ -5,9 +5,9 @@ two-segment device instead of its n x m profiles: the shots from both
 ends that ``modes._shoot`` forms, as ``modes._Wave`` fields, the node
 where they join and the factor that makes each mode C-normalized with its
 sign fixed.  ``ClosedModes.rows`` evaluates any nodes of any modes by
-``_wave_values``, O(1) per entry, and ``ClosedModes.profiles`` forms the
-full profiles by ``_closed_vectors``, Loewdin step included, for the
-callers that read them.  ``modes._closed_modes`` imports this module when
+``_wave_values``, O(1) per entry, and ``ClosedModes.profiles`` takes them
+at every node and one Loewdin step, for the callers that read the full
+profiles.  ``modes._closed_modes`` imports this module when
 a closed-form solve first runs, so that commands that solve nothing (or
 take dense ``eigh``) do not compile it.
 """
@@ -41,62 +41,6 @@ def _wave_values(wave: _Wave, m, j: np.ndarray) -> np.ndarray:
     return u
 
 
-def _closed_vectors(bands: NetworkBands, segs, lam: np.ndarray) -> np.ndarray:
-    """C-orthonormal eigenvectors of a two-segment device at its eigenvalues
-    ``lam``.  Each joins the solutions shot from the first and from the
-    last node where their product is largest: there the diagonal of
-    (K - lam C)^-1 is largest and the join's residual smallest (twisted
-    factorization: Parlett & Dhillon, Linear Algebra Appl. 1997).  A
-    first-order Loewdin step, V <- V (I - E/2) with E = V^T C V - I, then
-    C-orthonormalizes them, or raises ArithmeticError where E is too large
-    for one step."""
-    n = len(bands.k_diag)
-    ladder, strip, rows = segs
-    (lad_l, lad_r, str_l, str_r), scale_l, scale_r = _shots(segs, lam)
-    # u on the nodes of each segment, in node order (the shot from the
-    # last node runs through them backwards)
-    j = np.arange(ladder.steps + 1.0)[:, None]
-    lad_l, lad_r = (_wave_values(lad_l, ladder.steps, j),
-                    _wave_values(lad_r, ladder.steps, j[::-1]))
-    j = np.arange(strip.steps + 1.0)[:, None]
-    str_l, str_r = (_wave_values(str_l, strip.steps, j),
-                    _wave_values(str_r, strip.steps, j[::-1]))
-    # the join node has the largest |left right|, e^{scale_r} times that of
-    # these arrays on the ladder and e^{scale_l} on the strip (may overflow)
-    cols, mid = np.arange(len(lam)), ladder.steps
-    at_l = np.argmax(np.abs(lad_l * lad_r), axis=0)
-    at_s = np.argmax(np.abs(str_l * str_r), axis=0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        on_ladder = (np.log(np.abs(lad_l[at_l, cols] * lad_r[at_l, cols])) + scale_r
-                     >= np.log(np.abs(str_l[at_s, cols] * str_r[at_s, cols])) + scale_l)
-        twist = np.where(on_ladder, at_l, at_s + mid)
-        # each shot divided by its value at the join node, one segment at a time
-        rows = np.arange(n)[:, None]
-        x = np.empty((n, len(lam)))
-        x[:mid + 1] = np.where(rows[:mid + 1] <= twist,
-                               lad_l * np.where(on_ladder, 1.0 / lad_l[at_l, cols],
-                                                np.exp(-scale_l) / str_l[at_s, cols]),
-                               lad_r / lad_r[at_l, cols])
-        x[mid + 1:] = np.where(rows[mid + 1:] <= twist, str_l[1:] / str_l[at_s, cols],
-                               str_r[1:] * np.where(on_ladder, np.exp(-scale_r) / lad_r[at_l, cols],
-                                                    1.0 / str_r[at_s, cols]))
-    del lad_l, str_l, lad_r, str_r
-    signs = np.repeat([ladder.sign, strip.sign], [ladder.steps, strip.steps])
-    x *= np.concatenate([[1.0], np.cumprod(signs)])[:, None]
-    cx = _tri_mul(bands.c_diag, bands.c_off, x)
-    scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", x, cx))
-    x *= scale
-    cx *= scale
-    err = x.T @ cx
-    err[np.diag_indices_from(err)] -= 1.0
-    # the step leaves V^T C V - I = -(3/4) E^2 + O(E^3), |(E^2)_ij| <= |E_i| |E_j|
-    if (worst := 0.75 * np.einsum("ij,ij->j", err, err).max()) > 1e-12:
-        raise ArithmeticError(f"closed-form modes too far from C-orthonormal "
-                              f"for one Loewdin step ({worst:.1e})")
-    x -= 0.5 * (x @ err)
-    return x
-
-
 def _shots(segs, lam: np.ndarray):
     """The waves of the shots of a two-segment device from its first node
     and from its last: ((ladder, ladder, strip, strip), each first from the
@@ -118,8 +62,8 @@ class ClosedModes:
     joined (the first shot up to it, the second beyond) and the factor
     ``coef`` of each of the four waves that makes its u the C-normalized
     profile, sign rule included.  ``rows`` evaluates any nodes of any
-    modes at O(1) per entry.  Each step of ``_closed_vectors`` that costs
-    O(n) per mode is O(1) here:
+    modes at O(1) per entry.  Each step of the join that would cost O(n)
+    per mode over all nodes is O(1) here:
 
     - the twist: the largest |first . second| among each segment's ends
       and the two nodes about the crest of its sinusoid nearest its middle
@@ -135,24 +79,19 @@ class ClosedModes:
       the strip's amplitude (which bounds the strip's largest entry);
     - the tie-break, from the count index.
 
-    In place of the Loewdin step and its Gram matrix, the constructor
-    bounds each mode's C-angle to its exact eigenvector by its residual
-    over its gap, O(m) in all (``_check``).  ``profiles`` forms the full
-    profiles by ``_closed_vectors``, Loewdin step and Gram gate included.
+    In place of a Gram matrix, the constructor bounds each mode's C-angle
+    to its exact eigenvector by its residual over its gap, O(m) in all
+    (``_check``).  ``profiles`` evaluates the same waves at every node and
+    takes one Loewdin step, whose Gram matrix is then formed.
     """
 
     def __init__(self, bands: NetworkBands, segs, lam: np.ndarray, index: np.ndarray,
                  outside):
         order = np.lexsort((index, np.sqrt(lam)))
-        self.bands, self.segs = bands, segs
-        self.lam, self.index = lam[order], index[order]
         ladder, strip, _ = segs
+        self.bands, self.ladder, self.strip = bands, ladder, strip
+        self.lam, self.index = lam[order], index[order]
         self.n, self.mid = len(bands.k_diag), ladder.steps
-        # per wave: its segment, and the node -> local index map offset + step * node
-        self.parts = ((ladder, 0, 1), (ladder, self.mid, -1),
-                      (strip, -self.mid, 1), (strip, self.n - 1, -1))
-        self.steps, self.offset, self.step = (np.array(x) for x in zip(*(
-            (seg.steps, offset, step) for seg, offset, step in self.parts)))
         self.twist = np.zeros(len(self.lam), dtype=int)
         self.coef = np.zeros((4, len(self.lam)))
         self.waves, scale_l, scale_r = _shots(segs, self.lam)
@@ -180,45 +119,71 @@ class ClosedModes:
         return self._values(np.asarray(nodes)[:, None], cols)
 
     def profiles(self) -> np.ndarray:
-        """The n x m profiles that ``_closed_vectors`` forms at the
-        eigenvalues in count order, in this order, with the sign rule
-        applied to them as formed."""
-        if not len(self.lam):
-            return np.empty((self.n, 0))
-        back = np.argsort(self.index)
-        vecs = _closed_vectors(self.bands, self.segs, self.lam[back])[:, np.argsort(back)]
-        return vecs * _interface_signs(vecs[self.mid], vecs[self.mid:])
+        """The n x m profiles: ``rows`` at every node, then one first-order
+        Loewdin step, V <- V (I - E/2) with E = V^T C V - I, which leaves
+        V^T C V - I = -(3/4) E^2 + O(E^3); ArithmeticError where E is too
+        large for one step."""
+        x = self._values(np.arange(self.n)[:, None])
+        cx = _tri_mul(self.bands.c_diag, self.bands.c_off, x)
+        err = x.T @ cx
+        err[np.diag_indices_from(err)] -= 1.0
+        # |(E^2)_ij| <= |E_i| |E_j|
+        if (worst := 0.75 * np.einsum("ij,ij->j", err, err).max(initial=0.0)) > 1e-12:
+            raise ArithmeticError(f"closed-form modes too far from C-orthonormal "
+                                  f"for one Loewdin step ({worst:.1e})")
+        x -= 0.5 * (x @ err)
+        return x
 
     def _values(self, node: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """The profiles (with the current ``coef``) at ``node``, a column of
         nodes for all modes ``cols`` (None: every mode) or one column of
-        nodes per mode: each entry from its own wave, the first shot's up
-        to the twist and the second's beyond, on its node's segment."""
-        cols = np.arange(len(self.lam)) if cols is None else cols
-        node = np.broadcast_to(node, (len(node), len(cols)))
-        if not node.size:
-            return np.zeros(node.shape)
-        part = 2 * (node > self.mid) + (node > self.twist[cols])
-        # the evanescent fields only where some entry needs them
-        evanescent = self.stack.evanescent[part, cols]
-        fields = self.stack[:3] + (self.stack[3:7] if evanescent.any() else 4 * (None,))
-        u = _wave_values(_Wave(*(None if field is None else field[part, cols]
-                                 for field in fields), evanescent), self.steps[part],
-                         (self.offset[part] + self.step[part] * node).astype(float))
-        u *= self.coef[part, cols]
-        ladder_sign, strip_sign = self.parts[0][0].sign, self.parts[2][0].sign
-        flips = ((ladder_sign < 0) * np.minimum(node, self.mid)
-                 + (strip_sign < 0) * np.maximum(node - self.mid, 0))
-        return np.where(flips % 2 == 1, -u, u)
+        nodes per mode.  Each entry comes from one wave of its node's
+        segment, the first shot's up to the twist and the second's beyond,
+        one segment at a time over the rows that have a node on it."""
+        waves, twist, coef = self.stack, self.twist, self.coef
+        if cols is not None:
+            waves = _Wave(*(field[:, cols] for field in waves))
+            twist, coef = twist[cols], coef[:, cols]
+        node = np.asarray(node)
+        out = np.zeros(np.broadcast_shapes(node.shape, twist.shape))
+        if not out.size:
+            return out
+        strip = node > self.mid
+        # a node's sign flips: one per step before it on each segment of sign -1
+        for part, seg, start, flips, on in ((0, self.ladder, 0, 0, ~strip),
+                                            (2, self.strip, self.mid,
+                                             (self.ladder.sign < 0) * self.mid, strip)):
+            rows = np.flatnonzero(on.any(axis=1))
+            if not rows.size:
+                continue
+            j = np.clip(node[rows], start, start + seg.steps) - start
+            second = j > twist - start
+
+            def pick(field):
+                return np.where(second, field[part + 1], field[part])
+
+            # the evanescent fields only where some entry needs them
+            evanescent = pick(waves.evanescent)
+            fields = waves[:3] + (waves[3:7] if evanescent.any() else 4 * (None,))
+            u = _wave_values(_Wave(*(None if field is None else pick(field)
+                                     for field in fields), evanescent), seg.steps,
+                             np.where(second, seg.steps - j, j).astype(float))
+            u *= pick(coef) * np.where((flips + (seg.sign < 0) * j) % 2 == 1, -1.0, 1.0)
+            # one column of nodes lies on one segment in each row
+            out[rows] = u if on.shape[1] == 1 else np.where(on[rows], u, out[rows])
+        return out
 
     def _join(self, scale_l: np.ndarray, scale_r: np.ndarray) -> None:
-        """Sets ``twist`` and ``coef`` as ``_closed_vectors`` forms them
-        (each shot divided by its value at the twist, the ladder's of the
-        first shot where the twist lies on the strip, and the other way
-        round), the twist taken among the nodes of ``_crests``."""
+        """Sets ``twist`` and ``coef``: each shot divided by its value at the
+        twist, the ladder's of the first shot where the twist lies on the
+        strip, and the other way round.  The twist is the node where the
+        two shots' product is largest, among the nodes of ``_crests``:
+        there the diagonal of (K - lam C)^-1 is largest and the join's
+        residual smallest (twisted factorization: Parlett & Dhillon, Linear
+        Algebra Appl. 1997)."""
         cols, mid = np.arange(len(self.lam)), self.mid
         best = []
-        for first, m in ((0, mid), (2, self.parts[2][0].steps)):
+        for first, m in ((0, mid), (2, self.strip.steps)):
             at = _crests(self.waves[first], m)
             u, v = (_wave_values(self.waves[first], m, at),
                     _wave_values(self.waves[first + 1], m, m - at))
@@ -262,13 +227,14 @@ class ClosedModes:
         # the four parts at once, the ladder's two first
         wave = _Wave(*(np.ravel(field) for field in self.stack))
         j0, count = (np.concatenate(x) for x in zip(*self.pieces))
-        steps, c_d, c_o = (np.repeat([getattr(seg, key) for seg, _, _ in self.parts], m)
+        steps, c_d, c_o = (np.repeat([getattr(seg, key) for seg in
+                                      (self.ladder, self.ladder, self.strip, self.strip)], m)
                            for key in ("steps", "c_d", "c_o"))
         coef2 = np.ravel(self.coef ** 2)
         sq, sq_size = _squares(wave, steps, j0, count)
         total = ((c_d - 2.0 * c_o) * coef2 * sq).reshape(4, m).sum(axis=0)
         size = (np.abs(c_d - 2.0 * c_o) * coef2 * sq_size).reshape(4, m).sum(axis=0)
-        if (lad := self.parts[0][0]).c_o:
+        if (lad := self.ladder).c_o:
             # pairs and the u^2 coef^2 at both ends of the two ladder parts
             pair, pair_size = _squares(wave.take(slice(0, 2 * m)), steps[:2 * m], j0[:2 * m],
                                        np.maximum(count[:2 * m] - 1, 0), True)
@@ -276,7 +242,7 @@ class ClosedModes:
                     + np.where(split, x[1] ** 2 + x[5] ** 2, 0.0))
             total += lad.c_o * ((coef2[:2 * m] * pair).reshape(2, m).sum(axis=0) + ends)
             size += lad.c_o * ((coef2[:2 * m] * pair_size).reshape(2, m).sum(axis=0) + ends)
-        c_d = np.array([self.parts[0][0].c_d, self.parts[0][0].c_d, self.parts[2][0].c_d])
+        c_d = np.array([self.ladder.c_d, self.ladder.c_d, self.strip.c_d])
         corr = ((bands.c_diag[[0, mid, n - 1]] - c_d)[:, None] * x[:3] ** 2).sum(axis=0)
         # the coupling between the two shots across a twist on the ladder
         cross = np.where(split, 2.0 * bands.c_off[np.minimum(self.twist, mid - 1)] * x[4] * x[5],
@@ -306,7 +272,7 @@ class ClosedModes:
 
     def _check(self, outside, x: np.ndarray, norm_error: np.ndarray) -> None:
         """ArithmeticError unless every profile is C-orthonormal to the
-        gate of ``_closed_vectors``, (3/4) |E_j|^2 <= 1e-12 for E = V^T C
+        gate of ``profiles``, (3/4) |E_j|^2 <= 1e-12 for E = V^T C
         V - I, bounded without forming E from ``x``, the profiles at the
         twist t and its neighbours, and ``outside``, bounds on the
         eigenvalues next below and above the window's.

@@ -26,10 +26,10 @@ then takes one of two paths:
   took 21.  Each mode is held as the solutions shot from both ends and
   the node where they join (``closedform.ClosedModes``), O(1) per mode:
   ``ModeSet.rows`` evaluates chosen nodes, which is all the commands'
-  couplings, antinode and sign rule read, and the n x m profiles (O(n m)
-  and one O(n m^2) Loewdin step for m window modes) are formed only where
-  ``profiles`` is read: by ``modes --profiles``, the tests and health
-  checks;
+  couplings, antinode and sign rule read, and the n x m profiles (those
+  rows at every node, O(n m), and one O(n m^2) Loewdin step for m window
+  modes) are formed only where ``profiles`` is read: by ``modes
+  --profiles``, the tests and health checks;
 - dense ``eigh`` (Cholesky reduction and LAPACK sygvd via scipy, imported
   only there) for dims 1001-2001 and for every band layout the closed
   form does not take (disordered ladders, bare lines, toy pencils), which
@@ -112,12 +112,12 @@ class ModeSet:
     (``closedform.ClosedModes``) and forms no n x m array: ``rows``
     evaluates the shots at the nodes asked for, which is all that
     ``coupling_spectrum`` (the footprint rows), ``find_current_antinode``
-    (one mode's strip) and the sign rule read, and ``profiles`` is formed,
-    Loewdin step included, only when something reads it (``modes
-    --profiles``, the tests, a health check).  On the fig5 device at
-    n_left = 5000 (dim 12 501, 4009 window modes) that takes a ``phase``
-    run from 9.0 s and 1.67 GB resident to 0.17 s and 44 MB (fresh
-    processes, 2-vCPU VM)."""
+    (one mode's strip) and the sign rule read, and ``profiles``, those
+    rows at every node after one Loewdin step, is formed only when
+    something reads it (``modes --profiles``, the tests, a health check).
+    On the fig5 device at n_left = 5000 (dim 12 501, 4009 window modes)
+    that takes a ``phase`` run from 9.0 s and 1.67 GB resident to 0.17 s
+    and 44 MB (fresh processes, 2-vCPU VM)."""
 
     def __init__(self, frequencies: np.ndarray, profiles: np.ndarray | None = None,
                  node_positions: np.ndarray | None = None, interface_index: int = 0,
@@ -131,12 +131,6 @@ class ModeSet:
 
     def __len__(self) -> int:
         return len(self.frequencies)
-
-    @property
-    def closed_form(self) -> bool:
-        """Whether the modes are held as closed-form shots, which ``rows``
-        evaluates, rather than as profiles."""
-        return self._closed is not None
 
     @cached_property
     def profiles(self) -> np.ndarray:
@@ -366,16 +360,17 @@ def _two_segments(bands: NetworkBands, iface: int):
     return segs[0], segs[1], [(float(h_k), float(h_c)) for h_k, h_c in rows]
 
 
-def _junction(row, prev: _Segment | None, nxt: _Segment | None, lam, u, w):
+def _junction(row, lam, u, w, before, after):
     """W of the next segment at a free row from the state (u, W) the
-    previous one left there; with no next segment (the last row), beta
-    times the virtual u_n that row sets.  The state at node j is (u_j,
-    W_j), W_j = u_{j+1} - tau u_j = tau u_j - u_{j-1} in the segment's own
-    tau, and row j is beta_j u_{j+1} = a_j u_j - beta_{j-1} u_{j-1}."""
+    previous one left there, ``before`` and ``after`` the beta of the
+    segments beside the row (None at an end); at the last row, beta times
+    the virtual u_n that row sets.  The state at node j is (u_j, W_j), W_j
+    = u_{j+1} - tau u_j = tau u_j - u_{j-1} in the segment's own tau, and
+    row j is beta_j u_{j+1} = a_j u_j - beta_{j-1} u_{j-1}."""
     hu = (row[0] - lam * row[1]) * u
-    if prev is not None:
-        hu = hu + (prev.k_o + lam * prev.c_o) * w
-    return hu if nxt is None else hu / (nxt.k_o + lam * nxt.c_o)
+    if before is not None:
+        hu = hu + before * w
+    return hu if after is None else hu / after
 
 
 def _phase(j, t, f):
@@ -388,11 +383,11 @@ def _phase(j, t, f):
     return k, (x - k) + (j * (t - t1) + f)
 
 
-def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False):
-    """Across one segment from the state (u, W) at its first node: the sign
-    changes of u over its nodes and the state at its last node; with
-    ``values``, also the ``_Wave`` that gives u at every node and the log
-    of the factor all of these were divided by.
+def _advance(seg: _Segment, lam, beta, u, w, values: bool = False, phase: bool = False):
+    """Across one segment, of |b| = ``beta``, from the state (u, W) at its
+    first node: the sign changes of u over its nodes and the state at its
+    last node; with ``values``, also the ``_Wave`` that gives u at every
+    node and the log of the factor all of these were divided by.
 
     On the segment u_{j+1} + u_{j-1} = 2 tau u_j, tau = a/(2 beta).  With
     p = 2 beta - a and q = 2 beta + a, formed without cancellation (on
@@ -406,7 +401,7 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
     k, h (NaN where evanescent) and sin(psi) of the last node.
     """
     m = seg.steps
-    beta4 = 4.0 * (seg.k_o + lam * seg.c_o)      # p + q
+    beta4 = 4.0 * beta      # p + q
     p = (2.0 * seg.k_o - seg.k_d) + lam * (2.0 * seg.c_o + seg.c_d)
     q = (2.0 * seg.k_o + seg.k_d) + lam * (2.0 * seg.c_o - seg.c_d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -422,8 +417,8 @@ def _advance(seg: _Segment, lam, u, w, values: bool = False, phase: bool = False
         # the next segment counts from
         whole = np.floor(h)
         k, h = k + whole, np.maximum(h - whole, _SAFMIN)
-        ends = np.where(k % 2, -r, r)
-        band = (k, ends * np.sin(np.pi * h), ends * np.cos(np.pi * h) * sin_psi)
+        ends, pi_h = np.where(k % 2, -r, r), np.pi * h
+        band = (k, ends * np.sin(pi_h), ends * np.cos(pi_h) * sin_psi)
         evanescent = (p <= 0) | (q <= 0)
         angle = (k, np.where(evanescent, np.nan, h), sin_psi) if phase else ()
         if not evanescent.any():
@@ -491,20 +486,20 @@ def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
     ``part`` lies in about [-2, 2], so Phi - k keeps every digit of part."""
     lam = np.asarray(lam, dtype=float)
     u = np.ones_like(lam)
-    w = _junction(rows[0], None, first, lam, u, 0.0)
-    head = _advance(first, lam, u, w, values)
-    w = _junction(rows[1], first, second, lam, head[1], head[2])
-    tail = _advance(second, lam, head[1], w, values, phase)
+    beta1, beta2 = (seg.k_o + lam * seg.c_o for seg in (first, second))
+    w = _junction(rows[0], lam, u, 0.0, None, beta1)
+    head = _advance(first, lam, beta1, u, w, values)
+    w = _junction(rows[1], lam, head[1], head[2], beta1, beta2)
+    tail = _advance(second, lam, beta2, head[1], w, values, phase)
     if values:
         return head[3], tail[3], tail[4]
-    last = _junction(rows[2], second, None, lam, tail[1], tail[2])
+    last = _junction(rows[2], lam, tail[1], tail[2], beta2, None)
     count = (head[0] + tail[0] + (tail[1] * last < 0)).astype(int)
     if not phase:
         return count
     k, h, sin_psi = tail[3:]
     with np.errstate(invalid="ignore"):
-        star = np.arctan2((second.k_o + lam * second.c_o) * sin_psi,
-                          lam * rows[2][1] - rows[2][0]) / np.pi
+        star = np.arctan2(beta2 * sin_psi, lam * rows[2][1] - rows[2][0]) / np.pi
     return count, head[0] + k, h - star
 
 
@@ -945,19 +940,15 @@ def coupling_spectrum(modes: ModeSet, spec: CircuitSpec, qubit: QubitSpec,
     if normalization not in ("dom", "spatial"):
         raise ValueError(f"unknown normalization {normalization!r}")
     weights = footprint_weights(spec, qubit.position, qubit.extent)
-    iface = modes.interface_index
-    if modes.closed_form:
-        # only the rows under the footprint (about n_right / 60 of them), a
-        # block of modes at a time
-        used = np.flatnonzero(weights)
-        span = slice(used[0], used[-1] + 1)
-        rows = slice(iface + span.start, iface + span.stop)
-        step = max(1, _BLOCK_VALUES // len(used))
-        avg = np.abs(np.concatenate([
-            weights[span] @ modes.rows(rows, np.arange(j, min(j + step, len(modes))))
-            for j in range(0, len(modes), step)]))
-    else:       # profiles held whole: the product over the strip, as always
-        avg = np.abs(weights @ modes.profiles[iface:, :])
+    # only the rows under the footprint (about n_right / 60 of them), a
+    # block of modes at a time
+    used = np.flatnonzero(weights)
+    span = slice(used[0], used[-1] + 1)
+    rows = slice(modes.interface_index + span.start, modes.interface_index + span.stop)
+    step = max(1, _BLOCK_VALUES // len(used))
+    avg = np.abs(np.concatenate([
+        weights[span] @ modes.rows(rows, np.arange(j, min(j + step, len(modes))))
+        for j in range(0, len(modes), step)]))
     raw = avg * dom_approx(modes.frequencies, spec) if normalization == "dom" else avg
     peak = raw.max()
     if peak == 0:

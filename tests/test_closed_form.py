@@ -163,8 +163,9 @@ class TestPassbandShortcut:
         states = []
         for shifts in (lam, lam[passband]):
             u = np.ones_like(shifts)
-            w = modes._junction(rows[0], None, ladder, shifts, u, 0.0)
-            states.append(modes._advance(ladder, shifts, u, w))
+            beta = ladder.k_o + shifts * ladder.c_o
+            w = modes._junction(rows[0], shifts, u, 0.0, None, beta)
+            states.append(modes._advance(ladder, shifts, beta, u, w))
         for full, sub in zip(*states):
             np.testing.assert_array_equal(full[passband].view(np.int64), sub.view(np.int64))
 

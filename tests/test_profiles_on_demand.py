@@ -1,8 +1,9 @@
 """Closed-form mode sets that hold their modes as shots and form no n x m
 array: their rows against the profiles formed in full, their sign rule,
 order and antinodes against the rules applied to those profiles, the
-health gate that takes the Loewdin step's place, and the memory of a
-``phase`` run at n_left = 5000.
+formed profiles against modes refined in long double, the health gate
+that takes the Loewdin step's place, and the memory of a ``phase`` run at
+n_left = 5000.
 """
 
 import tracemalloc
@@ -11,12 +12,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-import metaline.closedform as closedform
 import metaline.modes as modes
 from metaline import build_matrices, find_current_antinode, solve_modes
 from metaline.cli import main
 from metaline.config import parse_config
-from conftest import WINDOW, _random_specs
+from conftest import WINDOW, _dense, _random_specs
+from oracles import refined_pencil_modes
 
 FIGURES = ["fig2", "fig3", "fig4", "fig5"]
 
@@ -35,35 +36,29 @@ def _devices():
         yield spec, WINDOW if i % 3 else None
 
 
-def _eager(mat, ms):
-    """(frequencies, profiles) by the rules the dense path applies to
-    formed profiles: ``closedform._closed_vectors`` at the eigenvalues in
-    count order, the sign rule on them, and the order by frequency with
-    ties broken by ``_column_sign_changes``."""
-    closed = ms._closed
-    lam = closed.lam[np.argsort(closed.index)]
-    vecs = closedform._closed_vectors(
-        mat.bands, modes._two_segments(mat.bands, mat.interface_index), lam)
-    vecs = vecs * modes._interface_signs(vecs[mat.interface_index], vecs[mat.interface_index:])
-    order = np.lexsort((modes._column_sign_changes(vecs), np.sqrt(lam)))
-    return np.sqrt(lam)[order], vecs[:, order]
-
-
 @pytest.fixture(scope="module")
 def solved():
     out = []
     for spec, window in _devices():
         mat = build_matrices(spec)
-        out.append((spec, mat, solve_modes(mat, window)))
+        out.append((window, mat, solve_modes(mat, window)))
     return out
 
 
 def test_signs_and_order_match_eager(solved):
-    for _, mat, ms in solved:
-        assert ms.closed_form
-        omega, vecs = _eager(mat, ms)
-        np.testing.assert_array_equal(ms.frequencies, omega)
-        np.testing.assert_array_equal(ms.profiles, vecs)
+    """The rules the dense path applies to its formed profiles hold on the
+    closed form's: the sign rule leaves every column as it is, the order
+    is by frequency with ties by ``_column_sign_changes``, and the
+    frequencies are dense eigh's."""
+    for window, mat, ms in solved:
+        assert ms._closed is not None
+        vecs, iface = ms.profiles, mat.interface_index
+        assert (modes._interface_signs(vecs[iface], vecs[iface:]) == 1.0).all()
+        order = np.lexsort((modes._column_sign_changes(vecs), ms.frequencies))
+        np.testing.assert_array_equal(order, np.arange(len(ms)))
+        omega, _ = _dense(mat, window)
+        assert len(omega) == len(ms)
+        np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-10, atol=0)
 
 
 def test_rows_match_profiles(solved):
@@ -79,6 +74,28 @@ def test_rows_match_profiles(solved):
                                       rows[[0, mat.interface_index, mat.dim - 1]][:, cols])
         np.testing.assert_array_equal(ms.rows(slice(mat.interface_index, None)),
                                       rows[mat.interface_index:])
+        # nodes of their own per mode, on either segment, as the health gate
+        # takes them
+        nodes = np.random.default_rng(0).integers(0, mat.dim, (5, len(ms)))
+        np.testing.assert_array_equal(ms._closed._values(nodes),
+                                      rows[nodes, np.arange(len(ms))])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the refinement needs an extended-precision long double")
+def test_profiles_match_refined_modes():
+    """The formed profiles of the bundled devices lie within 2.5e-13 of
+    each column's largest entry of the modes refined from them in long
+    double (1.6e-13 on fig2)."""
+    for name in FIGURES:
+        cfg = parse_config(_config_path(name))
+        mat = build_matrices(cfg.circuit_spec())
+        vecs = solve_modes(mat, cfg.freq_window()).profiles
+        _, refined = refined_pencil_modes(mat.bands, vecs)
+        # inverse iteration may turn a column's sign
+        refined = (refined * np.sign(np.sum(refined * vecs, axis=0))).astype(float)
+        scale = np.abs(refined).max(axis=0)
+        assert (np.abs(vecs - refined).max(axis=0) <= 2.5e-13 * scale).all(), name
 
 
 def test_antinodes_match_eager():
