@@ -4,10 +4,10 @@
 two-segment device instead of its n x m profiles: the shots from both
 ends that ``modes._shoot`` forms, as ``modes._Wave`` fields, the node
 where they join and the factor that makes each mode C-normalized with its
-sign fixed.  ``ClosedModes.rows`` evaluates any nodes of any modes by
-``_wave_values``, O(1) per entry, and ``ClosedModes.profiles`` takes them
-at every node and one Loewdin step, for the callers that read the full
-profiles.  ``modes._closed_modes`` imports this module when
+sign fixed.  ``ClosedModes.rows``, the one evaluator, takes any nodes of
+any modes by ``_wave_values``, O(1) per entry; ``ClosedModes.profiles``
+takes them at every node and one Loewdin step, for the callers that read
+the full profiles.  ``modes._closed_modes`` imports this module when
 a closed-form solve first runs, so that commands that solve nothing (or
 take dense ``eigh``) do not compile it.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import NetworkBands
-from .modes import _EPS, _ULPS, _Wave, _interface_signs, _phase, _shoot, _tri_mul
+from .modes import _EPS, _Wave, _interface_signs, _phase, _shoot, _tri_mul
 
 # a closed-form C-norm whose terms' magnitudes sum to more than this many
 # times the norm is summed again node by node
@@ -25,6 +25,8 @@ _CANCEL = 32.0
 # window modes on either side whose share of a twist's residual the gate
 # of ``ClosedModes`` evaluates, before bounding the rest by a gap
 _NEAR = 4
+# the angle, in units of n eps, that the rounding of its entries turns a profile by
+_ROUNDING = 16
 
 
 def _wave_values(wave: _Wave, m, j: np.ndarray) -> np.ndarray:
@@ -41,29 +43,19 @@ def _wave_values(wave: _Wave, m, j: np.ndarray) -> np.ndarray:
     return u
 
 
-def _shots(segs, lam: np.ndarray):
-    """The waves of the shots of a two-segment device from its first node
-    and from its last: ((ladder, ladder, strip, strip), each first from the
-    first node, then from the last; and the log of the factor by which
-    each shot's strip, then ladder, is divided beyond its other segment)."""
-    ladder, strip, rows = segs
-    lad_l, str_l, scale_l = _shoot(ladder, strip, rows, lam, values=True)
-    str_r, lad_r, scale_r = _shoot(strip, ladder, rows[::-1], lam, values=True)
-    return (lad_l, lad_r, str_l, str_r), scale_l, scale_r
-
-
 class ClosedModes:
     """The window modes of a two-segment device held as closed-form shots,
     in the order of their frequencies; no n x m array is formed.
 
     Mode k keeps its eigenvalue ``lam``, its count ``index``, the
     ``_Wave`` of each segment in the shot from the first node and in the
-    one from the last (``_shots``), the ``twist`` node where they are
-    joined (the first shot up to it, the second beyond) and the factor
-    ``coef`` of each of the four waves that makes its u the C-normalized
-    profile, sign rule included.  ``rows`` evaluates any nodes of any
-    modes at O(1) per entry.  Each step of the join that would cost O(n)
-    per mode over all nodes is O(1) here:
+    one from the last (``waves``: ladder, ladder, strip, strip), the
+    ``twist`` node where they are joined (the first shot up to it, the
+    second beyond) and the factor ``coef`` of each of the four waves that
+    makes its u the C-normalized profile, sign rule included.  ``rows``
+    evaluates any nodes of any modes at O(1) per entry, for every reader
+    of the profiles.  Each step of the join that would cost O(n) per mode
+    over all nodes is O(1) here:
 
     - the twist: the largest |first . second| among each segment's ends
       and the two nodes about the crest of its sinusoid nearest its middle
@@ -88,13 +80,15 @@ class ClosedModes:
     def __init__(self, bands: NetworkBands, segs, lam: np.ndarray, index: np.ndarray,
                  outside):
         order = np.lexsort((index, np.sqrt(lam)))
-        ladder, strip, _ = segs
+        ladder, strip, rows = segs
         self.bands, self.ladder, self.strip = bands, ladder, strip
         self.lam, self.index = lam[order], index[order]
         self.n, self.mid = len(bands.k_diag), ladder.steps
         self.twist = np.zeros(len(self.lam), dtype=int)
         self.coef = np.zeros((4, len(self.lam)))
-        self.waves, scale_l, scale_r = _shots(segs, self.lam)
+        lad_l, str_l, scale_l = _shoot(ladder, strip, rows, self.lam, values=True)
+        str_r, lad_r, scale_r = _shoot(strip, ladder, rows[::-1], self.lam, values=True)
+        self.waves = (lad_l, lad_r, str_l, str_r)
         # the four waves' fields, one row each
         self.stack = _Wave(*(np.stack(field) for field in zip(*self.waves)))
         if not len(self.lam):
@@ -104,8 +98,8 @@ class ClosedModes:
         # the profiles at the free rows (first, interface, last) and about
         # the twist, scaled with the coefficients below
         t, mid, n = self.twist, self.mid, self.n
-        x = self._values(np.stack([0 * t, 0 * t + mid, 0 * t + n - 1,
-                                   np.maximum(t - 1, 0), t, np.minimum(t + 1, n - 1)]))
+        x = self.rows(np.stack([0 * t, 0 * t + mid, 0 * t + n - 1,
+                                np.maximum(t - 1, 0), t, np.minimum(t + 1, n - 1)]))
         norm, size = self._norm(x)
         x /= np.sqrt(norm)
         self.coef /= np.sqrt(norm)
@@ -113,17 +107,12 @@ class ClosedModes:
         self.coef *= sign
         self._check(outside, x[3:] * sign, 16.0 * _EPS * size / norm)
 
-    def rows(self, nodes: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-        """The profiles at ``nodes`` (one row each) of the modes ``cols``
-        (None: every mode)."""
-        return self._values(np.asarray(nodes)[:, None], cols)
-
     def profiles(self) -> np.ndarray:
         """The n x m profiles: ``rows`` at every node, then one first-order
         Loewdin step, V <- V (I - E/2) with E = V^T C V - I, which leaves
         V^T C V - I = -(3/4) E^2 + O(E^3); ArithmeticError where E is too
         large for one step."""
-        x = self._values(np.arange(self.n)[:, None])
+        x = self.rows(np.arange(self.n)[:, None])
         cx = _tri_mul(self.bands.c_diag, self.bands.c_off, x)
         err = x.T @ cx
         err[np.diag_indices_from(err)] -= 1.0
@@ -134,7 +123,7 @@ class ClosedModes:
         x -= 0.5 * (x @ err)
         return x
 
-    def _values(self, node: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, node: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
         """The profiles (with the current ``coef``) at ``node``, a column of
         nodes for all modes ``cols`` (None: every mode) or one column of
         nodes per mode.  Each entry comes from one wave of its node's
@@ -236,8 +225,8 @@ class ClosedModes:
         size = (np.abs(c_d - 2.0 * c_o) * coef2 * sq_size).reshape(4, m).sum(axis=0)
         if (lad := self.ladder).c_o:
             # pairs and the u^2 coef^2 at both ends of the two ladder parts
-            pair, pair_size = _squares(wave.take(slice(0, 2 * m)), steps[:2 * m], j0[:2 * m],
-                                       np.maximum(count[:2 * m] - 1, 0), True)
+            pair, pair_size = _squares(_Wave(*(f[:2 * m] for f in wave)), steps[:2 * m],
+                                       j0[:2 * m], np.maximum(count[:2 * m] - 1, 0), True)
             ends = (x[0] ** 2 + np.where(split, x[4], x[1]) ** 2
                     + np.where(split, x[1] ** 2 + x[5] ** 2, 0.0))
             total += lad.c_o * ((coef2[:2 * m] * pair).reshape(2, m).sum(axis=0) + ends)
@@ -251,7 +240,7 @@ class ClosedModes:
         size += np.abs(corr) + np.abs(cross)
         redo = np.flatnonzero(~(size <= _CANCEL * total))
         if redo.size:        # node by node: O(n) for each of these modes
-            v = self._values(np.arange(n)[:, None], redo)
+            v = self.rows(np.arange(n)[:, None], redo)
             total[redo] = size[redo] = np.einsum(
                 "ij,ij->j", v, _tri_mul(bands.c_diag, bands.c_off, v))
         return total, size
@@ -262,12 +251,8 @@ class ClosedModes:
         evaluated only for the modes whose interface entry lies below 1e-9
         of the strip's amplitude, which bounds its largest entry (|r| of a
         passband wave, |a| + |b| of an evanescent one, as j <= m)."""
-        cols = np.arange(len(self.lam))
-        amplitude = np.maximum(np.abs(ref), self._amplitudes()[1])
-        small = np.abs(ref) < 1e-9 * amplitude
-        if not small.any():
-            return np.where(ref < 0, -1.0, 1.0)
-        strip = self._values(np.arange(self.mid, self.n)[:, None], cols[small])
+        small = np.abs(ref) < 1e-9 * np.maximum(np.abs(ref), self._amplitudes()[1])
+        strip = self.rows(np.arange(self.mid, self.n)[:, None], np.flatnonzero(small))
         return _interface_signs(ref, strip, small)
 
     def _check(self, outside, x: np.ndarray, norm_error: np.ndarray) -> None:
@@ -293,7 +278,7 @@ class ClosedModes:
         distance to the next of them, and the modes outside the window to
         at most (C^-1)_tt, at no less than the distance to the window's
         neighbours.  The closed form's rounding of each entry turns the
-        profile by a small angle of its own, taken as ``_ULPS`` n eps.
+        profile by a small angle of its own, taken as ``_ROUNDING`` n eps.
         With theta_j the sum of the two, x_j's parts e_ij along the other
         eigenvectors have sum_i e_ij^2 <= theta_j^2, and E_ij = e_ij + e_ji
         + sum_k e_ik e_jk, so |E_j| <= sqrt(2 (|theta|^2 + theta_j^2)) +
@@ -308,7 +293,7 @@ class ClosedModes:
 
         def worst(share):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                theta = mismatch * np.sqrt(share) + _ULPS * n * _EPS
+                theta = mismatch * np.sqrt(share) + _ROUNDING * n * _EPS
             theta = np.where(theta >= 0, theta, np.inf)
             total = np.sqrt(np.sum(theta ** 2))
             bound = np.sqrt(2.0 * (total ** 2 + theta ** 2)) + theta * total + norm_error
@@ -321,7 +306,7 @@ class ClosedModes:
         # v[r, i] = v_i(t_j) for the pair j = i - k_r: mode i at the twist
         # of the mode k_r below it
         shifts = np.array([k for k in range(-_NEAR, _NEAR + 1) if k])[:, None]
-        v = self._values(t[np.clip(cols - shifts, 0, m - 1)])
+        v = self.rows(t[np.clip(cols - shifts, 0, m - 1)])
         i = cols + shifts
         valid = (i >= 0) & (i < m)
         i = np.clip(i, 0, m - 1)

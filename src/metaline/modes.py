@@ -145,7 +145,7 @@ class ModeSet:
             rows = self.profiles[index]
             return rows if modes is None else rows[:, modes]
         nodes = np.arange(len(self.node_positions))[index]
-        return self._closed.rows(nodes, None if modes is None else np.asarray(modes))
+        return self._closed.rows(nodes[:, None], None if modes is None else np.asarray(modes))
 
 
 @dataclass(frozen=True)
@@ -459,9 +459,6 @@ class _Wave(NamedTuple):
     kappa: np.ndarray
     alt: np.ndarray
     evanescent: np.ndarray
-
-    def take(self, cols) -> _Wave:
-        return _Wave(*(x[cols] for x in self))
 
 
 def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
@@ -853,8 +850,14 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
     count = partial(sturm_count, bands)
-    win_lo, win_hi, band_lo, band_hi = count(bounds).T
-    gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))
+    # as in ``_closed_modes``: where every device has all n eigenvalues
+    # below lam_lo / GAUGE^2, no gauge mode reaches the window
+    clear = float(bounds[0]) / GAUGE ** 2
+    clear = clear if 0 < clear < np.inf else 0.0
+    win_lo, win_hi, band_lo, band_hi, below = count(np.append(bounds, clear)).T
+    gauge, floor = win_lo, np.full(len(win_lo), bounds[0])
+    if not (clear and (below >= bands.k_diag.shape[-1]).all()):
+        gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))
     first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))

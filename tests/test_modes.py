@@ -303,6 +303,15 @@ def disordered_devices():
     return specs, [solve_modes(build_matrices(s)).frequencies for s in specs]
 
 
+@pytest.fixture(scope="module")
+def ensemble_devices(band_spec):
+    """The ensemble benchmark workload's stack (the dim-501 bath device at
+    sigma 0.02, disorder seeds 1-50) and each device's full spectrum."""
+    specs = [apply_disorder(band_spec, 0.02, seed) for seed in range(1, 51)]
+    return (NetworkBands.stack([network_bands(s) for s in specs]),
+            [solve_modes(build_matrices(s)).frequencies for s in specs])
+
+
 def _edge_and_count(f, window, band):
     f = f[(f >= window[0]) & (f <= window[1])]
     edge = f[0] if len(f) else np.nan
@@ -320,6 +329,27 @@ class TestBandEdges:
         edges, counts = band_edges(
             NetworkBands.stack([network_bands(s) for s in specs]), window, band)
         dense = np.array([_edge_and_count(f, window, band) for f in spectra])
+        npt.assert_array_equal(counts, dense[:, 1])
+        npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("lo,bracketed", [(WINDOW[0], False), (0.0, True)],
+                             ids=["window-from-3.8GHz", "window-from-0"])
+    def test_top_bracketed_only_where_gauge_modes_may_reach(
+            self, monkeypatch, ensemble_devices, lo, bracketed):
+        # the count at lam_lo / GAUGE^2 puts every eigenvalue of every device
+        # below it for a window from 3.8 GHz, so no gauge mode reaches the
+        # window; from 0 Hz the gauge modes are counted under the bracketed top
+        stack, spectra = ensemble_devices
+        called = set()
+        for name in ("_top_bracket", "_gauge_floor"):
+            def spy(*args, name=name, step=getattr(modes, name)):
+                called.add(name)
+                return step(*args)
+            monkeypatch.setattr(modes, name, spy)
+        window = (lo, WINDOW[1])
+        edges, counts = band_edges(stack, window, ULTRASTRONG_BAND)
+        assert called == ({"_top_bracket", "_gauge_floor"} if bracketed else set())
+        dense = np.array([_edge_and_count(f, window, ULTRASTRONG_BAND) for f in spectra])
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 

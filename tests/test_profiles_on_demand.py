@@ -77,7 +77,7 @@ def test_rows_match_profiles(solved):
         # nodes of their own per mode, on either segment, as the health gate
         # takes them
         nodes = np.random.default_rng(0).integers(0, mat.dim, (5, len(ms)))
-        np.testing.assert_array_equal(ms._closed._values(nodes),
+        np.testing.assert_array_equal(ms._closed.rows(nodes),
                                       rows[nodes, np.arange(len(ms))])
 
 
