@@ -53,6 +53,9 @@ def _one_of(*words: str) -> tuple:
 # a grid's rules speak of the grid, "<key>: grid needs ...")
 _POS = ((lambda v: v > 0, "must be positive"),)
 _RAD = ((lambda v: np.isfinite(v * GHZ), "overflows in rad/s"),)
+# the window and band ends are squared into (rad/s)^2, the pencil's shifts
+_SQUARED = ((lambda v: np.isfinite((v * GHZ) * (v * GHZ)), "overflows when squared in "
+             "(rad/s)^2"),)
 _CELLS = ((lambda v: v <= MAX_CELLS, f"must be <= {MAX_CELLS}"),)
 _SPACINGS = _one_of("linear", "log")
 _GRID = ((lambda g: g[2] >= 1 and g[0] <= g[1], "grid needs lo <= hi and n >= 1"),
@@ -83,8 +86,8 @@ _SCHEMA: dict[str, tuple[str, object, tuple]] = {
     "qubit.tune_mode_ghz": ("float", None, _POS + _RAD),
     "qubit.tune_g_ghz": ("float", None, _POS + _RAD),
     "qubit.target_mode_ghz": ("float", 4.579, _RAD),
-    "modes.window_ghz_lo": ("float", 3.8, _RAD),
-    "modes.window_ghz_hi": ("float", 13.0, _RAD),
+    "modes.window_ghz_lo": ("float", 3.8, _RAD + _SQUARED),
+    "modes.window_ghz_hi": ("float", 13.0, _RAD + _SQUARED),
     "coupling.normalization": ("str", "dom", _one_of("dom", "spatial")),
     "dynamics.tg_grid": ("grid", (0.0, 10.0, 11), _GRID),
     "dynamics.tg_spacing": ("str", "linear", _SPACINGS),
@@ -103,8 +106,8 @@ _SCHEMA: dict[str, tuple[str, object, tuple]] = {
                                            f"must be <= {MAX_SEEDS}"),)),
     "disorder.seed0": ("int", 1, ((lambda v: v >= 0, "must be >= 0 (seeds seed "
                                    "the random generator)"),)),
-    "disorder.band_ghz_lo": ("float", 4.119, _RAD),
-    "disorder.band_ghz_hi": ("float", 5.039, _RAD),
+    "disorder.band_ghz_lo": ("float", 4.119, _RAD + _SQUARED),
+    "disorder.band_ghz_hi": ("float", 5.039, _RAD + _SQUARED),
     "output.stem": ("str", "", ((lambda v: not {"/", os.sep, "\0"} & set(v),
                                  "is a file-name prefix and may hold no path "
                                  "separator or NUL byte"),)),

@@ -49,11 +49,16 @@ took 9.0 s and 1.67 GB.
 Where only frequencies and counts are needed (the disorder study)
 ``band_edges`` works on the bands of a whole stack of devices: Sturm
 counts from the LDL^T pivots of inv_ind - lam cap (Sylvester's law of
-inertia) by ``sturm_count`` and multisection, O(n) per shift and no
-eigenvectors.  ``sturm_count`` sweeps blocks of nodes in whole-block numpy
-expressions and a pivot recurrence of two numpy calls per node without a
-guard, as in LAPACK dlaneg; only a block that meets a pivot below pivmin
-runs again with dstebz's guard.
+inertia) and multisection, no eigenvectors.  ``sturm_count`` sweeps
+blocks of nodes in whole-block numpy expressions and a pivot recurrence
+of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
+block that meets a pivot below pivmin runs again with dstebz's guard.
+Disorder scatters only the ladder, so the devices of a stack share the
+strip node for node: ``_split_count`` sweeps the rows up to the strip
+and counts the strip in closed form, O(1) per shift, from the pivot at
+its first node (the plain sweep takes any call where the strip is
+evanescent, and a stack that shares no strip).  On the ensemble
+benchmark's stack that halves a call of ``band_edges``.
 """
 
 from __future__ import annotations
@@ -331,28 +336,49 @@ class _Segment(NamedTuple):
     sign: float
 
 
+def _segment(kd, ko, cd, co, start: int, stop: int) -> _Segment:
+    """The ``_Segment`` of one device's off-diagonals start .. stop - 1, its
+    interior rows start + 1 .. stop - 1; a segment without interior rows
+    (a one-cell ladder) takes a = 0."""
+    k_d, c_d = (kd[start + 1], cd[start + 1]) if stop > start + 1 else (0.0, 0.0)
+    return _Segment(k_d, c_d, abs(ko[start]), abs(co[start]), stop - start,
+                    -np.sign(ko[start] - co[start]))
+
+
+def _strip_start(bands: NetworkBands) -> int:
+    """First node of the longest uniform strip that ends at the last node,
+    the same in every device of a stack: on its edges c_off = 0 and k_off
+    one non-zero value, its interior diagonals one value each and its last
+    row the same in every device; n - 1 where there is none.  One pass of
+    whole-array comparisons, on one device or a stack."""
+    kd, ko, cd, co = (np.reshape(x, (-1, np.shape(x)[-1])) for x in
+                      (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off))
+    n = kd.shape[1]
+    if n < 2 or not ((kd[:, -1] == kd[0, -1]) & (cd[:, -1] == cd[0, -1])).all():
+        return n - 1
+    # edge i, and the row after it where that is interior
+    edge = ((co == 0) & (ko == ko[0, -1])).all(axis=0) & (ko[0, -1] != 0)
+    edge[:-1] &= ((kd[:, 1:-1] == kd[0, -2]) & (cd[:, 1:-1] == cd[0, -2])).all(axis=0)
+    bad = np.flatnonzero(~edge)
+    return int(bad[-1]) + 1 if bad.size else 0
+
+
 def _two_segments(bands: NetworkBands, iface: int):
     """(ladder, strip, rows) of the bands, or None unless they have the
     two-segment form exactly: on the ladder (off-diagonals 0..iface-1)
-    k_off = 0 and c_off one non-zero value, on the strip c_off = 0 and
-    k_off one non-zero value, each segment's interior diagonals constant.
-    ``rows`` holds (h_k, h_c) of the free rows (first, interface, last):
-    h_k - lam h_c is a_j less half the a of each segment beside it."""
+    k_off = 0 and c_off one non-zero value, on the strip (``_strip_start``
+    at or before iface) c_off = 0 and k_off one non-zero value, each
+    segment's interior diagonals constant.  ``rows`` holds (h_k, h_c) of
+    the free rows (first, interface, last): h_k - lam h_c is a_j less half
+    the a of each segment beside it."""
     kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
     n = len(kd)
-    if not 1 <= iface <= n - 3:
+    if not 1 <= iface <= n - 3 or _strip_start(bands) > iface:
         return None
-    segs = []
-    for const, zero, off, inner in ((co, ko, slice(0, iface), slice(1, iface)),
-                                    (ko, co, slice(iface, n - 1), slice(iface + 1, n - 1))):
-        if zero[off].any() or not const[off].all() or any(
-                np.ptp(x[part]) > 0 for x, part in ((const, off), (kd, inner), (cd, inner))
-                if len(x[part])):
-            return None
-        # a segment without interior rows (a one-cell ladder) takes a = 0
-        k_d, c_d = (kd[inner][0], cd[inner][0]) if len(kd[inner]) else (0.0, 0.0)
-        segs.append(_Segment(k_d, c_d, abs(ko[off][0]), abs(co[off][0]),
-                             off.stop - off.start, -np.sign(ko[off][0] - co[off][0])))
+    if ko[:iface].any() or not co[:iface].all() or any(
+            np.ptp(x) > 0 for x in (co[:iface], kd[1:iface], cd[1:iface]) if len(x)):
+        return None
+    segs = [_segment(kd, ko, cd, co, 0, iface), _segment(kd, ko, cd, co, iface, n - 1)]
     # in long double where there is one: the halves nearly cancel a_j
     half = [(np.longdouble(seg.k_d) / 2, np.longdouble(seg.c_d) / 2) for seg in segs]
     rows = [(kd[i] - half[0][0] * (i < n - 1) - half[1][0] * (i > 0),
@@ -383,6 +409,14 @@ def _phase(j, t, f):
     return k, (x - k) + (j * (t - t1) + f)
 
 
+def _pq(seg: _Segment, lam):
+    """p = 2 beta - a and q = 2 beta + a of ``seg`` at the shifts lam,
+    formed without cancellation (see ``_advance``): the segment is in its
+    passband where both are positive."""
+    return ((2.0 * seg.k_o - seg.k_d) + lam * (2.0 * seg.c_o + seg.c_d),
+            (2.0 * seg.k_o + seg.k_d) + lam * (2.0 * seg.c_o - seg.c_d))
+
+
 def _advance(seg: _Segment, lam, beta, u, w, values: bool = False, phase: bool = False):
     """Across one segment, of |b| = ``beta``, from the state (u, W) at its
     first node: the sign changes of u over its nodes and the state at its
@@ -402,8 +436,7 @@ def _advance(seg: _Segment, lam, beta, u, w, values: bool = False, phase: bool =
     """
     m = seg.steps
     beta4 = 4.0 * beta      # p + q
-    p = (2.0 * seg.k_o - seg.k_d) + lam * (2.0 * seg.c_o + seg.c_d)
-    q = (2.0 * seg.k_o + seg.k_d) + lam * (2.0 * seg.c_o - seg.c_d)
+    p, q = _pq(seg, lam)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sin_psi = 2.0 * np.sqrt(p * q) / beta4
         t = np.arctan2(np.sqrt(p), np.sqrt(q)) * (2.0 / np.pi)
@@ -725,29 +758,50 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     bands; the result has the broadcast shape.
 
     As in LAPACK dlaneg (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
-    2006), the nodes are swept in blocks of about ``_BLOCK_VALUES`` values:
-    a_i and b_i^2 of a block in a few whole-block expressions, then the
+    2006), the nodes are swept in blocks of about ``_BLOCK_VALUES`` values
+    (``_sweep``).
+    """
+    lam = _shifts_first(bands, lam)
+    rows = tuple(map(_nodes_first, (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off)))
+    kmax, cmax = (np.abs(x).max(axis=0, initial=0.0) for x in (rows[1], rows[3]))
+    return np.moveaxis(_sweep(rows, lam, _pivmin(kmax, cmax, lam))[0], 0, -1)
+
+
+def _shifts_first(bands: NetworkBands, lam) -> np.ndarray:
+    """The shifts ``lam`` (..., m), broadcast against the leading axes of
+    the bands, as a contiguous (m, ...) array."""
+    lam = np.asarray(lam, dtype=float)
+    lead = np.broadcast_shapes(np.shape(bands.k_diag)[:-1], lam.shape[:-1])
+    return np.ascontiguousarray(np.moveaxis(np.broadcast_to(lam, lead + lam.shape[-1:]), -1, 0))
+
+
+def _nodes_first(x) -> np.ndarray:
+    """(..., n) -> (n, 1, ...): one contiguous row per node."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0)[:, None])
+
+
+def _pivmin(kmax: np.ndarray, cmax: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """dstebz's pivmin at the shifts-first ``lam``, scaled, as dstebz does,
+    by the largest b_i^2 so that b^2/pivmin stays finite; this bound on it,
+    from each device's largest |k_off| and |c_off|, costs no pass over the
+    nodes."""
+    return _SAFMIN * np.maximum(1.0, (kmax + np.abs(lam) * cmax) ** 2)
+
+
+def _sweep(rows, lam: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative LDL^T pivots of K - lam C at each shift, and the last pivot,
+    from the bands ``rows`` (k_diag, k_off, c_diag, c_off, nodes first) at
+    the shifts-first ``lam`` with the guard ``pivmin``.
+
+    The nodes are swept in blocks of about ``_BLOCK_VALUES`` values: a_i
+    and b_i^2 of a block in a few whole-block expressions, then the
     recurrence without the guard, two ufunc calls per node.  A block with
     a pivot below pivmin in magnitude (or NaN) is run again from its
     incoming pivot with the guard, so every pivot and count is that of
     the guarded recurrence, bit for bit.  Blocks are (nodes, shifts,
     devices): on a stack, whole-block expressions run over the devices.
     """
-    lam = np.asarray(lam, dtype=float)
-    lead = np.broadcast_shapes(np.shape(bands.k_diag)[:-1], lam.shape[:-1])
-    lam = np.ascontiguousarray(np.moveaxis(np.broadcast_to(lam, lead + lam.shape[-1:]), -1, 0))
-
-    def nodes_first(x) -> np.ndarray:
-        """(..., n) -> (n, 1, ...): one contiguous row per node."""
-        return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0)[:, None])
-
-    kd, ko, cd, co = map(nodes_first, (bands.k_diag, bands.k_off,
-                                       bands.c_diag, bands.c_off))
-    # dstebz scales pivmin by the largest b_i^2 so that b^2/pivmin stays
-    # finite; this bound on it costs no pass over the nodes
-    bmax = (np.abs(ko).max(axis=0, initial=0.0)
-            + np.abs(lam) * np.abs(co).max(axis=0, initial=0.0))
-    pivmin = _SAFMIN * np.maximum(1.0, bmax ** 2)
+    kd, ko, cd, co = rows
     n = len(kd)
     step = max(1, _BLOCK_VALUES // max(1, lam.size))
     d = np.empty((min(n, step + 1),) + lam.shape)
@@ -772,6 +826,59 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
             # int32: int16 would wrap on a block of 2^15 nodes (one shift)
             below += np.add.reduce(np.signbit(new), axis=0, dtype=np.int32)
             d[0] = piv[-1]
+    return below, d[0]
+
+
+class _Split(NamedTuple):
+    """A stack split at the first node s of the uniform strip its devices
+    share (``_strip_start``): the rows 0..s of every device nodes first
+    (k_diag and c_diag to s, k_off and c_off to s - 1), the largest |k_off|
+    and |c_off| of each device over all its edges (for ``_pivmin``), the
+    strip as a ``_Segment`` and (h_k, h_c) of its last row, as in
+    ``_two_segments``."""
+
+    rows: tuple
+    kmax: np.ndarray
+    cmax: np.ndarray
+    strip: _Segment
+    last: tuple[float, float]
+
+
+def _shared_strip(bands: NetworkBands) -> _Split | None:
+    """The ``_Split`` of a stack, or None where its devices share no strip
+    of one step or more."""
+    kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
+    n, s = kd.shape[-1], _strip_start(bands)
+    if s > n - 2:
+        return None
+    strip = _segment(kd[0], ko[0], cd[0], co[0], s, n - 1)
+    last = (float(kd[0, -1] - np.longdouble(strip.k_d) / 2),
+            float(cd[0, -1] - np.longdouble(strip.c_d) / 2))
+    rows = tuple(map(_nodes_first, (kd[:, :s + 1], ko[:, :s], cd[:, :s + 1], co[:, :s])))
+    kmax, cmax = (np.abs(x).max(axis=-1, initial=0.0)[None] for x in (ko, co))
+    return _Split(rows, kmax, cmax, strip, last)
+
+
+def _split_count(bands: NetworkBands, split: _Split, lam) -> np.ndarray:
+    """``sturm_count``'s count of a stack from its ``_Split``: the blocked
+    sweep over the rows up to the strip's first node s, then the strip and
+    its last row in closed form, O(1) per shift, as ``_shoot`` takes them.
+    The pivot d_s at s gives the strip's shot state there, u_s = 1 and W_s
+    = u_{s+1} - tau u_s = (d_s - a/2) / beta, as d_s = beta u_{s+1}/u_s;
+    the sign of d_s is then the strip's first sign change, not the
+    sweep's.  A call with a shift where the strip is evanescent counts by
+    ``sturm_count`` alone, as the closed count there need not rise with
+    lam over a few ulps."""
+    shifts, strip = _shifts_first(bands, lam), split.strip
+    p, q = _pq(strip, shifts)
+    if not ((p > 0) & (q > 0)).all():
+        return sturm_count(bands, lam)
+    below, d = _sweep(split.rows, shifts, _pivmin(split.kmax, split.cmax, shifts))
+    beta = strip.k_o + shifts * strip.c_o
+    w = (d - 0.5 * (strip.k_d - shifts * strip.c_d)) / beta
+    sign_changes, u, w = _advance(strip, shifts, beta, np.ones_like(d), w)
+    last = _junction(split.last, shifts, u, w, beta, None)
+    below += (sign_changes + (u * last < 0)).astype(int) - np.signbit(d)
     return np.moveaxis(below, 0, -1)
 
 
@@ -839,8 +946,9 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     window (lo, hi) and the band (lo, hi), both in rad/s, are inclusive.
     The count covers the part of the band inside the window.  Returns
     (edge in rad/s, NaN where the window holds no mode; count).  Only
-    Sturm counts are used: no matrix is formed and no eigenvector found.
-    IllConditionedCircuitError names the first device whose capacitance
+    Sturm counts are used, by ``_split_count`` where the devices share a
+    strip and by ``sturm_count`` elsewhere: no matrix is formed and no
+    eigenvector found.  IllConditionedCircuitError names the first device whose capacitance
     has an LDL^T pivot that is not positive.
     """
     bounds = np.array([*freq_window, *band], dtype=float)
@@ -849,12 +957,18 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
         raise ValueError("band_edges needs finite bands, window and band")
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
-    count = partial(sturm_count, bands)
     # as in ``_closed_modes``: where every device has all n eigenvalues
     # below lam_lo / GAUGE^2, no gauge mode reaches the window
     clear = float(bounds[0]) / GAUGE ** 2
     clear = clear if 0 < clear < np.inf else 0.0
-    win_lo, win_hi, band_lo, band_hi, below = count(np.append(bounds, clear)).T
+    # this count sweeps every node, before the split's rows are laid out:
+    # its shift at lam_lo / GAUGE^2 (or at 0) leaves the strip evanescent
+    # wherever the strip's cutoff lies below it.  The later counts split
+    # where the devices share a strip
+    win_lo, win_hi, band_lo, band_hi, below = sturm_count(bands, np.append(bounds, clear)).T
+    split = _shared_strip(bands)
+    count = (partial(sturm_count, bands) if split is None
+             else partial(_split_count, bands, split))
     gauge, floor = win_lo, np.full(len(win_lo), bounds[0])
     if not (clear and (below >= bands.k_diag.shape[-1]).all()):
         gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))

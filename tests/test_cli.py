@@ -75,8 +75,23 @@ def _rad_bound() -> float:
     return x
 
 
+def _squared_bound() -> float:
+    """The largest GHz value whose square stays finite in (rad/s)^2."""
+    x = math.sqrt(sys.float_info.max) / GHZ
+    while math.isinf((x * GHZ) * (x * GHZ)):
+        x = math.nextafter(x, 0.0)
+    while not math.isinf((y := math.nextafter(x, math.inf) * GHZ) * y):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
 RAD_MAX = _rad_bound()
 PAST_RAD_MAX = math.nextafter(RAD_MAX, math.inf)
+SQUARED_MAX = _squared_bound()
+PAST_SQUARED_MAX = math.nextafter(SQUARED_MAX, math.inf)
+# the window and band ends, which are squared into (rad/s)^2
+SQUARED_KEYS = ("modes.window_ghz_lo", "modes.window_ghz_hi",
+                "disorder.band_ghz_lo", "disorder.band_ghz_hi")
 # (key, its inclusive bound or None where the bound is no valid value, the
 # first value past the bound) for every _SCHEMA row whose rule bounds a number
 SCHEMA_BOUNDS = [
@@ -99,9 +114,15 @@ SCHEMA_BOUNDS = [
     ("circuit.f_ir_ghz", None, repr(PAST_RAD_MAX)),
     *[(key, repr(RAD_MAX), repr(PAST_RAD_MAX)) for key in (
         "qubit.freq_ghz", "qubit.g_ghz", "qubit.tune_mode_ghz", "qubit.tune_g_ghz",
-        "qubit.target_mode_ghz", "modes.window_ghz_hi", "disorder.band_ghz_hi")],
-    *[(key, repr(-RAD_MAX), repr(-PAST_RAD_MAX))
-      for key in ("modes.window_ghz_lo", "disorder.band_ghz_lo")],
+        "qubit.target_mode_ghz")],
+    # the window and band ends stop at the squared bound, far below the
+    # rad/s bound
+    *[(key, None, repr(PAST_RAD_MAX)) for key in ("modes.window_ghz_hi",
+                                                   "disorder.band_ghz_hi")],
+    *[(key, None, repr(-PAST_RAD_MAX)) for key in ("modes.window_ghz_lo",
+                                                    "disorder.band_ghz_lo")],
+    *[(key, repr(SQUARED_MAX), repr(PAST_SQUARED_MAX)) for key in SQUARED_KEYS[1::2]],
+    *[(key, repr(-SQUARED_MAX), repr(-PAST_SQUARED_MAX)) for key in SQUARED_KEYS[::2]],
     ("dynamics.tg_grid", "0, 1, 1", "0, 1, 0"),
     ("dynamics.tg_grid", "0, 1, 10000", "0, 1, 10001"),
     ("dynamics.tg_grid", "1, 1, 3", "1.0000000000000002, 1, 3"),
@@ -234,6 +255,24 @@ class TestConfigParsing:
         # a grid of exactly the bound still parses
         grid = _parse(tmp_path, SMALL + "renorm.g_grid = 0.1, 1.0, 10000\n").grid("renorm.g")
         assert len(grid) == config.MAX_GRID_POINTS == 10000
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("key", SQUARED_KEYS)
+    def test_squares_that_overflow_exit_2(self, tmp_path, capsys, key):
+        # the bundled fig2 config with the key at 1e150 GHz (its square is
+        # 3.9e319 (rad/s)^2), the upper end at 2e150 GHz where the key is
+        # the lower: disorder and modes both stop naming the key
+        text = resources.files("metaline").joinpath("configs/fig2.cfg").read_text()
+        ends = {key: "1e150"}
+        if key.endswith("_lo"):
+            ends[key.replace("_lo", "_hi")] = "2e150"
+        lines = [l for l in text.splitlines() if not l.startswith(tuple(ends))]
+        cfg = _write(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in ends.items()]))
+        for command in ("disorder", "modes"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"{key} overflows when squared" in err, err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_disorder_band_order(self, tmp_path, capsys):
         band = "\ndisorder.band_ghz_lo = {}\ndisorder.band_ghz_hi = {}\n"

@@ -10,14 +10,14 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       apply_disorder, band_edges, build_matrices,
                       coupling_spectrum, dom_numeric, find_current_antinode,
                       footprint_at_antinode, footprint_weights, network_bands,
-                      solve_modes, sturm_count)
+                      rhtl_from_impedance, solve_modes, sturm_count)
 from metaline.config import GHZ, parse_config
 import metaline.modes as modes
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec, wrap_dense)
-from oracles import (current_average, dense_count, omega_lhtl, omega_rhtl,
-                     pencil_eigenvalues, sign_changes, stamped_lhtl,
+from oracles import (current_average, dense_count, mp_pencil_eigenvalue, omega_lhtl,
+                     omega_rhtl, pencil_eigenvalues, sign_changes, stamped_lhtl,
                      stamped_matrices, stamped_rhtl, sturm_count_reference)
 
 
@@ -318,6 +318,30 @@ def _edge_and_count(f, window, band):
     return edge, int(np.sum((f >= band[0]) & (f <= band[1])))
 
 
+def _spy_counts(monkeypatch) -> list:
+    """The path of every count from now on: "plain" for each ``sturm_count``
+    call, "strip" for each strip counted in closed form (``_advance``),
+    and "narrow" as each multisection round starts."""
+    events = []
+    for name, event in (("sturm_count", "plain"), ("_advance", "strip"),
+                        ("_narrow", "narrow")):
+        def spy(*args, step=getattr(modes, name), event=event, **kwargs):
+            events.append(event)
+            return step(*args, **kwargs)
+        monkeypatch.setattr(modes, name, spy)
+    return events
+
+
+def _plain_sweep(monkeypatch) -> None:
+    """Sends every later ``band_edges`` count to ``sturm_count``."""
+    monkeypatch.setattr(modes, "_shared_strip", lambda bands: None)
+
+
+def _device_bands(stack, s) -> NetworkBands:
+    return NetworkBands(*(getattr(stack, name)[s] for name in
+                          ("k_diag", "k_off", "c_diag", "c_off")))
+
+
 class TestBandEdges:
     @pytest.mark.parametrize("window,band", [
         (WINDOW, ULTRASTRONG_BAND),
@@ -352,6 +376,98 @@ class TestBandEdges:
         dense = np.array([_edge_and_count(f, window, ULTRASTRONG_BAND) for f in spectra])
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_split_count_matches_reference(self, monkeypatch, name):
+        # disordered stacks of each bundled design: the split count at shifts
+        # in the strip's passband well clear of every eigenvalue, between
+        # eigenvalues and at random, is the guarded recurrence's count
+        spec = parse_config(resources.files("metaline") / "configs" / f"{name}.cfg"
+                            ).circuit_spec()
+        rng = np.random.default_rng(int(name[-1]))
+        specs = [apply_disorder(spec, sigma, int(rng.integers(1000)))
+                 for sigma in (0.02, 0.05, 0.2)]
+        stack = NetworkBands.stack([network_bands(s) for s in specs])
+        split = modes._shared_strip(stack)
+        assert split is not None and split.strip.steps == spec.n_right
+        strip = split.strip
+        cutoff = (2.0 * strip.k_o + strip.k_d) / (strip.c_d - 2.0 * strip.c_o)     # q = 0
+        events = _spy_counts(monkeypatch)
+        for s, device in enumerate(specs):
+            evals = pencil_eigenvalues(*stamped_matrices(device))
+            mids = 0.5 * (evals[1:] + evals[:-1])
+            lam = np.concatenate([rng.choice(mids[mids < cutoff], 40, replace=False),
+                                  cutoff * 10 ** rng.uniform(-6, 0, 40)])
+            lam = lam[(lam < cutoff) & (np.min(np.abs(lam[:, None] - evals), axis=1)
+                                        > 1e-9 * evals[-1])]
+            npt.assert_array_equal(modes._split_count(stack, split, lam)[s],
+                                   sturm_count_reference(network_bands(device), lam))
+        assert events == ["strip"] * len(specs)
+
+    @pytest.mark.parametrize("lo,rtol", [(WINDOW[0], 8 * np.finfo(float).eps), (0.0, 1e-11)],
+                             ids=["window-from-3.8GHz", "window-from-0"])
+    def test_edges_match_plain_sweep(self, monkeypatch, ensemble_devices, lo, rtol):
+        # the two counts round differently only within a few ulps of a root,
+        # and from 0 Hz about the lowest kept mode (0.93 GHz): the plain
+        # sweep leaves it up to 3.5e-12 from the 40-digit root, the split
+        # count within 7e-16 (test_lowest_mode_from_0_is_the_exact_root)
+        stack, _ = ensemble_devices
+        window = (lo, WINDOW[1])
+        edges, counts = band_edges(stack, window, ULTRASTRONG_BAND)
+        _plain_sweep(monkeypatch)
+        plain_edges, plain_counts = band_edges(stack, window, ULTRASTRONG_BAND)
+        npt.assert_array_equal(counts, plain_counts)
+        npt.assert_allclose(edges, plain_edges, rtol=rtol, atol=0)
+
+    def test_lowest_mode_from_0_is_the_exact_root(self, ensemble_devices):
+        # the edge from 0 Hz lies within 1e-14 of the 40-digit root, where
+        # the plain sweep's lay up to 3.5e-12 from it
+        import mpmath
+
+        stack, _ = ensemble_devices
+        edges, _ = band_edges(stack, (0.0, WINDOW[1]), ULTRASTRONG_BAND)
+        for s in range(3):
+            bands, lam = _device_bands(stack, s), edges[s] ** 2
+            bracket = (lam * (1 - 1e-9), lam * (1 + 1e-9))
+            root = mp_pencil_eigenvalue(bands, int(sturm_count_reference(bands, bracket[:1])[0]),
+                                        bracket=bracket)
+            assert abs(edges[s] / float(mpmath.sqrt(root)) - 1) < 1e-14
+
+    @pytest.mark.parametrize("case", ["unshared-strip", "evanescent-window"])
+    def test_plain_sweep_without_a_passband_strip(self, monkeypatch, band_spec, case):
+        # a stack whose devices do not share the strip (device 2's at 55
+        # ohm), and a window above the strip's cutoff (382 GHz), where the
+        # strip is evanescent at every shift: every count is the plain sweep's
+        specs = [apply_disorder(band_spec, 0.02, seed) for seed in range(1, 6)]
+        window = WINDOW
+        if case == "unshared-strip":
+            c_r, l_r = rhtl_from_impedance(55.0, 0.03 * 4e9)
+            specs[2] = dataclasses.replace(specs[2], c_right_per_len=c_r, l_right_per_len=l_r)
+        else:
+            window = (TWO_PI * 400e9, TWO_PI * 1000e9)
+        stack = NetworkBands.stack([network_bands(s) for s in specs])
+        events = _spy_counts(monkeypatch)
+        edges, counts = band_edges(stack, window, window)
+        assert "strip" not in events and events.count("plain") > 10
+        _plain_sweep(monkeypatch)
+        plain_edges, plain_counts = band_edges(stack, window, window)
+        npt.assert_array_equal(edges, plain_edges)
+        npt.assert_array_equal(counts, plain_counts)
+        dense = np.array([_edge_and_count(solve_modes(build_matrices(s)).frequencies,
+                                          window, window) for s in specs])
+        npt.assert_array_equal(counts, dense[:, 1])
+        npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
+
+    def test_ensemble_stack_narrows_on_split_count(self, monkeypatch, ensemble_devices):
+        # the first count (its shift at lam_lo / GAUGE^2 lies above the
+        # strip's cutoff) takes the plain sweep; every multisection round
+        # after it counts the strip in closed form
+        stack, _ = ensemble_devices
+        events = _spy_counts(monkeypatch)
+        band_edges(stack, WINDOW, ULTRASTRONG_BAND)
+        rounds = events.count("narrow")
+        assert rounds > 10
+        assert events == ["plain"] + ["narrow", "strip"] * rounds
 
     def test_empty_window_is_nan(self, band_spec):
         bands = NetworkBands.stack([network_bands(band_spec)])
