@@ -54,10 +54,11 @@ blocks of nodes in whole-block numpy expressions and a pivot recurrence
 of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
 block that meets a pivot below pivmin runs again with dstebz's guard.
 Disorder scatters only the ladder, so the devices of a stack share the
-strip node for node: ``_split_count`` sweeps the rows up to the strip
+strip node for node: ``splitcount.SplitCount`` (a module of its own,
+imported where a stack shares a strip) sweeps the rows up to the strip
 and counts the strip in closed form, O(1) per shift, from the pivot at
-its first node (the plain sweep takes any call where the strip is
-evanescent, and a stack that shares no strip).  On the ensemble
+its first node; the plain sweep takes any call where the strip is
+evanescent, and a stack that shares no strip.  On the ensemble
 benchmark's stack that halves a call of ``band_edges``.
 """
 
@@ -829,57 +830,14 @@ def _sweep(rows, lam: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.nd
     return below, d[0]
 
 
-class _Split(NamedTuple):
-    """A stack split at the first node s of the uniform strip its devices
-    share (``_strip_start``): the rows 0..s of every device nodes first
-    (k_diag and c_diag to s, k_off and c_off to s - 1), the largest |k_off|
-    and |c_off| of each device over all its edges (for ``_pivmin``), the
-    strip as a ``_Segment`` and (h_k, h_c) of its last row, as in
-    ``_two_segments``."""
-
-    rows: tuple
-    kmax: np.ndarray
-    cmax: np.ndarray
-    strip: _Segment
-    last: tuple[float, float]
-
-
-def _shared_strip(bands: NetworkBands) -> _Split | None:
-    """The ``_Split`` of a stack, or None where its devices share no strip
-    of one step or more."""
-    kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
-    n, s = kd.shape[-1], _strip_start(bands)
-    if s > n - 2:
+def _shared_strip(bands: NetworkBands):
+    """``splitcount.SplitCount`` of a stack, or None where its devices share
+    no strip of one step or more (``_strip_start``)."""
+    start = _strip_start(bands)
+    if start > bands.k_diag.shape[-1] - 2:
         return None
-    strip = _segment(kd[0], ko[0], cd[0], co[0], s, n - 1)
-    last = (float(kd[0, -1] - np.longdouble(strip.k_d) / 2),
-            float(cd[0, -1] - np.longdouble(strip.c_d) / 2))
-    rows = tuple(map(_nodes_first, (kd[:, :s + 1], ko[:, :s], cd[:, :s + 1], co[:, :s])))
-    kmax, cmax = (np.abs(x).max(axis=-1, initial=0.0)[None] for x in (ko, co))
-    return _Split(rows, kmax, cmax, strip, last)
-
-
-def _split_count(bands: NetworkBands, split: _Split, lam) -> np.ndarray:
-    """``sturm_count``'s count of a stack from its ``_Split``: the blocked
-    sweep over the rows up to the strip's first node s, then the strip and
-    its last row in closed form, O(1) per shift, as ``_shoot`` takes them.
-    The pivot d_s at s gives the strip's shot state there, u_s = 1 and W_s
-    = u_{s+1} - tau u_s = (d_s - a/2) / beta, as d_s = beta u_{s+1}/u_s;
-    the sign of d_s is then the strip's first sign change, not the
-    sweep's.  A call with a shift where the strip is evanescent counts by
-    ``sturm_count`` alone, as the closed count there need not rise with
-    lam over a few ulps."""
-    shifts, strip = _shifts_first(bands, lam), split.strip
-    p, q = _pq(strip, shifts)
-    if not ((p > 0) & (q > 0)).all():
-        return sturm_count(bands, lam)
-    below, d = _sweep(split.rows, shifts, _pivmin(split.kmax, split.cmax, shifts))
-    beta = strip.k_o + shifts * strip.c_o
-    w = (d - 0.5 * (strip.k_d - shifts * strip.c_d)) / beta
-    sign_changes, u, w = _advance(strip, shifts, beta, np.ones_like(d), w)
-    last = _junction(split.last, shifts, u, w, beta, None)
-    below += (sign_changes + (u * last < 0)).astype(int) - np.signbit(d)
-    return np.moveaxis(below, 0, -1)
+    from .splitcount import SplitCount     # compiled only where this path runs
+    return SplitCount(bands, start)
 
 
 def _narrow(count, index: np.ndarray, lo: np.ndarray,
@@ -946,9 +904,9 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     window (lo, hi) and the band (lo, hi), both in rad/s, are inclusive.
     The count covers the part of the band inside the window.  Returns
     (edge in rad/s, NaN where the window holds no mode; count).  Only
-    Sturm counts are used, by ``_split_count`` where the devices share a
-    strip and by ``sturm_count`` elsewhere: no matrix is formed and no
-    eigenvector found.  IllConditionedCircuitError names the first device whose capacitance
+    Sturm counts are used, by ``splitcount.SplitCount`` where the devices
+    share a strip and by ``sturm_count`` elsewhere: no matrix is formed and
+    no eigenvector found.  IllConditionedCircuitError names the first device whose capacitance
     has an LDL^T pivot that is not positive.
     """
     bounds = np.array([*freq_window, *band], dtype=float)
@@ -966,9 +924,7 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     # wherever the strip's cutoff lies below it.  The later counts split
     # where the devices share a strip
     win_lo, win_hi, band_lo, band_hi, below = sturm_count(bands, np.append(bounds, clear)).T
-    split = _shared_strip(bands)
-    count = (partial(sturm_count, bands) if split is None
-             else partial(_split_count, bands, split))
+    count = _shared_strip(bands) or partial(sturm_count, bands)
     gauge, floor = win_lo, np.full(len(win_lo), bounds[0])
     if not (clear and (below >= bands.k_diag.shape[-1]).all()):
         gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))

@@ -13,6 +13,7 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       rhtl_from_impedance, solve_modes, sturm_count)
 from metaline.config import GHZ, parse_config
 import metaline.modes as modes
+import metaline.splitcount as splitcount
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec, wrap_dense)
@@ -320,15 +321,17 @@ def _edge_and_count(f, window, band):
 
 def _spy_counts(monkeypatch) -> list:
     """The path of every count from now on: "plain" for each ``sturm_count``
-    call, "strip" for each strip counted in closed form (``_advance``),
-    and "narrow" as each multisection round starts."""
+    call, "strip" for each strip counted in closed form (``_advance`` in
+    ``splitcount``), and "narrow" as each multisection round starts."""
     events = []
-    for name, event in (("sturm_count", "plain"), ("_advance", "strip"),
-                        ("_narrow", "narrow")):
-        def spy(*args, step=getattr(modes, name), event=event, **kwargs):
+    for module, name, event in ((modes, "sturm_count", "plain"),
+                                (splitcount, "sturm_count", "plain"),
+                                (splitcount, "_advance", "strip"),
+                                (modes, "_narrow", "narrow")):
+        def spy(*args, step=getattr(module, name), event=event, **kwargs):
             events.append(event)
             return step(*args, **kwargs)
-        monkeypatch.setattr(modes, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return events
 
 
@@ -400,7 +403,7 @@ class TestBandEdges:
                                   cutoff * 10 ** rng.uniform(-6, 0, 40)])
             lam = lam[(lam < cutoff) & (np.min(np.abs(lam[:, None] - evals), axis=1)
                                         > 1e-9 * evals[-1])]
-            npt.assert_array_equal(modes._split_count(stack, split, lam)[s],
+            npt.assert_array_equal(split(lam)[s],
                                    sturm_count_reference(network_bands(device), lam))
         assert events == ["strip"] * len(specs)
 
