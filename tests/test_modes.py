@@ -340,11 +340,6 @@ def _plain_sweep(monkeypatch) -> None:
     monkeypatch.setattr(modes, "_shared_strip", lambda bands: None)
 
 
-def _device_bands(stack, s) -> NetworkBands:
-    return NetworkBands(*(getattr(stack, name)[s] for name in
-                          ("k_diag", "k_off", "c_diag", "c_off")))
-
-
 class TestBandEdges:
     @pytest.mark.parametrize("window,band", [
         (WINDOW, ULTRASTRONG_BAND),
@@ -430,7 +425,7 @@ class TestBandEdges:
         stack, _ = ensemble_devices
         edges, _ = band_edges(stack, (0.0, WINDOW[1]), ULTRASTRONG_BAND)
         for s in range(3):
-            bands, lam = _device_bands(stack, s), edges[s] ** 2
+            bands, lam = TestSturmCount._device(stack, s), edges[s] ** 2
             bracket = (lam * (1 - 1e-9), lam * (1 + 1e-9))
             root = mp_pencil_eigenvalue(bands, int(sturm_count_reference(bands, bracket[:1])[0]),
                                         bracket=bracket)
