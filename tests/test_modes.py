@@ -375,32 +375,57 @@ class TestBandEdges:
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
-    def test_split_count_matches_reference(self, monkeypatch, name):
-        # disordered stacks of each bundled design: the split count at shifts
-        # in the strip's passband well clear of every eigenvalue, between
-        # eigenvalues and at random, is the guarded recurrence's count
-        spec = parse_config(resources.files("metaline") / "configs" / f"{name}.cfg"
-                            ).circuit_spec()
-        rng = np.random.default_rng(int(name[-1]))
-        specs = [apply_disorder(spec, sigma, int(rng.integers(1000)))
-                 for sigma in (0.02, 0.05, 0.2)]
+    @staticmethod
+    def _split_matches_reference(events, rng, specs, shifts):
+        """The split count of the stack of ``specs`` at up to ``shifts``
+        midpoints between eigenvalues and ``shifts`` random shifts, all in
+        the strip's passband and clear of every eigenvalue, is the guarded
+        recurrence's count, and each call counts the strip in closed form
+        (``events`` from ``_spy_counts``)."""
         stack = NetworkBands.stack([network_bands(s) for s in specs])
         split = modes._shared_strip(stack)
-        assert split is not None and split.strip.steps == spec.n_right
+        assert split is not None and split.strip.steps == specs[0].n_right
         strip = split.strip
         cutoff = (2.0 * strip.k_o + strip.k_d) / (strip.c_d - 2.0 * strip.c_o)     # q = 0
-        events = _spy_counts(monkeypatch)
+        events.clear()
         for s, device in enumerate(specs):
             evals = pencil_eigenvalues(*stamped_matrices(device))
             mids = 0.5 * (evals[1:] + evals[:-1])
-            lam = np.concatenate([rng.choice(mids[mids < cutoff], 40, replace=False),
-                                  cutoff * 10 ** rng.uniform(-6, 0, 40)])
+            mids = mids[mids < cutoff]
+            lam = np.concatenate([rng.choice(mids, min(shifts, len(mids)), replace=False),
+                                  cutoff * 10 ** rng.uniform(-6, 0, shifts)])
             lam = lam[(lam < cutoff) & (np.min(np.abs(lam[:, None] - evals), axis=1)
                                         > 1e-9 * evals[-1])]
             npt.assert_array_equal(split(lam)[s],
                                    sturm_count_reference(network_bands(device), lam))
         assert events == ["strip"] * len(specs)
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_split_count_matches_reference(self, monkeypatch, name):
+        # disordered stacks of each bundled design
+        spec = parse_config(resources.files("metaline") / "configs" / f"{name}.cfg"
+                            ).circuit_spec()
+        rng = np.random.default_rng(int(name[-1]))
+        self._split_matches_reference(_spy_counts(monkeypatch), rng, [
+            apply_disorder(spec, sigma, int(rng.integers(1000))) for sigma in (0.02, 0.05, 0.2)],
+            40)
+
+    @pytest.mark.parametrize("end_caps", [False, True])
+    def test_split_count_matches_reference_at_random_sizes(self, monkeypatch, end_caps):
+        # one-cell ladders and two-cell strips included, and end caps, which
+        # change the last row's (h_k, h_c)
+        rng = np.random.default_rng(12 if end_caps else 13)
+        events = _spy_counts(monkeypatch)
+        sizes = [(1, 2), (1, 40), (30, 2)] + [tuple(rng.integers(1, 80, 2) + [0, 1])
+                                              for _ in range(3)]
+        for n_left, n_right in sizes:
+            spec = make_band_edge_spec(int(n_left), int(n_right))
+            if end_caps:
+                spec = dataclasses.replace(
+                    spec, c_end_left=spec.c_left * 10 ** rng.uniform(-2, 1),
+                    c_end_right=spec.c_left * 10 ** rng.uniform(-2, 1))
+            self._split_matches_reference(events, rng, [
+                apply_disorder(spec, 0.25, int(rng.integers(1000))) for _ in range(3)], 20)
 
     @pytest.mark.parametrize("lo,rtol", [(WINDOW[0], 8 * np.finfo(float).eps), (0.0, 1e-11)],
                              ids=["window-from-3.8GHz", "window-from-0"])
