@@ -282,7 +282,8 @@ class TestSturmCount:
 
     def test_fig2_solve_needs_no_guarded_rerun(self, monkeypatch):
         # the solve takes its counts in closed form; band_edges takes them
-        # from sturm_count on the same bands
+        # from sturm_count's blocked sweep on the same bands (over the ladder
+        # rows only, once the strip is split off)
         guarded = _spy_guarded_pivots(monkeypatch)
         cfg = parse_config(resources.files("metaline") / "configs" / "fig2.cfg")
         mat = build_matrices(cfg.circuit_spec())
