@@ -39,12 +39,12 @@ then takes one of two paths:
 README (*Eigensolvers*) holds the timings of both paths and why
 ``_DENSE_DIMS``, the size class of the benchmark's spectrum device (dim
 2001), stays dense: its reference profiles carry dense eigh's rounding.
-Both paths apply the same gauge rule (``_gauge_floor`` is its count-only
-form), sign rule and tie-break (sign changes on the dense path, the
-count index on the closed form's, which agree wherever tested).  At
-n_left = 5000 (dim 12 501, 4009 window modes) a ``phase`` run on the
-fig5 device takes 0.17 s and 44 MB resident, where forming the profiles
-took 9.0 s and 1.67 GB.
+Both paths drop the same gauge modes (``_gauge_modes``) and apply the
+same sign rule and tie-break (sign changes on the dense path, the count
+index on the closed form's, which agree wherever tested).  At n_left =
+5000 (dim 12 501, 4009 window modes) a ``phase`` run on the fig5 device
+takes 0.17 s and 44 MB resident, where forming the profiles took 9.0 s
+and 1.67 GB.
 
 Where only frequencies and counts are needed (the disorder study)
 ``band_edges`` works on the bands of a whole stack of devices: Sturm
@@ -76,9 +76,6 @@ from .dispersion import dom_approx
 if TYPE_CHECKING:
     from .closedform import ClosedModes
 
-# gauge rule: modes at or below this fraction of the largest frequency
-# are the inductive null space, not physical modes
-GAUGE = 1e-6
 # shifts per multisection round; each round shrinks a bracket 8-fold
 _SHIFTS = 7
 _EPS = np.finfo(float).eps
@@ -108,8 +105,8 @@ class IllConditionedCircuitError(RuntimeError):
 class ModeSet:
     """Eigenfrequencies and capacitance-orthonormal flux profiles.
 
-    ``frequencies`` is strictly positive and ascending (near-zero gauge
-    modes are dropped); column n of ``profiles`` is the node-flux
+    ``frequencies`` is ascending, without the gauge modes
+    (``_gauge_modes``); column n of ``profiles`` is the node-flux
     eigenvector of mode n with its sign fixed at the interface node, and
     ``rows(index, modes)`` gives chosen rows of chosen columns.
 
@@ -211,15 +208,15 @@ def _column_sign_changes(vecs: np.ndarray) -> np.ndarray:
 
 def solve_modes(mat: NetworkMatrices,
                 freq_window: tuple[float, float] | None = None) -> ModeSet:
-    """All positive-frequency normal modes of the network, ascending.
+    """All normal modes of the network but its gauge modes, ascending.
 
-    Near-zero gauge modes (the inductive null space left by purely
-    capacitive ends) are discarded at or below 1e-6 of the largest
-    frequency.  Ties in frequency are broken by the ascending number of
-    sign changes of the profile.  ``freq_window`` = (lo, hi) in rad/s
-    restricts the returned modes.  Two-segment devices are solved in
-    closed form (``_closed_modes``), except those whose dimension lies in
-    ``_DENSE_DIMS``; they and every other network go to dense ``eigh``.
+    The gauge modes, the eigenvalues at 0 that K's structure forces
+    (``_gauge_modes``), are dropped.  Ties in frequency are broken by the
+    ascending number of sign changes of the profile.  ``freq_window`` =
+    (lo, hi) in rad/s restricts the returned modes.  Two-segment devices
+    are solved in closed form (``_closed_modes``), except those whose
+    dimension lies in ``_DENSE_DIMS``; they and every other network go to
+    dense ``eigh``.
     IllConditionedCircuitError, on either path, names the first LDL^T
     pivot of the capacitance that is not positive.
     """
@@ -263,8 +260,24 @@ def _dense_modes(mat: NetworkMatrices, freq_window: tuple[float, float] | None
     lo, hi = (0.0, np.inf) if freq_window is None else freq_window
     w2, vecs = sla.eigh(mat.inv_ind.T, mat.cap.T, overwrite_a=True, overwrite_b=True)
     omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = (omega > GAUGE * omega.max()) & (omega >= lo) & (omega <= hi)
+    keep = (np.arange(len(w2)) >= _gauge_modes(mat.bands)) & (omega >= lo) & (omega <= hi)
     return omega[keep], vecs[:, keep]
+
+
+def _gauge_modes(bands: NetworkBands) -> np.ndarray:
+    """Gauge modes of each device: the eigenvalues at 0 that K's structure
+    forces, one for each block of K (rows joined by non-zero k_off) whose
+    rows all sum to exactly zero, as K maps that block's constant vector
+    to 0.  On a ``CircuitSpec``'s bands that block is node 0 alone, the
+    bare series capacitor that ends the ladder (``circuit._lhtl_bands``),
+    and ``sturm_count`` counts its mode below any shift >= 0."""
+    kd = np.reshape(bands.k_diag, (-1, np.shape(bands.k_diag)[-1]))
+    # k_off with a zero before each device's first row and after its last
+    ko = np.pad(np.reshape(bands.k_off, (len(kd), -1)), ((0, 0), (1, 1)))
+    starts = np.flatnonzero(ko[:, :-1] == 0)
+    clean = ~np.logical_or.reduceat((kd + ko[:, :-1] + ko[:, 1:] != 0).ravel(), starts)
+    return np.bincount(starts[clean] // kd.shape[1], minlength=len(kd)).reshape(
+        np.shape(bands.k_diag)[:-1])
 
 
 def _check_capacitance(bands: NetworkBands) -> None:
@@ -538,48 +551,34 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
                   ) -> ClosedModes:
     """The non-gauge modes in ``freq_window`` of a two-segment device, as
     ``closedform.ClosedModes``: the eigenvalues by ``_closed_eigenvalues``,
-    all window modes at once, from one count of a ``_phase_grid``.  That
-    count also takes a shift at lam_lo / GAUGE^2: where all n eigenvalues
-    lie below it, no gauge mode (omega <= GAUGE omega_max) reaches the
-    window.  Where some do not, or the window has no top, the top of the
-    spectrum is bracketed by counts of ``_shoot`` (``_top_bracket``), the
-    gauge modes are counted (``_gauge_floor``) where the window may reach
-    them, and the grid is counted again.  The count also takes the grid
-    shift next below and next above the window, whose counts bound the
-    eigenvalues next to the window's modes for the gaps that
-    ``ClosedModes`` checks."""
+    all window modes at once, from one count of a ``_phase_grid``.  A
+    window with no top ends at a shift above lam_max, and one from 0 or
+    below starts at a shift below every physical mode (both ``_reach``).
+    The count also takes the grid shift next below and next above the
+    window, whose counts bound the eigenvalues next to the window's modes
+    for the gaps that ``ClosedModes`` checks."""
     from .closedform import ClosedModes     # compiled only where this path runs
 
     ladder, strip, rows = segs
     count = partial(_shoot, ladder, strip, rows)
-    n = len(bands.k_diag)
+    n, first = len(bands.k_diag), int(_gauge_modes(bands))
     lo, hi = (0.0, np.inf) if freq_window is None else map(float, freq_window)
     lam_lo, lam_hi = np.sign(lo) * lo * lo, hi * hi
     points = _phase_points(segs[:2])
-    first, shot, empty = 0, None, (np.empty(0), np.empty(0, dtype=int), None)
-    if 0 < lam_lo < lam_hi < np.inf:
-        grid = _phase_grid(points, lam_lo, lam_hi)
-        shifts = np.concatenate([grid, _outside(points, lam_lo, lam_hi)])
-        shot = count(np.append(shifts, lam_lo / GAUGE ** 2), phase=True)
-        if shot[0][-1] < n:         # the window may reach gauge modes
-            shot = None
-    elif np.isfinite(lam_hi) and lam_lo >= lam_hi:
+    empty = (np.empty(0), np.empty(0, dtype=int), None)
+    if lam_hi == np.inf:
+        # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
+        lam_hi = _reach(count, 4.0 * np.max(bands.k_diag / bands.c_diag), 4.0,
+                        lambda c: c >= n)
+    if lam_lo <= 0 < lam_hi:
+        lam_lo = _reach(count, points[0], 0.25, lambda c: c <= first)
+    if not 0 < lam_lo < lam_hi:
         return ClosedModes(bands, segs, *empty)
-    if shot is None:
-        stack = NetworkBands.stack([bands])
-        bracket = _top_bracket(stack, count)
-        top = float(bracket[1][0])
-        if not GAUGE ** 2 * top < lam_lo:
-            gauge, floor = _gauge_floor(stack, count, *bracket)
-            first, lam_lo = int(gauge[0]), max(lam_lo, float(floor[0]))
-        lam_hi = min(lam_hi, top)
-        if not lam_lo < lam_hi:
-            return ClosedModes(bands, segs, *empty)
-        grid = _phase_grid(points, lam_lo, lam_hi)
-        shifts = np.concatenate([grid, _outside(points, lam_lo, lam_hi)])
-        shot = count(shifts, phase=True)
+    grid = _phase_grid(points, lam_lo, lam_hi)
+    shifts = np.concatenate([grid, _outside(points, lam_lo, lam_hi)])
+    shot = count(shifts, phase=True)
     lam = _closed_eigenvalues(count, grid, tuple(x[:len(grid)] for x in shot), first)
-    counts = shot[0][:len(shifts)]
+    counts = shot[0]
     index = np.arange(max(counts[0], first), counts[len(grid) - 1])
     keep = np.flatnonzero((np.sqrt(lam) >= lo) & (np.sqrt(lam) <= hi))
     if not len(keep):
@@ -590,6 +589,18 @@ def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | 
     above = shifts[counts <= index[-1] + 1].max() if index[-1] + 1 < n else np.inf
     near = np.concatenate([[below], lam, [above]])
     return ClosedModes(bands, segs, lam[keep], index[keep], near[[keep[0], keep[-1] + 2]])
+
+
+def _reach(count, start: float, factor: float, stop) -> float:
+    """The first of the shifts start, start factor, start factor^2, ...
+    whose ``count`` meets ``stop``, _SHIFTS shifts per count."""
+    steps = factor ** np.arange(_SHIFTS)
+    while True:
+        shifts = start * steps
+        met = stop(count(shifts))
+        if met.any():
+            return float(shifts[np.argmax(met)])
+        start = shifts[-1] * factor
 
 
 def _phase_points(segs) -> np.ndarray:
@@ -785,8 +796,9 @@ def _pivmin(kmax: np.ndarray, cmax: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """dstebz's pivmin at the shifts-first ``lam``, scaled, as dstebz does,
     by the largest b_i^2 so that b^2/pivmin stays finite; this bound on it,
     from each device's largest |k_off| and |c_off|, costs no pass over the
-    nodes."""
-    return _SAFMIN * np.maximum(1.0, (kmax + np.abs(lam) * cmax) ** 2)
+    nodes.  It is squared after scaling by sqrt(_SAFMIN) = 2^-511, which
+    keeps every bit and keeps the square finite wherever the bound is."""
+    return np.maximum(_SAFMIN, np.square(np.sqrt(_SAFMIN) * (kmax + np.abs(lam) * cmax)))
 
 
 def _sweep(rows, lam: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -859,48 +871,12 @@ def _open(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return hi - lo > 2.0 * _EPS * np.abs(hi)
 
 
-def _top_bracket(bands: NetworkBands, count) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) with lo <= lam_max <= hi and hi <= 4 lo, for each device of a
-    stack, by ``count`` as in ``_narrow``."""
-    n = bands.k_diag.shape[-1]
-    growth = 4.0 ** np.arange(1, _SHIFTS + 1)
-    # the Rayleigh quotient K_ii / C_ii of a unit vector bounds lam_max below
-    lo = np.max(bands.k_diag / bands.c_diag, axis=-1)
-    while True:
-        shifts = lo[:, None] * growth
-        full = count(shifts) >= n
-        if full[:, -1].all():
-            break
-        lo = np.where(full[:, -1], lo, shifts[:, -1])
-    k = np.argmax(full, axis=1)
-    rows = np.arange(len(lo))
-    return np.where(k > 0, shifts[rows, k - 1], lo), shifts[rows, k]
-
-
-def _gauge_floor(bands: NetworkBands, count, lo: np.ndarray, hi: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(count, floor) per device: the number of modes the gauge rule drops,
-    omega <= GAUGE * omega_max, and a shift with at most that many
-    eigenvalues below it.
-
-    (lo, hi) is the ``_top_bracket`` of lam_max, narrowed here only until
-    no eigenvalue lies between the thresholds of its two ends.
-    """
-    top = np.full(len(lo), bands.k_diag.shape[-1] - 1)
-    while True:
-        counts = count(GAUGE ** 2 * np.stack([lo, hi], axis=1))
-        pending = (counts[:, 0] != counts[:, 1]) & _open(lo, hi)
-        if not pending.any():
-            return counts[:, 1], GAUGE ** 2 * lo
-        lo, hi = np.where(pending, _narrow(count, top, lo, hi), (lo, hi))
-
-
 def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
                band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     """Lowest window mode and band mode count of each device in a stack.
 
     ``bands`` carries one leading device axis.  The modes are those of
-    ``solve_modes``: gauge modes are dropped by the same rule, and the
+    ``solve_modes``: the ``_gauge_modes`` are dropped, and the
     window (lo, hi) and the band (lo, hi), both in rad/s, are inclusive.
     The count covers the part of the band inside the window.  Returns
     (edge in rad/s, NaN where the window holds no mode; count).  Only
@@ -915,27 +891,16 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
         raise ValueError("band_edges needs finite bands, window and band")
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
-    # as in ``_closed_modes``: where every device has all n eigenvalues
-    # below lam_lo / GAUGE^2, no gauge mode reaches the window
-    clear = float(bounds[0]) / GAUGE ** 2
-    clear = clear if 0 < clear < np.inf else 0.0
-    # this count sweeps every node, before the split's rows are laid out:
-    # its shift at lam_lo / GAUGE^2 (or at 0) leaves the strip evanescent
-    # wherever the strip's cutoff lies below it.  The later counts split
-    # where the devices share a strip
-    win_lo, win_hi, band_lo, band_hi, below = sturm_count(bands, np.append(bounds, clear)).T
+    # a plain sweep; the later counts split where the devices share a strip
+    win_lo, win_hi, band_lo, band_hi = sturm_count(bands, bounds).T
     count = _shared_strip(bands) or partial(sturm_count, bands)
-    gauge, floor = win_lo, np.full(len(win_lo), bounds[0])
-    if not (clear and (below >= bands.k_diag.shape[-1]).all()):
-        gauge, floor = _gauge_floor(bands, count, *_top_bracket(bands, count))
-    first = np.maximum(win_lo, gauge)        # index of the lowest kept mode
+    first = np.maximum(win_lo, _gauge_modes(bands))     # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))
 
     found = first < win_hi
     # N(lo) <= first < N(hi) on every bracket that holds a mode
-    lo = np.maximum(floor, bounds[0])
-    hi = np.full_like(lo, bounds[1])
+    lo, hi = (np.full(len(first), x) for x in bounds[:2])
     while (active := found & _open(lo, hi)).any():
         lo, hi = np.where(active, _narrow(count, first, lo, hi), (lo, hi))
     return np.where(found, np.sqrt(0.5 * (lo + hi)), np.nan), band_count

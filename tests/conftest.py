@@ -88,10 +88,13 @@ def _wrap(bands):
 
 
 def _dense(mat, window):
-    """(frequencies, profiles) from scipy's eigh, gauge rule and window applied."""
+    """(frequencies, profiles) from scipy's eigh, the window applied and the
+    gauge modes dropped by their own threshold, omega <= 1e-6 omega_max
+    (on every ``CircuitSpec`` the one mode at 0, as the library's rule
+    from K's structure drops)."""
     w2, vecs = sla.eigh(mat.inv_ind, mat.cap)
     omega = np.sqrt(np.clip(w2, 0.0, None))
-    keep = omega > metaline.modes.GAUGE * omega.max()
+    keep = omega > 1e-6 * omega.max()
     if window is not None:
         keep &= (omega >= window[0]) & (omega <= window[1])
     return omega[keep], vecs[:, keep]

@@ -16,6 +16,7 @@ when the closed form's path was named the band path.
 
 import dataclasses
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ import metaline.modes as modes
 import test_acceptance
 import test_cli
 from metaline import (IllConditionedCircuitError, NetworkBands, NetworkMatrices,
-                      apply_disorder, build_matrices, footprint_weights, solve_modes)
+                      apply_disorder, build_matrices, footprint_weights, network_bands,
+                      solve_modes)
+from metaline.config import parse_config
 from conftest import (TWO_PI, WINDOW, _assert_footprints_match_refined,
                       _assert_no_farther_from_exact_than_dense, _check, _dense,
                       _residuals, _wrap, make_band_edge_spec)
@@ -75,11 +78,15 @@ class TestAgainstDenseEigh:
 
     @pytest.mark.parametrize("factor", [1 - 1e-4, 1 + 1e-4])
     def test_gauge_threshold(self, factor):
-        # one mode on either side of 1e-6 of the largest frequency
-        bands = NetworkBands(k_diag=np.array([0.0, 1e-12 * factor, 1.0]),
-                             k_off=np.zeros(2), c_diag=np.ones(3), c_off=np.zeros(2))
-        ms = _check(_wrap(bands), (0.0, 10.0))
-        assert len(ms) == (2 if factor > 1 else 1)
+        # a mode on either side of 1e-6 of the largest frequency is kept:
+        # only node 0's zero row of K makes a gauge mode (``_dense`` drops
+        # modes by that threshold, so the toy's exact modes are the reference)
+        k = np.array([0.0, 1e-12 * factor, 1.0])
+        bands = NetworkBands(k_diag=k, k_off=np.zeros(2), c_diag=np.ones(3),
+                             c_off=np.zeros(2))
+        ms = solve_modes(_wrap(bands), (0.0, 10.0))
+        np.testing.assert_allclose(ms.frequencies, np.sqrt(k[1:]), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.abs(ms.profiles), np.eye(3)[:, 1:], rtol=0, atol=1e-12)
 
     def test_window_from_zero(self, band_matrices):
         _check(band_matrices, (0.0, TWO_PI * 6e9))
@@ -134,6 +141,35 @@ def _twin_chains():
     return NetworkBands(*(np.r_[a, [0.0] if off else [], a] for a, off in
                           ((chain.k_diag, False), (chain.k_off, True),
                            (chain.c_diag, False), (chain.c_off, True))))
+
+
+class TestGaugeModes:
+    """``_gauge_modes``, the one rule all three solve paths read: one mode
+    at 0 per block of K whose rows all sum to exactly zero."""
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_one_on_each_disordered_device(self, name):
+        # node 0's bare series capacitor, on every device of the stack the
+        # bundled config's disorder command solves
+        cfg = parse_config(resources.files("metaline") / "configs" / f"{name}.cfg")
+        spec, seed0 = cfg.circuit_spec(), cfg["disorder.seed0"]
+        stack = NetworkBands.stack([
+            network_bands(apply_disorder(spec, cfg["disorder.sigma"], seed))
+            for seed in range(seed0, seed0 + cfg["disorder.seeds"])])
+        np.testing.assert_array_equal(modes._gauge_modes(stack),
+                                      np.ones(cfg["disorder.seeds"]))
+        assert modes._gauge_modes(network_bands(spec)) == 1
+
+    def test_toy_inputs(self):
+        # two Neumann chains (each a zero-sum block), the bare strip (one)
+        # and the bare ladder (node 0 alone; every other row is its own
+        # block with a shunt inductor)
+        spec = make_band_edge_spec(n_left=80, n_right=120)
+        strip = circuit._rhtl_bands(spec.c_right_per_len, spec.l_right_per_len,
+                                    spec.rhtl_length, spec.n_right)
+        ladder = circuit._lhtl_bands(*spec.cell_values())
+        assert [int(modes._gauge_modes(b)) for b in (_twin_chains(), strip, ladder)] \
+            == [2, 1, 1]
 
 
 def test_loewdin_step_refuses_far_from_orthonormal(monkeypatch, band_matrices):

@@ -274,6 +274,24 @@ class TestConfigParsing:
             assert f"{key} overflows when squared" in err, err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lo,codes", [(None, (0, 0)), ("1e143", (0, 2))],
+                             ids=["window-from-3.8GHz", "window-from-1e143GHz"])
+    def test_window_squares_just_below_the_bound(self, tmp_path, capsys, lo, codes):
+        # the bundled fig2 config with its window's upper end at 2e144 GHz
+        # (its square is 1.6e308 (rad/s)^2, just below the bound), and its
+        # lower end at 1e143 GHz too: no count overflows, not dstebz's pivmin
+        # guard at the top shift nor a shift above the lower end.  The window
+        # from 1e143 GHz holds no mode: modes writes an empty table, and
+        # disorder stops naming the window
+        text = resources.files("metaline").joinpath("configs/fig2.cfg").read_text()
+        ends = {"modes.window_ghz_hi": "2e144", **({"modes.window_ghz_lo": lo} if lo else {})}
+        lines = [l for l in text.splitlines() if not l.startswith(tuple(ends))]
+        cfg = _write(tmp_path, "\n".join(lines + [f"{k} = {v}" for k, v in ends.items()]))
+        for command, code in zip(("modes", "disorder"), codes):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+        assert ("enclose no mode" in capsys.readouterr().err) == bool(lo)
+
     def test_disorder_band_order(self, tmp_path, capsys):
         band = "\ndisorder.band_ghz_lo = {}\ndisorder.band_ghz_hi = {}\n"
         cfg = _write(tmp_path, SMALL + band.format(6.0, 5.0))

@@ -9,19 +9,18 @@ and that they load no scipy.
 """
 
 import dataclasses
-from functools import partial
 from importlib import resources
 
 import numpy as np
 import pytest
 
 import metaline.modes as modes
-from metaline import (NetworkBands, build_matrices, footprint_at_antinode,
+from metaline import (build_matrices, footprint_at_antinode,
                       footprint_weights, solve_modes, sturm_count)
 from metaline.config import parse_config
 from oracles import multisection_eigenvalue, sturm_count_reference
 from conftest import (SCIPY_FREE_STEPS, TWO_PI, WINDOW,
-                      _assert_footprints_match_refined,
+                      _assert_footprints_match_refined, _dense,
                       _assert_no_farther_from_exact_than_dense, _check,
                       _random_specs, _refined_footprints, _sample, make_band_edge_spec)
 
@@ -40,15 +39,18 @@ def _segments(mat):
 
 def _test_shifts(spec, bands, window, rng, size):
     """Shifts uniform over the window, 1e-12 to 1e-2 above the ladder's
-    cutoff, log-uniform from GAUGE^2 lam_max up to lam_max, and uniform
-    over [0, 1.1 lam_max], with lam_max bounded from above by the
-    Sturm-count bracket."""
-    stack = NetworkBands.stack([bands])
-    top = float(modes._top_bracket(stack, partial(sturm_count, stack))[1][0])
+    cutoff, log-uniform from 1e-12 lam_max up to lam_max, and uniform
+    over [0, 1.1 lam_max], with lam_max bounded from above, within a
+    factor of 2, by doubling the largest K_ii / C_ii (a Rayleigh quotient,
+    so at most lam_max) until the reference count holds every
+    eigenvalue."""
+    top = float(np.max(bands.k_diag / bands.c_diag))
+    while sturm_count_reference(bands, [top])[0] < len(bands.k_diag):
+        top *= 2.0
     return np.concatenate([
         rng.uniform(window[0] ** 2, window[1] ** 2, size),
         spec.omega_ir ** 2 * (1.0 + 10.0 ** rng.uniform(-12.0, -2.0, size)),
-        top * modes.GAUGE ** 2 * 10.0 ** rng.uniform(0.0, -2 * np.log10(modes.GAUGE), size),
+        top * 10.0 ** rng.uniform(-12.0, 0.0, size),
         rng.uniform(0.0, 1.1 * top, size)])
 
 
@@ -259,6 +261,39 @@ def test_fig2_solve_takes_few_counts(monkeypatch):
     gap = TWO_PI * 5e9         # between two modes of the fig2 device
     assert len(solve_modes(mat, (gap, gap * (1 + 1e-9)))) == 0
     assert calls.count(False) == 1
+
+
+@pytest.mark.parametrize("window", [None, (0.0, WINDOW[1])], ids=["no-window", "window-from-0"])
+def test_solve_from_0_steps_below_large_end_caps(monkeypatch, window):
+    """A solve from 0 Hz starts its grid at a shift below every physical
+    mode, stepping down by counts from the lowest ``_phase_points`` shift.
+    End caps of 100 to 1e4 c_left put a physical mode below that shift,
+    so the search steps: the grid's first count is the reference count
+    (the gauge mode alone below it), and the count and frequencies are
+    dense eigh's at ``_check``'s gates.  Its residual gate is left out:
+    the end-cap mode's profile, within 1e-12 of its largest entry of the
+    long-double one, leaves a residual far above that gate's floor (the
+    same at every grid start)."""
+    rng = np.random.default_rng(11)
+    starts, grid = [], modes._phase_grid
+    monkeypatch.setattr(modes, "_phase_grid",
+                        lambda points, lo, hi: starts.append(lo) or grid(points, lo, hi))
+    for _ in range(4):
+        spec = make_band_edge_spec(n_left=40, n_right=60)
+        spec = dataclasses.replace(spec, c_end_left=spec.c_left * 10 ** rng.uniform(2, 4),
+                                   c_end_right=spec.c_left * 10 ** rng.uniform(2, 4))
+        mat = build_matrices(spec)
+        lowest = modes._phase_points(_segments(mat)[:2])[0]
+        assert sturm_count_reference(mat.bands, [lowest])[0] > 1
+        starts.clear()
+        ms, (omega, _) = solve_modes(mat, window), _dense(mat, window)
+        assert len(ms) == len(omega)
+        np.testing.assert_allclose(ms.frequencies, omega, rtol=1e-10, atol=0)
+        (start,) = starts
+        assert start < lowest
+        counted = modes._shoot(*_segments(mat), [start])
+        np.testing.assert_array_equal(counted, sturm_count_reference(mat.bands, [start]))
+        assert counted[0] == 1
 
 
 @pytest.fixture(scope="module")

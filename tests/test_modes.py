@@ -355,23 +355,19 @@ class TestBandEdges:
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("lo,bracketed", [(WINDOW[0], False), (0.0, True)],
+    @pytest.mark.parametrize("lo", [WINDOW[0], 0.0],
                              ids=["window-from-3.8GHz", "window-from-0"])
-    def test_top_bracketed_only_where_gauge_modes_may_reach(
-            self, monkeypatch, ensemble_devices, lo, bracketed):
-        # the count at lam_lo / GAUGE^2 puts every eigenvalue of every device
-        # below it for a window from 3.8 GHz, so no gauge mode reaches the
-        # window; from 0 Hz the gauge modes are counted under the bracketed top
+    def test_one_plain_count_then_split_rounds(self, monkeypatch, ensemble_devices, lo):
+        # the gauge modes come from K's structure, not from a count: the
+        # window's and band's ends are counted by one plain sweep, and every
+        # multisection round after it counts the strip in closed form
         stack, spectra = ensemble_devices
-        called = set()
-        for name in ("_top_bracket", "_gauge_floor"):
-            def spy(*args, name=name, step=getattr(modes, name)):
-                called.add(name)
-                return step(*args)
-            monkeypatch.setattr(modes, name, spy)
+        events = _spy_counts(monkeypatch)
         window = (lo, WINDOW[1])
         edges, counts = band_edges(stack, window, ULTRASTRONG_BAND)
-        assert called == ({"_top_bracket", "_gauge_floor"} if bracketed else set())
+        rounds = events.count("narrow")
+        assert rounds > 10
+        assert events == ["plain"] + ["narrow", "strip"] * rounds
         dense = np.array([_edge_and_count(f, window, ULTRASTRONG_BAND) for f in spectra])
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
@@ -482,17 +478,6 @@ class TestBandEdges:
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
-    def test_ensemble_stack_narrows_on_split_count(self, monkeypatch, ensemble_devices):
-        # the first count (its shift at lam_lo / GAUGE^2 lies above the
-        # strip's cutoff) takes the plain sweep; every multisection round
-        # after it counts the strip in closed form
-        stack, _ = ensemble_devices
-        events = _spy_counts(monkeypatch)
-        band_edges(stack, WINDOW, ULTRASTRONG_BAND)
-        rounds = events.count("narrow")
-        assert rounds > 10
-        assert events == ["plain"] + ["narrow", "strip"] * rounds
-
     def test_empty_window_is_nan(self, band_spec):
         bands = NetworkBands.stack([network_bands(band_spec)])
         far = (TWO_PI * 1000e9, TWO_PI * 1001e9)
@@ -501,15 +486,17 @@ class TestBandEdges:
 
     @pytest.mark.parametrize("factor", [1 - 1e-4, 1 + 1e-4])
     def test_gauge_threshold_edge_case(self, factor):
-        # one mode on either side of 1e-6 of the largest frequency
+        # a mode on either side of 1e-6 of the largest frequency is kept:
+        # only node 0's zero row of K makes a gauge mode
         k = np.array([0.0, 1e-12 * factor, 1.0])
         bands = NetworkBands(k_diag=k, k_off=np.zeros(2), c_diag=np.ones(3),
                              c_off=np.zeros(2))
         window = (0.0, 10.0)
         edges, counts = band_edges(NetworkBands.stack([bands]), window, window)
         dense = solve_modes(_wrap(np.eye(3), np.diag(k)), window).frequencies
-        assert counts[0] == len(dense) == (2 if factor > 1 else 1)
+        assert counts[0] == len(dense) == 2
         npt.assert_allclose(edges[0], dense[0], rtol=1e-12)
+        npt.assert_allclose(dense, np.sqrt(k[1:]), rtol=1e-12)
 
     @pytest.mark.parametrize("shifts", [1, 7, 31])
     def test_bracket_closes_on_lowest_kept_mode(self, monkeypatch, band_spec, shifts):
