@@ -478,6 +478,17 @@ class TestBandEdges:
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
+    def test_ensemble_stack_narrows_on_split_count(self, monkeypatch, ensemble_devices):
+        # the first count (the window's and band's ends) takes the plain
+        # sweep; every multisection round after it counts the strip in
+        # closed form
+        stack, _ = ensemble_devices
+        events = _spy_counts(monkeypatch)
+        band_edges(stack, WINDOW, ULTRASTRONG_BAND)
+        rounds = events.count("narrow")
+        assert rounds > 10
+        assert events == ["plain"] + ["narrow", "strip"] * rounds
+
     def test_empty_window_is_nan(self, band_spec):
         bands = NetworkBands.stack([network_bands(band_spec)])
         far = (TWO_PI * 1000e9, TWO_PI * 1001e9)
