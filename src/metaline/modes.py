@@ -54,12 +54,12 @@ blocks of nodes in whole-block numpy expressions and a pivot recurrence
 of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
 block that meets a pivot below pivmin runs again with dstebz's guard.
 Disorder scatters only the ladder, so the devices of a stack share the
-strip node for node: ``splitcount.SplitCount`` (a module of its own,
-imported where a stack shares a strip) sweeps the rows up to the strip
-and counts the strip in closed form, O(1) per shift, from the pivot at
-its first node; the plain sweep takes any call where the strip is
-evanescent, and a stack that shares no strip.  On the ensemble
-benchmark's stack that halves a call of ``band_edges``.
+strip node for node, and ``band_edges`` makes every count through one
+``_StackCount``: it sweeps the rows up to the strip and counts the strip
+in closed form, O(1) per shift, from the pivot at its first node; the
+plain sweep takes any call where the strip is evanescent, and a stack
+that shares no strip.  On the ensemble benchmark's stack that halves a
+call of ``band_edges``.
 """
 
 from __future__ import annotations
@@ -392,12 +392,19 @@ def _two_segments(bands: NetworkBands, iface: int):
     if ko[:iface].any() or not co[:iface].all() or any(
             np.ptp(x) > 0 for x in (co[:iface], kd[1:iface], cd[1:iface]) if len(x)):
         return None
-    segs = [_segment(kd, ko, cd, co, 0, iface), _segment(kd, ko, cd, co, iface, n - 1)]
-    # in long double where there is one: the halves nearly cancel a_j
-    half = [(np.longdouble(seg.k_d) / 2, np.longdouble(seg.c_d) / 2) for seg in segs]
-    rows = [(kd[i] - half[0][0] * (i < n - 1) - half[1][0] * (i > 0),
-             cd[i] - half[0][1] * (i < n - 1) - half[1][1] * (i > 0)) for i in (0, iface, n - 1)]
-    return segs[0], segs[1], [(float(h_k), float(h_c)) for h_k, h_c in rows]
+    ladder, strip = _segment(kd, ko, cd, co, 0, iface), _segment(kd, ko, cd, co, iface, n - 1)
+    return ladder, strip, [_free_row(kd[0], cd[0], [ladder]),
+                           _free_row(kd[iface], cd[iface], [ladder, strip]),
+                           _free_row(kd[-1], cd[-1], [strip])]
+
+
+def _free_row(k, c, segs) -> tuple[float, float]:
+    """(h_k, h_c) of a free row of diagonals (k, c) beside the segments
+    ``segs``: h_k - lam h_c is a_j less half the a of each of them, formed
+    in long double where there is one, as the halves nearly cancel a_j."""
+    for seg in segs:
+        k, c = k - np.longdouble(seg.k_d) / 2, c - np.longdouble(seg.c_d) / 2
+    return float(k), float(c)
 
 
 def _junction(row, lam, u, w, before, after):
@@ -842,14 +849,49 @@ def _sweep(rows, lam: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.nd
     return below, d[0]
 
 
-def _shared_strip(bands: NetworkBands):
-    """``splitcount.SplitCount`` of a stack, or None where its devices share
-    no strip of one step or more (``_strip_start``)."""
-    start = _strip_start(bands)
-    if start > bands.k_diag.shape[-1] - 2:
-        return None
-    from .splitcount import SplitCount     # compiled only where this path runs
-    return SplitCount(bands, start)
+class _StackCount:
+    """``sturm_count`` of a stack of devices (one leading axis), called on
+    shifts as it is, which counts a strip the devices share in closed form.
+
+    Disorder scatters only the ladder, so the devices of a stack share the
+    uniform strip from node s = ``_strip_start`` on.  The counter lays out
+    the rows 0..s of every device nodes first once, keeps each device's
+    largest |k_off| and |c_off| over all its edges (for ``_pivmin``), the
+    strip as a ``_Segment`` and its last row's (h_k, h_c) (``_free_row``).
+    A call sweeps those rows, blocked and guarded as ``sturm_count`` is
+    (LAPACK dlaneg: Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
+    2006), and ends on the pivot d_s, which gives the strip's shot state
+    at s: u_s = 1 and W_s = u_{s+1} - tau u_s = (d_s - a/2) / beta, as d_s
+    = beta u_{s+1}/u_s.  The sign of d_s is then the strip's first sign
+    change, not the sweep's, and the strip and its last row count in
+    closed form, O(1) per shift, as ``_shoot`` takes a segment (Atkinson's
+    discrete Pruefer angle, *Discrete and Continuous Boundary Problems*,
+    1964).  A stack that shares no strip of one step or more, and a call
+    with a shift where the strip is evanescent, count by ``sturm_count``
+    alone: there the closed count need not rise with lam over a few ulps.
+    """
+
+    def __init__(self, bands: NetworkBands):
+        kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
+        self.bands, self.strip, start = bands, None, _strip_start(bands)
+        if start < kd.shape[-1] - 1:
+            self.strip = _segment(kd[0], ko[0], cd[0], co[0], start, kd.shape[-1] - 1)
+            self.last = _free_row(kd[0, -1], cd[0, -1], [self.strip])
+            self.rows = tuple(map(_nodes_first, (kd[:, :start + 1], ko[:, :start],
+                                                 cd[:, :start + 1], co[:, :start])))
+            self.kmax, self.cmax = (np.abs(x).max(axis=-1, initial=0.0)[None] for x in (ko, co))
+
+    def __call__(self, lam) -> np.ndarray:
+        shifts, strip = _shifts_first(self.bands, lam), self.strip
+        if strip is None or not all((x > 0).all() for x in _pq(strip, shifts)):
+            return sturm_count(self.bands, lam)
+        below, d = _sweep(self.rows, shifts, _pivmin(self.kmax, self.cmax, shifts))
+        beta = strip.k_o + shifts * strip.c_o
+        w = (d - 0.5 * (strip.k_d - shifts * strip.c_d)) / beta
+        sign_changes, u, w = _advance(strip, shifts, beta, np.ones_like(d), w)
+        last = _junction(self.last, shifts, u, w, beta, None)
+        below += (sign_changes + (u * last < 0)).astype(int) - np.signbit(d)
+        return np.moveaxis(below, 0, -1)
 
 
 def _narrow(count, index: np.ndarray, lo: np.ndarray,
@@ -880,10 +922,10 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     window (lo, hi) and the band (lo, hi), both in rad/s, are inclusive.
     The count covers the part of the band inside the window.  Returns
     (edge in rad/s, NaN where the window holds no mode; count).  Only
-    Sturm counts are used, by ``splitcount.SplitCount`` where the devices
-    share a strip and by ``sturm_count`` elsewhere: no matrix is formed and
-    no eigenvector found.  IllConditionedCircuitError names the first device whose capacitance
-    has an LDL^T pivot that is not positive.
+    Sturm counts are used, each by the stack's one ``_StackCount``, the
+    first (the window's and band's ends) included: no matrix is formed and
+    no eigenvector found.  IllConditionedCircuitError names the first
+    device whose capacitance has an LDL^T pivot that is not positive.
     """
     bounds = np.array([*freq_window, *band], dtype=float)
     if not all(np.isfinite(x).all() for x in (bounds, bands.k_diag, bands.k_off,
@@ -891,9 +933,8 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
         raise ValueError("band_edges needs finite bands, window and band")
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
-    # a plain sweep; the later counts split where the devices share a strip
-    win_lo, win_hi, band_lo, band_hi = sturm_count(bands, bounds).T
-    count = _shared_strip(bands) or partial(sturm_count, bands)
+    count = _StackCount(bands)
+    win_lo, win_hi, band_lo, band_hi = count(bounds).T
     first = np.maximum(win_lo, _gauge_modes(bands))     # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))

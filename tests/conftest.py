@@ -247,10 +247,12 @@ SCIPY_FREE_STEPS = ["import", "disorder", "modes", "dynamics", "renorm", "phase"
 
 @pytest.fixture(scope="session")
 def scipy_free_run(tmp_path_factory):
-    """({step: "<exit code> <scipy modules loaded so far>"}, output folder)
-    of one fresh process: ``import metaline.cli``, each command on SMALL,
-    then the closed-form solves of the pattern devices (n_left 1 and 40,
-    with and without end caps)."""
+    """({step: "<exit code> <closed form> <scipy modules>"}, output folder)
+    of one fresh process, each step reporting what is loaded so far (the
+    closed form, ``metaline.closedform``, as "closedform" or "-"):
+    ``import metaline.cli``, each command on SMALL, then the closed-form
+    solves of the pattern devices (n_left 1 and 40, with and without end
+    caps)."""
     out = tmp_path_factory.mktemp("scipy_free")
     cfg = out / "run.cfg"
     cfg.write_text(SMALL + "dynamics.tg_grid = 0.0, 2.0, 5\ndisorder.seeds = 3\n"
@@ -260,7 +262,8 @@ import dataclasses, sys
 from importlib import resources
 
 def report(step, rc=0):
-    print(step, rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+    print(step, rc, 'closedform' if 'metaline.closedform' in sys.modules else '-',
+          sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
 
 import metaline.cli
 report('import')

@@ -358,14 +358,15 @@ def test_footprint_averages_match_refined_modes(band_spec, band_matrices, band_m
 
 
 def test_cli_import_leaves_scipy_linalg_out(scipy_free_run):
-    # no scipy module at all, scipy.linalg included
+    # no scipy module at all, scipy.linalg included, and no closed form
     steps, _ = scipy_free_run
-    assert steps["import"] == "0 []"
+    assert steps["import"] == "0 - []"
 
 
 def test_disorder_run_loads_no_scipy(scipy_free_run):
+    # no scipy module, nor the closed form: band_edges only counts
     steps, out = scipy_free_run
-    assert steps["disorder"] == "0 []"
+    assert steps["disorder"] == "0 - []"
     assert (out / "disorder.csv").exists()
 
 
@@ -377,7 +378,7 @@ def test_bath_run_loads_no_scipy(scipy_free_run, command, csv):
     # one process runs every command in turn: a module that an earlier
     # command loaded fails this one too, and the earliest failure names it
     steps, out = scipy_free_run
-    assert steps[command] == "0 []"
+    assert steps[command] == "0 closedform []"
     assert (out / csv).exists()
 
 
@@ -400,18 +401,14 @@ def test_acceptance_on_dense_path(criterion, band_spec):
 
 
 # each CLI test class that solves modes, on the dense path; SMALL (dim 101)
-# takes the closed form unpinned, so the closed-path reruns left below
-# repeat their test_cli ids (ROADMAP item 2 retires them)
+# takes the closed form unpinned, so the closed-path rerun left below
+# repeats its test_cli ids (ROADMAP item 8 retires it)
 class TestCmdModesOnDensePath(test_cli.TestCmdModes):
     pytestmark = pytest.mark.usefixtures("dense_path")
 
 
 class TestCmdDynamicsOnDensePath(test_cli.TestCmdDynamics):
     pytestmark = pytest.mark.usefixtures("dense_path")
-
-
-class TestWriteCsvOnBandPath(test_cli.TestWriteCsv):
-    pytestmark = pytest.mark.usefixtures("closed_path")
 
 
 class TestWriteCsvOnDensePath(test_cli.TestWriteCsv):

@@ -692,10 +692,10 @@ class TestWriteCsv:
         ref = resources.files("metaline") / "configs" / f"{name}.cfg"
         with resources.as_file(ref) as cfg:
             for argv in (["modes", "--profiles"], ["dynamics"], ["renorm"],
-                         ["phase"]):
+                         ["phase"], ["disorder"]):
                 assert main(argv + ["--config", str(cfg), "--out",
                                     str(tmp_path)]) == 0
-        assert len(written) == 7
+        assert len(written) == 8
         for path, ref in written:
             assert path.read_bytes() == ref.read_bytes(), path.name
 

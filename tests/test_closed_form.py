@@ -360,4 +360,4 @@ class TestDispatch:
     def test_pattern_devices_load_no_scipy(self, scipy_free_run):
         steps, _ = scipy_free_run
         assert [steps[step] for step in SCIPY_FREE_STEPS if step.startswith("pattern")] \
-            == 4 * ["0 []"]
+            == 4 * ["0 closedform []"]

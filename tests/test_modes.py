@@ -13,7 +13,6 @@ from metaline import (CouplingSpectrum, IllConditionedCircuitError,
                       rhtl_from_impedance, solve_modes, sturm_count)
 from metaline.config import GHZ, parse_config
 import metaline.modes as modes
-import metaline.splitcount as splitcount
 from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec, wrap_dense)
@@ -322,23 +321,22 @@ def _edge_and_count(f, window, band):
 
 def _spy_counts(monkeypatch) -> list:
     """The path of every count from now on: "plain" for each ``sturm_count``
-    call, "strip" for each strip counted in closed form (``_advance`` in
-    ``splitcount``), and "narrow" as each multisection round starts."""
+    call, "strip" for each strip counted in closed form (``_advance``), and
+    "narrow" as each multisection round starts."""
     events = []
-    for module, name, event in ((modes, "sturm_count", "plain"),
-                                (splitcount, "sturm_count", "plain"),
-                                (splitcount, "_advance", "strip"),
-                                (modes, "_narrow", "narrow")):
-        def spy(*args, step=getattr(module, name), event=event, **kwargs):
+    for name, event in (("sturm_count", "plain"), ("_advance", "strip"),
+                        ("_narrow", "narrow")):
+        def spy(*args, step=getattr(modes, name), event=event, **kwargs):
             events.append(event)
             return step(*args, **kwargs)
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(modes, name, spy)
     return events
 
 
 def _plain_sweep(monkeypatch) -> None:
-    """Sends every later ``band_edges`` count to ``sturm_count``."""
-    monkeypatch.setattr(modes, "_shared_strip", lambda bands: None)
+    """Sends every later ``band_edges`` count to ``sturm_count``: no stack
+    shares a strip."""
+    monkeypatch.setattr(modes, "_strip_start", lambda bands: bands.k_diag.shape[-1] - 1)
 
 
 class TestBandEdges:
@@ -358,16 +356,19 @@ class TestBandEdges:
     @pytest.mark.parametrize("lo", [WINDOW[0], 0.0],
                              ids=["window-from-3.8GHz", "window-from-0"])
     def test_one_plain_count_then_split_rounds(self, monkeypatch, ensemble_devices, lo):
-        # the gauge modes come from K's structure, not from a count: the
-        # window's and band's ends are counted by one plain sweep, and every
-        # multisection round after it counts the strip in closed form
+        # the gauge modes come from K's structure, not from a count.  Every
+        # count, the first one of the window's and band's ends included,
+        # counts the strip in closed form, but from 0 Hz, where the strip is
+        # evanescent at the first count's lowest shift: that one count takes
+        # the plain sweep
         stack, spectra = ensemble_devices
         events = _spy_counts(monkeypatch)
         window = (lo, WINDOW[1])
         edges, counts = band_edges(stack, window, ULTRASTRONG_BAND)
         rounds = events.count("narrow")
         assert rounds > 10
-        assert events == ["plain"] + ["narrow", "strip"] * rounds
+        first = "plain" if lo == 0.0 else "strip"
+        assert events == [first] + ["narrow", "strip"] * rounds
         dense = np.array([_edge_and_count(f, window, ULTRASTRONG_BAND) for f in spectra])
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
@@ -380,8 +381,8 @@ class TestBandEdges:
         recurrence's count, and each call counts the strip in closed form
         (``events`` from ``_spy_counts``)."""
         stack = NetworkBands.stack([network_bands(s) for s in specs])
-        split = modes._shared_strip(stack)
-        assert split is not None and split.strip.steps == specs[0].n_right
+        split = modes._StackCount(stack)
+        assert split.strip is not None and split.strip.steps == specs[0].n_right
         strip = split.strip
         cutoff = (2.0 * strip.k_o + strip.k_d) / (strip.c_d - 2.0 * strip.c_o)     # q = 0
         events.clear()
@@ -479,15 +480,14 @@ class TestBandEdges:
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
     def test_ensemble_stack_narrows_on_split_count(self, monkeypatch, ensemble_devices):
-        # the first count (the window's and band's ends) takes the plain
-        # sweep; every multisection round after it counts the strip in
-        # closed form
+        # the first count (the window's and band's ends) and every
+        # multisection round after it count the strip in closed form
         stack, _ = ensemble_devices
         events = _spy_counts(monkeypatch)
         band_edges(stack, WINDOW, ULTRASTRONG_BAND)
         rounds = events.count("narrow")
         assert rounds > 10
-        assert events == ["plain"] + ["narrow", "strip"] * rounds
+        assert events == ["strip"] + ["narrow", "strip"] * rounds
 
     def test_empty_window_is_nan(self, band_spec):
         bands = NetworkBands.stack([network_bands(band_spec)])
