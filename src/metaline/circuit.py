@@ -14,6 +14,7 @@ frequency in rad/s.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,7 +71,11 @@ class CircuitSpec:
         None means an open end.
     c_left_cells, l_left_cells : ndarray or None
         Optional per-cell element values (length n_left); used to model
-        fabrication disorder.  None means every cell is nominal.
+        fabrication disorder.  None means every cell is nominal.  Either
+        may carry one leading device axis, (devices, n_left), which makes
+        the spec a stack of devices that differ only in their ladder cells
+        (``apply_disorder`` over a sequence of seeds); ``network_bands``
+        then returns the stacked bands, and ``build_matrices`` refuses it.
     """
 
     n_left: int
@@ -104,9 +109,9 @@ class CircuitSpec:
             val = getattr(self, name)
             if val is not None:
                 arr = np.asarray(val, dtype=float)
-                if arr.shape != (self.n_left,) \
+                if arr.ndim not in (1, 2) or arr.shape[-1] != self.n_left \
                         or not np.all((0 < arr) & (arr < np.inf)):
-                    bad[name] = f"{self.n_left} positive finite values"
+                    bad[name] = f"{self.n_left} positive finite values per device"
                 else:
                     object.__setattr__(self, name, arr)
         if bad:
@@ -123,12 +128,21 @@ class CircuitSpec:
         """Numerical discretization step of the strip (m)."""
         return self.rhtl_length / self.n_right
 
+    @property
+    def devices(self) -> tuple[int, ...]:
+        """Leading device axis of the cell arrays: () for one device."""
+        return np.broadcast_shapes(*(np.shape(x)[:-1] for x in
+                                     (self.c_left_cells, self.l_left_cells) if x is not None))
+
     def cell_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell (C, L) arrays, falling back to the nominal values."""
+        """Per-cell (C, L) arrays, falling back to the nominal values, both
+        of shape ``devices`` + (n_left,)."""
         c = self.c_left_cells if self.c_left_cells is not None \
             else np.full(self.n_left, self.c_left)
         l = self.l_left_cells if self.l_left_cells is not None \
             else np.full(self.n_left, self.l_left)
+        if c.ndim + l.ndim > 2:
+            c, l = np.broadcast_arrays(c, l)
         return c, l
 
 
@@ -228,11 +242,14 @@ class NetworkMatrices:
 def _lhtl_bands(c_cells: np.ndarray, l_cells: np.ndarray) -> NetworkBands:
     """Bands of a bare left-handed ladder, N cells and N+1 nodes: cell j puts
     its series capacitor between nodes j and j+1 and its shunt inductor on
-    node j+1, so node 0 ends in a bare series capacitor."""
+    node j+1, so node 0 ends in a bare series capacitor.  Leading axes of
+    the (same-shape) cell arrays carry through."""
     c_cells = np.asarray(c_cells, dtype=float)
-    c_diag = np.concatenate([c_cells[:1], c_cells[:-1] + c_cells[1:], c_cells[-1:]])
-    k_diag = np.concatenate([[0.0], 1.0 / np.asarray(l_cells, dtype=float)])
-    return NetworkBands(k_diag=k_diag, k_off=np.zeros(len(c_cells)),
+    c_diag = np.concatenate([c_cells[..., :1], c_cells[..., :-1] + c_cells[..., 1:],
+                             c_cells[..., -1:]], axis=-1)
+    k_diag = np.concatenate([np.zeros(c_cells.shape[:-1] + (1,)),
+                             1.0 / np.asarray(l_cells, dtype=float)], axis=-1)
+    return NetworkBands(k_diag=k_diag, k_off=np.zeros(c_cells.shape),
                         c_diag=c_diag, c_off=-c_cells)
 
 
@@ -256,24 +273,31 @@ def network_bands(spec: CircuitSpec) -> NetworkBands:
 
     The ladder and the strip are joined by identifying the ladder's last
     node with the strip's node 0; terminating capacitors, when present,
-    add to the outermost diagonal entries.
+    add to the outermost diagonal entries.  A spec with a leading device
+    axis (``CircuitSpec.devices``) gives bands with that axis, each
+    device's the same values as its own spec's, the strip's rows repeated
+    in every device.
     """
     left = _lhtl_bands(*spec.cell_values())
     right = _rhtl_bands(spec.c_right_per_len, spec.l_right_per_len,
                         spec.rhtl_length, spec.n_right)
 
+    def strip(b: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(b, left.c_diag.shape[:-1] + b.shape)
+
     def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([a[:-1], a[-1:] + b[:1], b[1:]])
+        b = strip(b)
+        return np.concatenate([a[..., :-1], a[..., -1:] + b[..., :1], b[..., 1:]], axis=-1)
 
     c_diag = join(left.c_diag, right.c_diag)
     if spec.c_end_left is not None:
-        c_diag[0] += spec.c_end_left
+        c_diag[..., 0] += spec.c_end_left
     if spec.c_end_right is not None:
-        c_diag[-1] += spec.c_end_right
+        c_diag[..., -1] += spec.c_end_right
     return NetworkBands(k_diag=join(left.k_diag, right.k_diag),
-                        k_off=np.concatenate([left.k_off, right.k_off]),
+                        k_off=np.concatenate([left.k_off, strip(right.k_off)], axis=-1),
                         c_diag=c_diag,
-                        c_off=np.concatenate([left.c_off, right.c_off]))
+                        c_off=np.concatenate([left.c_off, strip(right.c_off)], axis=-1))
 
 
 def build_matrices(spec: CircuitSpec) -> NetworkMatrices:
@@ -281,7 +305,10 @@ def build_matrices(spec: CircuitSpec) -> NetworkMatrices:
     node positions, the ladder at x < 0 and the strip on [0, rhtl_length].
 
     O(n) memory; only the dense eigensolver forms the n x n matrices.
+    ValueError for a stack of devices (``CircuitSpec.devices``).
     """
+    if spec.devices:
+        raise ValueError(f"build_matrices takes one device, not a stack of {spec.devices}")
     nl, nr = spec.n_left, spec.n_right
     positions = np.concatenate([
         (np.arange(nl) - nl) * spec.cell_pitch,
@@ -307,7 +334,8 @@ def _normal_ppf(p: np.ndarray) -> np.ndarray:
     return np.where(np.abs(q) <= 0.425, central, tail)
 
 
-def apply_disorder(spec: CircuitSpec, relative_sigma: float, seed: int) -> CircuitSpec:
+def apply_disorder(spec: CircuitSpec, relative_sigma: float,
+                   seed: int | Sequence[int]) -> CircuitSpec:
     """Scatter every ladder C and L independently by (1 + eps).
 
     eps is zero-mean normal with standard deviation ``relative_sigma``,
@@ -320,15 +348,21 @@ def apply_disorder(spec: CircuitSpec, relative_sigma: float, seed: int) -> Circu
     ``_normal_ppf`` (AS241).  This is the stream of
     ``scipy.stats.truncnorm.rvs(-3, 3, scale=sigma, random_state=rng)``,
     which draws the same uniforms; the two agree to about 1e-14 sigma.
+
+    ``seed`` may also be a sequence of seeds (``range(50)``, say): the
+    result is then one spec whose cell arrays carry a leading device axis,
+    device i drawn from ``default_rng(seed[i])`` as above, and
+    ``network_bands`` of it equals ``NetworkBands.stack`` of the seeds'
+    bands bit for bit; ``_normal_ppf`` runs once over all the draws.
     """
     if not 0 <= relative_sigma < MAX_SIGMA:
         raise ValueError(
             f"relative_sigma must lie in [0, 1/3), got {relative_sigma}")
     c_cells, l_cells = spec.cell_values()
-    u = np.random.default_rng(seed).uniform(size=2 * spec.n_left)
+    n = spec.n_left
+    u = np.array([np.random.default_rng(s).uniform(size=2 * n)
+                  for s in ([seed] if np.ndim(seed) == 0 else seed)]
+                 ).reshape(np.shape(seed) + (2 * n,))
     eps = relative_sigma * _normal_ppf(_PHI_LO + u * (_PHI_HI - _PHI_LO))
-    return replace(
-        spec,
-        c_left_cells=c_cells * (1.0 + eps[: spec.n_left]),
-        l_left_cells=l_cells * (1.0 + eps[spec.n_left:]),
-    )
+    return replace(spec, c_left_cells=c_cells * (1.0 + eps[..., :n]),
+                   l_left_cells=l_cells * (1.0 + eps[..., n:]))

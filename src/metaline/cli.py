@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import NetworkBands, apply_disorder, build_matrices, network_bands
+from .circuit import apply_disorder, build_matrices, network_bands
 from .config import GHZ, ConfigError, RunConfig, check_output_names, parse_config
 from .dispersion import dom_approx
 from .dynamics import build_rwa_hamiltonian, diagonalize, entropy_scan
@@ -350,8 +350,7 @@ def cmd_disorder(config: RunConfig) -> list:
     seeds = list(range(config["disorder.seed0"],
                        config["disorder.seed0"] + config["disorder.seeds"]))
     band = (config["disorder.band_ghz_lo"] * GHZ, config["disorder.band_ghz_hi"] * GHZ)
-    bands = NetworkBands.stack([network_bands(apply_disorder(spec, sigma, seed))
-                                for seed in seeds])
+    bands = network_bands(apply_disorder(spec, sigma, seeds))
     edges, counts = band_edges(bands, config.freq_window(), band)
     empty = [seed for seed, edge in zip(seeds, edges) if np.isnan(edge)]
     if empty:

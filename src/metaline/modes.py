@@ -55,11 +55,14 @@ of two numpy calls per node without a guard, as in LAPACK dlaneg; only a
 block that meets a pivot below pivmin runs again with dstebz's guard.
 Disorder scatters only the ladder, so the devices of a stack share the
 strip node for node, and ``band_edges`` makes every count through one
-``_StackCount``: it sweeps the rows up to the strip and counts the strip
-in closed form, O(1) per shift, from the pivot at its first node; the
-plain sweep takes any call where the strip is evanescent, and a stack
-that shares no strip.  On the ensemble benchmark's stack that halves a
-call of ``band_edges``.
+``_StackCount``: it sweeps the ladder rows up to the strip as t = d/lam,
+whose squared off-diagonals c_off^2 do not depend on the shift, and
+counts the strip in closed form, O(1) per shift, from the pivot at its
+first node; the plain sweep takes any call where the strip is
+evanescent or 1/lam leaves the doubles' range, and a stack that shares
+no strip or carries k_off on its ladder.  Each device's bracket starts
+at the tightest two of the first count's four shifts (the window's and
+the band's ends), so the ensemble benchmark's stack takes 18 sweeps.
 """
 
 from __future__ import annotations
@@ -534,24 +537,51 @@ def _shoot(first: _Segment, second: _Segment, rows, lam, values: bool = False,
     sin(psi), meets the last row's condition (h_k - lam h_c) u + beta W = 0
     (h* = 1/2 where the row's (h_k, h_c) is (0, 0)).  Phi rises with lam
     and the count is floor(Phi) + 1.  ``whole`` holds integers and
-    ``part`` lies in about [-2, 2], so Phi - k keeps every digit of part."""
+    ``part`` lies in about [-2, 2], so Phi - k keeps every digit of part.
+
+    The state W_0 = u_1 - tau u_0 at the first row carries u_1 only to
+    within eps |tau|, and tau = a/(2 beta) of ``first`` grows without
+    bound as its beta does not (on a ladder as lam -> 0): where |tau|
+    reaches 1/(_ULPS eps), the count is ``sturm_count``'s on the pencil
+    the segments and rows make (``_pencil``), and ``part`` is NaN."""
     lam = np.asarray(lam, dtype=float)
     u = np.ones_like(lam)
     beta1, beta2 = (seg.k_o + lam * seg.c_o for seg in (first, second))
-    w = _junction(rows[0], lam, u, 0.0, None, beta1)
-    head = _advance(first, lam, beta1, u, w, values)
-    w = _junction(rows[1], lam, head[1], head[2], beta1, beta2)
-    tail = _advance(second, lam, beta2, head[1], w, values, phase)
-    if values:
-        return head[3], tail[3], tail[4]
-    last = _junction(rows[2], lam, tail[1], tail[2], beta2, None)
-    count = (head[0] + tail[0] + (tail[1] * last < 0)).astype(int)
+    lost = _ULPS * _EPS * np.abs(first.k_d - lam * first.c_d) >= 2.0 * beta1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):    # lost shifts
+        w = _junction(rows[0], lam, u, 0.0, None, beta1)
+        head = _advance(first, lam, beta1, u, w, values)
+        w = _junction(rows[1], lam, head[1], head[2], beta1, beta2)
+        tail = _advance(second, lam, beta2, head[1], w, values, phase)
+        if values:
+            return head[3], tail[3], tail[4]
+        last = _junction(rows[2], lam, tail[1], tail[2], beta2, None)
+        count = head[0] + tail[0] + (tail[1] * last < 0)
+    if lost.any():
+        count[lost] = sturm_count(_pencil(first, second, rows), lam[lost])
+    count = count.astype(int)
     if not phase:
         return count
     k, h, sin_psi = tail[3:]
     with np.errstate(invalid="ignore"):
         star = np.arctan2(beta2 * sin_psi, lam * rows[2][1] - rows[2][0]) / np.pi
-    return count, head[0] + k, h - star
+    return count, head[0] + k, np.where(lost, np.nan, h - star)
+
+
+def _pencil(first: _Segment, second: _Segment, rows) -> NetworkBands:
+    """Bands of the pencil ``_shoot`` shoots across: the free ``rows``'
+    (h_k, h_c) plus half the diagonals of each segment beside them, each
+    segment's interior diagonals, and off-diagonals of magnitude k_o and
+    c_o (one of them zero) and opposite signs, so that |b| = beta."""
+    segs = ([first], [first, second], [second])
+    bands = []
+    for i in (0, 1):    # the k and the c bands
+        free = [row[i] + sum(seg[i] for seg in beside) / 2 for row, beside in zip(rows, segs)]
+        bands += [np.concatenate([free[:1], np.full(first.steps - 1, first[i]), free[1:2],
+                                  np.full(second.steps - 1, second[i]), free[2:]]),
+                  (1 - 2 * i) * np.repeat([first[2 + i], second[2 + i]],
+                                          [first.steps, second.steps])]
+    return NetworkBands(*bands)
 
 
 def _closed_modes(bands: NetworkBands, segs, freq_window: tuple[float, float] | None
@@ -781,9 +811,9 @@ def sturm_count(bands: NetworkBands, lam) -> np.ndarray:
     (``_sweep``).
     """
     lam = _shifts_first(bands, lam)
-    rows = tuple(map(_nodes_first, (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off)))
-    kmax, cmax = (np.abs(x).max(axis=0, initial=0.0) for x in (rows[1], rows[3]))
-    return np.moveaxis(_sweep(rows, lam, _pivmin(kmax, cmax, lam))[0], 0, -1)
+    kd, ko, cd, co = map(_nodes_first, (bands.k_diag, bands.k_off, bands.c_diag, bands.c_off))
+    kmax, cmax = (np.abs(x).max(axis=0, initial=0.0) for x in (ko, co))
+    return np.moveaxis(_sweep((kd, cd), (ko, co), lam, _pivmin(kmax, cmax, lam))[0], 0, -1)
 
 
 def _shifts_first(bands: NetworkBands, lam) -> np.ndarray:
@@ -808,38 +838,46 @@ def _pivmin(kmax: np.ndarray, cmax: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.maximum(_SAFMIN, np.square(np.sqrt(_SAFMIN) * (kmax + np.abs(lam) * cmax)))
 
 
-def _sweep(rows, lam: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negative LDL^T pivots of K - lam C at each shift, and the last pivot,
-    from the bands ``rows`` (k_diag, k_off, c_diag, c_off, nodes first) at
-    the shifts-first ``lam`` with the guard ``pivmin``.
+def _sweep(diag, off, x: np.ndarray, pivmin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative LDL^T pivots at each shift of the tridiagonal matrix whose
+    diagonal is v - x u, (v, u) = ``diag``, and whose squared off-diagonal
+    is (k_off - x c_off)^2, (k_off, c_off) = ``off``, or ``off`` itself
+    where that is one array of squares shared by every shift; and the last
+    pivot.  Rows are nodes first, ``x`` is shifts first, and ``pivmin`` is
+    the guard.  K - lam C is (v, u) = (k_diag, c_diag), x = lam.
 
-    The nodes are swept in blocks of about ``_BLOCK_VALUES`` values: a_i
-    and b_i^2 of a block in a few whole-block expressions, then the
-    recurrence without the guard, two ufunc calls per node.  A block with
-    a pivot below pivmin in magnitude (or NaN) is run again from its
-    incoming pivot with the guard, so every pivot and count is that of
-    the guarded recurrence, bit for bit.  Blocks are (nodes, shifts,
-    devices): on a stack, whole-block expressions run over the devices.
+    The nodes are swept in blocks of about ``_BLOCK_VALUES`` values: the
+    block's diagonal (and squares, unless shared) in a few whole-block
+    expressions, then the recurrence without the guard, two ufunc calls
+    per node.  A block with a pivot below pivmin in magnitude (or NaN) is
+    run again from its incoming pivot with the guard, so every pivot and
+    count is that of the guarded recurrence, bit for bit.  Blocks are
+    (nodes, shifts, devices): on a stack, whole-block expressions run over
+    the devices.
     """
-    kd, ko, cd, co = rows
-    n = len(kd)
-    step = max(1, _BLOCK_VALUES // max(1, lam.size))
-    d = np.empty((min(n, step + 1),) + lam.shape)
-    sq = np.empty((len(d) - 1,) + lam.shape)
-    lam_rows = np.broadcast_to(lam, d.shape).copy()     # lam on each row of a block
-    below = np.zeros(lam.shape, dtype=int)
+    (v, u), shared = diag, not isinstance(off, tuple)
+    n = len(v)
+    step = max(1, _BLOCK_VALUES // max(1, x.size))
+    d = np.empty((min(n, step + 1),) + x.shape)
+    sq = None if shared else np.empty((len(d) - 1,) + x.shape)
+    x_rows = np.broadcast_to(x, d.shape).copy()     # x on each row of a block
+    below = np.zeros(x.shape, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for s in range(0, n, step):
             e = min(n, s + step)
             carry = int(s > 0)      # row 0 then holds the last pivot before s
-            piv, b2 = d[:e - s + carry], sq[:e - s + carry - 1]
+            piv = d[:e - s + carry]
             new = piv[carry:]
-            np.multiply(lam_rows[:len(b2)], co[s - carry:e - 1], out=b2)
-            np.subtract(ko[s - carry:e - 1], b2, out=b2)
-            np.square(b2, out=b2)
+            if shared:
+                b2 = off[s - carry:e - 1]
+            else:
+                b2 = sq[:e - s + carry - 1]
+                np.multiply(x_rows[:len(b2)], off[1][s - carry:e - 1], out=b2)
+                np.subtract(off[0][s - carry:e - 1], b2, out=b2)
+                np.square(b2, out=b2)
             for guard in (None, pivmin):
-                np.multiply(lam_rows[:len(new)], cd[s:e], out=new)
-                np.subtract(kd[s:e], new, out=new)
+                np.multiply(x_rows[:len(new)], u[s:e], out=new)
+                np.subtract(v[s:e], new, out=new)
                 _pivots(piv, b2, guard)
                 if (np.abs(new).min(axis=0) >= pivmin).all():  # else a tiny pivot
                     break                   # or NaN: run the block guarded
@@ -854,38 +892,57 @@ class _StackCount:
     shifts as it is, which counts a strip the devices share in closed form.
 
     Disorder scatters only the ladder, so the devices of a stack share the
-    uniform strip from node s = ``_strip_start`` on.  The counter lays out
-    the rows 0..s of every device nodes first once, keeps each device's
+    uniform strip from node s = ``_strip_start`` on.  Where rows 0..s carry
+    no k_off (a ladder's), their b_i = -lam c_off,i, and the counter sweeps
+    t = d / lam instead of the pivots d: t_{i+1} = (k_{i+1}/lam - c_{i+1})
+    - c_off,i^2 / t_i, with the same signs as d for lam > 0, so the squares
+    c_off^2 are formed once, here, not per shift.  dstebz's guard |d| <
+    pivmin becomes |t| < pivmin/lam, and t is then -pivmin/lam, so an
+    eigenvalue equal to a shift still counts below it.  The counter lays
+    out those rows of every device nodes first once, keeps each device's
     largest |k_off| and |c_off| over all its edges (for ``_pivmin``), the
     strip as a ``_Segment`` and its last row's (h_k, h_c) (``_free_row``).
-    A call sweeps those rows, blocked and guarded as ``sturm_count`` is
-    (LAPACK dlaneg: Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28,
-    2006), and ends on the pivot d_s, which gives the strip's shot state
-    at s: u_s = 1 and W_s = u_{s+1} - tau u_s = (d_s - a/2) / beta, as d_s
-    = beta u_{s+1}/u_s.  The sign of d_s is then the strip's first sign
-    change, not the sweep's, and the strip and its last row count in
-    closed form, O(1) per shift, as ``_shoot`` takes a segment (Atkinson's
-    discrete Pruefer angle, *Discrete and Continuous Boundary Problems*,
-    1964).  A stack that shares no strip of one step or more, and a call
-    with a shift where the strip is evanescent, count by ``sturm_count``
-    alone: there the closed count need not rise with lam over a few ulps.
+    A call sweeps the rows by ``_sweep``, blocked and guarded as
+    ``sturm_count`` is (LAPACK dlaneg: Marques, Riedy & Voemel, SIAM J.
+    Sci. Comput. 28, 2006), and ends on d_s = lam t_s, which gives the
+    strip's shot state at s: u_s = 1 and W_s = u_{s+1} - tau u_s = (d_s -
+    a/2) / beta, as d_s = beta u_{s+1}/u_s.  The sign of d_s is then the
+    strip's first sign change, not the sweep's, and the strip and its last
+    row count in closed form, O(1) per shift, as ``_shoot`` takes a
+    segment (Atkinson's discrete Pruefer angle, *Discrete and Continuous
+    Boundary Problems*, 1964).
+
+    ``sturm_count`` alone counts a stack that shares no strip of one step
+    or more or whose rows 0..s carry k_off, a call with a shift where the
+    strip is evanescent (there the closed count need not rise with lam
+    over a few ulps), and one with a shift where 1/lam, k/lam or pivmin/lam
+    leaves the range of normal doubles.
     """
 
     def __init__(self, bands: NetworkBands):
         kd, ko, cd, co = bands.k_diag, bands.k_off, bands.c_diag, bands.c_off
         self.bands, self.strip, start = bands, None, _strip_start(bands)
-        if start < kd.shape[-1] - 1:
+        if start < kd.shape[-1] - 1 and not ko[:, :start].any():
             self.strip = _segment(kd[0], ko[0], cd[0], co[0], start, kd.shape[-1] - 1)
             self.last = _free_row(kd[0, -1], cd[0, -1], [self.strip])
-            self.rows = tuple(map(_nodes_first, (kd[:, :start + 1], ko[:, :start],
-                                                 cd[:, :start + 1], co[:, :start])))
+            # t_i = v_i - u_i / lam - c_off^2 / t_{i-1} in _sweep's terms
+            self.diag = (_nodes_first(-cd[:, :start + 1]), _nodes_first(-kd[:, :start + 1]))
+            self.off2 = np.square(_nodes_first(co[:, :start]))
+            self.kdmax = np.abs(kd[:, :start + 1]).max()
             self.kmax, self.cmax = (np.abs(x).max(axis=-1, initial=0.0)[None] for x in (ko, co))
 
     def __call__(self, lam) -> np.ndarray:
         shifts, strip = _shifts_first(self.bands, lam), self.strip
         if strip is None or not all((x > 0).all() for x in _pq(strip, shifts)):
             return sturm_count(self.bands, lam)
-        below, d = _sweep(self.rows, shifts, _pivmin(self.kmax, self.cmax, shifts))
+        with np.errstate(divide="ignore", over="ignore"):
+            x = 1.0 / shifts
+            pivmin = _pivmin(self.kmax, self.cmax, shifts) * x
+            if not ((x >= _SAFMIN).all() and (pivmin > 0).all()
+                    and np.isfinite(self.kdmax * x).all()):
+                return sturm_count(self.bands, lam)
+        below, t = _sweep(self.diag, self.off2, x, pivmin)
+        d = shifts * t
         beta = strip.k_o + shifts * strip.c_o
         w = (d - 0.5 * (strip.k_d - shifts * strip.c_d)) / beta
         sign_changes, u, w = _advance(strip, shifts, beta, np.ones_like(d), w)
@@ -924,8 +981,11 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     (edge in rad/s, NaN where the window holds no mode; count).  Only
     Sturm counts are used, each by the stack's one ``_StackCount``, the
     first (the window's and band's ends) included: no matrix is formed and
-    no eigenvector found.  IllConditionedCircuitError names the first
-    device whose capacitance has an LDL^T pivot that is not positive.
+    no eigenvector found.  Multisection starts each device that has a mode
+    from the tightest two of those four shifts whose counts hold its
+    index; a device without one keeps the window as its (unused) bracket.
+    IllConditionedCircuitError names the first device whose capacitance
+    has an LDL^T pivot that is not positive.
     """
     bounds = np.array([*freq_window, *band], dtype=float)
     if not all(np.isfinite(x).all() for x in (bounds, bands.k_diag, bands.k_off,
@@ -934,14 +994,18 @@ def band_edges(bands: NetworkBands, freq_window: tuple[float, float],
     _check_capacitance(bands)
     bounds = np.sign(bounds) * bounds ** 2
     count = _StackCount(bands)
-    win_lo, win_hi, band_lo, band_hi = count(bounds).T
+    counts = count(bounds)
+    win_lo, win_hi, band_lo, band_hi = counts.T
     first = np.maximum(win_lo, _gauge_modes(bands))     # index of the lowest kept mode
     band_count = np.maximum(0, np.minimum(band_hi, win_hi)
                             - np.maximum(band_lo, first))
 
     found = first < win_hi
-    # N(lo) <= first < N(hi) on every bracket that holds a mode
-    lo, hi = (np.full(len(first), x) for x in bounds[:2])
+    # N(lo) <= first < N(hi) on every bracket that holds a mode: the
+    # tightest pair of the four counted shifts, the window's ends at worst
+    below = counts <= first[:, None]
+    lo = np.where(found, np.where(below, bounds, -np.inf).max(axis=1), bounds[0])
+    hi = np.where(found, np.where(below, np.inf, bounds).min(axis=1), bounds[1])
     while (active := found & _open(lo, hi)).any():
         lo, hi = np.where(active, _narrow(count, first, lo, hi), (lo, hi))
     return np.where(found, np.sqrt(0.5 * (lo + hi)), np.nan), band_count

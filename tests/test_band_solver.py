@@ -7,9 +7,8 @@ network takes dense ``eigh``.  scipy's dense ``eigh`` is called directly
 here, not through the library (``conftest._dense``).  The CLI tests that
 solve modes run on the default path (the closed form, for their devices)
 and again here, pinned by the ``dense_path`` fixture, which sends every
-network to dense ``eigh``; the CSV and exit-code classes also run pinned
-by the ``closed_path`` fixture, which empties ``_DENSE_DIMS``.
-The acceptance criteria are rerun on the dense path.
+network to dense ``eigh``; the ``closed_path`` fixture empties
+``_DENSE_DIMS``.  The acceptance criteria are rerun on the dense path.
 The ids say ``band`` where the fixture is ``closed_path``: they date from
 when the closed form's path was named the band path.
 """
@@ -401,8 +400,7 @@ def test_acceptance_on_dense_path(criterion, band_spec):
 
 
 # each CLI test class that solves modes, on the dense path; SMALL (dim 101)
-# takes the closed form unpinned, so the closed-path rerun left below
-# repeats its test_cli ids (ROADMAP item 8 retires it)
+# takes the closed form unpinned, so test_cli's own ids cover that path
 class TestCmdModesOnDensePath(test_cli.TestCmdModes):
     pytestmark = pytest.mark.usefixtures("dense_path")
 
@@ -421,10 +419,6 @@ class TestCmdRenormOnDensePath(test_cli.TestCmdRenorm):
 
 class TestCmdPhaseOnDensePath(test_cli.TestCmdPhase):
     pytestmark = pytest.mark.usefixtures("dense_path")
-
-
-class TestExitCodesOnBandPath(test_cli.TestExitCodes):
-    pytestmark = pytest.mark.usefixtures("closed_path")
 
 
 class TestExitCodesOnDensePath(test_cli.TestExitCodes):

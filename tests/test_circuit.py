@@ -59,6 +59,10 @@ class TestCircuitSpec:
             CircuitSpec(n_left=10, c_left=1e-13, l_left=1e-9, cell_pitch=1e-4,
                         rhtl_length=0.03, c_right_per_len=1e-10,
                         l_right_per_len=4e-7, c_left_cells=np.ones(3) * 1e-13)
+        with pytest.raises(ValueError, match="l_left_cells"):    # one device axis at most
+            CircuitSpec(n_left=10, c_left=1e-13, l_left=1e-9, cell_pitch=1e-4,
+                        rhtl_length=0.03, c_right_per_len=1e-10,
+                        l_right_per_len=4e-7, l_left_cells=np.ones((2, 3, 10)) * 1e-9)
 
 
 class TestBuildMatrices:
@@ -216,8 +220,42 @@ class TestApplyDisorder:
         npt.assert_allclose(_normal_ppf(p), ref, rtol=1e-14, atol=0)
         npt.assert_allclose(_normal_ppf(p[[0, 4000]]), [-3.0, 3.0], rtol=1e-14)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.02, 0.3])
+    def test_seed_sequence_matches_per_seed_stack(self, band_spec, sigma):
+        # one spec with a leading device axis, whose bands are the per-seed
+        # stack's bit for bit, the strip's rows repeated in every device
+        seeds = range(1, 51)
+        bulk = apply_disorder(band_spec, sigma, seeds)
+        assert bulk.devices == (50,) and bulk.c_left_cells.shape == (50, band_spec.n_left)
+        for seeds in (range(1, 51), [7]):
+            stacked = network_bands(apply_disorder(band_spec, sigma, seeds))
+            per_seed = NetworkBands.stack([network_bands(apply_disorder(band_spec, sigma, s))
+                                           for s in seeds])
+            for name in ("k_diag", "k_off", "c_diag", "c_off"):
+                npt.assert_array_equal(getattr(stacked, name), getattr(per_seed, name))
+                assert getattr(stacked, name).shape == getattr(per_seed, name).shape
+
+    def test_scalar_seed_draws_one_device(self, band_spec):
+        # a scalar seed gives one device: its draws map default_rng(seed)'s
+        # uniforms through _normal_ppf, as they always have
+        n = band_spec.n_left
+        noisy = apply_disorder(band_spec, 0.05, 11)
+        u = np.random.default_rng(11).uniform(size=2 * n)
+        eps = 0.05 * _normal_ppf(_PHI_LO + u * (_PHI_HI - _PHI_LO))
+        assert noisy.devices == ()
+        npt.assert_array_equal(noisy.c_left_cells, band_spec.c_left * (1.0 + eps[:n]))
+        npt.assert_array_equal(noisy.l_left_cells, band_spec.l_left * (1.0 + eps[n:]))
+        npt.assert_array_equal(network_bands(noisy).c_diag,
+                               network_bands(apply_disorder(band_spec, 0.05, [11])).c_diag[0])
+
+    def test_build_matrices_refuses_a_stack(self, band_spec):
+        with pytest.raises(ValueError, match="one device"):
+            build_matrices(apply_disorder(band_spec, 0.02, range(3)))
+
     @pytest.mark.parametrize("sigma", [-0.01, 1 / 3, 0.4, 0.5, 0.9])
     def test_sigma_out_of_range(self, band_spec, sigma):
         # eps is truncated at 3 sigma, so sigma >= 1/3 could zero an element
         with pytest.raises(ValueError):
             apply_disorder(band_spec, sigma, seed=0)
+        with pytest.raises(ValueError):
+            apply_disorder(band_spec, sigma, seed=range(3))

@@ -81,6 +81,19 @@ class TestCount:
         for spec in _random_specs(rng, 200):
             _assert_counts_match(spec, WINDOW, rng, 25)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tiny_shifts(self):
+        # below about 5e6 (rad/s)^2 the ladder's tau passes 1/(16 eps), and
+        # the shot's W_0 = u_1 - tau u_0 no longer carries u_1: the count
+        # there is sturm_count's (the gauge mode), and the phase is NaN
+        mat = build_matrices(_config("fig2").circuit_spec())
+        lam = 10.0 ** np.arange(-300, 9)
+        np.testing.assert_array_equal(modes._shoot(*_segments(mat), lam),
+                                      sturm_count(mat.bands, lam))
+        count, whole, part = modes._shoot(*_segments(mat), lam, phase=True)
+        np.testing.assert_array_equal(count, sturm_count(mat.bands, lam))
+        assert np.isnan(part[lam < 1e6]).all() and np.isfinite(part[lam > 1e7]).all()
+
 
 def _assert_phase_matches_count(spec, window, rng, size):
     """On the shifts of ``_test_shifts``: floor(Phi) + 1 is the count of the

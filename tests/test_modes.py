@@ -479,6 +479,75 @@ class TestBandEdges:
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("k_off", [False, True], ids=["ladder", "ladder-with-k_off"])
+    def test_stack_count_matches_sturm_count(self, monkeypatch, ensemble_devices, k_off):
+        # the t = d/lam sweep of the ladder rows, at 10^k for k = -300..30
+        # one shift per call (the tiny ones, where k/lam overflows, take the
+        # plain sweep) and at random shifts in the strip's passband; a stack
+        # whose ladder rows carry k_off counts by the plain sweep alone
+        stack, _ = ensemble_devices
+        strip = modes._StackCount(stack).strip
+        if k_off:
+            ko = stack.k_off.copy()
+            ko[:, 1:100] = -1e-3 * stack.k_diag[:, 1:100]
+            stack = dataclasses.replace(stack, k_off=ko)
+        count = modes._StackCount(stack)
+        cutoff = (2.0 * strip.k_o + strip.k_d) / (strip.c_d - 2.0 * strip.c_o)     # q = 0
+        rng = np.random.default_rng(34)
+        shifts = [np.full((len(stack.k_diag), 1), 10.0 ** k) for k in range(-300, 31)]
+        shifts += [cutoff * 10.0 ** rng.uniform(-8, 0, (len(stack.k_diag), 7)) for _ in range(20)]
+        events = _spy_counts(monkeypatch)
+        for lam in shifts:
+            npt.assert_array_equal(count(lam), modes.sturm_count(stack, lam))
+        split = events.count("strip")
+        assert split == 0 if k_off else split > 300
+
+    def test_brackets_start_at_tightest_counted_shifts(self, monkeypatch, ensemble_devices):
+        # the first multisection round starts each device that has a mode at
+        # the highest of the window's and band's ends counted at or below
+        # its index and the lowest counted above; the others keep the window
+        stack, _ = ensemble_devices
+        bounds = np.square([*WINDOW, *ULTRASTRONG_BAND])
+        starts = []
+
+        def narrow(count, index, lo, hi, step=modes._narrow):
+            starts.append((lo.copy(), hi.copy()))
+            return step(count, index, lo, hi)
+        monkeypatch.setattr(modes, "_narrow", narrow)
+        band_edges(stack, WINDOW, ULTRASTRONG_BAND)
+        lo, hi = starts[0]
+        assert set(lo) <= set(bounds) and set(hi) <= set(bounds)
+        for s in range(len(lo)):
+            counts = sturm_count_reference(TestSturmCount._device(stack, s), bounds)
+            index = max(counts[0], 1)       # one gauge mode
+            if index < counts[1]:
+                assert lo[s] == bounds[counts <= index].max()
+                assert hi[s] == bounds[counts > index].min()
+            else:
+                assert (lo[s], hi[s]) == tuple(bounds[:2])
+        assert (lo > bounds[0]).any() or (hi < bounds[1]).any()
+
+    @pytest.mark.parametrize("lo,ulps", [(WINDOW[0], 1), (0.0, 3), (TWO_PI * 4.5e9, 1)],
+                             ids=["window-from-3.8GHz", "window-from-0", "window-4.5-4.8GHz"])
+    def test_edges_within_ulps_of_exact_root(self, ensemble_devices, lo, ulps):
+        # the edges of 12 devices against the 40-digit root, no farther than
+        # the edges from window-wide brackets and plain pivots were: 1, 3
+        # and 1 ulps.  The index is the lowest kept mode's, above one gauge
+        # mode (the plain count near the mode from 0 is not exact)
+        import mpmath
+
+        stack, _ = ensemble_devices
+        window = (lo, WINDOW[1] if lo != TWO_PI * 4.5e9 else TWO_PI * 4.8e9)
+        edges, _ = band_edges(stack, window, ULTRASTRONG_BAND)
+        eps = np.finfo(float).eps
+        for s in range(12):
+            bands, lam = TestSturmCount._device(stack, s), edges[s] ** 2
+            index = max(1, int(sturm_count_reference(bands, [lo ** 2])[0]))
+            root = mp_pencil_eigenvalue(bands, index,
+                                        bracket=(lam * (1 - 64 * eps), lam * (1 + 64 * eps)))
+            exact = float(mpmath.sqrt(root))
+            assert abs(edges[s] - exact) <= ulps * np.spacing(exact)
+
     def test_ensemble_stack_narrows_on_split_count(self, monkeypatch, ensemble_devices):
         # the first count (the window's and band's ends) and every
         # multisection round after it count the strip in closed form
