@@ -182,12 +182,6 @@ class NetworkBands:
     c_diag: np.ndarray
     c_off: np.ndarray
 
-    @classmethod
-    def stack(cls, items: list["NetworkBands"]) -> "NetworkBands":
-        """Stack same-size devices along a new leading axis."""
-        return cls(*(np.stack([getattr(b, name) for b in items])
-                     for name in ("k_diag", "k_off", "c_diag", "c_off")))
-
 
 def _tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     out = np.diag(diag)
@@ -352,8 +346,8 @@ def apply_disorder(spec: CircuitSpec, relative_sigma: float,
     ``seed`` may also be a sequence of seeds (``range(50)``, say): the
     result is then one spec whose cell arrays carry a leading device axis,
     device i drawn from ``default_rng(seed[i])`` as above, and
-    ``network_bands`` of it equals ``NetworkBands.stack`` of the seeds'
-    bands bit for bit; ``_normal_ppf`` runs once over all the draws.
+    ``network_bands`` of it equals the seeds' bands stacked along that axis
+    bit for bit; ``_normal_ppf`` runs once over all the draws.
     """
     if not 0 <= relative_sigma < MAX_SIGMA:
         raise ValueError(

@@ -18,6 +18,7 @@ import argparse
 import itertools
 import os
 import sys
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -40,71 +41,80 @@ def _fmt(value) -> str:
 
 
 # "%.11e" fields from tables of 4-byte ASCII words, five words a field:
-# [sign, d0, ".", d1], [d2-d5], [d6-d9], [d10, d11, "e", exponent sign],
-# [exponent digits, separator, pad]; a NUL byte is an empty slot (the
-# sign of a non-negative value, the pad) and is dropped from the output
+# [pad, sign, d0, "."], [d1-d4], [d5-d8], [d9-d11, "e"], [exponent sign,
+# exponent digits, separator]; a NUL byte is an empty slot (the pad, the
+# sign of a non-negative value) and is dropped from the output
 def _words(texts) -> np.ndarray:
     return np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint32)
 
 
-_LEAD = _words(f"{sign}{i // 10}.{i % 10}" for sign in "\0-" for i in range(100))
+_LEAD = _words(f"\0{sign}{i}." for sign in "\0-" for i in range(10))
 # "0000" to "9999", from digit arithmetic (10^4 f-strings cost ms at import)
 _QUAD = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_TAIL = _words(f"{i:02d}e{sign}" for sign in "+-" for i in range(100))
-_EXPONENT = _words(f"{i:02d}{end}\0" for end in ",\n" for i in range(100))
+# "000e" to "999e": "0000" to "9990" with the last digit made "e"
+_TAIL = _QUAD[::10].copy()
+_TAIL.view(np.uint8)[3::4] = ord("e")
+# exponent k at k + 99, then the same with the row end at k + 298
+_EXPONENT = _words(f"{'+-'[k < 0]}{abs(k):02d}{end}" for end in ",\n" for k in range(-99, 100))
 _POW10 = 10.0 ** np.arange(-120, 121)                   # 10^k at k + 120
-# values formatted per numpy pass: few enough to stay in cache
-_CHUNK_VALUES = 1 << 14
+# values a chunk formats per numpy pass, few enough that the formatter's
+# passes stay in a core's 2 MiB L2 (about 30 ns a value at 8192, 55 ns at
+# 16 384); a chunk's rows also hold at most this many 20-byte float
+# fields' worth of padded bytes (160 KiB)
+_CHUNK_VALUES = 1 << 13
 
 
 def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray:
     """The finite values of a 2-D float array in ``"%.11e"``, the bytes of
-    the ``%`` operator built with numpy: a uint8 array with one row per block row,
-    each value followed by "," but the last of a row, which is followed by
-    "\\n" when ``newline``, and NUL bytes to drop.  The ``%`` operator itself
-    formats the few values numpy cannot: subnormals, three-digit exponents
-    and values next to a half-way tie.
+    the ``%`` operator built with numpy: a uint8 array with one row per
+    block row and 18, 19 or 20 bytes per value (fewer where no value needs
+    the sign slot or the pad), each value followed by "," but the last of a
+    row, which is followed by "\\n" when ``newline``, and NUL bytes to drop.
+    The ``%`` operator itself formats the few values numpy cannot:
+    subnormals, three-digit exponents and values next to a half-way tie.
     """
     flat = block.ravel()
     a = np.abs(flat)
-    # decimal exponent e, so that the 12 digits are a * 10^(11 - e) rounded;
-    # log10 may land one off next to a power of ten
-    e = np.floor(np.log10(np.where(a > 0, a, 1.0))).astype(np.intp)
+    # decimal exponent e, so that the 12 digits are a * 10^(11 - e) rounded,
+    # from the binary one: floor(log10(2^(e2 - 1))) is (e2 - 1) 78913 >> 18
+    # (Adams, Ryu, PLDI 2018), e itself or one below it
+    e = ((np.frexp(a)[1] - 1) * 78913 >> 18).astype(np.intp)
     # three-digit exponents (subnormals too) are left to "%", with a margin
-    # for the two steps e may still move by
+    # for the two steps e may still move up by
     wide = np.abs(e) > 97
     a[wide] = 1.0
     e[wide] = 0
-    nonzero = a > 0
-    s = a * _POW10[131 - e]
-    e += nonzero & (s >= 1e12)
-    e -= nonzero & (s < 1e11)
+    # one step up where the estimate fell short, and from -1 for a zero
+    e += (a * _POW10[131 - e] >= 1e12) | (a == 0)
     s = a * _POW10[131 - e]
     m = np.rint(s)
     # s is rounded twice (10^k and the product), so its digits are certain
     # except next to half-way; those values are left to "%" as well
-    doubtful = wide | (np.abs(np.abs(s - m) - 0.5) < 1e-3)
-    carry = m >= 1e12                   # 9.99999999999|5 -> 1.00000000000e+01
-    m[carry] = 1e11
-    e[carry] += 1
-    # digits by exact float division: m < 1e12 < 2^53
-    lead = np.floor(m / 1e10)
-    rest = m - lead * 1e10
-    mid = np.floor(rest / 1e6)
-    rest -= mid * 1e6
-    low = np.floor(rest / 1e2)
-    rest -= low * 1e2
+    doubtful = wide | (np.abs(s - m) > 0.499)
+    m = m.astype(np.int64)
+    carry = m >= 10 ** 12               # 9.99999999999|5 -> 1.00000000000e+01
+    m[carry] = 10 ** 11
+    e += carry
+    # digit groups by floor division and a product (numpy's % and divmod
+    # take four times as long)
+    high = m // 10 ** 7
+    low = m - high * 10 ** 7
+    lead = high // 10 ** 4
+    high -= lead * 10 ** 4
+    tail = low // 1000
+    tail, low = low - tail * 1000, tail
     words = np.empty(block.shape + (5,), dtype=np.uint32)
     w = words.reshape(-1, 5)
-    # the second hundred of each table: negative, negative exponent, row end
-    w[:, 0] = _LEAD[lead.astype(np.intp) + 100 * np.signbit(flat)]
-    w[:, 1] = _QUAD[mid.astype(np.intp)]
-    w[:, 2] = _QUAD[low.astype(np.intp)]
-    w[:, 3] = _TAIL[rest.astype(np.intp) + 100 * (e < 0)]
-    exponent = np.abs(e).reshape(block.shape)
+    negative = np.signbit(flat)
+    # the second ten of _LEAD is negative
+    w[:, 0] = _LEAD[lead + 10 * negative]
+    w[:, 1] = _QUAD[high]
+    w[:, 2] = _QUAD[low]
+    w[:, 3] = _TAIL[tail]
+    exponent = (e + 99).reshape(block.shape)
     if newline:
-        exponent[:, -1] += 100
+        exponent[:, -1] += 199
     words[..., 4] = _EXPONENT[exponent]
     fields = w.view(np.uint8)
     i = np.flatnonzero(doubtful)
@@ -112,9 +122,11 @@ def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray:
         # "%" text and the separator in the 20 bytes of the field (19 with
         # a sign and a three-digit exponent)
         text = "".join([("%.11e" % v + chr(end)).rjust(20, "\0") for v, end in
-                        zip(flat[i].tolist(), fields[i, 18].tolist())])
+                        zip(flat[i].tolist(), fields[i, 19].tolist())])
         fields[i] = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 20)
-    return words.view(np.uint8).reshape(len(block), -1)
+    # the pad and the sign slot are cut off where every field has them empty
+    cut = 0 if fields[:, 0].any() else 1 if fields[:, 1].any() else 2
+    return words.view(np.uint8)[..., cut:].reshape(len(block), -1)
 
 
 def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
@@ -137,72 +149,124 @@ def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
     return np.column_stack([text.view(np.uint8).reshape(n, -1), end])
 
 
+def _fields(run: list, rows: slice, newline: bool) -> np.ndarray:
+    """The fields of ``rows`` of a run of ``_Table`` columns' values."""
+    if run[0][0].dtype.kind == "f":
+        return _float_fields(np.column_stack([values[rows] for values, _ in run]), newline)
+    return _column_fields(run[0][0][rows], newline)
+
+
+def _pair(column) -> tuple | None:
+    """(values, index or None) of a ``_Table`` column; None if it is none."""
+    if isinstance(column, tuple):
+        if len(column) != 2:
+            return None
+        values, index = map(np.asarray, column)
+        if values.ndim != 1 or index.ndim != 1 or index.dtype.kind not in "iu" or len(
+                index) and not (0 <= index.min() and index.max() < len(values)):
+            return None
+    else:
+        values, index = np.asarray(column), None
+    if values.ndim not in (1, 2) or values.dtype.kind not in ("fiuU" if values.ndim == 1
+                                                              else "f"):
+        return None
+    return values.astype(float, copy=False) if values.dtype.kind == "f" else values, index
+
+
 class _Table:
-    """CSV columns of one length: 1-D int, float or str (label) arrays and 2-D
-    float arrays, a CSV column per column (none if zero-wide).  Iteration
-    yields each row as the tuple of its values, as Python scalars."""
+    """CSV columns of one length: 1-D int, float or str (label) arrays, 2-D
+    float arrays, a CSV column per column (none if zero-wide), and indexed
+    columns, pairs ``(values, index)`` of a 1-D int, float or label array
+    and an int array whose row r holds ``values[index[r]]``, for a column
+    of few distinct values.  Iteration yields each row as the tuple of its
+    values, as Python scalars, indexed columns expanded."""
 
     def __init__(self, *columns):
-        columns = [c.astype(float, copy=False) if c.dtype.kind == "f" else c
-                   for c in map(np.asarray, columns)]
-        self.rows = len(columns[0]) if columns else 0
-        self.columns = [c for c in columns if c.ndim != 2 or c.shape[1]]
-        if self.rows and not self.columns or any(
-                c.ndim not in (1, 2) or c.dtype.kind not in ("fiuU" if c.ndim == 1 else "f")
-                or len(c) != self.rows for c in columns):
-            raise TypeError("CSV columns are 1-D int, float or str arrays and 2-D "
-                            "float arrays, all of one length, and a row holds a value")
+        pairs = [_pair(c) for c in columns]
+        lengths = [len(v) if i is None else len(i) for v, i in filter(None, pairs)]
+        self.rows = lengths[0] if lengths else 0
+        self.columns = [(v, i) for v, i in filter(None, pairs) if v.ndim != 2 or v.shape[1]]
+        if any(p is None for p in pairs) or any(
+                n != self.rows for n in lengths) or self.rows and not self.columns:
+            raise TypeError("CSV columns are 1-D int, float or str arrays, 2-D float "
+                            "arrays and (values, index) pairs of a 1-D column and an "
+                            "int array inside it, all of one length, and a row holds "
+                            "a value")
 
     def __len__(self) -> int:
         return self.rows
 
     def __iter__(self):
-        return zip(*[values for c in self.columns for values in np.atleast_2d(c.T).tolist()])
+        return zip(*[values for v, i in self.columns for values in
+                     np.atleast_2d((v if i is None else v[i]).T).tolist()])
 
 
-def _check_finite(path: Path, columns: list[str], table: _Table) -> int:
-    """The CSV column count of ``table``; ArithmeticError naming the file
-    and the column of its first NaN or infinity."""
+def _check_finite(path: Path, columns: list[str], table: _Table) -> None:
+    """ArithmeticError naming the file, the column and the row of the
+    first NaN or infinity of ``table``; an indexed column's values are all
+    formatted, so one that no row holds is refused too."""
     width = 0
-    for c in table.columns:
-        if c.dtype.kind == "f" and not np.isfinite(c).all():
-            values = c.reshape(len(c), -1)
-            row, j = np.argwhere(~np.isfinite(values))[0]
+    for values, index in table.columns:
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            rows = values.reshape(len(values), -1) if index is None else values[index, None]
+            bad = np.argwhere(~np.isfinite(rows)).tolist()
+            row, j = bad[0] if bad else (None, 0)
             name = columns[width + j] if width + j < len(columns) else width + j + 1
-            raise ArithmeticError(f"{path.name}: column {name} holds "
-                                  f"{values[row, j]} at row {row}")
-        width += c.shape[1] if c.ndim == 2 else 1
-    return width
+            value, where = ((rows[row, j], f"at row {row}") if bad else
+                            (values[~np.isfinite(values)][0], "in a value no row holds"))
+            raise ArithmeticError(f"{path.name}: column {name} holds {value} {where}")
+        width += values.shape[1] if values.ndim == 2 else 1
 
 
 def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str],
                block_comments: dict[int, str] | None = None) -> None:
     """Write ``table``: labels verbatim, integers in full, floats in
-    ``"%.11e"`` (12 significant digits), formatted by numpy ``_CHUNK_VALUES``
-    values at a time and written a chunk per string.  A non-finite float
-    raises ArithmeticError naming the file and the column before the file is
-    opened.  ``block_comments`` maps a row index to a comment line written
-    just before that row."""
-    width = _check_finite(path, columns, table)
-    # adjacent float columns are formatted together, any other column alone
+    ``"%.11e"`` (12 significant digits).  A non-finite float raises
+    ArithmeticError naming the file, the column and the row before the file
+    is opened.  ``block_comments`` maps a row index to a comment line
+    written just before that row.
+
+    An indexed column's distinct values are formatted once, ahead of the
+    rows; every other column is formatted a chunk of rows at a time,
+    adjacent float columns together.  A chunk's rows are laid out at a
+    fixed width, each indexed field gathered by one fixed-size copy, then
+    its NUL padding is removed in one pass and its comment lines spliced
+    in at the row offsets, and it is written as one string.  A chunk
+    formats at most ``_CHUNK_VALUES`` values and holds at most as many
+    padded bytes as ``_CHUNK_VALUES`` float fields (20 bytes each).
+    """
+    _check_finite(path, columns, table)
     runs = [list(run) for _, run in itertools.groupby(
-        table.columns, key=lambda c: c.dtype.kind == "f" or object())]
+        table.columns, key=lambda c: c[1] is None and c[0].dtype.kind == "f" or object())]
+    # an indexed column's fields, each a void scalar for the one-copy gather
+    indexed = [None if run[0][1] is None or not len(table) else
+               _fields(run, slice(None), run is runs[-1]) for run in runs]
+    indexed = [f if f is None else f.view(f"V{f.shape[1]}").ravel() for f in indexed]
+    formatted = sum(v.shape[1] if v.ndim == 2 else 1 for v, i in table.columns if i is None)
+    padded = 20 * formatted + sum(f.itemsize for f in indexed if f is not None)
+    step = max(1, _CHUNK_VALUES * 20 // max(1, padded))
     marks = sorted(i for i in block_comments or () if i < len(table))
-    step = max(1, _CHUNK_VALUES // max(1, width))
     with open(path, "wb") as f:
         f.write("".join([f"# {c}\n" for c in comments]
                         + [",".join(columns) + "\n"]).encode())
         for first in range(0, len(table), step):
-            fields = np.concatenate([
-                _float_fields(np.column_stack([c[first:first + step] for c in run]),
-                              run is runs[-1]) if run[0].dtype.kind == "f"
-                else _column_fields(run[0][first:first + step], run is runs[-1])
-                for run in runs], axis=1)
-            cuts = [i - first for i in marks if first <= i < first + step]
-            parts = np.split(fields, cuts)
-            f.write(b"".join([parts[0].tobytes()] + [
-                f"# {block_comments[first + i]}\n".encode() + part.tobytes()
-                for i, part in zip(cuts, parts[1:])]).replace(b"\0", b""))
+            rows = slice(first, first + step)
+            text = np.concatenate([
+                _fields(run, rows, run is runs[-1]) if fields is None
+                else fields[run[0][1][rows]].view(np.uint8).reshape(-1, fields.itemsize)
+                for run, fields in zip(runs, indexed)], axis=1)
+            here = marks[bisect_left(marks, first):bisect_left(marks, first + step)]
+            # a comment goes where its row starts: the row's padded offset
+            # less the NUL bytes ahead of it
+            nul = text.ravel() == 0
+            starts = [0] + [(i - first) * text.shape[1] for i in here]
+            cuts = list(itertools.accumulate(
+                (b - a - np.count_nonzero(nul[a:b]) for a, b in zip(starts, starts[1:])),
+                initial=0))
+            text = memoryview(text.tobytes().replace(b"\0", b""))
+            f.write(b"".join([part for k, i in enumerate(here) for part in (
+                text[cuts[k]:cuts[k + 1]], f"# {block_comments[i]}\n".encode())]
+                + [text[cuts[-1]:]]))
 
 
 def _comments(config: RunConfig, command: str) -> list[str]:
@@ -298,10 +362,9 @@ def cmd_dynamics(config: RunConfig, threads: int) -> list:
     n_modes = len(couplings)
     blocks = {k * n_modes: f"tg={_fmt(tg)} e_q={_fmt(e_q)}"
               for k, (tg, e_q) in enumerate(zip(tg_grid, e_qubit))}
-    table = _Table(np.repeat(tg_grid, n_modes),
-                   np.tile(np.arange(n_modes), len(tg_grid)),
-                   np.tile(couplings.frequencies / GHZ, len(tg_grid)),
-                   e_per_mode.ravel())
+    k, n = np.indices((len(tg_grid), n_modes)).reshape(2, -1)
+    table = _Table((tg_grid, k), (np.arange(n_modes), n),
+                   (couplings.frequencies / GHZ, n), e_per_mode.ravel())
     return [(["tg", "n", "f_ghz", "e_n"], table, [], blocks)]
 
 
@@ -333,8 +396,8 @@ def cmd_phase(config: RunConfig) -> list:
                             config.grid("phase.delta0") * omega_ir,
                             config["renorm.variant"])
     ratio = diagram.delta_eff_grid / diagram.delta0_axis[:, None]
-    table = _Table(np.repeat(diagram.delta0_axis / omega_ir, len(diagram.g_axis)),
-                   np.tile(diagram.g_axis / omega_ir, len(ratio)),
+    i, j = np.indices(ratio.shape).reshape(2, -1)
+    table = _Table((diagram.delta0_axis / omega_ir, i), (diagram.g_axis / omega_ir, j),
                    ratio.ravel(), diagram.phase.ravel())
     boundary = np.reshape(diagram.boundary, (-1, 2)) / omega_ir
     return [(["delta0_over_omega_ir", "g_over_omega_ir", "delta_eff_over_delta0",

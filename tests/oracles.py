@@ -14,8 +14,8 @@ from the slope of the ladder's inverse dispersion, footprint-averaged
 currents and sign changes one mode at a time, mode counts from a dense
 eigenvalue solve of the symmetrically reduced pencil and from a scalar
 pivot loop per shift, single eigenvalues from a 40-digit bisection and
-from multisection on that pivot loop,
-eigenvectors refined by long-double inverse iteration with pivoted
+from multisection on that pivot loop, disorder stacks built one
+device at a time, eigenvectors refined by long-double inverse iteration with pivoted
 Gaussian elimination, and CSV bytes from a writer that formats every
 value with its own call.
 """
@@ -343,6 +343,14 @@ def dense_count(cap: np.ndarray, inv_ind: np.ndarray, lam) -> np.ndarray:
     """Number of generalized eigenvalues of (inv_ind, cap) below each lam."""
     return np.searchsorted(pencil_eigenvalues(cap, inv_ind),
                            np.asarray(lam, dtype=float), side="left")
+
+
+def stack_bands(items: list):
+    """Same-size devices' bands stacked along a new leading axis, one
+    device at a time: what ``network_bands`` of a spec with a device axis
+    must equal."""
+    return type(items[0])(*(np.stack([getattr(b, name) for b in items])
+                            for name in ("k_diag", "k_off", "c_diag", "c_off")))
 
 
 def sturm_count_reference(bands, lam) -> np.ndarray:

@@ -29,6 +29,7 @@ from metaline import (IllConditionedCircuitError, NetworkBands, NetworkMatrices,
                       apply_disorder, build_matrices, footprint_weights, network_bands,
                       solve_modes)
 from metaline.config import parse_config
+from oracles import stack_bands
 from conftest import (TWO_PI, WINDOW, _assert_footprints_match_refined,
                       _assert_no_farther_from_exact_than_dense, _check, _dense,
                       _residuals, _wrap, make_band_edge_spec)
@@ -152,7 +153,7 @@ class TestGaugeModes:
         # bundled config's disorder command solves
         cfg = parse_config(resources.files("metaline") / "configs" / f"{name}.cfg")
         spec, seed0 = cfg.circuit_spec(), cfg["disorder.seed0"]
-        stack = NetworkBands.stack([
+        stack = stack_bands([
             network_bands(apply_disorder(spec, cfg["disorder.sigma"], seed))
             for seed in range(seed0, seed0 + cfg["disorder.seeds"])])
         np.testing.assert_array_equal(modes._gauge_modes(stack),
@@ -409,8 +410,11 @@ class TestCmdDynamicsOnDensePath(test_cli.TestCmdDynamics):
     pytestmark = pytest.mark.usefixtures("dense_path")
 
 
-class TestWriteCsvOnDensePath(test_cli.TestWriteCsv):
+class TestWriteCsvOnDensePath:
+    # the writer's tests that solve modes; the others call no solver
     pytestmark = pytest.mark.usefixtures("dense_path")
+    test_nonfinite_exits_3 = test_cli.TestWriteCsv.test_nonfinite_exits_3
+    test_bundled_config_outputs = test_cli.TestWriteCsv.test_bundled_config_outputs
 
 
 class TestCmdRenormOnDensePath(test_cli.TestCmdRenorm):

@@ -5,12 +5,11 @@ import numpy.testing as npt
 import pytest
 from scipy import stats
 
-from metaline import (CircuitSpec, NetworkBands, apply_disorder,
-                      build_matrices, design_from_impedance, network_bands,
-                      rhtl_from_impedance)
+from metaline import (CircuitSpec, apply_disorder, build_matrices,
+                      design_from_impedance, network_bands, rhtl_from_impedance)
 from metaline.circuit import _PHI_HI, _PHI_LO, _normal_ppf
 from conftest import OMEGA_IR, make_band_edge_spec
-from oracles import stamped_lhtl, stamped_matrices, stamped_rhtl
+from oracles import stack_bands, stamped_lhtl, stamped_matrices, stamped_rhtl
 
 
 class TestDesignFromImpedance:
@@ -140,7 +139,7 @@ class TestBuildMatrices:
         dim = band_spec.n_left + band_spec.n_right + 1
         assert one.k_diag.shape == one.c_diag.shape == (dim,)
         assert one.k_off.shape == one.c_off.shape == (dim - 1,)
-        two = NetworkBands.stack([one, network_bands(apply_disorder(band_spec, 0.1, 1))])
+        two = stack_bands([one, network_bands(apply_disorder(band_spec, 0.1, 1))])
         assert two.k_diag.shape == (2, dim) and two.c_off.shape == (2, dim - 1)
         mat = build_matrices(band_spec)
         npt.assert_array_equal(np.diag(mat.cap, 1), one.c_off)
@@ -229,8 +228,8 @@ class TestApplyDisorder:
         assert bulk.devices == (50,) and bulk.c_left_cells.shape == (50, band_spec.n_left)
         for seeds in (range(1, 51), [7]):
             stacked = network_bands(apply_disorder(band_spec, sigma, seeds))
-            per_seed = NetworkBands.stack([network_bands(apply_disorder(band_spec, sigma, s))
-                                           for s in seeds])
+            per_seed = stack_bands([network_bands(apply_disorder(band_spec, sigma, s))
+                                    for s in seeds])
             for name in ("k_diag", "k_off", "c_diag", "c_off"):
                 npt.assert_array_equal(getattr(stacked, name), getattr(per_seed, name))
                 assert getattr(stacked, name).shape == getattr(per_seed, name).shape

@@ -678,6 +678,95 @@ class TestWriteCsv:
                 cli._Table(np.arange(3), bad)
         assert len(cli._Table(np.ones((0, 0)))) == 0
 
+    @staticmethod
+    def _indexed_tables(rows, rng):
+        """(indexed table, the same table as plain columns): a float column
+        that repeats, a label column that tiles, an int and a float column
+        permuted, with a plain float block and an int column between them."""
+        tg = rng.standard_normal(7) * 10.0 ** rng.integers(-120, 120, 7)
+        labels = np.array(["localized", "delocalized", "", "étoile"])
+        ints = np.array([0, 7, 10 ** 9, -3, 42])
+        f = np.concatenate([rng.uniform(-1e3, 1e3, 4), TestWriteCsv.PERCENT])
+        pairs = [(tg, np.arange(rows) * 7 // max(rows, 1)),
+                 (labels, np.arange(rows) % len(labels)),
+                 (ints, rng.integers(0, len(ints), rows)),
+                 (f, rng.permutation(rows) % len(f))]
+        block = rng.uniform(-1e3, 1e3, (rows, 2))
+        columns = [pairs[0], block, pairs[1], np.arange(rows), pairs[2], pairs[3]]
+        return (cli._Table(*columns),
+                cli._Table(*[c[0][c[1]] if isinstance(c, tuple) else c for c in columns]))
+
+    @pytest.mark.parametrize("chunk", [None, 8, 45])
+    def test_indexed_columns(self, tmp_path, monkeypatch, chunk):
+        # indexes that repeat, tile and permute, across chunks of any size
+        # (the writer's own and two small ones), with a block comment on
+        # every row of a stretch, so on the first and last rows of chunks
+        if chunk:
+            monkeypatch.setattr(cli, "_CHUNK_VALUES", chunk)
+        rng = np.random.default_rng(chunk)
+        rows = 3 * cli._CHUNK_VALUES + 5
+        indexed, plain = self._indexed_tables(rows, rng)
+        comments = {i: f"row {i}" for i in range(0, rows + 3, 1 if chunk else 97)}
+        comments |= {i: f"dense {i}" for i in range(rows - 70, rows + 3) if i not in comments}
+        new, ref = self._both(tmp_path, indexed, comments, columns=list("abcdefgh"))
+        assert new == ref and b"# row 0\n" in new and f"# dense {rows}".encode() not in new
+        _write_csv(tmp_path / "plain.csv", list("abcdefgh"), plain, self.COMMENTS, comments)
+        assert (tmp_path / "plain.csv").read_bytes() == new
+        assert list(indexed) == list(plain)
+
+    def test_indexed_columns_of_no_rows(self, tmp_path):
+        indexed, plain = self._indexed_tables(0, np.random.default_rng(1))
+        assert len(indexed) == 0 and list(indexed) == []
+        new, ref = self._both(tmp_path, indexed, {0: "never written"},
+                              columns=list("abcdefgh"))
+        assert new == ref and new.endswith(b"a,b,c,d,e,f,g,h\n")
+        # one indexed column alone, last in its row
+        table = cli._Table((np.array([2.5, -1.0]), np.array([1, 1, 0])))
+        assert list(table) == [(-1.0,), (-1.0,), (2.5,)]
+        new, ref = self._both(tmp_path, table, {2: "last"}, columns=["a"])
+        assert new == ref and new.endswith(b"\n# last\n2.50000000000e+00\n")
+
+    def test_indexed_nonfinite_names_table_row(self, tmp_path):
+        path = tmp_path / "out.csv"
+        values = np.array([1.0, np.nan, 2.0, np.inf])
+        table = cli._Table(np.arange(6), (values, np.array([0, 2, 2, 1, 3, 1])))
+        with pytest.raises(ArithmeticError, match=r"out.csv: column b holds nan at row 3$"):
+            _write_csv(path, ["a", "b"], table, self.COMMENTS)
+        assert not path.exists()
+        # every value is formatted, so one no row holds is refused too
+        table = cli._Table(np.arange(3), (values, np.array([0, 2, 0])))
+        with pytest.raises(ArithmeticError, match=r"column b holds nan in a value no row"):
+            _write_csv(path, ["a", "b"], table, self.COMMENTS)
+        assert not path.exists()
+
+    def test_index_must_address_values(self):
+        values = np.array([1.0, 2.0, 3.0])
+        for index in (np.array([0, 3]), np.array([-1, 0]), np.array([0.0, 1.0]),
+                      np.array([True, False]), np.array([[0, 1]])):
+            with pytest.raises(TypeError, match="CSV columns are"):
+                cli._Table(np.arange(2), (values, index))
+        for pair in ((np.ones((3, 2)), np.array([0, 1])), (values,),
+                     (values, np.array([0, 1]), np.array([0, 1]))):
+            with pytest.raises(TypeError, match="CSV columns are"):
+                cli._Table(np.arange(2), pair)
+        with pytest.raises(TypeError, match="all of one length"):
+            cli._Table(np.arange(3), (values, np.array([0, 1])))
+        with pytest.raises(TypeError, match="CSV columns are"):
+            cli._Table((values[:0], np.array([0])))
+        assert len(cli._Table((values[:0], np.arange(0)))) == 0
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=24))
+    def test_float_fields_any_finite_double(self, width, values):
+        # both signs, zeros, subnormals and three-digit exponents; a row of
+        # ``width`` values, the last row padded by repeating the first value
+        values += values[:1] * (-len(values) % width)
+        block = np.array(values).reshape(-1, width)
+        assert _float_rows(block) == [
+            ",".join(oracles.csv_value(v) for v in row) for row in block.tolist()]
+
     @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
     def test_bundled_config_outputs(self, tmp_path, monkeypatch, name):
         written = []

@@ -17,8 +17,8 @@ from metaline.modes import _column_sign_changes
 from conftest import (OMEGA_IR, TWO_PI, ULTRASTRONG_BAND, WINDOW,
                       make_band_edge_spec, wrap_dense)
 from oracles import (current_average, dense_count, mp_pencil_eigenvalue, omega_lhtl,
-                     omega_rhtl, pencil_eigenvalues, sign_changes, stamped_lhtl,
-                     stamped_matrices, stamped_rhtl, sturm_count_reference)
+                     omega_rhtl, pencil_eigenvalues, sign_changes, stack_bands,
+                     stamped_lhtl, stamped_matrices, stamped_rhtl, sturm_count_reference)
 
 
 def _wrap(cap, inv_ind, length=None, interface=0):
@@ -109,13 +109,13 @@ class TestSolveModes:
             c_diag[i] = np.nan if spoil == "nan" else -c_diag[i]
         bands = dataclasses.replace(band_matrices.bands, c_diag=c_diag)
         messages = []
-        for each in (bands, NetworkBands.stack([bands])):
+        for each in (bands, stack_bands([bands])):
             with pytest.raises(IllConditionedCircuitError) as err:
                 modes._check_capacitance(each)
             messages.append(str(err.value).replace(" of device 0", ""))
         assert messages[0] == messages[1]
         modes._check_capacitance(band_matrices.bands)
-        modes._check_capacitance(NetworkBands.stack([band_matrices.bands]))
+        modes._check_capacitance(stack_bands([band_matrices.bands]))
 
 
 class TestColumnSignChanges:
@@ -198,8 +198,8 @@ class TestSturmCount:
         npt.assert_array_equal(sturm_count(bands, [0.5, 1.0, 1.5]), [1, 2, 2])
 
     def test_leading_axes_broadcast(self, band_spec):
-        stack = NetworkBands.stack([network_bands(apply_disorder(band_spec, 0.05, s))
-                                    for s in range(3)])
+        stack = stack_bands([network_bands(apply_disorder(band_spec, 0.05, s))
+                             for s in range(3)])
         lam = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]) * OMEGA_IR ** 2
         counts = sturm_count(stack, lam)
         assert counts.shape == (3, 2)
@@ -287,7 +287,7 @@ class TestSturmCount:
         cfg = parse_config(resources.files("metaline") / "configs" / "fig2.cfg")
         mat = build_matrices(cfg.circuit_spec())
         assert len(solve_modes(mat, cfg.freq_window()))
-        edge, _ = band_edges(NetworkBands.stack([mat.bands]), cfg.freq_window(),
+        edge, _ = band_edges(stack_bands([mat.bands]), cfg.freq_window(),
                              ULTRASTRONG_BAND)
         assert np.isfinite(edge).all()
         assert guarded == []
@@ -309,7 +309,7 @@ def ensemble_devices(band_spec):
     """The ensemble benchmark workload's stack (the dim-501 bath device at
     sigma 0.02, disorder seeds 1-50) and each device's full spectrum."""
     specs = [apply_disorder(band_spec, 0.02, seed) for seed in range(1, 51)]
-    return (NetworkBands.stack([network_bands(s) for s in specs]),
+    return (stack_bands([network_bands(s) for s in specs]),
             [solve_modes(build_matrices(s)).frequencies for s in specs])
 
 
@@ -348,7 +348,7 @@ class TestBandEdges:
     def test_matches_dense_over_50_seeds(self, disordered_devices, window, band):
         specs, spectra = disordered_devices
         edges, counts = band_edges(
-            NetworkBands.stack([network_bands(s) for s in specs]), window, band)
+            stack_bands([network_bands(s) for s in specs]), window, band)
         dense = np.array([_edge_and_count(f, window, band) for f in spectra])
         npt.assert_array_equal(counts, dense[:, 1])
         npt.assert_allclose(edges, dense[:, 0], rtol=1e-10, atol=0)
@@ -380,7 +380,7 @@ class TestBandEdges:
         the strip's passband and clear of every eigenvalue, is the guarded
         recurrence's count, and each call counts the strip in closed form
         (``events`` from ``_spy_counts``)."""
-        stack = NetworkBands.stack([network_bands(s) for s in specs])
+        stack = stack_bands([network_bands(s) for s in specs])
         split = modes._StackCount(stack)
         assert split.strip is not None and split.strip.steps == specs[0].n_right
         strip = split.strip
@@ -466,7 +466,7 @@ class TestBandEdges:
             specs[2] = dataclasses.replace(specs[2], c_right_per_len=c_r, l_right_per_len=l_r)
         else:
             window = (TWO_PI * 400e9, TWO_PI * 1000e9)
-        stack = NetworkBands.stack([network_bands(s) for s in specs])
+        stack = stack_bands([network_bands(s) for s in specs])
         events = _spy_counts(monkeypatch)
         edges, counts = band_edges(stack, window, window)
         assert "strip" not in events and events.count("plain") > 10
@@ -559,7 +559,7 @@ class TestBandEdges:
         assert events == ["strip"] + ["narrow", "strip"] * rounds
 
     def test_empty_window_is_nan(self, band_spec):
-        bands = NetworkBands.stack([network_bands(band_spec)])
+        bands = stack_bands([network_bands(band_spec)])
         far = (TWO_PI * 1000e9, TWO_PI * 1001e9)
         edges, counts = band_edges(bands, far, far)
         assert np.isnan(edges[0]) and counts[0] == 0
@@ -572,7 +572,7 @@ class TestBandEdges:
         bands = NetworkBands(k_diag=k, k_off=np.zeros(2), c_diag=np.ones(3),
                              c_off=np.zeros(2))
         window = (0.0, 10.0)
-        edges, counts = band_edges(NetworkBands.stack([bands]), window, window)
+        edges, counts = band_edges(stack_bands([bands]), window, window)
         dense = solve_modes(_wrap(np.eye(3), np.diag(k)), window).frequencies
         assert counts[0] == len(dense) == 2
         npt.assert_allclose(edges[0], dense[0], rtol=1e-12)
@@ -585,7 +585,7 @@ class TestBandEdges:
         # window's lower end, as the gauge modes lie far below it
         monkeypatch.setattr(modes, "_SHIFTS", shifts)
         specs = [apply_disorder(band_spec, 0.02, seed) for seed in range(1, 51)]
-        edges, _ = band_edges(NetworkBands.stack([network_bands(s) for s in specs]),
+        edges, _ = band_edges(stack_bands([network_bands(s) for s in specs]),
                               WINDOW, ULTRASTRONG_BAND)
         eps = np.finfo(float).eps
         for spec, edge in zip(specs, edges):
@@ -595,8 +595,8 @@ class TestBandEdges:
             assert below <= first < above
 
     def test_indefinite_capacitance_names_device(self, band_spec):
-        stack = NetworkBands.stack([network_bands(apply_disorder(band_spec, 0.02, s))
-                                    for s in range(1, 4)])
+        stack = stack_bands([network_bands(apply_disorder(band_spec, 0.02, s))
+                             for s in range(1, 4)])
         stack.c_off[1, 7] = 2.0 * stack.c_diag[1, 7]     # indefinite in device 1
         with pytest.raises(IllConditionedCircuitError, match="device 1 .*pivot") as err:
             band_edges(stack, WINDOW, ULTRASTRONG_BAND)
@@ -609,7 +609,7 @@ class TestBandEdges:
         assert str(err.value).replace(" of device 1", "") == str(alone.value)
 
     def test_rejects_nonfinite_input(self, band_spec):
-        bands = NetworkBands.stack([network_bands(band_spec)])
+        bands = stack_bands([network_bands(band_spec)])
         with pytest.raises(ValueError):
             band_edges(bands, (np.nan, 1e11), ULTRASTRONG_BAND)
 
