@@ -156,6 +156,11 @@ def _fields(run: list, rows: slice, newline: bool) -> np.ndarray:
     return _column_fields(run[0][0][rows], newline)
 
 
+def _void(fields: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D uint8 array as void scalars, copied whole."""
+    return fields.view(f"V{fields.shape[1]}")[:, 0]
+
+
 def _pair(column) -> tuple | None:
     """(values, index or None) of a ``_Table`` column; None if it is none."""
     if isinstance(column, tuple):
@@ -240,8 +245,7 @@ def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str
         table.columns, key=lambda c: c[1] is None and c[0].dtype.kind == "f" or object())]
     # an indexed column's fields, each a void scalar for the one-copy gather
     indexed = [None if run[0][1] is None or not len(table) else
-               _fields(run, slice(None), run is runs[-1]) for run in runs]
-    indexed = [f if f is None else f.view(f"V{f.shape[1]}").ravel() for f in indexed]
+               _void(_fields(run, slice(None), run is runs[-1])) for run in runs]
     formatted = sum(v.shape[1] if v.ndim == 2 else 1 for v, i in table.columns if i is None)
     padded = 20 * formatted + sum(f.itemsize for f in indexed if f is not None)
     step = max(1, _CHUNK_VALUES * 20 // max(1, padded))
@@ -251,10 +255,12 @@ def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str
                         + [",".join(columns) + "\n"]).encode())
         for first in range(0, len(table), step):
             rows = slice(first, first + step)
-            text = np.concatenate([
-                _fields(run, rows, run is runs[-1]) if fields is None
-                else fields[run[0][1][rows]].view(np.uint8).reshape(-1, fields.itemsize)
-                for run, fields in zip(runs, indexed)], axis=1)
+            parts = [_void(_fields(run, rows, run is runs[-1])) if fields is None
+                     else fields[run[0][1][rows]] for run, fields in zip(runs, indexed)]
+            widths = [part.itemsize for part in parts]
+            text = np.empty((len(parts[0]), sum(widths)), dtype=np.uint8)
+            for part, end in zip(parts, itertools.accumulate(widths)):
+                _void(text[:, end - part.itemsize:end])[:] = part
             here = marks[bisect_left(marks, first):bisect_left(marks, first + step)]
             # a comment goes where its row starts: the row's padded offset
             # less the NUL bytes ahead of it
