@@ -98,20 +98,19 @@ def _float_fields(block: np.ndarray, newline: bool = True) -> np.ndarray:
     e += carry
     # digit groups by floor division and a product (numpy's % and divmod
     # take four times as long)
-    high = m // 10 ** 7
-    low = m - high * 10 ** 7
-    lead = high // 10 ** 4
-    high -= lead * 10 ** 4
-    tail = low // 1000
-    tail, low = low - tail * 1000, tail
+    high = m // 10 ** 7                 # d0-d4
+    low = m - high * 10 ** 7            # d5-d11
+    lead = high // 10 ** 4              # d0
+    high -= lead * 10 ** 4              # d1-d4
+    mid = low // 1000                   # d5-d8
+    low -= mid * 1000                   # d9-d11
     words = np.empty(block.shape + (5,), dtype=np.uint32)
     w = words.reshape(-1, 5)
-    negative = np.signbit(flat)
     # the second ten of _LEAD is negative
-    w[:, 0] = _LEAD[lead + 10 * negative]
+    w[:, 0] = _LEAD[lead + 10 * np.signbit(flat)]
     w[:, 1] = _QUAD[high]
-    w[:, 2] = _QUAD[low]
-    w[:, 3] = _TAIL[tail]
+    w[:, 2] = _QUAD[mid]
+    w[:, 3] = _TAIL[low]
     exponent = (e + 99).reshape(block.shape)
     if newline:
         exponent[:, -1] += 199
@@ -159,6 +158,24 @@ def _fields(run: list, rows: slice, newline: bool) -> np.ndarray:
 def _void(fields: np.ndarray) -> np.ndarray:
     """The rows of a 2-D uint8 array as void scalars, copied whole."""
     return fields.view(f"V{fields.shape[1]}")[:, 0]
+
+
+def _side_by_side(parts: list) -> np.ndarray:
+    """Void arrays of one length as the fields of a uint8 row each."""
+    widths = [part.itemsize for part in parts]
+    rows = np.empty((len(parts[0]), sum(widths)), dtype=np.uint8)
+    for part, end in zip(parts, itertools.accumulate(widths)):
+        _void(rows[:, end - part.itemsize:end])[:] = part
+    return rows
+
+
+def _row_starts(rows: np.ndarray, marks: list[int]) -> list[int]:
+    """0, then where each row of ``marks`` starts once the NUL bytes of
+    ``rows`` are dropped: its padded offset less the NUL bytes ahead."""
+    nul = rows.ravel() == 0
+    starts = [0] + [i * rows.shape[1] for i in marks]
+    return list(itertools.accumulate(
+        (b - a - np.count_nonzero(nul[a:b]) for a, b in zip(starts, starts[1:])), initial=0))
 
 
 def _pair(column) -> tuple | None:
@@ -255,20 +272,11 @@ def _write_csv(path: Path, columns: list[str], table: _Table, comments: list[str
                         + [",".join(columns) + "\n"]).encode())
         for first in range(0, len(table), step):
             rows = slice(first, first + step)
-            parts = [_void(_fields(run, rows, run is runs[-1])) if fields is None
-                     else fields[run[0][1][rows]] for run, fields in zip(runs, indexed)]
-            widths = [part.itemsize for part in parts]
-            text = np.empty((len(parts[0]), sum(widths)), dtype=np.uint8)
-            for part, end in zip(parts, itertools.accumulate(widths)):
-                _void(text[:, end - part.itemsize:end])[:] = part
+            text = _side_by_side([
+                _void(_fields(run, rows, run is runs[-1])) if fields is None
+                else fields[run[0][1][rows]] for run, fields in zip(runs, indexed)])
             here = marks[bisect_left(marks, first):bisect_left(marks, first + step)]
-            # a comment goes where its row starts: the row's padded offset
-            # less the NUL bytes ahead of it
-            nul = text.ravel() == 0
-            starts = [0] + [(i - first) * text.shape[1] for i in here]
-            cuts = list(itertools.accumulate(
-                (b - a - np.count_nonzero(nul[a:b]) for a, b in zip(starts, starts[1:])),
-                initial=0))
+            cuts = _row_starts(text, [i - first for i in here])
             text = memoryview(text.tobytes().replace(b"\0", b""))
             f.write(b"".join([part for k, i in enumerate(here) for part in (
                 text[cuts[k]:cuts[k + 1]], f"# {block_comments[i]}\n".encode())]
