@@ -161,7 +161,8 @@ def _void(fields: np.ndarray) -> np.ndarray:
 
 
 def _side_by_side(parts: list) -> np.ndarray:
-    """Void arrays of one length as the fields of a uint8 row each."""
+    """Void arrays of one length side by side, a uint8 row per element;
+    the parts die with the call, before the next chunk is formatted."""
     widths = [part.itemsize for part in parts]
     rows = np.empty((len(parts[0]), sum(widths)), dtype=np.uint8)
     for part, end in zip(parts, itertools.accumulate(widths)):
