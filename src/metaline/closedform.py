@@ -49,13 +49,14 @@ class ClosedModes:
 
     Mode k keeps its eigenvalue ``lam``, its count ``index``, the
     ``_Wave`` of each segment in the shot from the first node and in the
-    one from the last (``waves``: ladder, ladder, strip, strip), the
-    ``twist`` node where they are joined (the first shot up to it, the
-    second beyond) and the factor ``coef`` of each of the four waves that
-    makes its u the C-normalized profile, sign rule included.  ``rows``
-    evaluates any nodes of any modes at O(1) per entry, for every reader
-    of the profiles.  Each step of the join that would cost O(n) per mode
-    over all nodes is O(1) here:
+    one from the last (``stack``, one ``_Wave`` of (4, m) fields: ladder,
+    ladder, strip, strip), the ``twist`` node where they are joined (the
+    first shot up to it, the second beyond), each wave's part of the
+    profile (``pieces``, (4, m) first nodes and counts) and the factor
+    ``coef`` of each of the four waves that makes its u the C-normalized
+    profile, sign rule included.  ``rows`` evaluates any nodes of any
+    modes at O(1) per entry, for every reader of the profiles.  Each step
+    of the join that would cost O(n) per mode over all nodes is O(1) here:
 
     - the twist: the largest |first . second| among each segment's ends
       and the two nodes about the crest of its sinusoid nearest its middle
@@ -88,9 +89,8 @@ class ClosedModes:
         self.coef = np.zeros((4, len(self.lam)))
         lad_l, str_l, scale_l = _shoot(ladder, strip, rows, self.lam, values=True)
         str_r, lad_r, scale_r = _shoot(strip, ladder, rows[::-1], self.lam, values=True)
-        self.waves = (lad_l, lad_r, str_l, str_r)
-        # the four waves' fields, one row each
-        self.stack = _Wave(*(np.stack(field) for field in zip(*self.waves)))
+        # the four waves' fields, one row each: ladder, ladder, strip, strip
+        self.stack = _Wave(*(np.stack(field) for field in zip(lad_l, lad_r, str_l, str_r)))
         if not len(self.lam):
             return
         self._join(scale_l, scale_r)
@@ -173,9 +173,10 @@ class ClosedModes:
         cols, mid = np.arange(len(self.lam)), self.mid
         best = []
         for first, m in ((0, mid), (2, self.strip.steps)):
-            at = _crests(self.waves[first], m)
-            u, v = (_wave_values(self.waves[first], m, at),
-                    _wave_values(self.waves[first + 1], m, m - at))
+            wave, other = (_Wave(*(field[part] for field in self.stack))
+                           for part in (first, first + 1))
+            at = _crests(wave, m)
+            u, v = _wave_values(wave, m, at), _wave_values(other, m, m - at)
             k = np.abs(u * v).argmax(axis=0)
             best.append((at[k, cols], u[k, cols], v[k, cols]))
         (at_l, lad_l, lad_r), (at_s, str_l, str_r) = best
@@ -189,17 +190,18 @@ class ClosedModes:
                 np.where(on_ladder, 0.0, 1.0 / str_l),
                 np.where(on_ladder, np.exp(-scale_r) / lad_r, 1.0 / str_r)])
 
-    def _pieces(self):
-        """(first local node, node count) of each wave's part of every
-        profile: the ladder from the first shot up to the twist and from
-        the second beyond it, then the strip past the interface node
-        likewise."""
+    def _pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first local node and the node count of each wave's part of
+        every profile, (4, m) arrays: the ladder from the first shot up to
+        the twist and from the second beyond it, then the strip past the
+        interface node likewise."""
         n, mid, twist = self.n, self.mid, self.twist
-        on_ladder, zero = twist <= mid, np.zeros_like(twist)
-        return ((zero, np.where(on_ladder, twist, mid) + 1),
-                (zero, np.where(on_ladder, mid - twist, 0)),
-                (zero + 1, np.where(on_ladder, 0, twist - mid)),
-                (zero, n - 1 - np.maximum(twist, mid)))
+        on_ladder = twist <= mid
+        count = np.stack([np.where(on_ladder, twist, mid) + 1,
+                          np.where(on_ladder, mid - twist, 0),
+                          np.where(on_ladder, 0, twist - mid),
+                          n - 1 - np.maximum(twist, mid)])
+        return np.broadcast_to(np.array([[0], [0], [1], [0]]), count.shape), count
 
     def _norm(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x^T C x of every profile with the current ``coef``, and the sum
@@ -211,28 +213,27 @@ class ClosedModes:
         diagonal is not c_d, and across a twist on the ladder.  A mode
         whose terms cancel by more than ``_CANCEL`` is summed node by
         node."""
-        bands, mid, n, m = self.bands, self.mid, self.n, len(self.lam)
+        bands, mid, n, wave = self.bands, self.mid, self.n, self.stack
         split = self.twist < mid
-        # the four parts at once, the ladder's two first
-        wave = _Wave(*(np.ravel(field) for field in self.stack))
-        j0, count = (np.concatenate(x) for x in zip(*self.pieces))
-        steps, c_d, c_o = (np.repeat([getattr(seg, key) for seg in
-                                      (self.ladder, self.ladder, self.strip, self.strip)], m)
+        # the four parts at once, the ladder's two first; each segment's
+        # constants as a column
+        j0, count = self.pieces
+        steps, c_d, c_o = (np.array([[getattr(seg, key)] for seg in
+                                     (self.ladder, self.ladder, self.strip, self.strip)])
                            for key in ("steps", "c_d", "c_o"))
-        coef2 = np.ravel(self.coef ** 2)
+        coef2 = self.coef ** 2
         sq, sq_size = _squares(wave, steps, j0, count)
-        total = ((c_d - 2.0 * c_o) * coef2 * sq).reshape(4, m).sum(axis=0)
-        size = (np.abs(c_d - 2.0 * c_o) * coef2 * sq_size).reshape(4, m).sum(axis=0)
+        total = ((c_d - 2.0 * c_o) * coef2 * sq).sum(axis=0)
+        size = (np.abs(c_d - 2.0 * c_o) * coef2 * sq_size).sum(axis=0)
         if (lad := self.ladder).c_o:
             # pairs and the u^2 coef^2 at both ends of the two ladder parts
-            pair, pair_size = _squares(_Wave(*(f[:2 * m] for f in wave)), steps[:2 * m],
-                                       j0[:2 * m], np.maximum(count[:2 * m] - 1, 0), True)
+            pair, pair_size = _squares(_Wave(*(f[:2] for f in wave)), steps[:2],
+                                       j0[:2], np.maximum(count[:2] - 1, 0), True)
             ends = (x[0] ** 2 + np.where(split, x[4], x[1]) ** 2
                     + np.where(split, x[1] ** 2 + x[5] ** 2, 0.0))
-            total += lad.c_o * ((coef2[:2 * m] * pair).reshape(2, m).sum(axis=0) + ends)
-            size += lad.c_o * ((coef2[:2 * m] * pair_size).reshape(2, m).sum(axis=0) + ends)
-        c_d = np.array([self.ladder.c_d, self.ladder.c_d, self.strip.c_d])
-        corr = ((bands.c_diag[[0, mid, n - 1]] - c_d)[:, None] * x[:3] ** 2).sum(axis=0)
+            total += lad.c_o * ((coef2[:2] * pair).sum(axis=0) + ends)
+            size += lad.c_o * ((coef2[:2] * pair_size).sum(axis=0) + ends)
+        corr = ((bands.c_diag[[0, mid, n - 1]] - c_d[:3, 0])[:, None] * x[:3] ** 2).sum(axis=0)
         # the coupling between the two shots across a twist on the ladder
         cross = np.where(split, 2.0 * bands.c_off[np.minimum(self.twist, mid - 1)] * x[4] * x[5],
                          0.0)
@@ -311,7 +312,7 @@ class ClosedModes:
         valid = (i >= 0) & (i < m)
         i = np.clip(i, 0, m - 1)
         v = np.where(valid, v[np.arange(len(shifts))[:, None], i], 0.0)
-        window = np.array([np.sum(a ** 2) for a in self._amplitudes()])[(t > self.mid).astype(int)]
+        window = np.sum(self._amplitudes() ** 2, axis=1)[(t > self.mid).astype(int)]
         with np.errstate(divide="ignore", invalid="ignore"):
             far = np.minimum(mu - ends[np.maximum(cols - _NEAR, 0)],
                              ends[np.minimum(cols + _NEAR + 2, m + 1)] - mu)
@@ -322,20 +323,15 @@ class ClosedModes:
             raise ArithmeticError(f"closed-form modes too far from C-orthonormal: their "
                                   f"eigenvalues' residuals allow {bound:.1e}")
 
-    def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+    def _amplitudes(self) -> np.ndarray:
         """Bounds on |x| of every profile on the ladder and on the strip
-        past the interface node: the largest |coef| times the amplitude of
-        the waves of its parts there (|r| in the passband; |a| + |b| where
-        evanescent, as j <= m)."""
-        out = []
-        for parts in ((0, 1), (2, 3)):
-            top = np.zeros(len(self.lam))
-            for part in parts:
-                w, count = self.waves[part], self.pieces[part][1]
-                r = np.where(w.evanescent, np.abs(w.a) + np.abs(w.b), np.abs(w.r))
-                top = np.maximum(top, np.where(count > 0, r * np.abs(self.coef[part]), 0.0))
-            out.append(top)
-        return out
+        past the interface node, a (2, m) array: the largest |coef| times
+        the amplitude of the waves of its parts there (|r| in the passband;
+        |a| + |b| where evanescent, as j <= m)."""
+        w, count = self.stack, self.pieces[1]
+        r = np.where(w.evanescent, np.abs(w.a) + np.abs(w.b), np.abs(w.r))
+        top = np.where(count > 0, r * np.abs(self.coef), 0.0)
+        return np.maximum(top[::2], top[1::2])
 
     def _inverse_diagonal(self, nodes: np.ndarray) -> np.ndarray:
         """(C^-1)_ii at ``nodes``.  C couples no two strip nodes, so past
