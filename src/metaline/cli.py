@@ -35,11 +35,6 @@ from .modes import (IllConditionedCircuitError, ModeSet, QubitSpec, band_edges,
 from .spinboson import phase_diagram, sweep_coupling
 
 
-def _fmt(value) -> str:
-    """A number of a comment line, as the CSV writes its columns."""
-    return ("%d" if isinstance(value, (int, np.integer)) else "%.11e") % (value,)
-
-
 # "%.11e" fields from tables of 4-byte ASCII words, five words a field:
 # [pad, sign, d0, "."], [d1-d4], [d5-d8], [d9-d11, "e"], [exponent sign,
 # exponent digits, separator]; a NUL byte is an empty slot (the pad, the
@@ -148,6 +143,16 @@ def _column_fields(column: np.ndarray, newline: bool) -> np.ndarray:
     return np.column_stack([text.view(np.uint8).reshape(n, -1), end])
 
 
+def _comment_numbers(values) -> list[str]:
+    """The numbers of comment lines in ``"%.11e"``, as the CSV writes its
+    float columns, in one ``_float_fields`` call; ArithmeticError on a NaN
+    or an infinity, which no output line may hold."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    if not np.isfinite(values).all():
+        raise ArithmeticError(f"a comment line would hold {values[~np.isfinite(values)][0]}")
+    return _float_fields(values).tobytes().replace(b"\0", b"").decode().splitlines()
+
+
 def _fields(run: list, rows: slice, newline: bool) -> np.ndarray:
     """The fields of ``rows`` of a run of ``_Table`` columns' values."""
     if run[0][0].dtype.kind == "f":
@@ -193,6 +198,15 @@ def _pair(column) -> tuple | None:
     if values.ndim not in (1, 2) or values.dtype.kind not in ("fiuU" if values.ndim == 1
                                                               else "f"):
         return None
+    if values.dtype.kind == "U":
+        # NUL pads a label's end, so one before a later code point of the
+        # same label would be dropped; ",", CR and LF would split its row
+        width, codes = values.itemsize // 4, np.ascontiguousarray(values).view(np.uint32)
+        nul = codes == 0
+        inner = nul[:-1] > nul[1:]
+        inner[width - 1::width] = False         # the next label's first code point
+        if inner.any() or np.isin(codes, (0x0A, 0x0D, 0x2C)).any():
+            return None
     return values.astype(float, copy=False) if values.dtype.kind == "f" else values, index
 
 
@@ -201,8 +215,9 @@ class _Table:
     float arrays, a CSV column per column (none if zero-wide), and indexed
     columns, pairs ``(values, index)`` of a 1-D int, float or label array
     and an int array whose row r holds ``values[index[r]]``, for a column
-    of few distinct values.  Iteration yields each row as the tuple of its
-    values, as Python scalars, indexed columns expanded."""
+    of few distinct values.  A label holds no NUL, ",", CR or LF.
+    Iteration yields each row as the tuple of its values, as Python
+    scalars, indexed columns expanded."""
 
     def __init__(self, *columns):
         pairs = [_pair(c) for c in columns]
@@ -213,8 +228,8 @@ class _Table:
                 n != self.rows for n in lengths) or self.rows and not self.columns:
             raise TypeError("CSV columns are 1-D int, float or str arrays, 2-D float "
                             "arrays and (values, index) pairs of a 1-D column and an "
-                            "int array inside it, all of one length, and a row holds "
-                            "a value")
+                            "int array inside it, all of one length, a row holds a "
+                            "value, and a label holds no NUL, comma, CR or LF")
 
     def __len__(self) -> int:
         return self.rows
@@ -375,8 +390,9 @@ def cmd_dynamics(config: RunConfig, threads: int) -> list:
     e_per_mode = np.concatenate([rep.e_per_mode for rep in reports])
 
     n_modes = len(couplings)
-    blocks = {k * n_modes: f"tg={_fmt(tg)} e_q={_fmt(e_q)}"
-              for k, (tg, e_q) in enumerate(zip(tg_grid, e_qubit))}
+    text = _comment_numbers(np.column_stack([tg_grid, e_qubit]))
+    blocks = {k * n_modes: f"tg={tg} e_q={e_q}"
+              for k, (tg, e_q) in enumerate(zip(text[::2], text[1::2]))}
     k, n = np.indices((len(tg_grid), n_modes)).reshape(2, -1)
     table = _Table((tg_grid, k), (np.arange(n_modes), n),
                    (couplings.frequencies / GHZ, n), e_per_mode.ravel())
@@ -390,12 +406,11 @@ def cmd_renorm(config: RunConfig) -> list:
     g_grid = config.grid("renorm.g") * omega_ir
     sweep = sweep_coupling(couplings, qubit.delta0, g_grid,
                            config["renorm.variant"])
-    comments = [f"delta0_ghz={_fmt(qubit.delta0 / GHZ)} "
-                f"variant={config['renorm.variant']}"]
-    for j in sweep.jumps:
-        comments.append(
-            f"jump g_star_over_omega_ir={_fmt(j.g_star / omega_ir)} "
-            f"drop_factor={_fmt(j.drop_factor)}")
+    delta0, *jumps = _comment_numbers([qubit.delta0 / GHZ] + [
+        v for j in sweep.jumps for v in (j.g_star / omega_ir, j.drop_factor)])
+    comments = [f"delta0_ghz={delta0} variant={config['renorm.variant']}"] + [
+        f"jump g_star_over_omega_ir={g_star} drop_factor={drop}"
+        for g_star, drop in zip(jumps[::2], jumps[1::2])]
     table = _Table(sweep.g_grid / omega_ir, sweep.g_grid / GHZ,
                    sweep.delta_eff / qubit.delta0, sweep.delta_eff_flat / qubit.delta0)
     return [(["g_over_omega_ir", "g_ghz", "delta_eff_over_delta0",
@@ -436,9 +451,10 @@ def cmd_disorder(config: RunConfig) -> list:
                                f"{', '.join(map(str, empty))}")
 
     edges = edges / GHZ
-    comments = [f"sigma={_fmt(sigma)} seeds={len(seeds)}",
-                f"summary edge_ghz mean={_fmt(edges.mean())} std={_fmt(edges.std())}",
-                f"summary band_count mean={_fmt(counts.mean())} std={_fmt(counts.std())}"]
+    text = _comment_numbers([sigma, edges.mean(), edges.std(), counts.mean(), counts.std()])
+    comments = [f"sigma={text[0]} seeds={len(seeds)}",
+                f"summary edge_ghz mean={text[1]} std={text[2]}",
+                f"summary band_count mean={text[3]} std={text[4]}"]
     return [(["seed", "edge_ghz", "band_count"], _Table(seeds, edges, counts),
              comments, None)]
 
@@ -459,18 +475,22 @@ def _worker_count(text: str) -> int:
     return int(text)
 
 
+# built once per process; the --threads default, the CPU count, is
+# resolved on each call
+_PARSER = argparse.ArgumentParser(
+    prog="metaline", description="Hybrid metamaterial transmission-line simulator")
+_PARSER.add_argument("command", choices=sorted(_COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to a .cfg file")
+_PARSER.add_argument("--out", default=".", help="output directory")
+_PARSER.add_argument("--threads", type=_worker_count,
+                     help="dynamics worker pool size (default: CPU count)")
+_PARSER.add_argument("--profiles", action="store_true",
+                     help="include per-node mode profiles in modes.csv")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="metaline",
-        description="Hybrid metamaterial transmission-line simulator")
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="path to a .cfg file")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--threads", type=_worker_count, default=os.cpu_count() or 1,
-                        help="dynamics worker pool size (default: CPU count)")
-    parser.add_argument("--profiles", action="store_true",
-                        help="include per-node mode profiles in modes.csv")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    threads = args.threads or os.cpu_count() or 1
 
     try:
         config = parse_config(args.config)
@@ -478,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         check_output_names(config, out, _OUTPUTS[args.command])
         options = {"modes": {"profiles": args.profiles},
-                   "dynamics": {"threads": args.threads}}
+                   "dynamics": {"threads": threads}}
         tables = _COMMANDS[args.command](config, **options.get(args.command, {}))
         files = [(out / config.output_name(name), *entry) for name, entry
                  in zip(_OUTPUTS[args.command], tables, strict=True)]

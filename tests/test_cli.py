@@ -755,6 +755,18 @@ class TestWriteCsv:
             cli._Table((values[:0], np.array([0])))
         assert len(cli._Table((values[:0], np.arange(0)))) == 0
 
+    @pytest.mark.parametrize("byte", ["\0", ",", "\r", "\n"])
+    def test_label_bytes_that_break_a_row_refused(self, byte):
+        # NUL is the writer's padding, the others split the row
+        labels = np.array(["localized", f"a{byte}b"])
+        for column in (labels, (labels, np.array([1, 0]))):
+            with pytest.raises(TypeError, match="a label holds no NUL, comma, CR or LF"):
+                cli._Table(np.arange(2), column)
+        labels = np.array(["étoile", ""])
+        assert list(cli._Table(np.arange(2), labels)) == [(0, "étoile"), (1, "")]
+        assert list(cli._Table(np.arange(2), (labels, np.array([1, 0])))) == [
+            (0, ""), (1, "étoile")]
+
     @pytest.mark.parametrize("width", [1, 3])
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
@@ -829,6 +841,21 @@ class TestFloatRows:
                 or min(big) < 1.1e-99
         else:
             assert lines[0] == ",".join(oracles.csv_value(v) for v in values)
+
+
+class TestCommentNumbers:
+    """Comment-line numbers through the column formatter."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=30))
+    def test_any_finite_double_as_percent(self, values):
+        assert cli._comment_numbers(values) == ["%.11e" % v for v in values]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_refused(self, bad):
+        with pytest.raises(ArithmeticError, match=f"comment line would hold {bad}"):
+            cli._comment_numbers([1.0, bad, 2.0])
 
 
 class TestCmdRenorm:
@@ -924,6 +951,21 @@ class TestCmdDisorder:
         assert f"seeds {others}\n" in err
         assert "modes.window_ghz_lo = 3.8" in err and "modes.window_ghz_hi" in err
         assert not (out / "disorder.csv").exists()
+
+
+def test_parser_built_once(tmp_path, monkeypatch):
+    # the parser is built at import, not on each main call
+    built, init = [], cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    cfg = _write(tmp_path, SMALL)
+    for _ in range(2):
+        assert main(["modes", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert built == []
 
 
 class TestExitCodes:
